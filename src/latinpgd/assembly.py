@@ -170,15 +170,6 @@ class SpatialSystem:
             A = A + cc * self.Cff
         return A
 
-    def coupling(self, ca, cc, ck):
-        """Free-row, prescribed-column block of ca*M + cc*C + ck*K."""
-        A = ca * self.Mfp + ck * self.Kfp
-        if cc != 0.0:
-            if self.Cfp is None:
-                raise ValueError("system has no damping matrix")
-            A = A + cc * self.Cfp
-        return A
-
     def solve_free(self, ca, cc, ck, rhs):
         """Direct solve of (ca*M + cc*C + ck*K) x = rhs on the free DOFs.
 
@@ -202,6 +193,3 @@ class SpatialSystem:
         if rhs.ndim == 1:
             return solve(rhs)
         return np.column_stack([solve(rhs[:, j]) for j in range(rhs.shape[1])])
-
-    def modal(self, n):
-        return modal_analysis(self.Mff, self.Kff, n)

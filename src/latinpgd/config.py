@@ -165,6 +165,11 @@ def _read_float_list(text):
     return tuple(float(piece) for piece in items)
 
 
+def _read_optional_float_list(text):
+    """Like `_read_float_list`, but an empty value is the empty tuple."""
+    return _read_float_list(text) if text.strip() else ()
+
+
 _SCHEMA = {
     "mesh": {"d1": _read_float, "d2": _read_float, "d3": _read_float,
              "nx": _read_int, "ny": _read_int, "nz": _read_int},
@@ -177,10 +182,15 @@ _SCHEMA = {
                "omega": _read_float, "max_modes": _read_int, "seed": _read_int,
                "damping": _read_bool, "newmark_tol": _read_float},
     "output": {"directory": _read_str, "vtk": _read_bool,
-               "snapshots": _read_float_list},
+               "snapshots": _read_optional_float_list},
 }
 
 _MANDATORY_SECTIONS = ("mesh", "material", "load", "solver")
+
+# Section -> the RunConfig part it builds, in canonical order.
+_SECTION_CLASSES = {"mesh": MeshConfig, "material": MaterialParams,
+                    "load": LoadConfig, "solver": SolverConfig,
+                    "output": OutputConfig}
 
 
 def read_sections(path):
@@ -228,11 +238,8 @@ def _build(sections):
     if missing:
         raise ValueError("config is missing mandatory sections: %s"
                          % ", ".join("[%s]" % name for name in missing))
-    classes = {"mesh": MeshConfig, "material": MaterialParams,
-               "load": LoadConfig, "solver": SolverConfig,
-               "output": OutputConfig}
     parts = {}
-    for name, cls in classes.items():
+    for name, cls in _SECTION_CLASSES.items():
         try:
             parts[name] = cls(**sections.get(name, {}))
         except TypeError as exc:
@@ -249,17 +256,7 @@ def _overlay(config, sections):
     for name, body in sections.items():
         merged = _section_fields(config, name)
         merged.update(body)
-        if name == "material":
-            part = MaterialParams(**merged)
-        elif name == "mesh":
-            part = MeshConfig(**merged)
-        elif name == "load":
-            part = LoadConfig(**merged)
-        elif name == "solver":
-            part = SolverConfig(**merged)
-        else:
-            part = OutputConfig(**merged)
-        config = replace(config, **{name: part})
+        config = replace(config, **{name: _SECTION_CLASSES[name](**merged)})
     return config
 
 
@@ -278,7 +275,7 @@ def parse_config(path, base=None):
 def canonical(config):
     """Deterministic text form of a configuration, for hashing and provenance."""
     lines = []
-    for name in ("mesh", "material", "load", "solver", "output"):
+    for name in _SECTION_CLASSES:
         lines.append("[%s]" % name)
         for key, value in _section_fields(config, name).items():
             if isinstance(value, tuple):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import HookeTensor, positive_part_energy
+from .tensors import HookeTensor, voigt_to_matrix
 
 CLOSURE_TRACE_GUARD = 1e-12
 
@@ -64,8 +64,16 @@ def reference_concrete():
 
 
 def released_energy(eps_v, hooke):
-    """Y = 1/2 <eps>+ : E : <eps>+ for engineering-strain Voigt fields (..., 6)."""
-    return positive_part_energy(eps_v, hooke)
+    """Y = 1/2 <eps>+ : E : <eps>+ for engineering-strain Voigt fields (..., 6).
+
+    E is isotropic, so <eps>+ shares the eigenvectors of eps and only the
+    principal strains e_i enter:  Y = 1/2 (lam (sum <e_i>+)^2
+    + 2 mu sum <e_i>+^2).  The e_i come from LAPACK's symmetric eigenvalue
+    solver, which stays accurate at repeated eigenvalues (uniaxial strain).
+    """
+    pos = np.maximum(np.linalg.eigvalsh(voigt_to_matrix(eps_v, "strain")), 0.0)
+    tr = pos.sum(axis=-1)
+    return 0.5 * (hooke.lam * tr ** 2 + 2.0 * hooke.mu * (pos ** 2).sum(axis=-1))
 
 
 def static_damage(Y, params):

@@ -300,19 +300,6 @@ class PgdSolution:
         """Reconstructed (u, eps, sig); u is nodal, eps/sig on Gauss points."""
         return self._u, self._eps, self._sig
 
-    def rebuild_cache(self):
-        self._u = self.u_el.copy()
-        self._eps = self.eps_el.copy()
-        self._sig = self.sig_el.copy()
-        modes, self.modes = self.modes, []
-        for mode in modes:
-            self.add_mode(mode)
-
-
-def reconstruct(solution):
-    """Full space-time fields (u, eps, sig) of a separated solution."""
-    return solution.fields()
-
 
 def _orthonormal_coords(gram):
     """Metric-orthonormal coordinates of a family from its Gram matrix.

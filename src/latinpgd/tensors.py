@@ -10,75 +10,9 @@ Two flavors of Voigt vectors are used:
   convention the work pairing is a plain dot product, sigma_v . eps_v =
   sigma : eps, and the 6x6 Hooke matrix maps strain vectors to stress vectors.
 * ``'stress'`` — plain tensor components, v[3:] = sig_ij.
-
-The 3x3 symmetric eigensolver is closed form (trigonometric eigenvalues,
-projector-based extraction of the best-separated eigenvector, exact 2x2
-rotation in the orthogonal complement) followed by a Rayleigh-quotient polish.
-Tie-breaking is deterministic: eigenvalues descending, eigenvector sign fixed
-so that the first nonzero component is positive.
 """
 
 import numpy as np
-
-VOIGT_ORDER = ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1))
-
-
-class SymTensor2:
-    """A symmetric second-order tensor stored as a 6-vector with a flavor flag."""
-
-    __slots__ = ("voigt", "flavor")
-
-    def __init__(self, voigt, flavor):
-        if flavor not in ("strain", "stress"):
-            raise ValueError("flavor must be 'strain' or 'stress', got %r" % (flavor,))
-        v = np.asarray(voigt, dtype=float)
-        if v.shape != (6,):
-            raise ValueError("voigt vector must have shape (6,), got %s" % (v.shape,))
-        self.voigt = v
-        self.flavor = flavor
-
-    @classmethod
-    def from_matrix(cls, t, flavor):
-        t = np.asarray(t, dtype=float)
-        if t.shape != (3, 3) or not np.allclose(t, t.T, rtol=0.0, atol=1e-12 * max(1.0, abs(t).max())):
-            raise ValueError("expected a symmetric 3x3 matrix")
-        shear = 2.0 if flavor == "strain" else 1.0
-        v = np.array([t[0, 0], t[1, 1], t[2, 2],
-                      shear * t[1, 2], shear * t[0, 2], shear * t[0, 1]])
-        return cls(v, flavor)
-
-    def to_matrix(self):
-        return voigt_to_matrix(self.voigt, self.flavor)
-
-    def trace(self):
-        return float(self.voigt[0] + self.voigt[1] + self.voigt[2])
-
-    def contract(self, other):
-        """Full contraction self : other (handles flavor factors)."""
-        return float(contract_voigt(self.voigt, self.flavor, other.voigt, other.flavor))
-
-    def norm(self):
-        """Frobenius norm sqrt(t : t) of the underlying tensor."""
-        return float(np.sqrt(max(contract_voigt(self.voigt, self.flavor,
-                                                self.voigt, self.flavor), 0.0)))
-
-    def __add__(self, other):
-        if other.flavor != self.flavor:
-            raise ValueError("cannot add tensors of different flavor")
-        return SymTensor2(self.voigt + other.voigt, self.flavor)
-
-    def __sub__(self, other):
-        if other.flavor != self.flavor:
-            raise ValueError("cannot subtract tensors of different flavor")
-        return SymTensor2(self.voigt - other.voigt, self.flavor)
-
-    def __mul__(self, c):
-        return SymTensor2(self.voigt * float(c), self.flavor)
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        return "SymTensor2(%s, flavor=%r)" % (np.array2string(self.voigt, precision=6), self.flavor)
 
 
 def voigt_to_matrix(v, flavor):
@@ -107,22 +41,6 @@ def matrix_to_voigt(t, flavor):
     v[..., 4] = shear * t[..., 0, 2]
     v[..., 5] = shear * t[..., 0, 1]
     return v
-
-
-def contract_voigt(a, flavor_a, b, flavor_b):
-    """Full contraction a : b of two Voigt fields of shape (..., 6).
-
-    With one engineering-strain operand the contraction is the plain dot
-    product; with two strain operands the doubled shears must be halved once,
-    with two stress operands the shear sum must be doubled.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    normal = np.einsum("...i,...i->...", a[..., :3], b[..., :3])
-    shear = np.einsum("...i,...i->...", a[..., 3:], b[..., 3:])
-    n_eng = (flavor_a == "strain") + (flavor_b == "strain")
-    factor = (2.0, 1.0, 0.5)[n_eng]
-    return normal + factor * shear
 
 
 class HookeTensor:
@@ -160,171 +78,3 @@ class HookeTensor:
     def apply_inverse(self, sig_v):
         """E^-1 : sig for stress Voigt field(s) -> engineering-strain Voigt."""
         return np.asarray(sig_v, dtype=float) @ self.inverse.T
-
-    def full_tensor(self):
-        """The 3x3x3x3 stiffness C_ijkl = lam d_ij d_kl + mu (d_ik d_jl + d_il d_jk)."""
-        d = np.eye(3)
-        return (self.lam * np.einsum("ij,kl->ijkl", d, d)
-                + self.mu * (np.einsum("ik,jl->ijkl", d, d)
-                             + np.einsum("il,jk->ijkl", d, d)))
-
-
-def hooke_tensor(E, nu):
-    return HookeTensor(E, nu)
-
-
-def energy_contract(eps_a, hooke, eps_b):
-    """a : E : b for engineering-strain Voigt fields of shape (..., 6)."""
-    a = np.asarray(eps_a, dtype=float)
-    b = np.asarray(eps_b, dtype=float)
-    return np.einsum("...i,...i->...", a, b @ hooke.matrix.T)
-
-
-def _fix_signs(vecs):
-    """Flip eigenvector signs so the first nonzero component is positive.
-
-    vecs has shape (..., 3, 3) with eigenvectors in columns.
-    """
-    comp = vecs.swapaxes(-1, -2)  # (..., vec, component)
-    nz = comp != 0.0
-    first = np.argmax(nz, axis=-1)
-    lead = np.take_along_axis(comp, first[..., None], axis=-1)[..., 0]
-    sign = np.where(lead < 0.0, -1.0, 1.0)
-    return vecs * sign[..., None, :]
-
-
-def eig_sym3_batch(A):
-    """Eigendecomposition of symmetric 3x3 matrices, vectorized.
-
-    Parameters
-    ----------
-    A : ndarray (..., 3, 3), symmetric.
-
-    Returns
-    -------
-    evals : ndarray (..., 3), descending.
-    evecs : ndarray (..., 3, 3), orthonormal columns, evecs[..., :, k] belongs
-        to evals[..., k].
-    """
-    A = np.asarray(A, dtype=float)
-    shape = A.shape[:-2]
-    A = A.reshape((-1, 3, 3))
-    n = A.shape[0]
-    eye = np.broadcast_to(np.eye(3), (n, 3, 3))
-
-    q = np.trace(A, axis1=-2, axis2=-1) / 3.0
-    B = A - q[:, None, None] * eye
-    p2 = np.einsum("nij,nij->n", B, B) / 6.0
-    normF2 = np.einsum("nij,nij->n", A, A)
-    iso = p2 <= 1e-28 * np.maximum(normF2, 1e-300)
-
-    p = np.sqrt(np.maximum(p2, 1e-300))
-    p_safe = np.where(iso, 1.0, p)
-    detB = np.linalg.det(B)
-    r = np.clip(detB / (2.0 * p_safe ** 3), -1.0, 1.0)
-    phi = np.arccos(r) / 3.0
-    lam1 = q + 2.0 * p * np.cos(phi)
-    lam3 = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
-    lam2 = 3.0 * q - lam1 - lam3
-
-    # Extract one eigenvector for the best-separated eigenvalue through the
-    # projector (A - la I)(A - lb I); its columns span the remaining eigenspace.
-    top = (lam1 - lam2) >= (lam2 - lam3)
-    la = np.where(top, lam2, lam1)
-    lb = np.where(top, lam3, lam2)
-    P = (A - la[:, None, None] * eye) @ (A - lb[:, None, None] * eye)
-    col_norm2 = np.einsum("nij,nij->nj", P, P)
-    best = np.argmax(col_norm2, axis=1)
-    v = np.take_along_axis(P, best[:, None, None], axis=2)[:, :, 0]
-    vn = np.linalg.norm(v, axis=1)
-    ok = vn > 0.0
-    v[ok] /= vn[ok, None]
-    v[~ok] = np.array([1.0, 0.0, 0.0])  # fully degenerate, handled by iso mask
-
-    # Deterministic orthogonal complement of v.
-    smallest = np.argmin(np.abs(v), axis=1)
-    e = np.zeros_like(v)
-    np.put_along_axis(e, smallest[:, None], 1.0, axis=1)
-    w = e - np.einsum("ni,ni->n", e, v)[:, None] * v
-    w /= np.linalg.norm(w, axis=1)[:, None]
-    u = np.cross(v, w)
-
-    # Exact rotation in span{w, u}.
-    Aw = np.einsum("nij,nj->ni", A, w)
-    Au = np.einsum("nij,nj->ni", A, u)
-    a = np.einsum("ni,ni->n", w, Aw)
-    b = np.einsum("ni,ni->n", w, Au)
-    c = np.einsum("ni,ni->n", u, Au)
-    theta = 0.5 * np.arctan2(2.0 * b, a - c)
-    ct, st = np.cos(theta), np.sin(theta)
-    vplus = ct[:, None] * w + st[:, None] * u
-    vminus = -st[:, None] * w + ct[:, None] * u
-    m = 0.5 * (a + c)
-    s = np.sqrt((0.5 * (a - c)) ** 2 + b ** 2)
-
-    evals = np.empty((n, 3))
-    evecs = np.empty((n, 3, 3))
-    lv = np.where(top, lam1, lam3)
-    # top: order (v, vplus, vminus); else: order (vplus, vminus, v)
-    evals[top, 0] = lv[top]
-    evals[top, 1] = (m + s)[top]
-    evals[top, 2] = (m - s)[top]
-    evecs[top, :, 0] = v[top]
-    evecs[top, :, 1] = vplus[top]
-    evecs[top, :, 2] = vminus[top]
-    bot = ~top
-    evals[bot, 0] = (m + s)[bot]
-    evals[bot, 1] = (m - s)[bot]
-    evals[bot, 2] = lv[bot]
-    evecs[bot, :, 0] = vplus[bot]
-    evecs[bot, :, 1] = vminus[bot]
-    evecs[bot, :, 2] = v[bot]
-
-    # Rayleigh-quotient polish, then restore descending order (stable).
-    evals = np.einsum("nik,nij,njk->nk", evecs, A, evecs)
-    order = np.argsort(-evals, axis=1, kind="stable")
-    evals = np.take_along_axis(evals, order, axis=1)
-    evecs = np.take_along_axis(evecs, order[:, None, :], axis=2)
-
-    if np.any(iso):
-        evals[iso] = q[iso, None]
-        evecs[iso] = np.eye(3)
-
-    evecs = _fix_signs(evecs)
-    return evals.reshape(shape + (3,)), evecs.reshape(shape + (3, 3))
-
-
-def eig_sym3(t):
-    """Eigendecomposition of a single symmetric tensor (SymTensor2 or 3x3 array)."""
-    A = t.to_matrix() if isinstance(t, SymTensor2) else np.asarray(t, dtype=float)
-    evals, evecs = eig_sym3_batch(A[None])
-    return evals[0], evecs[0]
-
-
-def macaulay_positive(t):
-    """Positive part <t>+ = sum_i max(lam_i, 0) v_i (x) v_i.
-
-    Accepts and returns a SymTensor2 (flavor preserved), or operates on a
-    (..., 3, 3) array of matrices.
-    """
-    if isinstance(t, SymTensor2):
-        evals, evecs = eig_sym3(t)
-        pos = np.maximum(evals, 0.0)
-        m = (evecs * pos[None, :]) @ evecs.T
-        return SymTensor2.from_matrix(m, t.flavor)
-    A = np.asarray(t, dtype=float)
-    evals, evecs = eig_sym3_batch(A)
-    pos = np.maximum(evals, 0.0)
-    return np.einsum("...ik,...k,...jk->...ij", evecs, pos, evecs)
-
-
-def positive_part_energy(eps_v, hooke):
-    """Released-energy density Y = 1/2 <eps>+ : E : <eps>+ for strain Voigt (..., 6).
-
-    Uses the isotropy of E: the positive part shares eigenvectors with eps, so
-    <eps>+ : E : <eps>+ = lam (tr<eps>+)^2 + 2 mu sum_i max(e_i, 0)^2.
-    """
-    evals, _ = eig_sym3_batch(voigt_to_matrix(eps_v, "strain"))
-    pos = np.maximum(evals, 0.0)
-    tr = pos.sum(axis=-1)
-    return 0.5 * (hooke.lam * tr ** 2 + 2.0 * hooke.mu * (pos ** 2).sum(axis=-1))

@@ -152,10 +152,6 @@ class TimeFunction:
         table = _basis(tau, deriv) / g.h ** deriv
         return np.einsum("ti,ti->t", self.coeffs[k], table)
 
-    def end_values(self):
-        """Value at the right end of each element."""
-        return self.coeffs[:, 3].copy()
-
     def jumps(self, init=0.0):
         """Jump diagnostics: [lam(0+) - init, interior jumps across boundaries]."""
         inner = self.coeffs[1:, 0] - self.coeffs[:-1, 3]
@@ -164,15 +160,6 @@ class TimeFunction:
 
     def scale(self, c):
         return TimeFunction(self.grid, self.coeffs * float(c))
-
-    def to_csv(self, path):
-        g = self.grid
-        with open(path, "w") as fh:
-            fh.write("element,local_node,t,value\n")
-            for k in range(g.n_elements):
-                for i in range(4):
-                    fh.write("%d,%d,%.17g,%.17g\n" % (k, i, g.node_times[k, i],
-                                                      self.coeffs[k, i]))
 
 
 def l2_fit(grid, samples):

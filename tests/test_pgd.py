@@ -11,9 +11,8 @@ from latinpgd.material import reference_concrete
 from latinpgd.mesh import generate_box_mesh
 from latinpgd.pgd import (PgdMode, PgdSolution, compress_basis, compute_delta,
                           cre_functional, dump_modes, enrich, normalize_mode,
-                          reconstruct, relax_mode, space_problem, stagnation,
-                          strain_norm, stress_spatial, time_lambda, time_mu)
-from latinpgd.tensors import energy_contract
+                          relax_mode, space_problem, stagnation, strain_norm,
+                          stress_spatial, time_lambda, time_mu)
 from latinpgd.timegrid import TimeFunction, TimeGrid, st_inner, tdgm_march
 
 P = reference_concrete()
@@ -184,7 +183,7 @@ class TestTimeLambda:
         lam = time_lambda(u, eps, delta, system, grid, HOOKE)
         wg = mesh.gp_weights.ravel()
         a = float(u @ (system.M @ u))
-        b = float(wg @ energy_contract(eps, HOOKE, eps))
+        b = float(wg @ np.einsum("gv,gv->g", eps, HOOKE.apply(eps)))
         f = np.einsum("gtv,gv->t", delta * wg[:, None, None], eps)
         oracle, _ = tdgm_march(grid, a, 0.0, b, f.reshape(grid.n_elements, 4))
         assert a > 0.0 and b > 0.0
@@ -442,7 +441,7 @@ class TestSolutionReconstruct:
 
     def test_zero_modes(self, setup):
         sol = self.elastic(setup)
-        u, eps, sig = reconstruct(sol)
+        u, eps, sig = sol.fields()
         assert np.array_equal(u, sol.u_el)
         assert np.array_equal(eps, sol.eps_el)
         assert np.array_equal(sig, sol.sig_el)
@@ -488,20 +487,6 @@ class TestSolutionReconstruct:
         assert np.allclose(eps_f, eps_dense, rtol=1e-12)
         assert np.allclose(sig_f, sig_dense, rtol=1e-12)
         assert np.allclose(u_f, u_dense, rtol=1e-12)
-
-    def test_incremental_cache_matches_rebuild(self, setup):
-        sol = self.elastic(setup)
-        mesh, system, grid = setup
-        rng = np.random.default_rng(33)
-        u, eps = random_mode_shape(mesh, system, rng)
-        sol.add_mode(PgdMode(
-            u, eps, HOOKE.apply(eps),
-            TimeFunction(grid, rng.normal(size=(grid.n_elements, 4))),
-            TimeFunction(grid, rng.normal(size=(grid.n_elements, 4)))))
-        before = [a.copy() for a in sol.fields()]
-        sol.rebuild_cache()
-        for a, b in zip(sol.fields(), before):
-            assert np.allclose(a, b, rtol=1e-13)
 
 
 class TestCompressBasis:
@@ -563,12 +548,13 @@ class TestCompressBasis:
     def test_rank_mismatch_pads_stress_family(self, setup):
         # stress family of intrinsic rank 1: extra kinematic modes survive
         mesh, system, grid = setup
-        sol = self.build_solution(setup, n=3)
-        shared = sol.modes[0].sig_bar
-        for m in sol.modes:
-            m.sig_bar = shared.copy()
-            m.mu = sol.modes[0].mu.copy()
-        sol.rebuild_cache()
+        built = self.build_solution(setup, n=3)
+        shared = built.modes[0]
+        sol = PgdSolution(mesh, grid, HOOKE, built.u_el, built.eps_el,
+                          built.sig_el)
+        for m in built.modes:
+            sol.add_mode(PgdMode(m.u_bar, m.eps_bar, shared.sig_bar.copy(),
+                                 m.lam, shared.mu.copy()))
         comp = compress_basis(sol, tol=1e-12)
         assert comp.n_modes == 3
         for a, b in zip(comp.fields(), sol.fields()):

@@ -1,12 +1,10 @@
-"""Tensor kernel checks: Voigt algebra, Hooke tensor, 3x3 eigensolver, Macaulay split."""
+"""Tensor kernel checks: Voigt algebra, Hooke tensor, released-energy kernel."""
 
 import numpy as np
 import pytest
 
-from latinpgd.tensors import (HookeTensor, SymTensor2, contract_voigt, eig_sym3,
-                              eig_sym3_batch, energy_contract, hooke_tensor,
-                              macaulay_positive, matrix_to_voigt,
-                              positive_part_energy, voigt_to_matrix)
+from latinpgd.material import released_energy
+from latinpgd.tensors import HookeTensor, matrix_to_voigt, voigt_to_matrix
 
 
 def random_sym(rng, scale=1.0):
@@ -14,23 +12,31 @@ def random_sym(rng, scale=1.0):
     return 0.5 * (m + m.T)
 
 
+def full_hooke(C):
+    """The 3x3x3x3 stiffness C_ijkl = lam d_ij d_kl + mu (d_ik d_jl + d_il d_jk)."""
+    d = np.eye(3)
+    return (C.lam * np.einsum("ij,kl->ijkl", d, d)
+            + C.mu * (np.einsum("ik,jl->ijkl", d, d)
+                      + np.einsum("il,jk->ijkl", d, d)))
+
+
 class TestHooke:
     def test_unit_modulus_zero_poisson(self):
-        C = hooke_tensor(1.0, 0.0).matrix
+        C = HookeTensor(1.0, 0.0).matrix
         assert np.allclose(C, np.diag([1.0, 1.0, 1.0, 0.5, 0.5, 0.5]), atol=1e-15)
 
     def test_concrete_c1111(self):
-        C = hooke_tensor(37.9e9, 0.2)
+        C = HookeTensor(37.9e9, 0.2)
         assert C.matrix[0, 0] == pytest.approx(42.111111111e9, rel=1e-9)
 
     @pytest.mark.parametrize("nu", [0.5, 0.6, -1.0])
     def test_invalid_poisson_rejected(self, nu):
         with pytest.raises(ValueError):
-            hooke_tensor(30e9, nu)
+            HookeTensor(30e9, nu)
 
     def test_negative_modulus_rejected(self):
         with pytest.raises(ValueError):
-            hooke_tensor(-1.0, 0.2)
+            HookeTensor(-1.0, 0.2)
 
     def test_spd_and_inverse(self):
         rng = np.random.default_rng(3)
@@ -42,18 +48,18 @@ class TestHooke:
             assert w.min() > 0.0
             assert np.allclose(C.matrix @ C.inverse, np.eye(6), atol=1e-12)
 
-    def test_voigt_contraction_matches_full_tensor(self):
+    def test_voigt_contraction_matches_fourth_order_tensor(self):
         """a : C : b computed in Voigt equals the full 3^4 contraction."""
         rng = np.random.default_rng(7)
         C = HookeTensor(37.9e9, 0.2)
-        C4 = C.full_tensor()
+        C4 = full_hooke(C)
         for _ in range(100):
             a = random_sym(rng, 1e-4)
             b = random_sym(rng, 1e-4)
             av = matrix_to_voigt(a, "strain")
             bv = matrix_to_voigt(b, "strain")
             full = np.einsum("ij,ijkl,kl->", a, C4, b)
-            assert energy_contract(av, C, bv) == pytest.approx(full, rel=1e-12)
+            assert av @ C.apply(bv) == pytest.approx(full, rel=1e-12)
 
     def test_apply_roundtrip(self):
         rng = np.random.default_rng(11)
@@ -63,136 +69,50 @@ class TestHooke:
         assert np.allclose(C.apply_inverse(sig), eps, rtol=1e-12)
 
 
-class TestSymTensor2:
+class TestVoigt:
     def test_flavor_shear_convention(self):
         m = np.array([[1.0, 0.5, 0.0], [0.5, 2.0, 0.0], [0.0, 0.0, 3.0]])
-        eps = SymTensor2.from_matrix(m, "strain")
-        sig = SymTensor2.from_matrix(m, "stress")
-        assert eps.voigt[5] == pytest.approx(1.0)   # engineering shear = 2*eps_xy
-        assert sig.voigt[5] == pytest.approx(0.5)
-        assert np.allclose(eps.to_matrix(), m)
-        assert np.allclose(sig.to_matrix(), m)
-
-    def test_contract_mixed_flavors(self):
-        rng = np.random.default_rng(2)
-        a = random_sym(rng)
-        b = random_sym(rng)
-        want = np.einsum("ij,ij->", a, b)
-        for fa in ("strain", "stress"):
-            for fb in ("strain", "stress"):
-                ta = SymTensor2.from_matrix(a, fa)
-                tb = SymTensor2.from_matrix(b, fb)
-                assert ta.contract(tb) == pytest.approx(want, rel=1e-13)
-
-    def test_norm(self):
-        rng = np.random.default_rng(4)
-        a = random_sym(rng)
-        t = SymTensor2.from_matrix(a, "strain")
-        assert t.norm() == pytest.approx(np.linalg.norm(a), rel=1e-13)
-
-    def test_flavor_mismatch_rejected(self):
-        a = SymTensor2(np.zeros(6), "strain")
-        b = SymTensor2(np.zeros(6), "stress")
-        with pytest.raises(ValueError):
-            a + b
+        eps = matrix_to_voigt(m, "strain")
+        sig = matrix_to_voigt(m, "stress")
+        assert eps[5] == pytest.approx(1.0)   # engineering shear = 2*eps_xy
+        assert sig[5] == pytest.approx(0.5)
+        assert np.allclose(voigt_to_matrix(eps, "strain"), m)
+        assert np.allclose(voigt_to_matrix(sig, "stress"), m)
 
 
-class TestEig:
-    def test_zero_tensor(self):
-        evals, evecs = eig_sym3(np.zeros((3, 3)))
-        assert np.all(evals == 0.0)
-        assert np.allclose(evecs, np.eye(3))
-
-    def test_isotropic(self):
-        evals, evecs = eig_sym3(2.5 * np.eye(3))
-        assert np.allclose(evals, 2.5)
-        assert np.allclose(evecs, np.eye(3))
-
-    def test_double_eigenvalue_exact_reconstruction(self):
-        A = np.diag([5.0, 5.0, 2.0])
-        evals, evecs = eig_sym3(A)
-        assert np.allclose(evals, [5.0, 5.0, 2.0], atol=1e-13)
-        rec = (evecs * evals[None, :]) @ evecs.T
-        assert np.allclose(rec, A, atol=1e-13)
-        assert np.allclose(evecs.T @ evecs, np.eye(3), atol=1e-13)
-
-    def test_random_reconstruction(self):
-        rng = np.random.default_rng(5)
-        A = np.stack([random_sym(rng, s) for s in np.logspace(-8, 8, 100)])
-        evals, evecs = eig_sym3_batch(A)
-        # descending
-        assert np.all(np.diff(evals, axis=1) <= 1e-12 * np.abs(evals).max(axis=1, keepdims=True))
-        # orthonormal
-        gram = np.einsum("nki,nkj->nij", evecs, evecs)
-        assert np.allclose(gram, np.eye(3), atol=1e-12)
-        rec = np.einsum("nik,nk,njk->nij", evecs, evals, evecs)
-        scale = np.linalg.norm(A, axis=(1, 2))
-        err = np.linalg.norm(rec - A, axis=(1, 2))
-        assert np.all(err <= 1e-12 * scale)
-        # eigenvalues match LAPACK
-        ref = np.sort(np.linalg.eigvalsh(A), axis=1)[:, ::-1]
-        assert np.allclose(evals, ref, rtol=1e-10, atol=1e-10 * scale[:, None])
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(6)
-        A = np.stack([random_sym(rng) for _ in range(10)])
-        e1, v1 = eig_sym3_batch(A.copy())
-        e2, v2 = eig_sym3_batch(A.copy())
-        assert np.array_equal(e1, e2)
-        assert np.array_equal(v1, v2)
-
-    def test_sign_convention(self):
-        """First nonzero component of each eigenvector is positive."""
-        rng = np.random.default_rng(8)
-        A = np.stack([random_sym(rng) for _ in range(50)])
-        _, evecs = eig_sym3_batch(A)
-        for V in evecs:
-            for k in range(3):
-                col = V[:, k]
-                lead = col[np.nonzero(col)[0][0]]
-                assert lead > 0.0
+def _random_strains():
+    rng = np.random.default_rng(12)
+    return np.stack([random_sym(rng, s) for s in np.logspace(-8, -2, 100)])
 
 
-class TestMacaulay:
-    def test_diagonal(self):
-        t = SymTensor2.from_matrix(np.diag([3.0, -1.0, -2.0]), "strain")
-        pos = macaulay_positive(t)
-        assert np.allclose(pos.to_matrix(), np.diag([3.0, 0.0, 0.0]), atol=1e-13)
-        assert pos.flavor == "strain"
-
-    def test_splitting_identity(self):
-        """<t>+ - <-t>+ = t on random samples."""
-        rng = np.random.default_rng(9)
-        for _ in range(100):
-            A = random_sym(rng, 10.0 ** rng.uniform(-6, 6))
-            pos = macaulay_positive(A[None])[0]
-            neg = macaulay_positive(-A[None])[0]
-            assert np.allclose(pos - neg, A, atol=1e-12 * max(np.linalg.norm(A), 1e-30))
-
-    def test_positive_semidefinite(self):
-        rng = np.random.default_rng(10)
-        A = np.stack([random_sym(rng) for _ in range(50)])
-        pos = macaulay_positive(A)
-        w = np.linalg.eigvalsh(pos)
-        assert w.min() >= -1e-13
+# Released-energy inputs: generic tensors over six decades, then the cases
+# where eigensolvers are fragile (zero, triple and double eigenvalues) and
+# the pure-compression case where nothing may be released.
+STRAINS = {
+    "random": _random_strains(),
+    "zero": np.zeros((1, 3, 3)),
+    "isotropic_tension": 1e-4 * np.eye(3)[None],
+    "uniaxial": np.diag([8.44e-5, 0.0, 0.0])[None],
+    "compression": -1e-4 * np.eye(3)[None],
+}
 
 
 class TestReleasedEnergyKernel:
-    def test_matches_macaulay_route(self):
-        """Eigenvalue shortcut for 1/2 <eps>+:E:<eps>+ equals the explicit route."""
-        rng = np.random.default_rng(12)
+    @pytest.mark.parametrize("case", list(STRAINS))
+    def test_matches_macaulay_route(self, case):
+        """Y equals the explicit route: <eps>+ from eigh, then 1/2 <eps>+ : C : <eps>+ in 3^4."""
         C = HookeTensor(37.9e9, 0.2)
-        eps = np.stack([random_sym(rng, 1e-4) for _ in range(100)])
-        eps_v = matrix_to_voigt(eps, "strain")
-        direct = positive_part_energy(eps_v, C)
-        pos_v = matrix_to_voigt(macaulay_positive(eps), "strain")
-        explicit = 0.5 * energy_contract(pos_v, C, pos_v)
-        assert np.allclose(direct, explicit, rtol=1e-12)
+        eps = STRAINS[case]
+        w, v = np.linalg.eigh(eps)
+        pos = np.einsum("nik,nk,njk->nij", v, np.maximum(w, 0.0), v)
+        want = 0.5 * np.einsum("nij,ijkl,nkl->n", pos, full_hooke(C), pos)
+        got = released_energy(matrix_to_voigt(eps, "strain"), C)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_uniaxial_tension_value(self):
         """diag(e,0,0) with the concrete parameters: Y = 1/2 C1111 e^2."""
         C = HookeTensor(37.9e9, 0.2)
         e = 8.44e-5
         eps_v = np.array([e, 0.0, 0.0, 0.0, 0.0, 0.0])
-        Y = positive_part_energy(eps_v[None], C)[0]
+        Y = released_energy(eps_v[None], C)[0]
         assert Y == pytest.approx(0.5 * 42.111111111e9 * e ** 2, rel=1e-9)

@@ -92,26 +92,13 @@ class TestTimeFunction:
             assert np.allclose(f.eval(g.all_gauss_times, deriv),
                                f.values_at_gauss(deriv), atol=1e-10)
 
-    def test_jumps_and_end_values(self):
+    def test_jumps(self):
         g = TimeGrid(1.0, 3)
         c = np.zeros((3, 4))
         c[0] = [1.0, 1.0, 1.0, 2.0]
         c[1] = [2.5, 0.0, 0.0, 0.0]
         f = TimeFunction(g, c)
         assert np.allclose(f.jumps(init=1.0), [0.0, 0.5, 0.0])
-        assert np.allclose(f.end_values(), [2.0, 0.0, 0.0])
-
-    def test_csv_dump_schema(self, tmp_path):
-        g = TimeGrid(1.0, 2)
-        f = l2_fit(g, g.all_gauss_times)
-        path = tmp_path / "lam.csv"
-        f.to_csv(path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "element,local_node,t,value"
-        assert len(lines) == 1 + 4 * 2
-        el, node, t, val = lines[3].split(",")
-        assert (int(el), int(node)) == (0, 2)
-        assert float(val) == pytest.approx(float(t), abs=1e-12)
 
     def test_shape_validation(self):
         g = TimeGrid(1.0, 3)
