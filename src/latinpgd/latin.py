@@ -63,7 +63,8 @@ def _st_norm2(mesh, grid, field, flavor):
         shear = 0.5
     else:
         raise ValueError("flavor must be 'stress' or 'strain', got %r" % (flavor,))
-    sq = (field[..., :3] ** 2).sum(axis=-1) + shear * (field[..., 3:] ** 2).sum(axis=-1)
+    c = np.array([1.0, 1.0, 1.0, shear, shear, shear])
+    sq = np.einsum("gtv,gtv,v->gt", field, field, c)
     return float(mesh.gp_weights.ravel() @ sq @ grid.all_gauss_weights)
 
 
@@ -148,17 +149,15 @@ def run_latin(system, params, load, grid, zeta_stop=5e-4, max_modes=150,
     state = LatinState(solution)
 
     n_t = grid.n_gauss
-    zeros = np.zeros((mesh.n_gauss, n_t))
-    prev = {"Y": zeros, "Z": zeros.copy(), "z": zeros.copy(), "d": zeros.copy()}
+    prev = {"Z": np.zeros((mesh.n_gauss, n_t)), "z": np.zeros((mesh.n_gauss, n_t))}
 
     while True:
         state.iteration += 1
         _, eps, sig = solution.fields()
-        local = local_stage(eps, prev["Y"], prev["Z"], prev["z"], prev["d"],
-                            grid.all_gauss_times, params, hooke)
+        local = local_stage(eps, prev["Z"], prev["z"], grid.all_gauss_times,
+                            params, hooke)
         state.hat = local
-        prev = {"Y": local["Y"], "Z": local["Z"], "z": local["z"],
-                "d": local["d"]}
+        prev = {"Z": local["Z"], "z": local["z"]}
 
         # Distance of the current global iterate from the manifold.  When it
         # is already below the threshold (elastic loads: the constitutive

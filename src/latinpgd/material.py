@@ -18,7 +18,18 @@ The constitutive state at a point is (eps, sigma, d, Y, z, Z):
 
 The nonlinear update stage evaluates this model at every spatial Gauss point
 over the whole time axis at once; points are independent, so everything is
-vectorized over space.
+vectorized over space.  Damage-law work is only done where damage can
+happen, with results bit-identical to evaluating it everywhere:
+
+* released energy: isotropy bounds Y <= B = 1/2 (3 max(lam, 0) + 2 mu) |eps|^2,
+  since (sum <e_i>+)^2 <= 3 sum e_i^2 <= 3 |eps|^2.  Callers that only look at
+  max(Y, Y0) pass Y0 as a floor, and the eigenvalue solve runs only where B
+  can reach it;
+* stress: E:eps is exact where d = 0, so the crack-closure branch and the
+  damage blend are evaluated only at damaged points;
+* delay: with zero target and zero start the rate is exactly 0, so the
+  update stage integrates only the spatial points whose target damage is
+  nonzero somewhere on the time axis.
 """
 
 from dataclasses import dataclass
@@ -28,6 +39,13 @@ import numpy as np
 from .tensors import HookeTensor, voigt_to_matrix
 
 CLOSURE_TRACE_GUARD = 1e-12
+
+# Relative slack on the released-energy bound: far above the round-off of
+# the eigenvalue route, so a screened point never has a computed Y above
+# the floor.
+_BOUND_SLACK = 1e-10
+# |eps|^2 = eps : eps in engineering-strain Voigt components.
+_FROBENIUS_STRAIN = np.array([1.0, 1.0, 1.0, 0.5, 0.5, 0.5])
 
 
 @dataclass(frozen=True)
@@ -63,17 +81,30 @@ def reference_concrete():
                           tau_c=0.05, a=15.0, a_c=9.0, xi=0.02)
 
 
-def released_energy(eps_v, hooke):
-    """Y = 1/2 <eps>+ : E : <eps>+ for engineering-strain Voigt fields (..., 6).
+def released_energy(eps_v, hooke, floor=0.0):
+    """max(Y, floor) with Y = 1/2 <eps>+ : E : <eps>+, for strain-Voigt fields (..., 6).
 
     E is isotropic, so <eps>+ shares the eigenvectors of eps and only the
     principal strains e_i enter:  Y = 1/2 (lam (sum <e_i>+)^2
     + 2 mu sum <e_i>+^2).  The e_i come from LAPACK's symmetric eigenvalue
     solver, which stays accurate at repeated eigenvalues (uniaxial strain).
+    It only runs where the bound B = 1/2 (3 max(lam, 0) + 2 mu) |eps|^2 can
+    exceed `floor`; everywhere else Y <= floor and the result is `floor`.
+    The default floor 0 sends every nonzero strain through the solver.
     """
-    pos = np.maximum(np.linalg.eigvalsh(voigt_to_matrix(eps_v, "strain")), 0.0)
-    tr = pos.sum(axis=-1)
-    return 0.5 * (hooke.lam * tr ** 2 + 2.0 * hooke.mu * (pos ** 2).sum(axis=-1))
+    eps_v = np.asarray(eps_v, dtype=float)
+    norm2 = np.einsum("...v,...v,v->...", eps_v, eps_v, _FROBENIUS_STRAIN)
+    bound = 0.5 * (3.0 * max(hooke.lam, 0.0) + 2.0 * hooke.mu) * norm2
+    # Negated test, so a non-finite strain still reaches the solver.
+    live = np.flatnonzero(~(bound * (1.0 + _BOUND_SLACK) <= floor))
+    Y = np.full(norm2.shape, float(floor))
+    if live.size:
+        eps_live = eps_v.reshape(-1, 6).take(live, axis=0)
+        pos = np.maximum(np.linalg.eigvalsh(voigt_to_matrix(eps_live, "strain")), 0.0)
+        tr = pos.sum(axis=-1)
+        Y.reshape(-1)[live] = np.maximum(
+            0.5 * (hooke.lam * tr ** 2 + 2.0 * hooke.mu * (pos ** 2).sum(axis=-1)), floor)
+    return Y[()]   # a scalar for a single strain (6,), an array otherwise
 
 
 def static_damage(Y, params):
@@ -163,19 +194,27 @@ def crack_closure_stress(eps_v, eps_max_v, params, hooke):
 def total_stress(eps_v, eps_max_v, d, params, hooke):
     """sigma = (1-d) E:eps + d E:F(eps) with the zero-history guard branch.
 
-    eps_v, eps_max_v: strain-Voigt (..., 6); d: (...).  Returns stress Voigt.
+    eps_v, eps_max_v: strain-Voigt (..., 6); d: (...) or scalar.  Returns
+    stress Voigt.  Where d = 0 the result is E:eps itself; the re-closure
+    branch and the blend are evaluated at the damaged points only.
     """
     eps_v = np.asarray(eps_v, dtype=float)
-    eps_max_v = np.asarray(eps_max_v, dtype=float)
-    d = np.asarray(d, dtype=float)
-    elastic = hooke.apply(eps_v)
-    tr_max = eps_max_v[..., :3].sum(axis=-1)
-    closed = tr_max > CLOSURE_TRACE_GUARD
-    sig_cr = np.zeros_like(elastic)
-    if np.any(closed):
-        sig_cr[closed] = crack_closure_stress(eps_v[closed], eps_max_v[closed],
-                                              params, hooke)
-    return (1.0 - d)[..., None] * elastic + d[..., None] * sig_cr
+    sig = hooke.apply(eps_v)
+    d = np.broadcast_to(np.asarray(d, dtype=float), sig.shape[:-1])
+    damaged = np.flatnonzero(d != 0.0)
+    if damaged.size:
+        eps_max_v = np.broadcast_to(np.asarray(eps_max_v, dtype=float), sig.shape)
+        eps_d = eps_v.reshape(-1, 6).take(damaged, axis=0)
+        eps_max_d = eps_max_v.reshape(-1, 6).take(damaged, axis=0)
+        closed = eps_max_d[:, :3].sum(axis=-1) > CLOSURE_TRACE_GUARD
+        sig_cr = np.zeros_like(eps_d)
+        if np.any(closed):
+            sig_cr[closed] = crack_closure_stress(eps_d[closed], eps_max_d[closed],
+                                                  params, hooke)
+        d_d = d.reshape(-1).take(damaged)[:, None]
+        flat = sig.reshape(-1, 6)   # a view: matmul returns a fresh C-ordered array
+        flat[damaged] = (1.0 - d_d) * flat.take(damaged, axis=0) + d_d * sig_cr
+    return sig
 
 
 def tension_peak_history(eps_v):
@@ -198,7 +237,7 @@ def tension_peak_history(eps_v):
     return eps_max, np.take_along_axis(tr, idx, axis=-1)
 
 
-def local_stage(eps, Y_prev, Z_prev, z_prev, d_prev, times, params, hooke):
+def local_stage(eps, Z_prev, z_prev, times, params, hooke):
     """Nonlinear update stage: constitutive relations at every Gauss point.
 
     All fields live on the (spatial Gauss x temporal Gauss) grid: eps has
@@ -209,13 +248,17 @@ def local_stage(eps, Y_prev, Z_prev, z_prev, d_prev, times, params, hooke):
     d(0) = 0 over the whole axis, and the stress combines the damaged and
     re-closure branches using the running tension peak of the input strain.
 
-    Returns a dict with keys eps, sig, d, Y, z, Z, dbar, eps_max.
+    Z_prev, z_prev : dual softening pair of the previous update (Z_prev >= 0).
+
+    Returns a dict with keys eps, sig, d, Y, z, Z, dbar, eps_max.  Y is
+    max(Y, Y0): the law reads the released energy only through d_bar(Y),
+    zero at and below Y0, and through f, which cannot be positive there.
     """
     eps = np.asarray(eps, dtype=float)
     if not np.all(np.isfinite(eps)):
         bad = np.nonzero(~np.isfinite(eps).all(axis=(1, 2)))[0][0]
         raise ValueError("non-finite strain input at spatial Gauss point %d" % bad)
-    Y = released_energy(eps, hooke)
+    Y = released_energy(eps, hooke, params.Y0)
     f_c = Y - (params.Y0 + np.asarray(Z_prev, dtype=float))
     damaging = f_c > 0.0
 
@@ -224,7 +267,10 @@ def local_stage(eps, Y_prev, Z_prev, z_prev, d_prev, times, params, hooke):
     z = -dbar
     Z = np.where(damaging, dual_softening(z, params), Z_prev)
 
-    d = integrate_delay(times, dbar, 0.0, params)
+    d = np.zeros_like(dbar)
+    active = np.any(dbar != 0.0, axis=-1)
+    if np.any(active):
+        d[active] = integrate_delay(times, dbar[active], 0.0, params)
     eps_max, _ = tension_peak_history(eps)
     sig = total_stress(eps, eps_max, d, params, hooke)
     # The strain echo is a copy: the caller may keep mutating the input
@@ -242,7 +288,8 @@ def matpoint_drive(times, eps_x, params):
     idempotent for a fixed strain input, so one pass gives the converged
     constitutive response).
 
-    Returns a dict of time series: sig_x, d, dbar, Y.
+    Returns a dict of time series: sig_x, d, dbar, Y (the released energy
+    itself, also below the threshold).
     """
     times = np.asarray(times, dtype=float)
     eps_x = np.asarray(eps_x, dtype=float)
@@ -252,6 +299,7 @@ def matpoint_drive(times, eps_x, params):
     eps = np.zeros((1, n_t, 6))
     eps[0, :, 0] = eps_x
     zero = np.zeros((1, n_t))
-    out = local_stage(eps, zero, zero, zero, zero, times, params, params.hooke())
+    hooke = params.hooke()
+    out = local_stage(eps, zero, zero, times, params, hooke)
     return {"sig_x": out["sig"][0, :, 0], "d": out["d"][0], "dbar": out["dbar"][0],
-            "Y": out["Y"][0]}
+            "Y": released_energy(eps[0], hooke)}

@@ -102,8 +102,7 @@ def _advance_damage(eps_k, state, dt, params, hooke):
     start-of-step state and the trial end-of-step strain alone, so repeated
     calls inside the equilibrium loop cannot ratchet the history.
     """
-    Y = released_energy(eps_k, hooke)
-    dbar = static_damage(Y, params)
+    dbar = static_damage(released_energy(eps_k, hooke, params.Y0), params)
     targets = np.stack([state["dbar"], dbar], axis=-1)
     d = integrate_delay(np.array([0.0, dt]), targets, state["d"], params)[..., 1]
     tr = eps_k[:, :3].sum(axis=1)

@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
-from latinpgd.material import (MaterialParams, crack_closure_stress,
-                               dual_softening, integrate_delay, local_stage,
-                               matpoint_drive, reference_concrete,
-                               released_energy, static_damage,
-                               tension_peak_history, total_stress)
-from latinpgd.tensors import matrix_to_voigt
+from latinpgd.material import (CLOSURE_TRACE_GUARD, MaterialParams,
+                               crack_closure_stress, dual_softening,
+                               integrate_delay, local_stage, matpoint_drive,
+                               reference_concrete, released_energy,
+                               static_damage, tension_peak_history,
+                               total_stress)
+from latinpgd.tensors import HookeTensor, matrix_to_voigt
+
+from test_tensors import STRAINS
 
 P = reference_concrete()
 HOOKE = P.hooke()
@@ -178,7 +181,7 @@ class TestLocalStage:
         eps = np.zeros((3, t.size, 6))
         eps[:, :, 0] = 0.5 * THRESHOLD_STRAIN * np.sin(2 * np.pi * t)[None, :]
         zero = np.zeros((3, t.size))
-        out = local_stage(eps, zero, zero, zero, zero, t, P, HOOKE)
+        out = local_stage(eps, zero, zero, t, P, HOOKE)
         assert not out["d"].any()
         assert np.array_equal(out["sig"], HOOKE.apply(eps))
 
@@ -187,8 +190,7 @@ class TestLocalStage:
         eps = np.zeros((1, 10, 6))
         z_prev = np.full((1, 10), -0.3)
         Z_prev = np.full((1, 10), 5e3)  # large enough that f < 0 everywhere
-        out = local_stage(eps, np.zeros((1, 10)), Z_prev, z_prev,
-                          np.zeros((1, 10)), t, P, HOOKE)
+        out = local_stage(eps, Z_prev, z_prev, t, P, HOOKE)
         assert np.array_equal(out["z"], z_prev)
         assert np.array_equal(out["Z"], Z_prev)
         assert np.allclose(out["dbar"], 0.3)
@@ -198,7 +200,7 @@ class TestLocalStage:
         rng = np.random.default_rng(7)
         eps = rng.normal(size=(4, t.size, 6)) * 3e-4
         zero = np.zeros((4, t.size))
-        out = local_stage(eps, zero, zero, zero, zero, t, P, HOOKE)
+        out = local_stage(eps, zero, zero, t, P, HOOKE)
         damaging = out["Y"] > P.Y0
         f = out["Y"] - (P.Y0 + out["Z"])
         assert np.abs(f[damaging]).max() <= 1e-9 * out["Y"].max()
@@ -208,7 +210,7 @@ class TestLocalStage:
         eps = np.zeros((1, t.size, 6))
         eps[0, :, 0] = 3e-4 * t / 2.0
         zero = np.zeros((1, t.size))
-        out = local_stage(eps, zero, zero, zero, zero, t, P, HOOKE)
+        out = local_stage(eps, zero, zero, t, P, HOOKE)
         d = out["d"][0]
         assert np.all(np.diff(d) >= 0.0)
         assert np.all(d <= static_damage(out["Y"][0], P) + 1e-12)
@@ -218,9 +220,9 @@ class TestLocalStage:
         rng = np.random.default_rng(9)
         eps = rng.normal(size=(6, t.size, 6)) * 3e-4
         zero = np.zeros((6, t.size))
-        out = local_stage(eps, zero, zero, zero, zero, t, P, HOOKE)
+        out = local_stage(eps, zero, zero, t, P, HOOKE)
         perm = rng.permutation(6)
-        out_p = local_stage(eps[perm], zero, zero, zero, zero, t, P, HOOKE)
+        out_p = local_stage(eps[perm], zero, zero, t, P, HOOKE)
         assert np.array_equal(out_p["sig"], out["sig"][perm])
         assert np.array_equal(out_p["d"], out["d"][perm])
 
@@ -230,7 +232,7 @@ class TestLocalStage:
         eps[1, 2, 0] = np.nan
         zero = np.zeros((3, 5))
         with pytest.raises(ValueError, match="point 1"):
-            local_stage(eps, zero, zero, zero, zero, t, P, HOOKE)
+            local_stage(eps, zero, zero, t, P, HOOKE)
 
     def test_matches_matpoint_drive_bitwise(self):
         t = self.grid(80)
@@ -238,7 +240,7 @@ class TestLocalStage:
         eps = np.zeros((1, t.size, 6))
         eps[0, :, 0] = sig_x
         zero = np.zeros((1, t.size))
-        out = local_stage(eps, zero, zero, zero, zero, t, P, HOOKE)
+        out = local_stage(eps, zero, zero, t, P, HOOKE)
         drive = matpoint_drive(t, sig_x, P)
         assert np.array_equal(drive["sig_x"], out["sig"][0, :, 0])
         assert np.array_equal(drive["d"], out["d"][0])
@@ -293,3 +295,95 @@ class TestMatpointDrive:
         post = out["sig_x"][peak:]
         assert post.size > 10
         assert np.all(np.diff(post) < 0.0)
+
+
+def assert_bitwise(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def unscreened_stress(eps, eps_max, d):
+    """(1-d) E:eps + d E:F(eps) evaluated at every point, F = 0 without history."""
+    d = np.asarray(d, dtype=float)
+    elastic = HOOKE.apply(eps)
+    closed = eps_max[..., :3].sum(axis=-1) > CLOSURE_TRACE_GUARD
+    sig_cr = np.zeros_like(elastic)
+    sig_cr[closed] = crack_closure_stress(eps[closed], eps_max[closed], P, HOOKE)
+    return (1.0 - d)[..., None] * elastic + d[..., None] * sig_cr
+
+
+class TestScreens:
+    """The screened damage-law kernels equal their everywhere-evaluated forms bit for bit."""
+
+    @pytest.mark.parametrize("floor", [0.0, P.Y0, 1e3 * P.Y0])
+    @pytest.mark.parametrize("case", list(STRAINS) + ["tight_isotropic"])
+    def test_released_energy_floor(self, case, floor):
+        if case == "tight_isotropic":
+            # e I has |eps|^2 = 3 e^2 and Y = B: the bound is attained here.
+            e = np.sqrt(floor / (1.5 * (3.0 * HOOKE.lam + 2.0 * HOOKE.mu)))
+            eps = e * np.eye(3)[None]
+        else:
+            eps = STRAINS[case]
+        eps_v = matrix_to_voigt(eps, "strain")
+        assert_bitwise(released_energy(eps_v, HOOKE, floor),
+                       np.maximum(released_energy(eps_v, HOOKE), floor))
+
+    @pytest.mark.parametrize("side", [1.0 - 1e-6, 1.0 + 1e-6])
+    def test_released_energy_floor_with_negative_lame(self, side):
+        # With lam < 0 the bound must use max(lam, 0): 1/2 (3 lam + 2 mu) e^2
+        # lies below the uniaxial Y = 1/2 (lam + 2 mu) e^2.
+        hooke = HookeTensor(P.E, -0.3)
+        assert hooke.lam < 0.0
+        e = side * np.sqrt(2.0 * P.Y0 / (hooke.lam + 2.0 * hooke.mu))
+        eps_v = uniaxial(e)[None]
+        Y = released_energy(eps_v, hooke)
+        assert (Y[0] > P.Y0) == (side > 1.0)
+        assert_bitwise(released_energy(eps_v, hooke, P.Y0), np.maximum(Y, P.Y0))
+
+    @pytest.mark.parametrize("shape", [(200,), (10, 20)])
+    def test_total_stress_matches_unscreened(self, shape):
+        rng = np.random.default_rng(5)
+        eps = rng.normal(size=shape + (6,)) * 1e-4
+        eps_max = rng.normal(size=shape + (6,)) * 1e-4
+        eps_max[..., :3] += 5e-5                 # mostly a tension history
+        eps_max[rng.random(shape) < 0.2] = 0.0   # and some points without one
+        d = np.where(rng.random(shape) < 0.5, rng.uniform(0.0, 1.0, shape), 0.0)
+        d[rng.random(shape) < 0.05] = 1.0
+        closed = eps_max[..., :3].sum(axis=-1) > CLOSURE_TRACE_GUARD
+        damaged = d != 0.0
+        assert np.any(damaged & closed) and np.any(damaged & ~closed)
+        assert np.any(~damaged)
+        assert_bitwise(total_stress(eps, eps_max, d, P, HOOKE),
+                       unscreened_stress(eps, eps_max, d))
+        for scalar in (0.0, 0.35):
+            assert_bitwise(total_stress(eps, eps_max, scalar, P, HOOKE),
+                           unscreened_stress(eps, eps_max, scalar))
+
+    def test_local_stage_matches_unscreened_composition(self):
+        t = np.linspace(1.0 / 60, 1.0, 60)
+        rng = np.random.default_rng(21)
+        n_sp = 12
+        eps = rng.normal(size=(n_sp, t.size, 6)) * 6e-5
+        eps[:4] *= 0.2                           # rows that never reach Y0
+        dbar_prev = np.where(rng.random((n_sp, t.size)) < 0.3,
+                             rng.uniform(0.05, 0.6, (n_sp, t.size)), 0.0)
+        dbar_prev[:2] = 0.0                      # two rows stay virgin
+        dbar_prev[3] *= 0.05                     # one carries a small old damage
+        z_prev = -dbar_prev
+        Z_prev = dual_softening(z_prev, P)
+        out = local_stage(eps, Z_prev, z_prev, t, P, HOOKE)
+
+        Y = released_energy(eps, HOOKE)
+        assert np.any(Y > P.Y0 + Z_prev) and np.any((Y > P.Y0) & (Y <= P.Y0 + Z_prev))
+        assert np.all(Y[:2] <= P.Y0)
+        damaging = Y - (P.Y0 + Z_prev) > 0.0
+        dbar = np.where(damaging, static_damage(Y, P), -z_prev)
+        z = -dbar
+        Z = np.where(damaging, dual_softening(z, P), Z_prev)
+        d = integrate_delay(t, dbar, 0.0, P)
+        eps_max, _ = tension_peak_history(eps)
+        want = {"Y": np.maximum(Y, P.Y0), "dbar": dbar, "z": z, "Z": Z, "d": d,
+                "sig": unscreened_stress(eps, eps_max, d)}
+        for key, value in want.items():
+            assert_bitwise(out[key], value)
