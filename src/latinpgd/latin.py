@@ -87,10 +87,9 @@ def latin_error(sig, sig_hat, eps, eps_hat, mesh, grid):
 class LatinState:
     """Driver state: global solution, last local fields, error and log.
 
-    log rows are dicts with keys iteration, modes, xi, cre, seconds;
-    enrich_log keeps each enrichment's c_c / stagnation history; the
-    xi history additionally keeps the pre-enrichment distance of each
-    iteration so the full decrease record survives.
+    log rows are dicts with keys iteration, modes, xi, cre, seconds (since
+    the start of the run); enrich_log keeps each enrichment's c_c /
+    stagnation history.
     """
 
     def __init__(self, solution):
@@ -98,12 +97,10 @@ class LatinState:
         self.hat = None
         self.delta = None
         self.xi = np.inf
-        self.xi_history = []
         self.log = []
         self.enrich_log = []
         self.iteration = 0
         self.converged = False
-        self.wall = 0.0
 
     @property
     def n_modes(self):
@@ -122,8 +119,7 @@ class LatinState:
 
 
 def run_latin(system, params, load, grid, zeta_stop=5e-4, max_modes=150,
-              omega=RELAXATION, seed=0, enrich_zeta=1e-2, enrich_max_iter=5,
-              callback=None):
+              omega=RELAXATION, seed=0, enrich_zeta=1e-2, enrich_max_iter=5):
     """Alternate local and global stages from the elastic initialization.
 
     zeta_stop : manifold-distance threshold (fraction; 5e-4 is 0.05%).
@@ -132,7 +128,6 @@ def run_latin(system, params, load, grid, zeta_stop=5e-4, max_modes=150,
     omega : relaxation applied to each new mode's time functions.
     seed : seeds the random time-function initialization of every
         enrichment, making the run reproducible.
-    callback : optional callable(state) invoked after each logged iteration.
 
     Returns a LatinState; `state.converged` distinguishes a met threshold
     from an exhausted budget.
@@ -145,7 +140,7 @@ def run_latin(system, params, load, grid, zeta_stop=5e-4, max_modes=150,
     t0 = time.perf_counter()
 
     el = elastic_solution(system, params, load, grid)
-    solution = PgdSolution(mesh, grid, hooke, el["u"], el["eps"], el["sig"])
+    solution = PgdSolution(grid, el["u"], el["eps"], el["sig"])
     state = LatinState(solution)
 
     n_t = grid.n_gauss
@@ -164,18 +159,15 @@ def run_latin(system, params, load, grid, zeta_stop=5e-4, max_modes=150,
         # relation returns the elastic stress bit-for-bit and the distance is
         # exactly zero) the iteration ends without spending a mode.
         xi = latin_error(sig, local["sig"], eps, local["eps"], mesh, grid)
-        state.xi_history.append(xi)
         if xi <= zeta_stop:
             state.xi = xi
             state.converged = True
-            state.wall = time.perf_counter() - t0
+            wall = time.perf_counter() - t0
             state.log.append({"iteration": state.iteration,
                               "modes": solution.n_modes, "xi": xi,
                               "cre": 0.0 if state.delta is None else
                               cre_functional(state.delta, mesh, grid, hooke),
-                              "seconds": state.wall})
-            if callback is not None:
-                callback(state)
+                              "seconds": wall})
             return state
 
         delta = compute_delta(sig, local["sig"])
@@ -193,15 +185,12 @@ def run_latin(system, params, load, grid, zeta_stop=5e-4, max_modes=150,
         _, eps, sig = solution.fields()
         xi = latin_error(sig, local["sig"], eps, local["eps"], mesh, grid)
         state.xi = xi
-        state.xi_history.append(xi)
-        state.wall = time.perf_counter() - t0
+        wall = time.perf_counter() - t0
         state.log.append({"iteration": state.iteration,
                           "modes": solution.n_modes, "xi": xi,
                           "cre": cre_functional(delta, mesh, grid, hooke,
                                                 mode=solution.modes[-1]),
-                          "seconds": state.wall})
-        if callback is not None:
-            callback(state)
+                          "seconds": wall})
         if xi <= zeta_stop:
             state.converged = True
             return state

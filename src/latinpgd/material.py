@@ -29,7 +29,8 @@ happen, with results bit-identical to evaluating it everywhere:
   damage blend are evaluated only at damaged points;
 * delay: with zero target and zero start the rate is exactly 0, so the
   update stage integrates only the spatial points whose target damage is
-  nonzero somewhere on the time axis.
+  nonzero somewhere on the time axis, and scans the tension peak, which
+  the stress reads only where d != 0, at those points only.
 """
 
 from dataclasses import dataclass
@@ -247,10 +248,13 @@ def local_stage(eps, Z_prev, z_prev, times, params, hooke):
     exceeded (and kept otherwise), the delayed damage is re-integrated from
     d(0) = 0 over the whole axis, and the stress combines the damaged and
     re-closure branches using the running tension peak of the input strain.
+    Delay and tension peak are evaluated only on the rows whose target
+    damage is nonzero somewhere: d stays exactly 0 on every other row, so
+    the stress there is E:eps and never reads the peak.
 
     Z_prev, z_prev : dual softening pair of the previous update (Z_prev >= 0).
 
-    Returns a dict with keys eps, sig, d, Y, z, Z, dbar, eps_max.  Y is
+    Returns a dict with keys eps, sig, d, Y, z, Z, dbar.  Y is
     max(Y, Y0): the law reads the released energy only through d_bar(Y),
     zero at and below Y0, and through f, which cannot be positive there.
     """
@@ -268,16 +272,17 @@ def local_stage(eps, Z_prev, z_prev, times, params, hooke):
     Z = np.where(damaging, dual_softening(z, params), Z_prev)
 
     d = np.zeros_like(dbar)
+    eps_max = np.zeros(eps.shape)   # read by total_stress only where d != 0
     active = np.any(dbar != 0.0, axis=-1)
     if np.any(active):
         d[active] = integrate_delay(times, dbar[active], 0.0, params)
-    eps_max, _ = tension_peak_history(eps)
+        eps_max[active] = tension_peak_history(eps[active])[0]
     sig = total_stress(eps, eps_max, d, params, hooke)
     # The strain echo is a copy: the caller may keep mutating the input
     # array (incremental reconstruction caches do), and the returned dict
     # must stay a consistent snapshot of this update.
     return {"eps": eps.copy(), "sig": sig, "d": d, "Y": Y, "z": z, "Z": Z,
-            "dbar": dbar, "eps_max": eps_max}
+            "dbar": dbar}
 
 
 def matpoint_drive(times, eps_x, params):

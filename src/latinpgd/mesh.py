@@ -96,13 +96,6 @@ class Mesh:
         self.gp_weights = detJ                          # reference weights are 1
         self.n_gauss_per_element = n_gpe
         self.n_gauss = n_el * n_gpe
-        self.gp_coords = np.einsum("ga,eaj->egj", _shape(_GP), X)
-
-    def element_volumes(self):
-        return self.gp_weights.sum(axis=1)
-
-    def volume(self):
-        return float(self.gp_weights.sum())
 
 
 def generate_box_mesh(d1, d2, d3, nx, ny, nz, support="line"):

@@ -35,9 +35,6 @@ import numpy as np
 from .assembly import internal_force, strain_at_gauss
 from .timegrid import TimeFunction, l2_fit, st_inner, tdgm_march
 
-#: relative eigenvalue cutoff separating a basis family's numerical rank
-GRAM_RANK_TOL = 1e-12
-
 
 class PgdMode:
     """One rank-one space-time correction.
@@ -53,10 +50,6 @@ class PgdMode:
         self.sig_bar = sig_bar
         self.lam = lam
         self.mu = mu
-
-    def copy(self):
-        return PgdMode(self.u_bar.copy(), self.eps_bar.copy(),
-                       self.sig_bar.copy(), self.lam.copy(), self.mu.copy())
 
 
 def compute_delta(sig, sig_hat):
@@ -135,8 +128,8 @@ def time_lambda(u_bar, eps_bar, delta, system, grid, hooke):
     wg = system.mesh.gp_weights.ravel()
     a = float(u_bar @ (system.M @ u_bar))
     b = float(wg @ np.einsum("gv,gv->g", hooke.apply(eps_bar), eps_bar))
-    if not (a > 0.0 or b > 0.0):
-        raise ValueError("degenerate mode: zero mass and stiffness coefficients")
+    if not a > 0.0:
+        raise ValueError("degenerate mode: mass coefficient a = %g" % a)
     c = float(u_bar @ (system.C @ u_bar)) if system.C is not None else 0.0
     f = np.einsum("gtv,gv,g->t", delta, eps_bar, wg)
     lam, _ = tdgm_march(grid, a, c, b, f.reshape(grid.n_elements, 4))
@@ -273,10 +266,8 @@ class PgdSolution:
     cached arrays, which callers must treat as read-only.
     """
 
-    def __init__(self, mesh, grid, hooke, u_el, eps_el, sig_el):
-        self.mesh = mesh
+    def __init__(self, grid, u_el, eps_el, sig_el):
         self.grid = grid
-        self.hooke = hooke
         self.u_el = u_el
         self.eps_el = eps_el
         self.sig_el = sig_el
@@ -299,103 +290,6 @@ class PgdSolution:
     def fields(self):
         """Reconstructed (u, eps, sig); u is nodal, eps/sig on Gauss points."""
         return self._u, self._eps, self._sig
-
-
-def _orthonormal_coords(gram):
-    """Metric-orthonormal coordinates of a family from its Gram matrix.
-
-    Returns P (n, r) mixing the family into an orthonormal basis, and the
-    coordinate matrix coords = P^T G (r, n) of the original members; r is
-    the numerical rank.
-    """
-    w, v = np.linalg.eigh(gram)
-    keep = w > GRAM_RANK_TOL * max(w[-1], 0.0)
-    if not keep.any():
-        return np.zeros((gram.shape[0], 0)), np.zeros((0, gram.shape[0]))
-    p = v[:, keep] / np.sqrt(w[keep])
-    return p, p.T @ gram
-
-
-def _family_svd(gram_x, gram_t):
-    """Singular value decomposition of sum_i x_i (x) t_i in the given metrics.
-
-    Returns (mix_x, mix_t, s): column k of mix_x / mix_t combines the family
-    members into the k-th left/right singular vector, s are the singular
-    values; the field equals sum_k s_k x'_k (x) t'_k.
-    """
-    px, cx = _orthonormal_coords(gram_x)
-    pt, ct = _orthonormal_coords(gram_t)
-    core = cx @ ct.T
-    u, s, vt = np.linalg.svd(core, full_matrices=False)
-    return px @ u, pt @ vt.T, s
-
-
-def _svd_rank(s, rank, tol):
-    if rank is not None:
-        return max(1, min(int(rank), s.size))
-    total = np.sqrt((s ** 2).sum())
-    if total == 0.0:
-        return 1
-    tail = np.sqrt(np.maximum(0.0, (s ** 2)[::-1].cumsum()[::-1] - s ** 2))
-    return max(1, int(np.argmax(tail <= tol * total)) + 1)
-
-
-def compress_basis(solution, rank=None, tol=None):
-    """Truncated-SVD compression of the mode basis; returns a new solution.
-
-    The kinematic family (u_bar, eps_bar | lam) is compressed in the strain
-    energy metric, the stress family (sig_bar | mu) in the complementary
-    (compliance) metric; both are truncated to a common rank chosen per
-    family by `rank` or by the relative energy tolerance `tol`, modes are
-    re-paired index-wise and renormalized.  Reconstruction error in each
-    family's space-time norm is bounded by `tol`.
-    """
-    if (rank is None) == (tol is None):
-        raise ValueError("exactly one of rank and tol is required")
-    if not solution.modes:
-        raise ValueError("nothing to compress: solution has no modes")
-    mesh, grid, hooke = solution.mesh, solution.grid, solution.hooke
-    wg = mesh.gp_weights.ravel()
-    wt = grid.all_gauss_weights
-
-    ustack = np.stack([m.u_bar for m in solution.modes])
-    estack = np.stack([m.eps_bar for m in solution.modes])
-    sstack = np.stack([m.sig_bar for m in solution.modes])
-    lstack = np.stack([m.lam.coeffs for m in solution.modes])
-    mstack = np.stack([m.mu.coeffs for m in solution.modes])
-    lgauss = np.stack([m.lam.values_at_gauss() for m in solution.modes])
-    mgauss = np.stack([m.mu.values_at_gauss() for m in solution.modes])
-
-    gram_eps = np.einsum("igv,jgv,g->ij", estack, hooke.apply(estack), wg)
-    gram_sig = np.einsum("igv,jgv,g->ij", sstack, hooke.apply_inverse(sstack), wg)
-    gram_lam = (lgauss * wt) @ lgauss.T
-    gram_mu = (mgauss * wt) @ mgauss.T
-
-    mix_e, mix_l, s_e = _family_svd(gram_eps, gram_lam)
-    mix_s, mix_m, s_s = _family_svd(gram_sig, gram_mu)
-    r = max(_svd_rank(s_e, rank, tol), _svd_rank(s_s, rank, tol))
-    r_e, r_s = min(r, s_e.size), min(r, s_s.size)
-
-    new_u = np.einsum("ik,id->kd", mix_e[:, :r_e], ustack)
-    new_eps = np.stack([strain_at_gauss(mesh, new_u[k]) for k in range(r_e)]) \
-        if r_e else np.zeros((0,) + estack.shape[1:])
-    new_lam = np.einsum("ik,k,inc->knc", mix_l[:, :r_e], s_e[:r_e], lstack)
-    new_sig = np.einsum("ik,igv->kgv", mix_s[:, :r_s], sstack)
-    new_mu = np.einsum("ik,k,inc->knc", mix_m[:, :r_s], s_s[:r_s], mstack)
-
-    out = PgdSolution(mesh, grid, hooke, solution.u_el, solution.eps_el,
-                      solution.sig_el)
-    for k in range(max(r_e, r_s)):
-        mode = PgdMode(
-            new_u[k] if k < r_e else np.zeros_like(new_u[0]),
-            new_eps[k] if k < r_e else np.zeros_like(new_eps[0]),
-            new_sig[k] if k < r_s else np.zeros_like(new_sig[0]),
-            TimeFunction(grid, new_lam[k] if k < r_e else np.zeros_like(new_lam[0])),
-            TimeFunction(grid, new_mu[k] if k < r_s else np.zeros_like(new_mu[0])))
-        if strain_norm(mode.eps_bar, mesh) > 0.0:
-            _, mode = normalize_mode(mode, mesh)
-        out.add_mode(mode)
-    return out
 
 
 def dump_modes(solution, directory):

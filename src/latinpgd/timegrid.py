@@ -27,10 +27,7 @@ cubics exactly, converges at second order (measured rel L2 error 3.7e-3 at
 40 elements per period on a forced oscillator), and its element transfer map
 has spectral radius <= 1 for every b = a*omega^2 (radius 1/2 in the stiff
 limit), so temporal modes far above the grid resolution are damped instead
-of amplified.  First-order equations (a = 0) keep the penalty value transfer and
-collocate at the three right-biased Radau points, which is L-stable; the
-algebraic limit (a = c = 0) reduces to the per-element Galerkin projection
-of f/b with no inter-element coupling.
+of amplified.
 
 Quadrature is 4-point Gauss-Legendre per element (exact through degree 7),
 the same points at which all space-time fields are sampled.
@@ -131,9 +128,6 @@ class TimeFunction:
             raise ValueError("coeffs must have shape (n_elements, 4)")
         self.coeffs = coeffs
 
-    def copy(self):
-        return TimeFunction(self.grid, self.coeffs.copy())
-
     def values_at_gauss(self, deriv=0):
         """Samples at all Gauss points, flattened to (n_gauss,)."""
         table = (self.grid.N, self.grid.dN, self.grid.d2N)[deriv]
@@ -189,9 +183,7 @@ def element_operator(grid, a, c, b):
 
 
 # collocation abscissae for the residual rows (right-biased; see module docstring)
-_TAU_SECOND_ORDER = np.array([2.0 / 3.0, 1.0])
-_TAU_FIRST_ORDER = np.array([(4.0 - np.sqrt(6.0)) / 10.0,
-                             (4.0 + np.sqrt(6.0)) / 10.0, 1.0])
+_TAU_COLLOCATION = np.array([2.0 / 3.0, 1.0])
 
 
 def tdgm_march(grid, a, c, b, f_samples, lam_init=0.0, vel_init=0.0):
@@ -199,76 +191,57 @@ def tdgm_march(grid, a, c, b, f_samples, lam_init=0.0, vel_init=0.0):
 
     The element operator couples a penalty value-transfer row (factor
     1.1*max(Q), which also imposes lam(0) = lam_init on the first element),
-    for a != 0 an upwind velocity-flux row, and right-biased collocation rows
-    for the residual.  For a = c = 0 the problem is algebraic and the march
-    degenerates to the per-element Galerkin projection of f/b.
+    an upwind velocity-flux row and right-biased collocation rows for the
+    residual.  The equation must be of second order: a > 0.
 
     Parameters
     ----------
     f_samples : TimeFunction, or forcing sampled at the Gauss points with
         shape (n_gauss,) or (n_elements, 4).
     lam_init : initial value, imposed through the first element's L operator.
-    vel_init : initial velocity (second-order problems), carried by the flux
-        row of the first element.
+    vel_init : initial velocity, carried by the flux row of the first element.
 
     Returns
     -------
     lam : TimeFunction
-    info : dict with 'penalty' (the factor 1.1*max(Q), 0 for the projection
-        branch), 'factorizations' (always 1: a single 4x4 factorization is
-        reused for every element) and 'max_jump' (largest inter-element value
-        jump, a weak-continuity diagnostic).
+    info : dict with 'penalty' (the factor 1.1*max(Q)), 'factorizations'
+        (always 1: a single 4x4 factorization is reused for every element)
+        and 'max_jump' (largest inter-element value jump, a weak-continuity
+        diagnostic).
     """
+    if not a > 0.0:
+        raise ValueError("time march needs a positive mass coefficient a, got %g" % a)
     g = grid
     if isinstance(f_samples, TimeFunction):
         f_samples = f_samples.values_at_gauss()
     f = np.asarray(f_samples, dtype=float).reshape(g.n_elements, 4)
-
-    if a == 0.0 and c == 0.0:
-        if b == 0.0:
-            raise ValueError("a, c and b are all zero; nothing to solve")
-        # algebraic limit: decoupled per-element projection, still one solve
-        lu = lu_factor(b * g.N)
-        coeffs = lu_solve(lu, f.T).T
-        lam = TimeFunction(g, coeffs)
-        jump = float(np.abs(lam.jumps(init=coeffs[0, 0])).max())
-        return lam, {"penalty": 0.0, "factorizations": 1, "max_jump": jump}
 
     Q = element_operator(g, a, c, b)
     penalty = 1.1 * float(Q.max())
     if penalty <= 0.0:
         raise ValueError("element operator has no positive entry; cannot build penalty")
 
-    taus = _TAU_SECOND_ORDER if a != 0.0 else _TAU_FIRST_ORDER
-    resid = (a * _basis(taus, 2) / g.h ** 2
-             + c * _basis(taus, 1) / g.h
-             + b * _basis(taus, 0))
-    f_collo = _basis(taus, 0) @ g._N_inv  # forcing interpolated at the abscissae
-    dN1 = _basis(np.array([1.0]), 1)[0] / g.h
-
+    taus = _TAU_COLLOCATION
     A = np.zeros((4, 4))
     A[0, 0] = penalty
-    if a != 0.0:
-        A[1, :] = a * _basis(np.array([0.0]), 1)[0] / g.h
-        A[2:, :] = resid
-    else:
-        A[1:, :] = resid
+    A[1, :] = a * _basis(np.array([0.0]), 1)[0] / g.h          # velocity flux
+    A[2:, :] = (a * _basis(taus, 2) / g.h ** 2                 # collocated residual
+                + c * _basis(taus, 1) / g.h
+                + b * _basis(taus, 0))
     lu = lu_factor(A)
     if not np.all(np.isfinite(lu[0])) or np.abs(np.diag(lu[0])).min() == 0.0:
         raise ValueError("singular element operator in time march (element 0)")
+    f_collo = _basis(taus, 0) @ g._N_inv  # forcing interpolated at the abscissae
+    dN1 = _basis(np.array([1.0]), 1)[0] / g.h
 
     coeffs = np.empty((g.n_elements, 4))
     prev_end = float(lam_init)
     prev_vel = float(vel_init)
     rhs = np.empty(4)
     for k in range(g.n_elements):
-        fc = f_collo @ f[k]
         rhs[0] = penalty * prev_end
-        if a != 0.0:
-            rhs[1] = a * prev_vel
-            rhs[2:] = fc
-        else:
-            rhs[1:] = fc
+        rhs[1] = a * prev_vel
+        rhs[2:] = f_collo @ f[k]
         coeffs[k] = lu_solve(lu, rhs)
         if not np.all(np.isfinite(coeffs[k])):
             raise ValueError("time march produced non-finite values in element %d" % k)

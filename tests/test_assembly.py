@@ -220,6 +220,10 @@ class TestSpatialSystem:
         assert np.allclose(x2, 2.0 * x1, rtol=1e-10)
         sysm.solve_free(2.0, 0.0, 1.0, r)
         assert sysm.n_factorizations == 2
+        # one slot: going back to the first triple refactorizes
+        x3 = sysm.solve_free(1.0, 0.0, 2.0, r)
+        assert sysm.n_factorizations == 3
+        assert np.array_equal(x3, x1)
         A = (sysm.Mff + 2.0 * sysm.Kff).toarray()
         assert np.allclose(A @ x1, r, rtol=0.0, atol=1e-8 * np.abs(r).max())
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from latinpgd import material
 from latinpgd.material import (CLOSURE_TRACE_GUARD, MaterialParams,
                                crack_closure_stress, dual_softening,
                                integrate_delay, local_stage, matpoint_drive,
@@ -387,3 +388,16 @@ class TestScreens:
                 "sig": unscreened_stress(eps, eps_max, d)}
         for key, value in want.items():
             assert_bitwise(out[key], value)
+
+    def test_local_stage_skips_tension_peak_without_damage(self, monkeypatch):
+        def no_scan(eps_v):
+            raise AssertionError("tension peak scanned on an undamaged field")
+
+        monkeypatch.setattr(material, "tension_peak_history", no_scan)
+        t = np.linspace(1.0 / 60, 1.0, 60)
+        rng = np.random.default_rng(22)
+        eps = rng.normal(size=(5, t.size, 6)) * 0.2 * THRESHOLD_STRAIN
+        zero = np.zeros((5, t.size))
+        out = local_stage(eps, zero, zero, t, P, HOOKE)
+        assert not out["d"].any()
+        assert_bitwise(out["sig"], HOOKE.apply(eps))

@@ -16,13 +16,13 @@ class TestGeneration:
     def test_unit_cube(self):
         mesh = generate_box_mesh(1.0, 1.0, 1.0, 1, 1, 1, support="face")
         assert mesh.n_nodes == 8
-        assert mesh.volume() == pytest.approx(1.0, rel=1e-14)
+        assert mesh.gp_weights.sum() == pytest.approx(1.0, rel=1e-14)
 
     def test_gauss_weights_match_element_volume(self):
         mesh = generate_box_mesh(8.0, 0.3, 0.3, 16, 2, 2)
         vol = (8.0 / 16) * (0.3 / 2) * (0.3 / 2)
-        assert np.allclose(mesh.element_volumes(), vol, rtol=1e-13)
-        assert mesh.volume() == pytest.approx(0.72, rel=1e-13)
+        assert np.allclose(mesh.gp_weights.sum(axis=1), vol, rtol=1e-13)
+        assert mesh.gp_weights.sum() == pytest.approx(0.72, rel=1e-13)
 
     @pytest.mark.parametrize("counts", [(0, 1, 1), (1, 0, 1), (1, 1, 0)])
     def test_zero_counts_rejected(self, counts):

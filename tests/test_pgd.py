@@ -1,4 +1,4 @@
-"""Global-stage checks: space/time subproblems, enrichment, compression."""
+"""Global-stage checks: space/time subproblems, enrichment, reconstruction, mode dump."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from latinpgd.assembly import (SpatialSystem, assemble_mass,
                                strain_at_gauss)
 from latinpgd.material import reference_concrete
 from latinpgd.mesh import generate_box_mesh
-from latinpgd.pgd import (PgdMode, PgdSolution, compress_basis, compute_delta,
+from latinpgd.pgd import (PgdMode, PgdSolution, compute_delta,
                           cre_functional, dump_modes, enrich, normalize_mode,
                           relax_mode, space_problem, stagnation, strain_norm,
                           stress_spatial, time_lambda, time_mu)
@@ -295,7 +295,7 @@ class TestNormalizeAndStagnation:
         mesh, _, _ = setup
         mode = self.make_mode(setup)
         scaled = PgdMode(mode.u_bar * 7.0, mode.eps_bar * 7.0, mode.sig_bar * 7.0,
-                         mode.lam.copy(), mode.mu.copy())
+                         mode.lam, mode.mu)
         c1, _ = normalize_mode(mode, mesh)
         c7, _ = normalize_mode(scaled, mesh)
         assert c7 == pytest.approx(7.0 * c1, rel=1e-12)
@@ -322,10 +322,10 @@ class TestNormalizeAndStagnation:
         rng = np.random.default_rng(14)
         lam = TimeFunction(grid, rng.normal(size=(grid.n_elements, 4)))
         zero = TimeFunction(grid, np.zeros((grid.n_elements, 4)))
-        assert stagnation(lam, lam.copy()) == 0.0
+        assert stagnation(lam, lam.scale(1.0)) == 0.0
         assert stagnation(lam, lam.scale(-1.0)) == 0.0
         assert stagnation(lam, zero) == pytest.approx(1.0, rel=1e-12)
-        assert stagnation(zero, zero.copy()) == 0.0
+        assert stagnation(zero, zero.scale(1.0)) == 0.0
 
     def test_stagnation_grid_mismatch(self, setup):
         _, _, grid = setup
@@ -409,16 +409,14 @@ class TestRelaxMode:
         # adding the relaxed mode equals blending the two reconstructions
         mesh, system, grid = setup
         rng = np.random.default_rng(21)
-        base = PgdSolution(mesh, grid, HOOKE,
+        base = PgdSolution(grid,
                            rng.normal(size=(mesh.n_dofs, grid.n_gauss)),
                            rng.normal(size=(mesh.n_gauss, grid.n_gauss, 6)),
                            rng.normal(size=(mesh.n_gauss, grid.n_gauss, 6)))
         mode = self.make_mode(setup)
-        with_full = PgdSolution(mesh, grid, HOOKE, base.u_el, base.eps_el,
-                                base.sig_el)
+        with_full = PgdSolution(grid, base.u_el, base.eps_el, base.sig_el)
         with_full.add_mode(mode)
-        blended = PgdSolution(mesh, grid, HOOKE, base.u_el, base.eps_el,
-                              base.sig_el)
+        blended = PgdSolution(grid, base.u_el, base.eps_el, base.sig_el)
         blended.add_mode(relax_mode(mode, 0.4))
         for got, prev, full in zip(blended.fields(), base.fields(),
                                    with_full.fields()):
@@ -434,7 +432,7 @@ class TestSolutionReconstruct:
     def elastic(self, setup, seed=30):
         mesh, system, grid = setup
         rng = np.random.default_rng(seed)
-        return PgdSolution(mesh, grid, HOOKE,
+        return PgdSolution(grid,
                            rng.normal(size=(mesh.n_dofs, grid.n_gauss)),
                            rng.normal(size=(mesh.n_gauss, grid.n_gauss, 6)),
                            rng.normal(size=(mesh.n_gauss, grid.n_gauss, 6)))
@@ -489,98 +487,28 @@ class TestSolutionReconstruct:
         assert np.allclose(u_f, u_dense, rtol=1e-12)
 
 
-class TestCompressBasis:
-    def build_solution(self, setup, n=5, seed=40):
-        mesh, system, grid = setup
-        sol = PgdSolution(mesh, grid, HOOKE,
-                          np.zeros((mesh.n_dofs, grid.n_gauss)),
-                          np.zeros((mesh.n_gauss, grid.n_gauss, 6)),
-                          np.zeros((mesh.n_gauss, grid.n_gauss, 6)))
-        rng = np.random.default_rng(seed)
-        for _ in range(n):
-            u, eps = random_mode_shape(mesh, system, rng)
-            mode = PgdMode(u, eps, HOOKE.apply(eps) * rng.uniform(0.5, 2.0),
-                           TimeFunction(grid, rng.normal(size=(grid.n_elements, 4))),
-                           TimeFunction(grid, rng.normal(size=(grid.n_elements, 4))))
-            _, mode = normalize_mode(mode, setup[0])
-            sol.add_mode(mode)
-        return sol
-
-    def family_norm(self, setup, field, metric):
-        mesh, _, grid = setup
-        weighted = metric(field)
-        return np.sqrt(np.einsum("gtv,gtv,g,t->", field, weighted,
-                                 mesh.gp_weights.ravel(), grid.all_gauss_weights))
-
-    def test_full_rank_identity(self, setup):
-        sol = self.build_solution(setup)
-        comp = compress_basis(sol, rank=sol.n_modes)
-        for a, b in zip(comp.fields(), sol.fields()):
-            assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
-
-    def test_duplicates_collapse(self, setup):
-        sol = self.build_solution(setup)
-        mesh, system, grid = setup
-        dup = PgdSolution(mesh, grid, HOOKE, sol.u_el, sol.eps_el, sol.sig_el)
-        for m in sol.modes:
-            dup.add_mode(m.copy())
-        dup.add_mode(sol.modes[2].copy())
-        dup.add_mode(sol.modes[2].copy())
-        comp = compress_basis(dup, tol=1e-10)
-        assert comp.n_modes == sol.n_modes
-        for a, b in zip(comp.fields(), dup.fields()):
-            assert np.abs(a - b).max() <= 1e-9 * np.abs(b).max()
-
-    def test_tolerance_bounds_family_error(self, setup):
-        sol = self.build_solution(setup)
-        tol = 0.5
-        comp = compress_basis(sol, tol=tol)
-        assert comp.n_modes < sol.n_modes
-        err = self.family_norm(setup, comp.fields()[1] - sol.fields()[1],
-                               HOOKE.apply)
-        ref = self.family_norm(setup, sol.fields()[1], HOOKE.apply)
-        assert err <= tol * ref
-        err_s = self.family_norm(setup, comp.fields()[2] - sol.fields()[2],
-                                 HOOKE.apply_inverse)
-        ref_s = self.family_norm(setup, sol.fields()[2], HOOKE.apply_inverse)
-        assert err_s <= tol * ref_s
-
-    def test_rank_mismatch_pads_stress_family(self, setup):
-        # stress family of intrinsic rank 1: extra kinematic modes survive
-        mesh, system, grid = setup
-        built = self.build_solution(setup, n=3)
-        shared = built.modes[0]
-        sol = PgdSolution(mesh, grid, HOOKE, built.u_el, built.eps_el,
-                          built.sig_el)
-        for m in built.modes:
-            sol.add_mode(PgdMode(m.u_bar, m.eps_bar, shared.sig_bar.copy(),
-                                 m.lam, shared.mu.copy()))
-        comp = compress_basis(sol, tol=1e-12)
-        assert comp.n_modes == 3
-        for a, b in zip(comp.fields(), sol.fields()):
-            assert np.abs(a - b).max() <= 1e-9 * np.abs(b).max()
-
-    def test_requires_exactly_one_criterion(self, setup):
-        sol = self.build_solution(setup)
-        with pytest.raises(ValueError, match="exactly one"):
-            compress_basis(sol)
-        with pytest.raises(ValueError, match="exactly one"):
-            compress_basis(sol, rank=2, tol=0.1)
-
-    def test_empty_solution_rejected(self, setup):
-        mesh, system, grid = setup
-        sol = PgdSolution(mesh, grid, HOOKE,
-                          np.zeros((mesh.n_dofs, grid.n_gauss)),
-                          np.zeros((mesh.n_gauss, grid.n_gauss, 6)),
-                          np.zeros((mesh.n_gauss, grid.n_gauss, 6)))
-        with pytest.raises(ValueError, match="no modes"):
-            compress_basis(sol, rank=1)
+def normalized_solution(setup, n, seed=40):
+    """Zero elastic fields plus n random normalized modes."""
+    mesh, system, grid = setup
+    sol = PgdSolution(grid,
+                      np.zeros((mesh.n_dofs, grid.n_gauss)),
+                      np.zeros((mesh.n_gauss, grid.n_gauss, 6)),
+                      np.zeros((mesh.n_gauss, grid.n_gauss, 6)))
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        u, eps = random_mode_shape(mesh, system, rng)
+        mode = PgdMode(u, eps, HOOKE.apply(eps) * rng.uniform(0.5, 2.0),
+                       TimeFunction(grid, rng.normal(size=(grid.n_elements, 4))),
+                       TimeFunction(grid, rng.normal(size=(grid.n_elements, 4))))
+        _, mode = normalize_mode(mode, mesh)
+        sol.add_mode(mode)
+    return sol
 
 
 class TestDumpModes:
     def test_csv_pair_layout(self, setup, tmp_path):
         mesh, system, grid = setup
-        sol = TestCompressBasis().build_solution(setup, n=2)
+        sol = normalized_solution(setup, n=2)
         paths = dump_modes(sol, str(tmp_path))
         assert len(paths) == 4
         space = (tmp_path / "mode_000_space.csv").read_text().splitlines()
