@@ -35,14 +35,36 @@ EXIT_NONCONVERGED = 3
 RAYLEIGH_ANCHORS = (8.99, 45.8)
 
 
+# Thread-count variables of the numeric libraries, most specific first.
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+                "OMP_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
 def _pin_threads(n):
     if n < 0:
         raise ValueError("--threads must be >= 0, got %d" % n)
     if n == 0:
         return
-    for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                 "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    for name in _THREAD_VARS:
         os.environ[name] = str(n)
+
+
+def _numeric_threads():
+    """Threads the numeric libraries run with: the pinned count, else one per usable CPU."""
+    for name in _THREAD_VARS:
+        value = os.environ.get(name, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
+
+
+def _peak_rss_mb():
+    """Peak resident set size of this process so far, in MB (Linux reports kB)."""
+    import resource
+
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
 
 
 def _load_config(args):
@@ -85,13 +107,18 @@ def _build_problem(conf):
 
 
 def _config_manifest(conf, seed_used, subcommand, extra):
+    import numpy
+    import scipy
+
     from . import __version__
     from .config import canonical
 
     text = canonical(conf)
     body = {"config_sha256": hashlib.sha256(text.encode()).hexdigest(),
             "seed": seed_used, "version": __version__,
-            "subcommand": subcommand}
+            "subcommand": subcommand, "threads": _numeric_threads(),
+            "numpy_version": numpy.__version__, "scipy_version": scipy.__version__,
+            "peak_rss_mb": _peak_rss_mb()}
     body.update(extra)
     return body
 
@@ -185,7 +212,8 @@ def cmd_run_latin(args):
     body = _config_manifest(conf, conf.solver.seed, "run-latin",
                             {"converged": state.converged,
                              "modes": state.n_modes, "xi": state.xi,
-                             "monitored_gauss_point": state.monitored_point()})
+                             "monitored_gauss_point": state.monitored_point(),
+                             "elastic_seconds": state.elastic_seconds})
     _write_manifest(os.path.join(out, "manifest.json"), body)
     return EXIT_OK if state.converged else EXIT_NONCONVERGED
 

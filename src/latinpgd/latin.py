@@ -23,8 +23,9 @@ import time
 
 import numpy as np
 
+from .assembly import strain_at_gauss
 from .material import local_stage
-from .newmark import newmark_quasi_newton, resample_fields_to_gauss
+from .newmark import newmark_quasi_newton
 from .pgd import (PgdSolution, compute_delta, cre_functional, enrich,
                   relax_mode)
 from .timegrid import quad_resample_to_gauss
@@ -36,17 +37,19 @@ def elastic_solution(system, params, load, grid):
     """Undamaged dynamic response sampled on the space-time Gauss grid.
 
     The marching reference integrates the linear problem on the 2*N_T + 1
-    uniform nodes of `grid`, then the histories are carried onto the
-    temporal Gauss points by the per-element cubic fit.  Returns a dict
-    with u (n_dofs, n_gauss_t), eps and sig (n_gauss, n_gauss_t, 6).
+    uniform nodes of `grid`, then its displacement history is carried onto
+    the temporal Gauss points by the per-element quadratic fit.  Returns a
+    dict with u (n_dofs, n_gauss_t), eps and sig (n_gauss, n_gauss_t, 6).
 
-    The stress is re-derived from the resampled strain, which commutes with
-    the (linear) resampling and keeps sig = E : eps exact on the grid.
+    The strain is computed from the resampled displacement in one batched
+    evaluation (the resampling is linear, so this equals the resampled
+    strain of the march up to round-off) and the stress is E : eps, exact
+    on the grid.
     """
     times = np.linspace(0.0, grid.T, 2 * grid.n_elements + 1)
     res = newmark_quasi_newton(system, params, load, times, damage=False)
-    eps, _ = resample_fields_to_gauss(grid, res)
     u = quad_resample_to_gauss(grid, res["u"])
+    eps = strain_at_gauss(system.mesh, u)
     return {"u": u, "eps": eps, "sig": params.hooke().apply(eps)}
 
 
@@ -89,11 +92,12 @@ class LatinState:
 
     log rows are dicts with keys iteration, modes, xi, cre, seconds (since
     the start of the run); enrich_log keeps each enrichment's c_c /
-    stagnation history.
+    stagnation history; elastic_seconds is the time the elastic start took.
     """
 
-    def __init__(self, solution):
+    def __init__(self, solution, elastic_seconds):
         self.solution = solution
+        self.elastic_seconds = elastic_seconds
         self.hat = None
         self.delta = None
         self.xi = np.inf
@@ -141,7 +145,7 @@ def run_latin(system, params, load, grid, zeta_stop=5e-4, max_modes=150,
 
     el = elastic_solution(system, params, load, grid)
     solution = PgdSolution(grid, el["u"], el["eps"], el["sig"])
-    state = LatinState(solution)
+    state = LatinState(solution, time.perf_counter() - t0)
 
     n_t = grid.n_gauss
     prev = {"Z": np.zeros((mesh.n_gauss, n_t)), "z": np.zeros((mesh.n_gauss, n_t))}

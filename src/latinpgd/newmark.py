@@ -3,16 +3,24 @@
 The structure is driven through its supports: every prescribed node follows
 a vertical displacement signal g(t) (in-plane support components are pinned
 to zero), so the free equations see the support-motion load
--(M_fp a_p + C_fp v_p) next to the internal forces of the full displacement
-field.  Each step of the average-acceleration scheme (gamma = 1/2,
-beta = 1/4) solves nonlinear equilibrium with the *elastic* effective
-operator
+f_sup = M_fp a_p + C_fp v_p + K_fp u_p next to the inertia, damping and
+internal forces of the free DOFs.  Each step of the average-acceleration
+scheme (gamma = 1/2, beta = 1/4) solves nonlinear equilibrium with the
+*elastic* effective operator
 
     K_eff = M / (beta dt^2) + C gamma / (beta dt) + K,
 
 factorized once for the whole run.  Damage only ever weakens the material,
 so the elastic operator is a convergent quasi-Newton choice; the price is a
 few extra iterations on strongly damaging steps.
+
+The residual takes the elastic internal force from the assembled stiffness:
+on the free DOFs it is K_ff u_f plus the step's column of f_sup (built once
+for the whole run), plus the damage correction B^T W (sigma - E : eps)
+integrated over the damaged elements only.  At an undamaged point
+sigma = E : eps exactly, so an undamaged pass integrates nothing at the
+Gauss points inside its loop; its strain is sampled once, after the loop,
+for the damage update and the stored history.
 
 Equilibrium and damage are coupled with a staggered loop.  Within an
 equilibrium pass the constitutive state is frozen, so the pass solves a
@@ -112,6 +120,38 @@ def _advance_damage(eps_k, state, dt, params, hooke):
             "tr_max": np.where(grow, tr, state["tr_max"])}
 
 
+def _damaged_part(mesh, state):
+    """(elements, eps_max, d) of the elements with a damaged Gauss point.
+
+    The tension peaks and damage are those of the elements' Gauss points,
+    element by element as `strain_at_gauss(..., elements)` samples them.
+    """
+    n_gp = mesh.n_gauss_per_element
+    d = state["d"].reshape(-1, n_gp)
+    elements = np.flatnonzero(d.any(axis=1))
+    return (elements, state["eps_max"].reshape(-1, n_gp, 6)[elements].reshape(-1, 6),
+            d[elements].ravel())
+
+
+def _free_force(system, u_f, f_p, full, damaged, params, hooke):
+    """Internal force on the free DOFs at a frozen constitutive state.
+
+    K_ff u_f + f_p is the elastic force; f_p carries the prescribed DOFs'
+    share (K_fp u_p for the internal force alone, the step's whole support
+    load f_sup in the march).  The `damaged` part of the state (see
+    `_damaged_part`) adds B^T W (sigma - E : eps) of the full displacement
+    `full` over its elements; everywhere else sigma = E : eps and the
+    correction vanishes.
+    """
+    f = system.Kff @ u_f + f_p
+    elements, eps_max, d = damaged
+    if elements.size:
+        eps = strain_at_gauss(system.mesh, full, elements)
+        sig = total_stress(eps, eps_max, d, params, hooke)
+        f += internal_force(system.mesh, sig - hooke.apply(eps), elements)[system.free]
+    return f
+
+
 def newmark_quasi_newton(system, params, load, times, damage=True,
                          tol=1e-4, max_iter=100):
     """March the support-driven problem over uniform time nodes.
@@ -153,8 +193,8 @@ def newmark_quasi_newton(system, params, load, times, damage=True,
     if u_p.shape != (presc.size, n_t):
         raise ValueError("prescribed motion shape mismatch")
 
-    # Elastic support-motion load, largest norm over the run: the residual
-    # tolerance is relative to this reference.
+    # Elastic support-motion load of every step; its largest norm over the
+    # run is the reference of the residual tolerance.
     f_sup = system.Mfp @ a_p + system.Kfp @ u_p
     if damped:
         f_sup += system.Cfp @ v_p
@@ -205,26 +245,23 @@ def newmark_quasi_newton(system, params, load, times, damage=True,
         # way.
         u_trial = u_f.copy()
         full[presc] = u_p[:, k]
+        f_p = f_sup[:, k]
         state_new = state
         spent = 0
         for stagger in range(_MAX_STAGGER + 1):
             # Equilibrium pass at frozen constitutive state `state_new`.
+            damaged = _damaged_part(mesh, state_new)
             r_prev = None
             omega = 1.0
             for it in range(max_iter + 1):
                 a_trial = (u_trial - pred_u) * ca
                 v_trial = pred_v + NEWMARK_GAMMA * dt * a_trial
                 full[free] = u_trial
-                eps_k = strain_at_gauss(mesh, full)
-                if damage:
-                    sig_k = total_stress(eps_k, state_new["eps_max"],
-                                         state_new["d"], params, hooke)
-                else:
-                    sig_k = hooke.apply(eps_k)
-                r = -(system.Mff @ a_trial + system.Mfp @ a_p[:, k]
-                      + internal_force(mesh, sig_k)[free])
+                r = -(system.Mff @ a_trial
+                      + _free_force(system, u_trial, f_p, full, damaged,
+                                    params, hooke))
                 if damped:
-                    r -= system.Cff @ v_trial + system.Cfp @ v_p[:, k]
+                    r -= system.Cff @ v_trial
                 if np.linalg.norm(r) <= tol_abs:
                     break
                 if it == max_iter:
@@ -247,6 +284,7 @@ def newmark_quasi_newton(system, params, load, times, damage=True,
                 r_prev = r
                 u_trial = u_trial + omega * system.solve_free(ca, cc, 1.0, r)
             spent += it
+            eps_k = strain_at_gauss(mesh, full)
             if not damage:
                 break
             advanced = _advance_damage(eps_k, state, dt, params, hooke)
@@ -264,6 +302,8 @@ def newmark_quasi_newton(system, params, load, times, damage=True,
             # tolerance).
             sig_k = total_stress(eps_k, state_new["eps_max"], state_new["d"],
                                  params, hooke)
+        else:
+            sig_k = hooke.apply(eps_k)
         iters[k - 1] = spent
         u_f, v_f, a_f = u_trial, v_trial, a_trial
         state = state_new

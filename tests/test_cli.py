@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import scipy
 
 from latinpgd import cli
 from latinpgd.material import reference_concrete, released_energy
@@ -59,3 +60,11 @@ def test_spent_mode_budget_exits_3_with_outputs(tmp_path):
     assert manifest["converged"] is False and manifest["modes"] == 1
     assert manifest["xi"] > 5e-4
     assert (out / "convergence_log.csv").is_file()
+    # run environment and cost
+    assert isinstance(manifest["threads"], int) and manifest["threads"] >= 1
+    assert manifest["numpy_version"] == np.__version__
+    assert manifest["scipy_version"] == scipy.__version__
+    assert manifest["peak_rss_mb"] > 0.0
+    # the elastic start is part of the run: no longer than the whole log
+    last = (out / "convergence_log.csv").read_text().splitlines()[-1]
+    assert 0.0 < manifest["elastic_seconds"] <= float(last.split(",")[-1]) + 1e-6

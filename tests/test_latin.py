@@ -3,9 +3,14 @@
 import numpy as np
 import pytest
 
-from latinpgd.latin import _st_norm2, latin_error, run_latin
+from latinpgd.latin import _st_norm2, elastic_solution, latin_error, run_latin
+from latinpgd.material import reference_concrete
 from latinpgd.mesh import generate_box_mesh
-from latinpgd.timegrid import TimeGrid
+from latinpgd.newmark import (LoadCase, newmark_quasi_newton,
+                              resample_fields_to_gauss)
+from latinpgd.timegrid import TimeGrid, quad_resample_to_gauss
+
+from test_newmark import desk_system
 
 
 @pytest.fixture(scope="module")
@@ -67,3 +72,27 @@ def test_latin_error_rejects_vanishing_global_fields(setup, vanishing):
 def test_run_latin_rejects_nonpositive_threshold(zeta_stop):
     with pytest.raises(ValueError, match="zeta_stop"):
         run_latin(None, None, None, None, zeta_stop=zeta_stop)
+
+
+def test_elastic_start_is_the_resampled_elastic_march():
+    # Damped desk beam, short window, load far below the damage threshold.
+    system = desk_system()
+    params = reference_concrete()
+    grid = TimeGrid(0.1, 10)
+    load = LoadCase(np.array([2e-3]), np.array([3.0]))
+    el = elastic_solution(system, params, load, grid)
+    res = newmark_quasi_newton(system, params, load,
+                               np.linspace(0.0, grid.T, 2 * grid.n_elements + 1),
+                               damage=False)
+    assert np.array_equal(el["u"], quad_resample_to_gauss(grid, res["u"]))
+    # strain of the resampled displacement == resampled strain of the march
+    eps_ref = resample_fields_to_gauss(grid, res)[0]
+    assert el["eps"].shape == eps_ref.shape
+    np.testing.assert_allclose(el["eps"], eps_ref, rtol=1e-12,
+                               atol=1e-12 * np.abs(eps_ref).max())
+    assert np.array_equal(el["sig"], params.hooke().apply(el["eps"]))
+    # so the local stage returns the elastic stress bit for bit
+    state = run_latin(system, params, load, grid)
+    assert state.converged and state.n_modes == 0 and state.xi == 0.0
+    assert not state.damage.any()
+    assert state.elastic_seconds > 0.0

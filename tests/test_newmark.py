@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from latinpgd import newmark
 from latinpgd.assembly import (SpatialSystem, assemble_mass, assemble_stiffness,
-                               modal_analysis, rayleigh_coeffs)
+                               internal_force, modal_analysis, rayleigh_coeffs,
+                               strain_at_gauss)
 from latinpgd.config import MONO_SINE_AMPLITUDE, preset
 from latinpgd.material import (integrate_delay, reference_concrete,
-                               released_energy, static_damage)
+                               released_energy, static_damage, total_stress)
 from latinpgd.mesh import generate_box_mesh
 from latinpgd.newmark import (LoadCase, compare_error, newmark_quasi_newton,
                               resample_fields_to_gauss)
@@ -225,6 +227,73 @@ class TestDamageCommitment:
         load = LoadCase(np.array([0.02]), np.array([3.0]))
         with pytest.raises(RuntimeError, match="step 4"):
             newmark_quasi_newton(system, PARAMS, load, times, max_iter=4)
+
+
+class TestSplitForce:
+    """The residual's internal force: K u plus a damaged-element correction."""
+
+    @staticmethod
+    def random_state(mesh, rng):
+        """Random strain-scale displacement and a frozen damage state.
+
+        Half of the elements carry damage; inside them d mixes 0 and (0, 1].
+        """
+        full = rng.normal(size=mesh.n_dofs) * 1e-5
+        d = rng.uniform(0.0, 1.0, (mesh.n_elements, mesh.n_gauss_per_element))
+        d[rng.random(d.shape) < 0.5] = 0.0
+        d[rng.permutation(mesh.n_elements)[: mesh.n_elements // 2]] = 0.0
+        d = d.ravel()
+        d[:3] = (1.0, 0.5, 1e-9)           # the ends of (0, 1] and a tiny value
+        eps_max = rng.normal(size=(mesh.n_gauss, 6)) * 1e-4
+        eps_max[:, :3] = np.abs(eps_max[:, :3])      # tr(eps_max) > 0: a history
+        eps_max[1] = 0.0                             # damaged, no tension history
+        return full, {"d": d, "eps_max": eps_max}
+
+    def test_equals_integrated_total_stress(self):
+        system = build_system(generate_box_mesh(2.0, 0.5, 0.5, 4, 2, 2))
+        mesh, free, presc = system.mesh, system.free, system.prescribed
+        full, state = self.random_state(mesh, np.random.default_rng(11))
+        damaged = newmark._damaged_part(mesh, state)
+        assert 0 < damaged[0].size < mesh.n_elements
+        f = newmark._free_force(system, full[free], system.Kfp @ full[presc],
+                                full, damaged, PARAMS, HOOKE)
+        sig = total_stress(strain_at_gauss(mesh, full), state["eps_max"],
+                           state["d"], PARAMS, HOOKE)
+        ref = internal_force(mesh, sig)[free]
+        np.testing.assert_allclose(f, ref, rtol=1e-12,
+                                   atol=1e-12 * np.abs(ref).max())
+
+    def test_is_bitwise_stiffness_product_without_damage(self):
+        system = build_system(generate_box_mesh(2.0, 0.5, 0.5, 4, 2, 2))
+        mesh, free, presc = system.mesh, system.free, system.prescribed
+        full, state = self.random_state(mesh, np.random.default_rng(12))
+        state["d"][:] = 0.0
+        damaged = newmark._damaged_part(mesh, state)
+        assert damaged[0].size == 0
+        f_p = system.Kfp @ full[presc]
+        f = newmark._free_force(system, full[free], f_p, full, damaged,
+                                PARAMS, HOOKE)
+        assert np.array_equal(f, system.Kff @ full[free] + f_p)
+
+    def test_undamaged_marches_integrate_no_full_mesh_force(self, monkeypatch):
+        # The elastic part of the residual comes from K; at the Gauss points
+        # only damaged elements are integrated.  An elastic march and a
+        # sub-threshold damaging one must never integrate the whole mesh.
+        original = newmark.internal_force
+
+        def subset_only(mesh, sig, elements=None):
+            if elements is None:
+                raise AssertionError("full-mesh internal force in the march")
+            return original(mesh, sig, elements)
+
+        monkeypatch.setattr(newmark, "internal_force", subset_only)
+        system = cube_system()
+        times = np.linspace(0.0, 0.01, 41)
+        load = LoadCase(np.array([1e-7]), np.array([100.0]))
+        off = newmark_quasi_newton(system, PARAMS, load, times, damage=False)
+        on = newmark_quasi_newton(system, PARAMS, load, times, damage=True)
+        assert on["d"].max() == 0.0
+        assert np.array_equal(on["u"], off["u"])
 
 
 class TestValidation:
