@@ -7,8 +7,7 @@ exact quadrature adjoint of strain_at_gauss and
 
 holds to round-off.  The Newmark march relies on this identity: it takes the
 elastic part of every internal force from the assembled K and integrates at
-Gauss points only the damage correction sigma - E : eps, on the elements
-where it is nonzero (the `elements` argument of both operators).
+Gauss points only the damage correction sigma - E : eps.
 """
 
 import numpy as np
@@ -66,51 +65,37 @@ def assemble_stiffness(mesh, hooke):
     return _scatter(mesh, ke)
 
 
-def _element_subset(mesh, elements):
-    """(B, gp_weights, edofs) of all elements, or of the listed ones.
-
-    B is flattened per element to (n_el, n_gauss_per_element * 6, 24), so
-    both operators below are one batched matrix product.
-    """
-    B = mesh.B.reshape(mesh.n_elements, -1, 24)
-    if elements is None:
-        return B, mesh.gp_weights, mesh.edofs
-    return B[elements], mesh.gp_weights[elements], mesh.edofs[elements]
-
-
-def strain_at_gauss(mesh, u, elements=None):
+def strain_at_gauss(mesh, u):
     """Engineering-strain Voigt samples of a nodal field or history.
 
     u (n_dofs,) gives (n_gauss, 6); a history u (n_dofs, n_t) gives
-    (n_gauss, n_t, 6).  With `elements`, only the Gauss points of those
-    elements are sampled, element by element as in the full field.
+    (n_gauss, n_t, 6).
     """
     u = np.asarray(u, dtype=float)
     if u.ndim not in (1, 2) or u.shape[0] != mesh.n_dofs:
         raise ValueError("u has shape %s, expected (%d,) or (%d, n_t)"
                          % (u.shape, mesh.n_dofs, mesh.n_dofs))
-    B, _, edofs = _element_subset(mesh, elements)
-    ue = u[edofs].reshape(edofs.shape[0], 24, -1)        # (e, 24, n_t)
+    B = mesh.B.reshape(mesh.n_elements, -1, 24)          # (e, gp * 6, 24)
+    ue = u[mesh.edofs].reshape(mesh.n_elements, 24, -1)  # (e, 24, n_t)
     eps = (B @ ue).reshape(-1, 6, ue.shape[-1])          # (points, 6, n_t)
     if u.ndim == 1:
         return eps[:, :, 0]
     return np.ascontiguousarray(eps.transpose(0, 2, 1))
 
 
-def internal_force(mesh, sig, elements=None):
+def internal_force(mesh, sig):
     """Nodal force vector (N) equivalent to a stress-Voigt field (n_gauss, 6).
 
     Quadrature adjoint of strain_at_gauss: f . u = int sig : eps(u) for all u.
-    With `elements`, sig holds the Gauss points of those elements only
-    (element by element) and the integral runs over them alone.
     """
     sig = np.asarray(sig, dtype=float)
-    B, w, edofs = _element_subset(mesh, elements)
+    w = mesh.gp_weights
     if sig.shape != (w.size, 6):
         raise ValueError("sig has shape %s, expected (%d, 6)" % (sig.shape, w.size))
+    B = mesh.B.reshape(mesh.n_elements, -1, 24)
     sw = sig.reshape(w.shape + (6,)) * w[:, :, None]
     fe = sw.reshape(w.shape[0], 1, -1) @ B               # (e, 1, 24)
-    return np.bincount(edofs.ravel(), fe.ravel(), minlength=mesh.n_dofs)
+    return np.bincount(mesh.edofs.ravel(), fe.ravel(), minlength=mesh.n_dofs)
 
 
 _DENSE_EIG_LIMIT = 5000

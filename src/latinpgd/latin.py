@@ -10,9 +10,11 @@ two stages,
 
     xi = sqrt(|sig - sig_hat|^2 / |sig|^2 + |eps - eps_hat|^2 / |eps|^2),
 
-with unweighted space-time L2 norms, measures how far the global iterate
-sits from the constitutive manifold; the loop stops when xi falls below the
-requested threshold or the mode budget runs out.
+with space-time L2 norms, measures how far the global iterate sits from
+the constitutive manifold; the loop stops when xi falls below the requested
+threshold or the mode budget runs out.  The local stage takes eps_hat = eps,
+so the strain gap is zero when it has just run and is the new mode's
+eps_bar lam after an enrichment; neither is ever formed as a field.
 
 The nonhomogeneous support motion is carried entirely by the elastic
 solution; every correction is kinematically admissible to zero, so the
@@ -27,7 +29,7 @@ from .assembly import strain_at_gauss
 from .material import local_stage
 from .newmark import newmark_quasi_newton
 from .pgd import (PgdSolution, compute_delta, cre_functional, enrich,
-                  relax_mode)
+                  relax_mode, strain_norm)
 from .timegrid import quad_resample_to_gauss
 
 RELAXATION = 0.4
@@ -71,35 +73,43 @@ def _st_norm2(mesh, grid, field, flavor):
     return float(mesh.gp_weights.ravel() @ sq @ grid.all_gauss_weights)
 
 
-def latin_error(sig, sig_hat, eps, eps_hat, mesh, grid):
+def latin_error(sig, sig_hat, eps, mesh, grid, mode=None):
     """Manifold distance xi of the global fields from the local-stage pair.
 
-    Both gaps are normalized by the global-field norms; a vanishing global
-    stress or strain signals a degenerate (all-zero) solution and is
-    rejected rather than silently returning inf.
+    The local stage takes eps_hat = eps, so the strain gap is exactly zero
+    for the fields the local stage ran on (mode None).  After `mode` has been
+    added to them, the gap is that mode's eps_bar lam, whose squared norm
+    separates as |eps_bar|^2_Omega <lam, lam>_I (same contraction and
+    weights as the dense norm).  Both gaps are normalized by the
+    global-field norms; a vanishing global stress or strain signals a
+    degenerate (all-zero) solution and is rejected rather than silently
+    returning inf.
     """
     den_s = _st_norm2(mesh, grid, sig, "stress")
     den_e = _st_norm2(mesh, grid, eps, "strain")
     if den_s <= 0.0 or den_e <= 0.0:
         raise ValueError("global solution vanishes; manifold distance undefined")
     num_s = _st_norm2(mesh, grid, sig - sig_hat, "stress")
-    num_e = _st_norm2(mesh, grid, eps - eps_hat, "strain")
+    num_e = 0.0
+    if mode is not None:
+        lv = mode.lam.values_at_gauss()
+        num_e = strain_norm(mode.eps_bar, mesh) ** 2 * grid.inner(lv, lv)
     return float(np.sqrt(num_s / den_s + num_e / den_e))
 
 
 class LatinState:
     """Driver state: global solution, last local fields, error and log.
 
-    log rows are dicts with keys iteration, modes, xi, cre, seconds (since
-    the start of the run); enrich_log keeps each enrichment's c_c /
-    stagnation history; elastic_seconds is the time the elastic start took.
+    hat is the last local stage's result (keys sig, d, dbar, Z); log rows
+    are dicts with keys iteration, modes, xi, cre, seconds (since the start
+    of the run); enrich_log keeps each enrichment's c_c / stagnation
+    history; elastic_seconds is the time the elastic start took.
     """
 
     def __init__(self, solution, elastic_seconds):
         self.solution = solution
         self.elastic_seconds = elastic_seconds
         self.hat = None
-        self.delta = None
         self.xi = np.inf
         self.log = []
         self.enrich_log = []
@@ -123,7 +133,7 @@ class LatinState:
 
 
 def run_latin(system, params, load, grid, zeta_stop=5e-4, max_modes=150,
-              omega=RELAXATION, seed=0, enrich_zeta=1e-2, enrich_max_iter=5):
+              omega=RELAXATION, seed=0, enrich_zeta=1e-2):
     """Alternate local and global stages from the elastic initialization.
 
     zeta_stop : manifold-distance threshold (fraction; 5e-4 is 0.05%).
@@ -148,36 +158,35 @@ def run_latin(system, params, load, grid, zeta_stop=5e-4, max_modes=150,
     state = LatinState(solution, time.perf_counter() - t0)
 
     n_t = grid.n_gauss
-    prev = {"Z": np.zeros((mesh.n_gauss, n_t)), "z": np.zeros((mesh.n_gauss, n_t))}
+    local = {"Z": np.zeros((mesh.n_gauss, n_t)),
+             "dbar": np.zeros((mesh.n_gauss, n_t))}
 
     while True:
         state.iteration += 1
         _, eps, sig = solution.fields()
-        local = local_stage(eps, prev["Z"], prev["z"], grid.all_gauss_times,
+        local = local_stage(eps, local["Z"], local["dbar"], grid.all_gauss_times,
                             params, hooke)
         state.hat = local
-        prev = {"Z": local["Z"], "z": local["z"]}
 
         # Distance of the current global iterate from the manifold.  When it
         # is already below the threshold (elastic loads: the constitutive
         # relation returns the elastic stress bit-for-bit and the distance is
-        # exactly zero) the iteration ends without spending a mode.
-        xi = latin_error(sig, local["sig"], eps, local["eps"], mesh, grid)
+        # exactly zero) the iteration ends without spending a mode.  xi = 0
+        # only when sig equals sig_hat, so the gap is not formed then.
+        xi = latin_error(sig, local["sig"], eps, mesh, grid)
+        delta = None if xi == 0.0 else compute_delta(sig, local["sig"])
         if xi <= zeta_stop:
             state.xi = xi
             state.converged = True
             wall = time.perf_counter() - t0
             state.log.append({"iteration": state.iteration,
                               "modes": solution.n_modes, "xi": xi,
-                              "cre": 0.0 if state.delta is None else
-                              cre_functional(state.delta, mesh, grid, hooke),
+                              "cre": 0.0 if delta is None else
+                              cre_functional(delta, mesh, grid, hooke),
                               "seconds": wall})
             return state
 
-        delta = compute_delta(sig, local["sig"])
-        state.delta = delta
-        mode, info = enrich(delta, system, grid, hooke, rng,
-                            zeta_stop=enrich_zeta, max_iter=enrich_max_iter)
+        mode, info = enrich(delta, system, grid, hooke, rng, zeta_stop=enrich_zeta)
         state.enrich_log.append(info)
         if mode is None:
             # Delta vanished identically although xi > threshold: strain and
@@ -187,7 +196,7 @@ def run_latin(system, params, load, grid, zeta_stop=5e-4, max_modes=150,
         solution.add_mode(relax_mode(mode, omega))
 
         _, eps, sig = solution.fields()
-        xi = latin_error(sig, local["sig"], eps, local["eps"], mesh, grid)
+        xi = latin_error(sig, local["sig"], eps, mesh, grid, mode=solution.modes[-1])
         state.xi = xi
         wall = time.perf_counter() - t0
         state.log.append({"iteration": state.iteration,

@@ -238,7 +238,7 @@ def tension_peak_history(eps_v):
     return eps_max, np.take_along_axis(tr, idx, axis=-1)
 
 
-def local_stage(eps, Z_prev, z_prev, times, params, hooke):
+def local_stage(eps, Z_prev, dbar_prev, times, params, hooke):
     """Nonlinear update stage: constitutive relations at every Gauss point.
 
     All fields live on the (spatial Gauss x temporal Gauss) grid: eps has
@@ -252,11 +252,12 @@ def local_stage(eps, Z_prev, z_prev, times, params, hooke):
     damage is nonzero somewhere: d stays exactly 0 on every other row, so
     the stress there is E:eps and never reads the peak.
 
-    Z_prev, z_prev : dual softening pair of the previous update (Z_prev >= 0).
+    Z_prev, dbar_prev : dual softening Z and target damage d_bar of the
+        previous update (Z_prev >= 0); the softening variable is z = -d_bar.
 
-    Returns a dict with keys eps, sig, d, Y, z, Z, dbar.  Y is
-    max(Y, Y0): the law reads the released energy only through d_bar(Y),
-    zero at and below Y0, and through f, which cannot be positive there.
+    Returns a dict with exactly the keys its callers read: sig, d, dbar and
+    Z.  The local strain is the input strain itself and is not echoed; the
+    released energy is available from `released_energy(eps, hooke, Y0)`.
     """
     eps = np.asarray(eps, dtype=float)
     if not np.all(np.isfinite(eps)):
@@ -267,9 +268,8 @@ def local_stage(eps, Z_prev, z_prev, times, params, hooke):
     damaging = f_c > 0.0
 
     dbar = np.where(damaging, static_damage(Y, params),
-                    -np.asarray(z_prev, dtype=float))
-    z = -dbar
-    Z = np.where(damaging, dual_softening(z, params), Z_prev)
+                    np.asarray(dbar_prev, dtype=float))
+    Z = np.where(damaging, dual_softening(-dbar, params), Z_prev)
 
     d = np.zeros_like(dbar)
     eps_max = np.zeros(eps.shape)   # read by total_stress only where d != 0
@@ -277,12 +277,8 @@ def local_stage(eps, Z_prev, z_prev, times, params, hooke):
     if np.any(active):
         d[active] = integrate_delay(times, dbar[active], 0.0, params)
         eps_max[active] = tension_peak_history(eps[active])[0]
-    sig = total_stress(eps, eps_max, d, params, hooke)
-    # The strain echo is a copy: the caller may keep mutating the input
-    # array (incremental reconstruction caches do), and the returned dict
-    # must stay a consistent snapshot of this update.
-    return {"eps": eps.copy(), "sig": sig, "d": d, "Y": Y, "z": z, "Z": Z,
-            "dbar": dbar}
+    return {"sig": total_stress(eps, eps_max, d, params, hooke), "d": d,
+            "dbar": dbar, "Z": Z}
 
 
 def matpoint_drive(times, eps_x, params):

@@ -17,10 +17,11 @@ few extra iterations on strongly damaging steps.
 The residual takes the elastic internal force from the assembled stiffness:
 on the free DOFs it is K_ff u_f plus the step's column of f_sup (built once
 for the whole run), plus the damage correction B^T W (sigma - E : eps)
-integrated over the damaged elements only.  At an undamaged point
-sigma = E : eps exactly, so an undamaged pass integrates nothing at the
-Gauss points inside its loop; its strain is sampled once, after the loop,
-for the damage update and the stored history.
+integrated over the whole mesh once any point is damaged.  At an undamaged
+point sigma = E : eps exactly, so the correction is zero there, and a pass
+at a state without damage integrates nothing at the Gauss points inside
+its loop; its strain is sampled once, after the loop, for the damage update
+and the stored history.
 
 Equilibrium and damage are coupled with a staggered loop.  Within an
 equilibrium pass the constitutive state is frozen, so the pass solves a
@@ -120,35 +121,21 @@ def _advance_damage(eps_k, state, dt, params, hooke):
             "tr_max": np.where(grow, tr, state["tr_max"])}
 
 
-def _damaged_part(mesh, state):
-    """(elements, eps_max, d) of the elements with a damaged Gauss point.
-
-    The tension peaks and damage are those of the elements' Gauss points,
-    element by element as `strain_at_gauss(..., elements)` samples them.
-    """
-    n_gp = mesh.n_gauss_per_element
-    d = state["d"].reshape(-1, n_gp)
-    elements = np.flatnonzero(d.any(axis=1))
-    return (elements, state["eps_max"].reshape(-1, n_gp, 6)[elements].reshape(-1, 6),
-            d[elements].ravel())
-
-
-def _free_force(system, u_f, f_p, full, damaged, params, hooke):
+def _free_force(system, u_f, f_p, full, state, params, hooke):
     """Internal force on the free DOFs at a frozen constitutive state.
 
     K_ff u_f + f_p is the elastic force; f_p carries the prescribed DOFs'
     share (K_fp u_p for the internal force alone, the step's whole support
-    load f_sup in the march).  The `damaged` part of the state (see
-    `_damaged_part`) adds B^T W (sigma - E : eps) of the full displacement
-    `full` over its elements; everywhere else sigma = E : eps and the
-    correction vanishes.
+    load f_sup in the march).  When any point of `state` is damaged, the
+    correction B^T W (sigma - E : eps) of the full displacement `full` is
+    integrated over the whole mesh; it is exactly zero at the undamaged
+    points, and without damage it is skipped altogether.
     """
     f = system.Kff @ u_f + f_p
-    elements, eps_max, d = damaged
-    if elements.size:
-        eps = strain_at_gauss(system.mesh, full, elements)
-        sig = total_stress(eps, eps_max, d, params, hooke)
-        f += internal_force(system.mesh, sig - hooke.apply(eps), elements)[system.free]
+    if state["d"].any():
+        eps = strain_at_gauss(system.mesh, full)
+        sig = total_stress(eps, state["eps_max"], state["d"], params, hooke)
+        f += internal_force(system.mesh, sig - hooke.apply(eps))[system.free]
     return f
 
 
@@ -250,7 +237,6 @@ def newmark_quasi_newton(system, params, load, times, damage=True,
         spent = 0
         for stagger in range(_MAX_STAGGER + 1):
             # Equilibrium pass at frozen constitutive state `state_new`.
-            damaged = _damaged_part(mesh, state_new)
             r_prev = None
             omega = 1.0
             for it in range(max_iter + 1):
@@ -258,7 +244,7 @@ def newmark_quasi_newton(system, params, load, times, damage=True,
                 v_trial = pred_v + NEWMARK_GAMMA * dt * a_trial
                 full[free] = u_trial
                 r = -(system.Mff @ a_trial
-                      + _free_force(system, u_trial, f_p, full, damaged,
+                      + _free_force(system, u_trial, f_p, full, state_new,
                                     params, hooke))
                 if damped:
                     r -= system.Cff @ v_trial
@@ -296,14 +282,11 @@ def newmark_quasi_newton(system, params, load, times, damage=True,
                     "damage staggering failed to settle at step %d (t = %g)"
                     % (k, times[k]))
             state_new = advanced
-        if damage:
-            # Keep the stored stress consistent with the committed state (it
-            # can differ from the last pass state by up to the stagger
-            # tolerance).
-            sig_k = total_stress(eps_k, state_new["eps_max"], state_new["d"],
-                                 params, hooke)
-        else:
-            sig_k = hooke.apply(eps_k)
+        # Keep the stored stress consistent with the committed state (it can
+        # differ from the last pass state by up to the stagger tolerance);
+        # without damage this is E : eps itself.
+        sig_k = total_stress(eps_k, state_new["eps_max"], state_new["d"],
+                             params, hooke)
         iters[k - 1] = spent
         u_f, v_f, a_f = u_trial, v_trial, a_trial
         state = state_new

@@ -22,7 +22,10 @@ iterations; the mode is normalized so the spatial strain has unit L2(Omega)
 norm.  A relaxation factor scales the new mode's time functions only.
 
 Space-time fields are arrays of shape (n_space_gauss, n_time_gauss, 6); all
-integrals use the mesh and time-grid quadrature weights.  The quality measure
+integrals use the mesh and time-grid quadrature weights.  Each field exists
+once: `PgdSolution` takes the elastic arrays it is given as its running
+reconstruction and adds every mode into them in place, so the elastic start
+itself is not kept apart from the sum.  The quality measure
 is the constitutive-gap functional
 
     J = int_I int_Omega (Delta + sig_bar mu - E:eps_bar lam) : E^-1 : (...) dOmega dt
@@ -261,20 +264,19 @@ def relax_mode(mode, omega):
 class PgdSolution:
     """Elastic fields plus the ordered mode list, with running reconstruction.
 
-    The reconstruction cache (u, eps, sig on the full space-time Gauss grid)
-    is updated incrementally when a mode is added; `fields` returns the
-    cached arrays, which callers must treat as read-only.
+    The solution takes ownership of the elastic arrays u_el, eps_el and
+    sig_el: they become the running reconstruction (u, eps, sig on the full
+    space-time Gauss grid), and `add_mode` adds each mode into them in place.
+    A caller that still needs the elastic fields must pass copies.  `fields`
+    returns the running arrays, which callers must treat as read-only.
     """
 
     def __init__(self, grid, u_el, eps_el, sig_el):
         self.grid = grid
-        self.u_el = u_el
-        self.eps_el = eps_el
-        self.sig_el = sig_el
         self.modes = []
-        self._u = u_el.copy()
-        self._eps = eps_el.copy()
-        self._sig = sig_el.copy()
+        self._u = u_el
+        self._eps = eps_el
+        self._sig = sig_el
 
     @property
     def n_modes(self):

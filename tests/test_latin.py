@@ -1,14 +1,19 @@
-"""LATIN driver checks: manifold distance, its norms, and argument validation."""
+"""LATIN driver checks: manifold distance, its norms, the logged CRE, the
+fields the state holds, and argument validation."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from latinpgd import cli, config
 from latinpgd.latin import _st_norm2, elastic_solution, latin_error, run_latin
 from latinpgd.material import reference_concrete
 from latinpgd.mesh import generate_box_mesh
 from latinpgd.newmark import (LoadCase, newmark_quasi_newton,
                               resample_fields_to_gauss)
-from latinpgd.timegrid import TimeGrid, quad_resample_to_gauss
+from latinpgd.pgd import PgdMode, compute_delta, cre_functional
+from latinpgd.timegrid import TimeFunction, TimeGrid, quad_resample_to_gauss
 
 from test_newmark import desk_system
 
@@ -45,17 +50,56 @@ def test_st_norm2_rejects_unknown_flavor(setup):
         _st_norm2(mesh, grid, random_field(setup, 0), "displacement")
 
 
+def random_mode(setup, seed):
+    """A mode with a random spatial strain and time function (lam = mu)."""
+    mesh, grid = setup
+    rng = np.random.default_rng(seed)
+    eps_bar = rng.normal(size=(mesh.n_gauss, 6))
+    lam = TimeFunction(grid, rng.normal(size=(grid.n_elements, 4)))
+    return PgdMode(np.zeros(mesh.n_dofs), eps_bar, np.zeros_like(eps_bar), lam, lam)
+
+
+def mode_field(mode):
+    """Dense space-time strain eps_bar lam of a mode (n_gauss, n_t, 6)."""
+    return mode.eps_bar[:, None, :] * mode.lam.values_at_gauss()[None, :, None]
+
+
+def dense_xi(mesh, grid, sig, sig_hat, eps, eps_hat):
+    """The two-field manifold distance with both gaps formed as fields."""
+    num_s = _st_norm2(mesh, grid, sig - sig_hat, "stress")
+    num_e = _st_norm2(mesh, grid, eps - eps_hat, "strain")
+    return np.sqrt(num_s / _st_norm2(mesh, grid, sig, "stress")
+                   + num_e / _st_norm2(mesh, grid, eps, "strain"))
+
+
 def test_latin_error_is_zero_for_identical_pairs(setup):
     mesh, grid = setup
     sig, eps = random_field(setup, 1), random_field(setup, 2)
-    assert latin_error(sig, sig.copy(), eps, eps.copy(), mesh, grid) == 0.0
+    assert latin_error(sig, sig.copy(), eps, mesh, grid) == 0.0
 
 
 def test_latin_error_adds_relative_gaps_in_quadrature(setup):
     mesh, grid = setup
-    sig, eps = random_field(setup, 3), random_field(setup, 4)
-    xi = latin_error(sig, 0.9 * sig, eps, 1.2 * eps, mesh, grid)
+    sig = random_field(setup, 3)
+    mode = random_mode(setup, 4)
+    eps = 5.0 * mode_field(mode)     # the mode is a fifth of the strain
+    xi = latin_error(sig, 0.9 * sig, eps, mesh, grid, mode=mode)
     assert xi == pytest.approx(np.hypot(0.1, 0.2), rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", [7, 8, 9])
+def test_latin_error_with_mode_matches_dense_two_field_formula(setup, seed):
+    # The local stage ran on eps_hat; eps is eps_hat plus the new mode.
+    mesh, grid = setup
+    sig, sig_hat = random_field(setup, seed), random_field(setup, seed + 10)
+    eps_hat = random_field(setup, seed + 20)
+    mode = random_mode(setup, seed + 30)
+    eps = eps_hat + mode_field(mode)
+    xi = latin_error(sig, sig_hat, eps, mesh, grid, mode=mode)
+    assert xi == pytest.approx(dense_xi(mesh, grid, sig, sig_hat, eps, eps_hat),
+                               rel=1e-12, abs=0.0)
+    assert latin_error(sig, sig_hat, eps_hat, mesh, grid) == pytest.approx(
+        dense_xi(mesh, grid, sig, sig_hat, eps_hat, eps_hat), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("vanishing", ["sig", "eps"])
@@ -65,7 +109,49 @@ def test_latin_error_rejects_vanishing_global_fields(setup, vanishing):
     fields[vanishing] = np.zeros_like(fields[vanishing])
     sig, eps = fields["sig"], fields["eps"]
     with pytest.raises(ValueError, match="vanishes"):
-        latin_error(sig, sig + 1.0, eps, eps + 1.0, mesh, grid)
+        latin_error(sig, sig + 1.0, eps, mesh, grid)
+    with pytest.raises(ValueError, match="vanishes"):
+        latin_error(sig, sig + 1.0, eps, mesh, grid, mode=random_mode(setup, 6))
+
+
+@pytest.fixture(scope="module")
+def damaging_run():
+    """mono_sine on a 4x2x2 mesh over 0.5 s with N_T = 10, seed 0.
+
+    At this threshold the run converges at the start of its second
+    iteration, after a local stage and before any enrichment.
+    """
+    conf = config.preset("mono_sine")
+    conf = replace(conf, mesh=replace(conf.mesh, nx=4, ny=2, nz=2),
+                   load=replace(conf.load, T=0.5),
+                   solver=replace(conf.solver, N_T=10))
+    mesh, params, system, load = cli._build_problem(conf)
+    grid = conf.solver.build_grid(conf.load.T)
+    state = run_latin(system, params, load, grid, zeta_stop=0.2748,
+                      omega=conf.solver.omega, seed=0,
+                      enrich_zeta=conf.solver.zeta_stop)
+    return mesh, grid, params, state
+
+
+def test_converged_row_logs_the_cre_of_the_current_gap(damaging_run):
+    mesh, grid, params, state = damaging_run
+    assert state.converged and state.damage.max() > 0.1
+    assert [row["modes"] for row in state.log] == [1, 1]
+    _, _, sig = state.solution.fields()
+    cre = cre_functional(compute_delta(sig, state.hat["sig"]), mesh, grid,
+                         params.hooke())
+    assert state.log[-1]["cre"] == pytest.approx(cre, rel=1e-12)
+
+
+def test_state_holds_each_space_time_field_once(damaging_run):
+    mesh, grid, _, state = damaging_run
+    n_t = grid.n_gauss
+    scalar = mesh.n_gauss * n_t * 8
+    # u + eps + sig + sig_hat + d + dbar + Z
+    budget = mesh.n_dofs * n_t * 8 + 3 * 6 * scalar + 3 * scalar
+    held = [v for v in vars(state.solution).values() if isinstance(v, np.ndarray)]
+    held += [v for v in state.hat.values() if isinstance(v, np.ndarray)]
+    assert sum(a.nbytes for a in held) <= budget
 
 
 @pytest.mark.parametrize("zeta_stop", [0.0, -1e-3])

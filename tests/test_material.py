@@ -189,12 +189,11 @@ class TestLocalStage:
     def test_below_threshold_keeps_previous_variables(self):
         t = self.grid(10)
         eps = np.zeros((1, 10, 6))
-        z_prev = np.full((1, 10), -0.3)
+        dbar_prev = np.full((1, 10), 0.3)
         Z_prev = np.full((1, 10), 5e3)  # large enough that f < 0 everywhere
-        out = local_stage(eps, Z_prev, z_prev, t, P, HOOKE)
-        assert np.array_equal(out["z"], z_prev)
+        out = local_stage(eps, Z_prev, dbar_prev, t, P, HOOKE)
+        assert np.array_equal(out["dbar"], dbar_prev)
         assert np.array_equal(out["Z"], Z_prev)
-        assert np.allclose(out["dbar"], 0.3)
 
     def test_consistency_at_damaging_instants(self):
         t = self.grid()
@@ -202,9 +201,10 @@ class TestLocalStage:
         eps = rng.normal(size=(4, t.size, 6)) * 3e-4
         zero = np.zeros((4, t.size))
         out = local_stage(eps, zero, zero, t, P, HOOKE)
-        damaging = out["Y"] > P.Y0
-        f = out["Y"] - (P.Y0 + out["Z"])
-        assert np.abs(f[damaging]).max() <= 1e-9 * out["Y"].max()
+        Y = released_energy(eps, HOOKE, P.Y0)
+        damaging = Y > P.Y0
+        f = Y - (P.Y0 + out["Z"])
+        assert np.abs(f[damaging]).max() <= 1e-9 * Y.max()
 
     def test_monotone_ramp_damage_below_static(self):
         t = self.grid(120, 2.0)
@@ -214,7 +214,8 @@ class TestLocalStage:
         out = local_stage(eps, zero, zero, t, P, HOOKE)
         d = out["d"][0]
         assert np.all(np.diff(d) >= 0.0)
-        assert np.all(d <= static_damage(out["Y"][0], P) + 1e-12)
+        Y = released_energy(eps[0], HOOKE, P.Y0)
+        assert np.all(d <= static_damage(Y, P) + 1e-12)
 
     def test_point_order_invariance(self):
         t = self.grid()
@@ -371,20 +372,19 @@ class TestScreens:
                              rng.uniform(0.05, 0.6, (n_sp, t.size)), 0.0)
         dbar_prev[:2] = 0.0                      # two rows stay virgin
         dbar_prev[3] *= 0.05                     # one carries a small old damage
-        z_prev = -dbar_prev
-        Z_prev = dual_softening(z_prev, P)
-        out = local_stage(eps, Z_prev, z_prev, t, P, HOOKE)
+        Z_prev = dual_softening(-dbar_prev, P)
+        out = local_stage(eps, Z_prev, dbar_prev, t, P, HOOKE)
+        assert sorted(out) == ["Z", "d", "dbar", "sig"]
 
         Y = released_energy(eps, HOOKE)
         assert np.any(Y > P.Y0 + Z_prev) and np.any((Y > P.Y0) & (Y <= P.Y0 + Z_prev))
         assert np.all(Y[:2] <= P.Y0)
         damaging = Y - (P.Y0 + Z_prev) > 0.0
-        dbar = np.where(damaging, static_damage(Y, P), -z_prev)
-        z = -dbar
-        Z = np.where(damaging, dual_softening(z, P), Z_prev)
+        dbar = np.where(damaging, static_damage(Y, P), dbar_prev)
+        Z = np.where(damaging, dual_softening(-dbar, P), Z_prev)
         d = integrate_delay(t, dbar, 0.0, P)
         eps_max, _ = tension_peak_history(eps)
-        want = {"Y": np.maximum(Y, P.Y0), "dbar": dbar, "z": z, "Z": Z, "d": d,
+        want = {"dbar": dbar, "Z": Z, "d": d,
                 "sig": unscreened_stress(eps, eps_max, d)}
         for key, value in want.items():
             assert_bitwise(out[key], value)

@@ -253,10 +253,10 @@ class TestSplitForce:
         system = build_system(generate_box_mesh(2.0, 0.5, 0.5, 4, 2, 2))
         mesh, free, presc = system.mesh, system.free, system.prescribed
         full, state = self.random_state(mesh, np.random.default_rng(11))
-        damaged = newmark._damaged_part(mesh, state)
-        assert 0 < damaged[0].size < mesh.n_elements
+        damaged = state["d"].reshape(mesh.n_elements, -1).any(axis=1)
+        assert 0 < damaged.sum() < mesh.n_elements
         f = newmark._free_force(system, full[free], system.Kfp @ full[presc],
-                                full, damaged, PARAMS, HOOKE)
+                                full, state, PARAMS, HOOKE)
         sig = total_stress(strain_at_gauss(mesh, full), state["eps_max"],
                            state["d"], PARAMS, HOOKE)
         ref = internal_force(mesh, sig)[free]
@@ -268,25 +268,19 @@ class TestSplitForce:
         mesh, free, presc = system.mesh, system.free, system.prescribed
         full, state = self.random_state(mesh, np.random.default_rng(12))
         state["d"][:] = 0.0
-        damaged = newmark._damaged_part(mesh, state)
-        assert damaged[0].size == 0
         f_p = system.Kfp @ full[presc]
-        f = newmark._free_force(system, full[free], f_p, full, damaged,
+        f = newmark._free_force(system, full[free], f_p, full, state,
                                 PARAMS, HOOKE)
         assert np.array_equal(f, system.Kff @ full[free] + f_p)
 
     def test_undamaged_marches_integrate_no_full_mesh_force(self, monkeypatch):
-        # The elastic part of the residual comes from K; at the Gauss points
-        # only damaged elements are integrated.  An elastic march and a
-        # sub-threshold damaging one must never integrate the whole mesh.
-        original = newmark.internal_force
+        # The elastic part of the residual comes from K; the Gauss points are
+        # integrated only once a point is damaged.  An elastic march and a
+        # sub-threshold damaging one must never integrate an internal force.
+        def no_force(mesh, sig):
+            raise AssertionError("internal force integrated in an undamaged march")
 
-        def subset_only(mesh, sig, elements=None):
-            if elements is None:
-                raise AssertionError("full-mesh internal force in the march")
-            return original(mesh, sig, elements)
-
-        monkeypatch.setattr(newmark, "internal_force", subset_only)
+        monkeypatch.setattr(newmark, "internal_force", no_force)
         system = cube_system()
         times = np.linspace(0.0, 0.01, 41)
         load = LoadCase(np.array([1e-7]), np.array([100.0]))

@@ -409,14 +409,15 @@ class TestRelaxMode:
         # adding the relaxed mode equals blending the two reconstructions
         mesh, system, grid = setup
         rng = np.random.default_rng(21)
-        base = PgdSolution(grid,
-                           rng.normal(size=(mesh.n_dofs, grid.n_gauss)),
-                           rng.normal(size=(mesh.n_gauss, grid.n_gauss, 6)),
-                           rng.normal(size=(mesh.n_gauss, grid.n_gauss, 6)))
+        elastic = (rng.normal(size=(mesh.n_dofs, grid.n_gauss)),
+                   rng.normal(size=(mesh.n_gauss, grid.n_gauss, 6)),
+                   rng.normal(size=(mesh.n_gauss, grid.n_gauss, 6)))
+        base = PgdSolution(grid, *elastic)
         mode = self.make_mode(setup)
-        with_full = PgdSolution(grid, base.u_el, base.eps_el, base.sig_el)
+        # each solution owns its arrays, so the other two get copies
+        with_full = PgdSolution(grid, *(f.copy() for f in elastic))
         with_full.add_mode(mode)
-        blended = PgdSolution(grid, base.u_el, base.eps_el, base.sig_el)
+        blended = PgdSolution(grid, *(f.copy() for f in elastic))
         blended.add_mode(relax_mode(mode, 0.4))
         for got, prev, full in zip(blended.fields(), base.fields(),
                                    with_full.fields()):
@@ -430,23 +431,29 @@ class TestRelaxMode:
 
 class TestSolutionReconstruct:
     def elastic(self, setup, seed=30):
+        """Random elastic fields (u, eps, sig) and a solution owning copies."""
         mesh, system, grid = setup
         rng = np.random.default_rng(seed)
-        return PgdSolution(grid,
-                           rng.normal(size=(mesh.n_dofs, grid.n_gauss)),
-                           rng.normal(size=(mesh.n_gauss, grid.n_gauss, 6)),
-                           rng.normal(size=(mesh.n_gauss, grid.n_gauss, 6)))
+        fields = (rng.normal(size=(mesh.n_dofs, grid.n_gauss)),
+                  rng.normal(size=(mesh.n_gauss, grid.n_gauss, 6)),
+                  rng.normal(size=(mesh.n_gauss, grid.n_gauss, 6)))
+        return fields, PgdSolution(grid, *(f.copy() for f in fields))
 
     def test_zero_modes(self, setup):
-        sol = self.elastic(setup)
+        (u_el, eps_el, sig_el), sol = self.elastic(setup)
         u, eps, sig = sol.fields()
-        assert np.array_equal(u, sol.u_el)
-        assert np.array_equal(eps, sol.eps_el)
-        assert np.array_equal(sig, sol.sig_el)
+        assert np.array_equal(u, u_el)
+        assert np.array_equal(eps, eps_el)
+        assert np.array_equal(sig, sig_el)
+
+    def test_fields_are_the_given_arrays(self, setup):
+        given, _ = self.elastic(setup)
+        sol = PgdSolution(setup[2], *given)
+        assert all(got is want for got, want in zip(sol.fields(), given))
 
     def test_single_product_by_hand(self, setup):
         mesh, system, grid = setup
-        sol = self.elastic(setup)
+        (_, eps_el, sig_el), sol = self.elastic(setup)
         rng = np.random.default_rng(31)
         u, eps = random_mode_shape(mesh, system, rng)
         mode = PgdMode(u, eps, HOOKE.apply(eps),
@@ -458,13 +465,13 @@ class TestSolutionReconstruct:
         lam_t = mode.lam.values_at_gauss()[t]
         mu_t = mode.mu.values_at_gauss()[t]
         assert eps_f[g, t] == pytest.approx(
-            sol.eps_el[g, t] + mode.eps_bar[g] * lam_t, rel=1e-12)
+            eps_el[g, t] + mode.eps_bar[g] * lam_t, rel=1e-12)
         assert sig_f[g, t] == pytest.approx(
-            sol.sig_el[g, t] + mode.sig_bar[g] * mu_t, rel=1e-12)
+            sig_el[g, t] + mode.sig_bar[g] * mu_t, rel=1e-12)
 
     def test_dense_accumulation_oracle(self, setup):
         mesh, system, grid = setup
-        sol = self.elastic(setup)
+        (u_el, eps_el, sig_el), sol = self.elastic(setup)
         rng = np.random.default_rng(32)
         for _ in range(2):
             u, eps = random_mode_shape(mesh, system, rng)
@@ -473,9 +480,9 @@ class TestSolutionReconstruct:
                 TimeFunction(grid, rng.normal(size=(grid.n_elements, 4))),
                 TimeFunction(grid, rng.normal(size=(grid.n_elements, 4)))))
         u_f, eps_f, sig_f = sol.fields()
-        eps_dense = sol.eps_el.copy()
-        sig_dense = sol.sig_el.copy()
-        u_dense = sol.u_el.copy()
+        eps_dense = eps_el.copy()
+        sig_dense = sig_el.copy()
+        u_dense = u_el.copy()
         for m in sol.modes:
             lv, mv = m.lam.values_at_gauss(), m.mu.values_at_gauss()
             for t in range(grid.n_gauss):
