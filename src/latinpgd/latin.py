@@ -73,23 +73,24 @@ def _st_norm2(mesh, grid, field, flavor):
     return float(mesh.gp_weights.ravel() @ sq @ grid.all_gauss_weights)
 
 
-def latin_error(sig, sig_hat, eps, mesh, grid, mode=None):
+def latin_error(delta, sig, eps, mesh, grid, mode=None):
     """Manifold distance xi of the global fields from the local-stage pair.
 
-    The local stage takes eps_hat = eps, so the strain gap is exactly zero
-    for the fields the local stage ran on (mode None).  After `mode` has been
-    added to them, the gap is that mode's eps_bar lam, whose squared norm
-    separates as |eps_bar|^2_Omega <lam, lam>_I (same contraction and
-    weights as the dense norm).  Both gaps are normalized by the
-    global-field norms; a vanishing global stress or strain signals a
-    degenerate (all-zero) solution and is rejected rather than silently
-    returning inf.
+    delta is the stress gap sig - sig_hat (`pgd.compute_delta`), formed once
+    by the caller, which also hands it to the enrichment.  The local stage
+    takes eps_hat = eps, so the strain gap is exactly zero for the fields
+    the local stage ran on (mode None).  After `mode` has been added to
+    them, the gap is that mode's eps_bar lam, whose squared norm separates
+    as |eps_bar|^2_Omega <lam, lam>_I (same contraction and weights as the
+    dense norm).  Both gaps are normalized by the global-field norms; a
+    vanishing global stress or strain signals a degenerate (all-zero)
+    solution and is rejected rather than silently returning inf.
     """
     den_s = _st_norm2(mesh, grid, sig, "stress")
     den_e = _st_norm2(mesh, grid, eps, "strain")
     if den_s <= 0.0 or den_e <= 0.0:
         raise ValueError("global solution vanishes; manifold distance undefined")
-    num_s = _st_norm2(mesh, grid, sig - sig_hat, "stress")
+    num_s = _st_norm2(mesh, grid, delta, "stress")
     num_e = 0.0
     if mode is not None:
         lv = mode.lam.values_at_gauss()
@@ -172,16 +173,16 @@ def run_latin(system, params, load, grid, zeta_stop=5e-4, max_modes=150,
         # is already below the threshold (elastic loads: the constitutive
         # relation returns the elastic stress bit-for-bit and the distance is
         # exactly zero) the iteration ends without spending a mode.  xi = 0
-        # only when sig equals sig_hat, so the gap is not formed then.
-        xi = latin_error(sig, local["sig"], eps, mesh, grid)
-        delta = None if xi == 0.0 else compute_delta(sig, local["sig"])
+        # only when sig equals sig_hat, so the CRE of the gap is 0 then.
+        delta = compute_delta(sig, local["sig"])
+        xi = latin_error(delta, sig, eps, mesh, grid)
         if xi <= zeta_stop:
             state.xi = xi
             state.converged = True
             wall = time.perf_counter() - t0
             state.log.append({"iteration": state.iteration,
                               "modes": solution.n_modes, "xi": xi,
-                              "cre": 0.0 if delta is None else
+                              "cre": 0.0 if xi == 0.0 else
                               cre_functional(delta, mesh, grid, hooke),
                               "seconds": wall})
             return state
@@ -196,7 +197,8 @@ def run_latin(system, params, load, grid, zeta_stop=5e-4, max_modes=150,
         solution.add_mode(relax_mode(mode, omega))
 
         _, eps, sig = solution.fields()
-        xi = latin_error(sig, local["sig"], eps, mesh, grid, mode=solution.modes[-1])
+        xi = latin_error(compute_delta(sig, local["sig"]), sig, eps, mesh, grid,
+                         mode=solution.modes[-1])
         state.xi = xi
         wall = time.perf_counter() - t0
         state.log.append({"iteration": state.iteration,

@@ -14,14 +14,29 @@ factorized once for the whole run.  Damage only ever weakens the material,
 so the elastic operator is a convergent quasi-Newton choice; the price is a
 few extra iterations on strongly damaging steps.
 
-The residual takes the elastic internal force from the assembled stiffness:
-on the free DOFs it is K_ff u_f plus the step's column of f_sup (built once
-for the whole run), plus the damage correction B^T W (sigma - E : eps)
-integrated over the whole mesh once any point is damaged.  At an undamaged
-point sigma = E : eps exactly, so the correction is zero there, and a pass
-at a state without damage integrates nothing at the Gauss points inside
-its loop; its strain is sampled once, after the loop, for the damage update
-and the stored history.
+The residual costs one sparse product per evaluation.  The trial
+acceleration and velocity are affine in the trial displacement u,
+a = ca (u - pred_u) and v = pred_v + cc (u - pred_u) with
+ca = 1 / (beta dt^2) and cc = gamma / (beta dt), so on the free DOFs
+
+    M a + C v + K u + f_sup[:, k] = K_eff (u - pred_u) + h,
+    h = K pred_u + C pred_v + f_sup[:, k],
+
+where K_eff is the operator the solves factorize and h is built once per
+step (f_sup, the support-motion load, is built once for the whole run).
+Once any point is damaged the correction B^T W (sigma - E : eps) is
+added, integrated over the whole mesh; at an undamaged point
+sigma = E : eps exactly, so the correction is zero there, and a pass at a
+state without damage integrates nothing at the Gauss points inside its
+loop.  The elastic march (`damage=False`) does no Gauss-point work at all;
+a damaging march samples the strain once after each pass, for the damage
+update and the stored history.
+
+The first equilibrium pass of a step always applies one correction before
+it tests the residual: the trial point (the previous step's displacement)
+can fall under the tolerance by chance, and accepting it would skip the
+step's solve.  Later passes of the stagger loop below start from a
+converged displacement and test before correcting.
 
 Equilibrium and damage are coupled with a staggered loop.  Within an
 equilibrium pass the constitutive state is frozen, so the pass solves a
@@ -44,7 +59,7 @@ import numpy as np
 
 from .assembly import internal_force, strain_at_gauss
 from .material import integrate_delay, released_energy, static_damage, total_stress
-from .timegrid import quad_resample_to_gauss
+from .timegrid import quad_resample_blocks
 
 NEWMARK_GAMMA = 0.5
 NEWMARK_BETA = 0.25
@@ -109,11 +124,16 @@ def _advance_damage(eps_k, state, dt, params, hooke):
     comes from the clamped delay rate alone, exactly as in the update stage
     of the material module.  Everything depends on the converged
     start-of-step state and the trial end-of-step strain alone, so repeated
-    calls inside the equilibrium loop cannot ratchet the history.
+    calls inside the equilibrium loop cannot ratchet the history.  While
+    both targets and d are zero everywhere the delay rate is zero, so d
+    stays exactly zero and the delay law is not integrated.
     """
     dbar = static_damage(released_energy(eps_k, hooke, params.Y0), params)
-    targets = np.stack([state["dbar"], dbar], axis=-1)
-    d = integrate_delay(np.array([0.0, dt]), targets, state["d"], params)[..., 1]
+    if dbar.any() or state["dbar"].any() or state["d"].any():
+        targets = np.stack([state["dbar"], dbar], axis=-1)
+        d = integrate_delay(np.array([0.0, dt]), targets, state["d"], params)[..., 1]
+    else:
+        d = np.zeros_like(dbar)
     tr = eps_k[:, :3].sum(axis=1)
     grow = tr > state["tr_max"]
     return {"dbar": dbar, "d": d,
@@ -121,22 +141,33 @@ def _advance_damage(eps_k, state, dt, params, hooke):
             "tr_max": np.where(grow, tr, state["tr_max"])}
 
 
-def _free_force(system, u_f, f_p, full, state, params, hooke):
-    """Internal force on the free DOFs at a frozen constitutive state.
+def _step_load(system, pred_u, pred_v, f_sup_k):
+    """h = K_ff pred_u + C_ff pred_v + f_sup[:, k], built once per step.
 
-    K_ff u_f + f_p is the elastic force; f_p carries the prescribed DOFs'
-    share (K_fp u_p for the internal force alone, the step's whole support
-    load f_sup in the march).  When any point of `state` is damaged, the
-    correction B^T W (sigma - E : eps) of the full displacement `full` is
-    integrated over the whole mesh; it is exactly zero at the undamaged
-    points, and without damage it is skipped altogether.
+    With it the elastic residual force M a + C v + K u + f_sup[:, k] of any
+    trial displacement u of the step is K_eff (u - pred_u) + h.
     """
-    f = system.Kff @ u_f + f_p
-    if state["d"].any():
-        eps = strain_at_gauss(system.mesh, full)
-        sig = total_stress(eps, state["eps_max"], state["d"], params, hooke)
-        f += internal_force(system.mesh, sig - hooke.apply(eps))[system.free]
-    return f
+    h = system.Kff @ pred_u + f_sup_k
+    if system.Cff is not None:
+        h += system.Cff @ pred_v
+    return h
+
+
+def _free_force(system, f_p, full, state, params, hooke):
+    """Elastic force f_p plus the damage correction at a frozen state.
+
+    In the march f_p is the step's h (`_step_load`) and the equilibrium
+    residual is -(K_eff (u_f - pred_u) + this); with f_p = K_ff u_f + K_fp u_p
+    it is the internal force.  When any point of `state` is damaged, the
+    correction B^T W (sigma - E : eps) of the full displacement `full` is
+    added, integrated over the whole mesh; it is exactly zero at the
+    undamaged points, and without damage f_p is returned as it is.
+    """
+    if not state["d"].any():
+        return f_p
+    eps = strain_at_gauss(system.mesh, full)
+    sig = total_stress(eps, state["eps_max"], state["d"], params, hooke)
+    return f_p + internal_force(system.mesh, sig - hooke.apply(eps))[system.free]
 
 
 def newmark_quasi_newton(system, params, load, times, damage=True,
@@ -148,15 +179,18 @@ def newmark_quasi_newton(system, params, load, times, damage=True,
     load : object with prescribed_motion(mesh, times) -> (u_p, v_p, a_p).
     times : uniform nodes starting at 0 (step dt = times[1] - times[0]).
     damage : with False the constitutive state stays frozen at zero and the
-        run *is* the elastic solution (same integrator, same code path).
+        run is the elastic solution, with the same integrator and residual.
     tol : equilibrium tolerance, relative to the largest elastic
         support-motion load ||M_fp a_p + C_fp v_p + K_fp u_p|| over the run.
 
     Returns a dict with the node times, full displacement/velocity/
-    acceleration histories (n_dofs, n_t), Gauss strain/stress histories
-    (n_gauss, n_t, 6), the damage history (n_gauss, n_t) and an `info` block
-    (per-step correction counts summed over staggered passes, factorization
-    count, residual reference).
+    acceleration histories u, v, a (n_dofs, n_t) and an `info` block
+    (per-step correction counts summed over staggered passes, each at
+    least 1; factorization count; residual reference).  With damage=True it
+    also holds the Gauss strain/stress histories eps, sig (n_gauss, n_t, 6)
+    and the damage history d (n_gauss, n_t).  With damage=False those three
+    keys are absent: the elastic march evaluates nothing at the Gauss
+    points (its strain is strain_at_gauss(mesh, u), its stress E : eps).
 
     Raises RuntimeError naming the step index if an equilibrium loop fails.
     """
@@ -194,9 +228,6 @@ def newmark_quasi_newton(system, params, load, times, damage=True,
     u[presc] = u_p
     v[presc] = v_p
     acc[presc] = a_p
-    eps = np.zeros((mesh.n_gauss, n_t, 6))
-    sig = np.zeros((mesh.n_gauss, n_t, 6))
-    dmg = np.zeros((mesh.n_gauss, n_t))
     state = {"dbar": np.zeros(mesh.n_gauss), "d": np.zeros(mesh.n_gauss),
              "eps_max": np.zeros((mesh.n_gauss, 6)),
              "tr_max": np.zeros(mesh.n_gauss)}
@@ -211,20 +242,26 @@ def newmark_quasi_newton(system, params, load, times, damage=True,
     # a transient far below the step resolution that the undamped average
     # acceleration scheme would carry as permanent predictor noise.  Starting
     # from zero filters it; the first step absorbs the imbalance instead.
-    full[presc] = u_p[:, 0]
-    eps[:, 0] = strain_at_gauss(mesh, full)
-    sig[:, 0] = hooke.apply(eps[:, 0])
+    if damage:
+        eps = np.zeros((mesh.n_gauss, n_t, 6))
+        sig = np.zeros((mesh.n_gauss, n_t, 6))
+        dmg = np.zeros((mesh.n_gauss, n_t))
+        full[presc] = u_p[:, 0]
+        eps[:, 0] = strain_at_gauss(mesh, full)
+        sig[:, 0] = hooke.apply(eps[:, 0])
     u_f = np.zeros(free.size)
     v_f = np.zeros(free.size)
     a_f = np.zeros(free.size)
 
     ca = 1.0 / (NEWMARK_BETA * dt * dt)
     cc = NEWMARK_GAMMA / (NEWMARK_BETA * dt) if damped else 0.0
+    K_eff = system.operator(ca, cc, 1.0)
     iters = np.zeros(n_t - 1, dtype=int)
 
     for k in range(1, n_t):
         pred_u = u_f + dt * v_f + dt * dt * (0.5 - NEWMARK_BETA) * a_f
         pred_v = v_f + dt * (1.0 - NEWMARK_GAMMA) * a_f
+        h = _step_load(system, pred_u, pred_v, f_sup[:, k])
         # The iteration starts from the previous converged displacement, not
         # from the extrapolated predictor: extrapolation can overshoot the
         # damage threshold near the supports and feed the staggered loop
@@ -232,7 +269,6 @@ def newmark_quasi_newton(system, params, load, times, damage=True,
         # way.
         u_trial = u_f.copy()
         full[presc] = u_p[:, k]
-        f_p = f_sup[:, k]
         state_new = state
         spent = 0
         for stagger in range(_MAX_STAGGER + 1):
@@ -240,15 +276,12 @@ def newmark_quasi_newton(system, params, load, times, damage=True,
             r_prev = None
             omega = 1.0
             for it in range(max_iter + 1):
-                a_trial = (u_trial - pred_u) * ca
-                v_trial = pred_v + NEWMARK_GAMMA * dt * a_trial
                 full[free] = u_trial
-                r = -(system.Mff @ a_trial
-                      + _free_force(system, u_trial, f_p, full, state_new,
-                                    params, hooke))
-                if damped:
-                    r -= system.Cff @ v_trial
-                if np.linalg.norm(r) <= tol_abs:
+                r = -(K_eff @ (u_trial - pred_u)
+                      + _free_force(system, h, full, state_new, params, hooke))
+                # The first pass corrects once before it tests (see the
+                # module docstring).
+                if (it or stagger) and np.linalg.norm(r) <= tol_abs:
                     break
                 if it == max_iter:
                     raise RuntimeError(
@@ -270,9 +303,9 @@ def newmark_quasi_newton(system, params, load, times, damage=True,
                 r_prev = r
                 u_trial = u_trial + omega * system.solve_free(ca, cc, 1.0, r)
             spent += it
-            eps_k = strain_at_gauss(mesh, full)
             if not damage:
                 break
+            eps_k = strain_at_gauss(mesh, full)
             advanced = _advance_damage(eps_k, state, dt, params, hooke)
             if np.abs(advanced["d"] - state_new["d"]).max() <= _STAGGER_TOL:
                 state_new = advanced
@@ -282,44 +315,49 @@ def newmark_quasi_newton(system, params, load, times, damage=True,
                     "damage staggering failed to settle at step %d (t = %g)"
                     % (k, times[k]))
             state_new = advanced
-        # Keep the stored stress consistent with the committed state (it can
-        # differ from the last pass state by up to the stagger tolerance);
-        # without damage this is E : eps itself.
-        sig_k = total_stress(eps_k, state_new["eps_max"], state_new["d"],
-                             params, hooke)
         iters[k - 1] = spent
-        u_f, v_f, a_f = u_trial, v_trial, a_trial
+        a_f = (u_trial - pred_u) * ca
+        v_f = pred_v + NEWMARK_GAMMA * dt * a_f
+        u_f = u_trial
         state = state_new
         u[free, k] = u_f
         v[free, k] = v_f
         acc[free, k] = a_f
-        eps[:, k] = eps_k
-        sig[:, k] = sig_k
-        dmg[:, k] = state["d"]
+        if damage:
+            # Keep the stored stress consistent with the committed state (it
+            # can differ from the last pass state by up to the stagger
+            # tolerance).
+            eps[:, k] = eps_k
+            sig[:, k] = total_stress(eps_k, state["eps_max"], state["d"],
+                                     params, hooke)
+            dmg[:, k] = state["d"]
 
     info = {"iterations": iters,
             "factorizations": system.n_factorizations - n_fact0,
             "residual_reference": ref}
-    return {"times": times, "u": u, "v": v, "a": acc,
-            "eps": eps, "sig": sig, "d": dmg, "info": info}
+    out = {"times": times, "u": u, "v": v, "a": acc, "info": info}
+    if damage:
+        out.update(eps=eps, sig=sig, d=dmg)
+    return out
 
 
 def resample_fields_to_gauss(grid, result):
     """Map an incremental run's strain/stress pair onto grid Gauss points.
 
-    `result` must come from a run over the 2*n_elements + 1 uniform nodes of
-    `grid` (each time element spans two steps).  Returns (eps, sig), both
-    shaped (n_gauss_space, n_gauss_time, 6).
+    `result` must come from a damaging run (damage=True: the elastic march
+    stores no Gauss-point fields) over the 2*n_elements + 1 uniform nodes
+    of `grid` (each time element spans two steps).  Both fields go through
+    `timegrid.quad_resample_blocks` in their own (n_gauss, n_t, 6) layout.
+    Returns (eps, sig), both shaped (n_gauss_space, n_gauss_time, 6).
     """
     times = result["times"]
     if times.size != 2 * grid.n_elements + 1 or not np.isclose(times[-1], grid.T):
         raise ValueError("run nodes do not match the quadrature grid")
-    out = []
-    for name in ("eps", "sig"):
-        hist = np.moveaxis(result[name], 1, -1)       # (n_gauss, 6, n_t)
-        hist = quad_resample_to_gauss(grid, hist)     # (n_gauss, 6, n_tg)
-        out.append(np.ascontiguousarray(np.moveaxis(hist, -1, 1)))
-    return tuple(out)
+    if "eps" not in result:
+        raise ValueError("run holds no Gauss-point fields (an elastic march); "
+                         "resample strain_at_gauss of its u instead")
+    return (quad_resample_blocks(grid, result["eps"]),
+            quad_resample_blocks(grid, result["sig"]))
 
 
 def compare_error(eps_ref, sig_ref, eps, sig):

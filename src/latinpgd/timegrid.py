@@ -252,23 +252,44 @@ def tdgm_march(grid, a, c, b, f_samples, lam_init=0.0, vel_init=0.0):
     return lam, {"penalty": penalty, "factorizations": 1, "max_jump": jump}
 
 
-def quad_resample_to_gauss(grid, values):
-    """Resample a history on the 2*N_T+1 uniform step grid onto the Gauss points.
+def quad_resample_blocks(grid, values):
+    """Resample step histories (B, 2*N_T+1, C) onto the Gauss points (B, n_gauss, C).
 
     Each time element covers two steps (three samples); the quadratic through
-    them is evaluated at the element's 4 Gauss points.  `values` has the time
-    axis last: (..., 2*N_T+1) -> (..., n_gauss).
+    them is evaluated at the element's 4 Gauss points.  With P the (4, 3)
+    quadratic Lagrange table, element k of a history maps as
+
+        out[:, 4k:4k+4, :] = sum_j P[:, j] values[:, 2k+j, :],
+
+    done as two matrix products against kron(P, I_C)^T: the samples
+    (2k, 2k+1) of every element are one contiguous row of values[:, :-1]
+    viewed as (B, N_T, 2C), and the samples 2k+2 are values[:, 2::2].
+    Both the (n_gauss, n_t, 6) field layout and (via
+    `quad_resample_to_gauss`) time-last histories go through this kernel.
     """
     v = np.asarray(values, dtype=float)
-    n_steps = 2 * grid.n_elements
-    if v.shape[-1] != n_steps + 1:
-        raise ValueError("expected %d time samples, got %d" % (n_steps + 1, v.shape[-1]))
+    n_el = grid.n_elements
+    if v.ndim != 3 or v.shape[1] != 2 * n_el + 1:
+        raise ValueError("expected %d time samples, got shape %s"
+                         % (2 * n_el + 1, v.shape))
+    n_b, _, n_c = v.shape
     # quadratic Lagrange basis on local nodes {0, 1/2, 1} at the Gauss points
     x = grid.gauss_local
     P = np.stack([2.0 * (x - 0.5) * (x - 1.0),
                   -4.0 * x * (x - 1.0),
                   2.0 * x * (x - 0.5)], axis=1)  # (4, 3)
-    idx = 2 * np.arange(grid.n_elements)
-    tri = np.stack([v[..., idx], v[..., idx + 1], v[..., idx + 2]], axis=-1)  # (..., n_el, 3)
-    out = np.einsum("...kj,gj->...kg", tri, P)
+    W = np.kron(P, np.eye(n_c)).T                 # (3C, 4C)
+    out = v[:, :-1].reshape(n_b, n_el, 2 * n_c) @ W[:2 * n_c]
+    out += v[:, 2::2] @ W[2 * n_c:]
+    return out.reshape(n_b, grid.n_gauss, n_c)
+
+
+def quad_resample_to_gauss(grid, values):
+    """Resample a history on the 2*N_T+1 uniform step grid onto the Gauss points.
+
+    `values` has the time axis last: (..., 2*N_T+1) -> (..., n_gauss).  It is
+    the `quad_resample_blocks` kernel with one component per history.
+    """
+    v = np.asarray(values, dtype=float)
+    out = quad_resample_blocks(grid, v.reshape(-1, v.shape[-1], 1))
     return out.reshape(v.shape[:-1] + (grid.n_gauss,))

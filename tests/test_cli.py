@@ -47,11 +47,49 @@ def test_signal_with_wrong_column_count_exits_2(tmp_path, capsys):
     assert "two columns" in capsys.readouterr().err
 
 
+def tiny_overlay(tmp_path):
+    """mono_sine on a 4x2x2 mesh over 0.5 s, N_T = 10, a budget of 1 mode."""
+    return write(tmp_path / "tiny.cfg",
+                 "[mesh]\nnx = 4\nny = 2\nnz = 2\n"
+                 "[load]\nT = 0.5\n"
+                 "[solver]\nN_T = 10\nmax_modes = 1\n")
+
+
+def assert_step_log_corrects_every_step(path):
+    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    assert path.read_text().startswith("step,t,iterations\n")
+    assert rows.shape == (20, 3)            # 2 * N_T steps
+    assert rows[:, 2].min() >= 1
+
+
+def test_run_newmark_exits_0_with_a_step_log(tmp_path):
+    out = tmp_path / "out"
+    code = cli.main(["run-newmark", "--preset", "mono_sine",
+                     "--config", tiny_overlay(tmp_path), "--out-dir", str(out)])
+    assert code == cli.EXIT_OK
+    assert_step_log_corrects_every_step(out / "step_log.csv")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert 0.0 <= manifest["max_damage"] <= 1.0
+
+
+def test_compare_writes_one_finite_comparison_row(tmp_path):
+    out = tmp_path / "out"
+    code = cli.main(["compare", "--preset", "mono_sine",
+                     "--config", tiny_overlay(tmp_path), "--out-dir", str(out)])
+    # a spent mode budget exits 3, a converged run 0; both write outputs
+    assert code in (cli.EXIT_OK, cli.EXIT_NONCONVERGED)
+    lines = (out / "comparison.csv").read_text().splitlines()
+    assert lines[0] == ("eps_percent,latin_modes,latin_xi,latin_converged,"
+                        "d_latin,d_newmark,d_gap_percent")
+    assert len(lines) == 2
+    row = np.array([float(x) for x in lines[1].split(",")])
+    assert row.size == 7 and np.all(np.isfinite(row))
+    assert row[3] == (code == cli.EXIT_OK)
+    assert_step_log_corrects_every_step(out / "newmark" / "step_log.csv")
+
+
 def test_spent_mode_budget_exits_3_with_outputs(tmp_path):
-    overlay = write(tmp_path / "tiny.cfg",
-                    "[mesh]\nnx = 4\nny = 2\nnz = 2\n"
-                    "[load]\nT = 0.5\n"
-                    "[solver]\nN_T = 10\nmax_modes = 1\n")
+    overlay = tiny_overlay(tmp_path)
     out = tmp_path / "out"
     code = cli.main(["run-latin", "--preset", "mono_sine", "--config", overlay,
                      "--out-dir", str(out)])

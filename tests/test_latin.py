@@ -75,7 +75,7 @@ def dense_xi(mesh, grid, sig, sig_hat, eps, eps_hat):
 def test_latin_error_is_zero_for_identical_pairs(setup):
     mesh, grid = setup
     sig, eps = random_field(setup, 1), random_field(setup, 2)
-    assert latin_error(sig, sig.copy(), eps, mesh, grid) == 0.0
+    assert latin_error(compute_delta(sig, sig.copy()), sig, eps, mesh, grid) == 0.0
 
 
 def test_latin_error_adds_relative_gaps_in_quadrature(setup):
@@ -83,7 +83,7 @@ def test_latin_error_adds_relative_gaps_in_quadrature(setup):
     sig = random_field(setup, 3)
     mode = random_mode(setup, 4)
     eps = 5.0 * mode_field(mode)     # the mode is a fifth of the strain
-    xi = latin_error(sig, 0.9 * sig, eps, mesh, grid, mode=mode)
+    xi = latin_error(compute_delta(sig, 0.9 * sig), sig, eps, mesh, grid, mode=mode)
     assert xi == pytest.approx(np.hypot(0.1, 0.2), rel=1e-12)
 
 
@@ -95,10 +95,11 @@ def test_latin_error_with_mode_matches_dense_two_field_formula(setup, seed):
     eps_hat = random_field(setup, seed + 20)
     mode = random_mode(setup, seed + 30)
     eps = eps_hat + mode_field(mode)
-    xi = latin_error(sig, sig_hat, eps, mesh, grid, mode=mode)
+    delta = compute_delta(sig, sig_hat)
+    xi = latin_error(delta, sig, eps, mesh, grid, mode=mode)
     assert xi == pytest.approx(dense_xi(mesh, grid, sig, sig_hat, eps, eps_hat),
                                rel=1e-12, abs=0.0)
-    assert latin_error(sig, sig_hat, eps_hat, mesh, grid) == pytest.approx(
+    assert latin_error(delta, sig, eps_hat, mesh, grid) == pytest.approx(
         dense_xi(mesh, grid, sig, sig_hat, eps_hat, eps_hat), rel=1e-12, abs=0.0)
 
 
@@ -109,9 +110,10 @@ def test_latin_error_rejects_vanishing_global_fields(setup, vanishing):
     fields[vanishing] = np.zeros_like(fields[vanishing])
     sig, eps = fields["sig"], fields["eps"]
     with pytest.raises(ValueError, match="vanishes"):
-        latin_error(sig, sig + 1.0, eps, mesh, grid)
+        latin_error(compute_delta(sig, sig + 1.0), sig, eps, mesh, grid)
     with pytest.raises(ValueError, match="vanishes"):
-        latin_error(sig, sig + 1.0, eps, mesh, grid, mode=random_mode(setup, 6))
+        latin_error(compute_delta(sig, sig + 1.0), sig, eps, mesh, grid,
+                    mode=random_mode(setup, 6))
 
 
 @pytest.fixture(scope="module")
@@ -171,8 +173,11 @@ def test_elastic_start_is_the_resampled_elastic_march():
                                np.linspace(0.0, grid.T, 2 * grid.n_elements + 1),
                                damage=False)
     assert np.array_equal(el["u"], quad_resample_to_gauss(grid, res["u"]))
-    # strain of the resampled displacement == resampled strain of the march
-    eps_ref = resample_fields_to_gauss(grid, res)[0]
+    # strain of the resampled displacement == resampled strain of the march,
+    # stored by a damaging march that stays below the threshold
+    on = newmark_quasi_newton(system, params, load, res["times"], damage=True)
+    assert on["d"].max() == 0.0 and np.array_equal(on["u"], res["u"])
+    eps_ref = resample_fields_to_gauss(grid, on)[0]
     assert el["eps"].shape == eps_ref.shape
     np.testing.assert_allclose(el["eps"], eps_ref, rtol=1e-12,
                                atol=1e-12 * np.abs(eps_ref).max())

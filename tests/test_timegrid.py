@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from latinpgd.timegrid import (TimeFunction, TimeGrid, element_operator, l2_fit,
-                               quad_resample_to_gauss, st_inner, tdgm_march)
+                               quad_resample_blocks, quad_resample_to_gauss,
+                               st_inner, tdgm_march)
 
 
 class TestTimeGrid:
@@ -197,7 +198,64 @@ class TestMarch:
         assert np.abs(lam.values_at_gauss() - exact).max() < 2e-2
 
 
+def per_element_quadratic(grid, hist):
+    """Reference resampling of a time-last history (..., 2*N_T+1).
+
+    Element k holds the samples s0, s1, s2 at local x = 0, 1/2, 1; their
+    quadratic is s0 (2x-1)(x-1) - 4 s1 x(x-1) + s2 x(2x-1) at the Gauss x.
+    """
+    x = grid.gauss_local
+    out = np.empty(hist.shape[:-1] + (grid.n_gauss,))
+    for k in range(grid.n_elements):
+        s0, s1, s2 = (hist[..., 2 * k + j, None] for j in range(3))
+        out[..., 4 * k:4 * k + 4] = (s0 * (2 * x - 1) * (x - 1)
+                                     - 4 * s1 * x * (x - 1)
+                                     + s2 * x * (2 * x - 1))
+    return out
+
+
 class TestQuadResample:
+    def test_kernel_matches_per_element_formula_in_both_layouts(self):
+        rng = np.random.default_rng(23)
+        g = TimeGrid(1.5, 7)
+        fields = rng.normal(size=(5, 2 * 7 + 1, 6))          # (n_gauss, n_t, 6)
+        ref = np.moveaxis(per_element_quadratic(g, np.moveaxis(fields, 1, -1)), -1, 1)
+        out = quad_resample_blocks(g, fields)
+        assert out.shape == (5, g.n_gauss, 6)
+        np.testing.assert_allclose(out, ref, rtol=0.0, atol=1e-14 * np.abs(ref).max())
+        hist = rng.normal(size=(3, 4, 2 * 7 + 1))            # time axis last
+        ref = per_element_quadratic(g, hist)
+        out = quad_resample_to_gauss(g, hist)
+        assert out.shape == (3, 4, g.n_gauss)
+        np.testing.assert_allclose(out, ref, rtol=0.0, atol=1e-14 * np.abs(ref).max())
+
+    def test_kernel_reproduces_piecewise_quadratics(self):
+        # a global quadratic plus a different bubble on every element,
+        # vanishing at the element ends: quadratic on each element
+        g = TimeGrid(2.0, 6)
+        rng = np.random.default_rng(29)
+        amp = rng.normal(size=(4, g.n_elements))
+
+        def history(t):
+            k = np.clip(np.ceil(t / g.h).astype(int) - 1, 0, g.n_elements - 1)
+            tl = t - g.t_bounds[k]
+            return (0.5 + np.multiply.outer(np.arange(1, 5), t)
+                    - 3.0 * t ** 2 + amp[:, k] * tl * (g.h - tl))
+
+        steps = np.linspace(0.0, g.T, 2 * g.n_elements + 1)
+        exact = history(g.all_gauss_times)
+        out = quad_resample_blocks(g, history(steps)[:, :, None])[:, :, 0]
+        np.testing.assert_allclose(out, exact, rtol=0.0, atol=1e-13 * np.abs(exact).max())
+        np.testing.assert_allclose(quad_resample_to_gauss(g, history(steps)), exact,
+                                   rtol=0.0, atol=1e-13 * np.abs(exact).max())
+
+    def test_kernel_rejects_wrong_layout(self):
+        g = TimeGrid(1.0, 4)
+        with pytest.raises(ValueError):
+            quad_resample_blocks(g, np.zeros((3, 8, 6)))
+        with pytest.raises(ValueError):
+            quad_resample_blocks(g, np.zeros((3, 9)))
+
     def test_quadratic_history_exact(self):
         g = TimeGrid(2.0, 10)
         steps = np.linspace(0.0, 2.0, 2 * 10 + 1)
