@@ -232,9 +232,10 @@ def _run_newmark(conf, out):
     _write_damage_series(os.path.join(out, "damage_monitored.csv"),
                          times, res["d"][gp])
     with open(os.path.join(out, "step_log.csv"), "w") as fh:
-        fh.write("step,t,iterations\n")
-        for k, n in enumerate(res["info"]["iterations"]):
-            fh.write("%d,%.17g,%d\n" % (k + 1, times[k + 1], n))
+        fh.write("step,t,iterations,passes\n")
+        for k, (n, p) in enumerate(zip(res["info"]["iterations"],
+                                       res["info"]["passes"])):
+            fh.write("%d,%.17g,%d,%d\n" % (k + 1, times[k + 1], n, p))
     if conf.output.vtk:
         for t_star in _snapshot_instants(conf):
             k = int(np.argmin(np.abs(times - t_star)))

@@ -12,9 +12,14 @@ The constitutive state at a point is (eps, sigma, d, Y, z, Z):
   d_dot = (1/tau_c)(1 - exp(-a <d_bar - d>+)), which caps the damage rate at
   1/tau_c and regularizes the softening.
 * Stress combines the damaged elastic part with a progressive crack
-  re-closure term:  sigma = (1-d) E:eps + d E:F(eps), where F pulls the
-  strain back towards the recorded tension peak eps_max and recovers the
-  full stiffness in deep compression.
+  re-closure term:  sigma = (1-d) E:eps + d E:F(eps), where
+  F(eps) = eps - s eps_max with s = softplus(a_c tr eps / tr eps_max) / a_c
+  pulls the strain back towards the recorded tension peak eps_max and
+  recovers the full stiffness in deep compression (F = 0 without a tension
+  history).  It is evaluated in closed form, sigma = E:eps - d s E:eps_max
+  (sigma = (1-d) E:eps without a history), by `DamageCorrection`, which
+  gathers what a frozen state contributes once and is then applied to any
+  number of strains.
 
 The nonlinear update stage evaluates this model at every spatial Gauss point
 over the whole time axis at once; points are independent, so everything is
@@ -25,8 +30,8 @@ happen, with results bit-identical to evaluating it everywhere:
   since (sum <e_i>+)^2 <= 3 sum e_i^2 <= 3 |eps|^2.  Callers that only look at
   max(Y, Y0) pass Y0 as a floor, and the eigenvalue solve runs only where B
   can reach it;
-* stress: E:eps is exact where d = 0, so the crack-closure branch and the
-  damage blend are evaluated only at damaged points;
+* stress: E:eps is exact where d = 0, so the damage correction is
+  evaluated only at damaged points;
 * delay: with zero target and zero start the rate is exactly 0, so the
   update stage integrates only the spatial points whose target damage is
   nonzero somewhere on the time axis, and scans the tension peak, which
@@ -130,9 +135,12 @@ def _delay_rate(gap, params):
 def integrate_delay(times, dbar, d_init, params):
     """Integrate d_dot = (1/tau_c)(1 - exp(-a <d_bar - d>+)) along the time axis.
 
-    times : sample instants (n_t,), strictly increasing, starting after 0.
+    times : sample instants (n_t,), strictly increasing, starting at or
+        after 0.
     dbar : target damage samples (..., n_t); linear interpolation in between,
-        constant extrapolation on the leading [0, times[0]] gap.
+        constant extrapolation on the leading [0, times[0]] gap.  That gap
+        is empty when times[0] = 0 (the Newmark step calls with [0, dt]),
+        and an empty span takes no substep: d[..., 0] is then d_init.
     d_init : initial damage at t = 0 (scalar or shape (...)).
 
     Classic one-step 4-stage integration on substeps no longer than tau_c/20;
@@ -152,8 +160,8 @@ def integrate_delay(times, dbar, d_init, params):
     for k in range(n_t):
         span = times[k] - prev_t
         db0, db1 = prev_db, dbar[..., k]
-        n_sub = max(1, int(np.ceil(span / h_max)))
-        h = span / n_sub
+        n_sub = int(np.ceil(span / h_max))   # 0 on an empty span
+        h = span / max(n_sub, 1)
         for s in range(n_sub):
             f0 = db0 + (db1 - db0) * (s / n_sub)
             fh = db0 + (db1 - db0) * ((s + 0.5) / n_sub)
@@ -169,52 +177,75 @@ def integrate_delay(times, dbar, d_init, params):
     return d
 
 
-def _softplus(x):
-    """log(1 + exp(x)) evaluated without overflow."""
-    x = np.asarray(x, dtype=float)
-    return np.where(x > 0.0, x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+class DamageCorrection:
+    """sigma - E:eps of a frozen damage state (eps_max, d), in closed form.
 
+    With s = softplus(a_c tr eps / tr eps_max) / a_c the stress
+    sigma = (1-d) E:eps + d E:(eps - s eps_max) differs from E:eps by
+    -d s E:eps_max at a point with a tension history
+    (tr eps_max > CLOSURE_TRACE_GUARD) and by -d E:eps at a point without
+    one, where the re-closure term is zero.  It is zero where d = 0.
 
-def crack_closure_stress(eps_v, eps_max_v, params, hooke):
-    """Re-closure stress E : [eps - (eps_max/a_c) log(1 + exp(a_c tr eps / tr eps_max))].
-
-    Requires a genuine tension history: tr(eps_max) must exceed the guard
-    threshold (the expression divides by it).  Fields are strain-Voigt (..., 6).
+    Everything that depends on the state alone is gathered here, once: the
+    damaged points split by history, -d/a_c, a_c/tr eps_max and E:eps_max
+    at the points with a history, -d at the others.  Each strain field then
+    costs one trace, one softplus and one scaled scatter at the damaged
+    points.  eps_max_v is strain-Voigt (..., 6) and d has its shape (...).
     """
-    eps_v = np.asarray(eps_v, dtype=float)
-    eps_max_v = np.asarray(eps_max_v, dtype=float)
-    tr_max = eps_max_v[..., :3].sum(axis=-1)
-    if np.any(tr_max <= CLOSURE_TRACE_GUARD):
-        raise ValueError("crack closure needs tr(eps_max) > %g; use the "
-                         "zero-history branch instead" % CLOSURE_TRACE_GUARD)
-    tr = eps_v[..., :3].sum(axis=-1)
-    factor = _softplus(params.a_c * tr / tr_max) / params.a_c
-    return hooke.apply(eps_v - factor[..., None] * eps_max_v)
+
+    def __init__(self, eps_max_v, d, params, hooke):
+        eps_max_v = np.asarray(eps_max_v, dtype=float)
+        d = np.asarray(d, dtype=float)
+        if eps_max_v.shape != d.shape + (6,):
+            raise ValueError("eps_max has shape %s, expected %s"
+                             % (eps_max_v.shape, d.shape + (6,)))
+        self.shape = d.shape
+        self.hooke = hooke
+        d = d.reshape(-1)
+        damaged = np.flatnonzero(d)
+        eps_max = eps_max_v.reshape(-1, 6).take(damaged, axis=0)
+        tr_max = eps_max[:, :3].sum(axis=-1)
+        history = tr_max > CLOSURE_TRACE_GUARD
+        self.peak = damaged[history]        # flat indices, with a tension history
+        self.no_peak = damaged[~history]    # flat indices, without one
+        self.coef = -d[self.peak] / params.a_c
+        self.scale = params.a_c / tr_max[history]
+        self.e_max = hooke.apply(eps_max[history])
+        self.neg_d = -d[self.no_peak][:, None]
+
+    def _at_peak(self, flat):
+        """-d s E:eps_max at the points with a tension history."""
+        e = flat.take(self.peak, axis=0)
+        tr = e[:, 0] + e[:, 1] + e[:, 2]
+        return (self.coef * np.logaddexp(0.0, self.scale * tr))[:, None] * self.e_max
+
+    def field(self, eps_v):
+        """The correction of a strain field (shape of the state, 6)."""
+        flat = np.asarray(eps_v, dtype=float).reshape(-1, 6)
+        out = np.zeros_like(flat)
+        out[self.peak] = self._at_peak(flat)
+        out[self.no_peak] = self.neg_d * self.hooke.apply(flat[self.no_peak])
+        return out.reshape(self.shape + (6,))
+
+    def add_to(self, sig, eps_v):
+        """Add the correction of eps_v in place to sig, which holds E:eps_v."""
+        flat_sig = sig.reshape(-1, 6)     # a view: sig is C-ordered
+        flat = np.asarray(eps_v, dtype=float).reshape(-1, 6)
+        flat_sig[self.peak] = flat_sig.take(self.peak, axis=0) + self._at_peak(flat)
+        at = flat_sig.take(self.no_peak, axis=0)
+        flat_sig[self.no_peak] = at + self.neg_d * at
 
 
-def total_stress(eps_v, eps_max_v, d, params, hooke):
-    """sigma = (1-d) E:eps + d E:F(eps) with the zero-history guard branch.
+def total_stress(eps_v, hooke, correction):
+    """sigma = E:eps + the closed-form damage correction of a frozen state.
 
-    eps_v, eps_max_v: strain-Voigt (..., 6); d: (...) or scalar.  Returns
-    stress Voigt.  Where d = 0 the result is E:eps itself; the re-closure
-    branch and the blend are evaluated at the damaged points only.
+    eps_v: strain-Voigt (..., 6).  correction: the state's DamageCorrection,
+    or None when no point is damaged, in which case sigma is E:eps itself.
+    Returns stress Voigt.
     """
-    eps_v = np.asarray(eps_v, dtype=float)
     sig = hooke.apply(eps_v)
-    d = np.broadcast_to(np.asarray(d, dtype=float), sig.shape[:-1])
-    damaged = np.flatnonzero(d != 0.0)
-    if damaged.size:
-        eps_max_v = np.broadcast_to(np.asarray(eps_max_v, dtype=float), sig.shape)
-        eps_d = eps_v.reshape(-1, 6).take(damaged, axis=0)
-        eps_max_d = eps_max_v.reshape(-1, 6).take(damaged, axis=0)
-        closed = eps_max_d[:, :3].sum(axis=-1) > CLOSURE_TRACE_GUARD
-        sig_cr = np.zeros_like(eps_d)
-        if np.any(closed):
-            sig_cr[closed] = crack_closure_stress(eps_d[closed], eps_max_d[closed],
-                                                  params, hooke)
-        d_d = d.reshape(-1).take(damaged)[:, None]
-        flat = sig.reshape(-1, 6)   # a view: matmul returns a fresh C-ordered array
-        flat[damaged] = (1.0 - d_d) * flat.take(damaged, axis=0) + d_d * sig_cr
+    if correction is not None:
+        correction.add_to(sig, eps_v)
     return sig
 
 
@@ -272,12 +303,13 @@ def local_stage(eps, Z_prev, dbar_prev, times, params, hooke):
     Z = np.where(damaging, dual_softening(-dbar, params), Z_prev)
 
     d = np.zeros_like(dbar)
-    eps_max = np.zeros(eps.shape)   # read by total_stress only where d != 0
+    eps_max = np.zeros(eps.shape)   # read by the correction only where d != 0
     active = np.any(dbar != 0.0, axis=-1)
     if np.any(active):
         d[active] = integrate_delay(times, dbar[active], 0.0, params)
         eps_max[active] = tension_peak_history(eps[active])[0]
-    return {"sig": total_stress(eps, eps_max, d, params, hooke), "d": d,
+    correction = DamageCorrection(eps_max, d, params, hooke)
+    return {"sig": total_stress(eps, hooke, correction), "d": d,
             "dbar": dbar, "Z": Z}
 
 

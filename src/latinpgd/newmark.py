@@ -28,9 +28,15 @@ Once any point is damaged the correction B^T W (sigma - E : eps) is
 added, integrated over the whole mesh; at an undamaged point
 sigma = E : eps exactly, so the correction is zero there, and a pass at a
 state without damage integrates nothing at the Gauss points inside its
-loop.  The elastic march (`damage=False`) does no Gauss-point work at all;
-a damaging march samples the strain once after each pass, for the damage
-update and the stored history.
+loop.  The correction comes in closed form from the state's
+`material.DamageCorrection` kernel, -d s E : eps_max at a point with a
+tension history and -d E : eps at one without; the kernel gathers what
+the frozen state contributes once, when the state is built, that is once
+per stagger pass.  The committed state's kernel sets the stored stress
+(`total_stress`, E : eps plus the same correction) and serves the next
+step's first pass.  The elastic march (`damage=False`) does no
+Gauss-point work at all; a damaging march samples the strain once after
+each pass, for the damage update and the stored history.
 
 The first equilibrium pass of a step always applies one correction before
 it tests the residual: the trial point (the previous step's displacement)
@@ -58,7 +64,8 @@ to hold the separated-representation solver against this incremental one.
 import numpy as np
 
 from .assembly import internal_force, strain_at_gauss
-from .material import integrate_delay, released_energy, static_damage, total_stress
+from .material import (DamageCorrection, integrate_delay, released_energy,
+                       static_damage, total_stress)
 from .timegrid import quad_resample_blocks
 
 NEWMARK_GAMMA = 0.5
@@ -127,6 +134,9 @@ def _advance_damage(eps_k, state, dt, params, hooke):
     calls inside the equilibrium loop cannot ratchet the history.  While
     both targets and d are zero everywhere the delay rate is zero, so d
     stays exactly zero and the delay law is not integrated.
+
+    The candidate carries its damage-correction kernel (`_correction`), so
+    the kernel is built once per candidate, that is once per stagger pass.
     """
     dbar = static_damage(released_energy(eps_k, hooke, params.Y0), params)
     if dbar.any() or state["dbar"].any() or state["d"].any():
@@ -136,9 +146,15 @@ def _advance_damage(eps_k, state, dt, params, hooke):
         d = np.zeros_like(dbar)
     tr = eps_k[:, :3].sum(axis=1)
     grow = tr > state["tr_max"]
-    return {"dbar": dbar, "d": d,
-            "eps_max": np.where(grow[:, None], eps_k, state["eps_max"]),
-            "tr_max": np.where(grow, tr, state["tr_max"])}
+    eps_max = np.where(grow[:, None], eps_k, state["eps_max"])
+    return {"dbar": dbar, "d": d, "eps_max": eps_max,
+            "tr_max": np.where(grow, tr, state["tr_max"]),
+            "correction": _correction(eps_max, d, params, hooke)}
+
+
+def _correction(eps_max, d, params, hooke):
+    """Damage-correction kernel of a frozen state; None while d = 0 everywhere."""
+    return DamageCorrection(eps_max, d, params, hooke) if d.any() else None
 
 
 def _step_load(system, pred_u, pred_v, f_sup_k):
@@ -153,21 +169,22 @@ def _step_load(system, pred_u, pred_v, f_sup_k):
     return h
 
 
-def _free_force(system, f_p, full, state, params, hooke):
+def _free_force(system, f_p, full, correction):
     """Elastic force f_p plus the damage correction at a frozen state.
 
     In the march f_p is the step's h (`_step_load`) and the equilibrium
     residual is -(K_eff (u_f - pred_u) + this); with f_p = K_ff u_f + K_fp u_p
-    it is the internal force.  When any point of `state` is damaged, the
-    correction B^T W (sigma - E : eps) of the full displacement `full` is
-    added, integrated over the whole mesh; it is exactly zero at the
-    undamaged points, and without damage f_p is returned as it is.
+    it is the internal force.  `correction` is the state's kernel
+    (`_correction`): when a point is damaged, B^T W (sigma - E : eps) of the
+    full displacement `full` is added, integrated over the whole mesh.  The
+    kernel gives sigma - E : eps in closed form, exactly zero at the
+    undamaged points, so sigma is never formed and no second E : eps is
+    subtracted from it.  Without damage (None) f_p is returned as it is.
     """
-    if not state["d"].any():
+    if correction is None:
         return f_p
     eps = strain_at_gauss(system.mesh, full)
-    sig = total_stress(eps, state["eps_max"], state["d"], params, hooke)
-    return f_p + internal_force(system.mesh, sig - hooke.apply(eps))[system.free]
+    return f_p + internal_force(system.mesh, correction.field(eps))[system.free]
 
 
 def newmark_quasi_newton(system, params, load, times, damage=True,
@@ -185,12 +202,14 @@ def newmark_quasi_newton(system, params, load, times, damage=True,
 
     Returns a dict with the node times, full displacement/velocity/
     acceleration histories u, v, a (n_dofs, n_t) and an `info` block
-    (per-step correction counts summed over staggered passes, each at
-    least 1; factorization count; residual reference).  With damage=True it
-    also holds the Gauss strain/stress histories eps, sig (n_gauss, n_t, 6)
-    and the damage history d (n_gauss, n_t).  With damage=False those three
-    keys are absent: the elastic march evaluates nothing at the Gauss
-    points (its strain is strain_at_gauss(mesh, u), its stress E : eps).
+    (`iterations`: per-step correction counts summed over staggered passes,
+    each at least 1; `passes`: per-step stagger pass counts, each at least
+    1, and 1 on every step of an elastic march; factorization count;
+    residual reference).  With damage=True it also holds the Gauss
+    strain/stress histories eps, sig (n_gauss, n_t, 6) and the damage
+    history d (n_gauss, n_t).  With damage=False those three keys are
+    absent: the elastic march evaluates nothing at the Gauss points (its
+    strain is strain_at_gauss(mesh, u), its stress E : eps).
 
     Raises RuntimeError naming the step index if an equilibrium loop fails.
     """
@@ -230,7 +249,7 @@ def newmark_quasi_newton(system, params, load, times, damage=True,
     acc[presc] = a_p
     state = {"dbar": np.zeros(mesh.n_gauss), "d": np.zeros(mesh.n_gauss),
              "eps_max": np.zeros((mesh.n_gauss, 6)),
-             "tr_max": np.zeros(mesh.n_gauss)}
+             "tr_max": np.zeros(mesh.n_gauss), "correction": None}
 
     n_fact0 = system.n_factorizations
     full = np.zeros(mesh.n_dofs)
@@ -257,6 +276,7 @@ def newmark_quasi_newton(system, params, load, times, damage=True,
     cc = NEWMARK_GAMMA / (NEWMARK_BETA * dt) if damped else 0.0
     K_eff = system.operator(ca, cc, 1.0)
     iters = np.zeros(n_t - 1, dtype=int)
+    passes = np.zeros(n_t - 1, dtype=int)
 
     for k in range(1, n_t):
         pred_u = u_f + dt * v_f + dt * dt * (0.5 - NEWMARK_BETA) * a_f
@@ -278,7 +298,7 @@ def newmark_quasi_newton(system, params, load, times, damage=True,
             for it in range(max_iter + 1):
                 full[free] = u_trial
                 r = -(K_eff @ (u_trial - pred_u)
-                      + _free_force(system, h, full, state_new, params, hooke))
+                      + _free_force(system, h, full, state_new["correction"]))
                 # The first pass corrects once before it tests (see the
                 # module docstring).
                 if (it or stagger) and np.linalg.norm(r) <= tol_abs:
@@ -316,6 +336,7 @@ def newmark_quasi_newton(system, params, load, times, damage=True,
                     % (k, times[k]))
             state_new = advanced
         iters[k - 1] = spent
+        passes[k - 1] = stagger + 1
         a_f = (u_trial - pred_u) * ca
         v_f = pred_v + NEWMARK_GAMMA * dt * a_f
         u_f = u_trial
@@ -328,11 +349,10 @@ def newmark_quasi_newton(system, params, load, times, damage=True,
             # can differ from the last pass state by up to the stagger
             # tolerance).
             eps[:, k] = eps_k
-            sig[:, k] = total_stress(eps_k, state["eps_max"], state["d"],
-                                     params, hooke)
+            sig[:, k] = total_stress(eps_k, hooke, state["correction"])
             dmg[:, k] = state["d"]
 
-    info = {"iterations": iters,
+    info = {"iterations": iters, "passes": passes,
             "factorizations": system.n_factorizations - n_fact0,
             "residual_reference": ref}
     out = {"times": times, "u": u, "v": v, "a": acc, "info": info}

@@ -66,8 +66,11 @@ def compute_delta(sig, sig_hat):
 
 
 def _time_weighted(delta, samples, grid):
-    """Time integral int_I Delta(x, t) s(t) dt -> spatial field (n_gauss, 6)."""
-    return np.einsum("gtv,t->gv", delta, samples * grid.all_gauss_weights)
+    """Time integral int_I Delta(x, t) s(t) dt -> spatial field (n_gauss, 6).
+
+    One (n_t,) @ (n_t, 6) product per spatial point, a stacked BLAS matmul.
+    """
+    return (samples * grid.all_gauss_weights) @ delta
 
 
 def space_problem(lam, delta, system):
@@ -134,7 +137,9 @@ def time_lambda(u_bar, eps_bar, delta, system, grid, hooke):
     if not a > 0.0:
         raise ValueError("degenerate mode: mass coefficient a = %g" % a)
     c = float(u_bar @ (system.C @ u_bar)) if system.C is not None else 0.0
-    f = np.einsum("gtv,gv,g->t", delta, eps_bar, wg)
+    # f(t) = sum over points of Delta(x_g, t) . eps_bar(x_g) w_g: one
+    # (n_t, 6) @ (6,) product per point, summed over the points.
+    f = (delta @ (eps_bar * wg[:, None])[:, :, None]).sum(axis=0)[:, 0]
     lam, _ = tdgm_march(grid, a, c, b, f.reshape(grid.n_elements, 4))
     return lam
 
@@ -155,7 +160,9 @@ def time_mu(sig_bar, eps_bar, lam, delta, hooke, grid, mesh):
     if not den > 0.0:
         raise ValueError("degenerate mode: zero stress norm in the mu problem")
     se = float(wg @ np.einsum("gv,gv->g", sig_bar, eps_bar))
-    sd = np.einsum("gv,gtv,g->t", compliance_sig, delta, wg)
+    # sd(t) = sum over points of E^-1:sig_bar . Delta(x_g, t) w_g, as in
+    # the forcing of `time_lambda`.
+    sd = (delta @ (compliance_sig * wg[:, None])[:, :, None]).sum(axis=0)[:, 0]
     mu_gauss = (se * lam.values_at_gauss() - sd) / den
     return l2_fit(grid, mu_gauss)
 
@@ -207,12 +214,13 @@ def cre_functional(delta, mesh, grid, hooke, mode=None):
     if mode is None:
         resid = delta
     else:
-        resid = (delta
-                 + mode.sig_bar[:, None, :] * mode.mu.values_at_gauss()[None, :, None]
-                 - hooke.apply(mode.eps_bar)[:, None, :]
-                 * mode.lam.values_at_gauss()[None, :, None])
-    return float(np.einsum("gtv,gtv,g,t->", resid, hooke.apply_inverse(resid),
-                           mesh.gp_weights.ravel(), grid.all_gauss_weights))
+        resid = mode.sig_bar[:, None, :] * mode.mu.values_at_gauss()[None, :, None]
+        resid += delta
+        resid -= (hooke.apply(mode.eps_bar)[:, None, :]
+                  * mode.lam.values_at_gauss()[None, :, None])
+    # R : E^-1 : R per point and instant, then the two quadratures.
+    sq = np.einsum("gtv,gtv->gt", resid, hooke.apply_inverse(resid))
+    return float(mesh.gp_weights.ravel() @ sq @ grid.all_gauss_weights)
 
 
 def enrich(delta, system, grid, hooke, rng, zeta_stop=1e-2, max_iter=5):

@@ -56,10 +56,13 @@ def tiny_overlay(tmp_path):
 
 
 def assert_step_log_corrects_every_step(path):
+    """Every step corrects and passes at least once; returns the log rows."""
     rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    assert path.read_text().startswith("step,t,iterations\n")
-    assert rows.shape == (20, 3)            # 2 * N_T steps
+    assert path.read_text().startswith("step,t,iterations,passes\n")
+    assert rows.shape == (20, 4)            # 2 * N_T steps
     assert rows[:, 2].min() >= 1
+    assert rows[:, 3].min() >= 1
+    return rows
 
 
 def test_run_newmark_exits_0_with_a_step_log(tmp_path):
@@ -70,6 +73,28 @@ def test_run_newmark_exits_0_with_a_step_log(tmp_path):
     assert_step_log_corrects_every_step(out / "step_log.csv")
     manifest = json.loads((out / "manifest.json").read_text())
     assert 0.0 <= manifest["max_damage"] <= 1.0
+
+
+def test_step_log_counts_every_stagger_pass(tmp_path, monkeypatch):
+    # each stagger pass of a damaging march ends in one damage update
+    from latinpgd import newmark
+
+    calls = []
+    advance = newmark._advance_damage
+
+    def counted(*args):
+        calls.append(1)
+        return advance(*args)
+
+    monkeypatch.setattr(newmark, "_advance_damage", counted)
+    out = tmp_path / "out"
+    code = cli.main(["run-newmark", "--preset", "mono_sine",
+                     "--config", tiny_overlay(tmp_path), "--out-dir", str(out)])
+    assert code == cli.EXIT_OK
+    assert json.loads((out / "manifest.json").read_text())["max_damage"] > 0.0
+    rows = assert_step_log_corrects_every_step(out / "step_log.csv")
+    assert rows[:, 3].sum() == len(calls)
+    assert rows[:, 3].max() > 1             # damage made some step stagger
 
 
 def test_compare_writes_one_finite_comparison_row(tmp_path):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from latinpgd import material
-from latinpgd.material import (CLOSURE_TRACE_GUARD, MaterialParams,
-                               crack_closure_stress, dual_softening,
+from latinpgd.material import (CLOSURE_TRACE_GUARD, DamageCorrection,
+                               MaterialParams, dual_softening,
                                integrate_delay, local_stage, matpoint_drive,
                                reference_concrete, released_energy,
                                static_damage, tension_peak_history,
@@ -24,6 +24,55 @@ def uniaxial(e):
     v = np.zeros(6)
     v[0] = e
     return v
+
+
+def stress(eps, eps_max, d):
+    """total_stress at the frozen state (eps_max, d), through its kernel.
+
+    d may be a scalar: it is spread over the points of eps_max.
+    """
+    d = np.broadcast_to(np.asarray(d, dtype=float), np.shape(eps_max)[:-1])
+    return total_stress(eps, HOOKE, DamageCorrection(eps_max, d, P, HOOKE))
+
+
+def crack_closure_stress(eps_v, eps_max_v):
+    """The paper's re-closure stress E : F(eps), F = eps - s eps_max.
+
+    s = (1/a_c) log(1 + exp(a_c tr eps / tr eps_max)); needs a tension
+    history, tr eps_max > CLOSURE_TRACE_GUARD.
+    """
+    tr_max = eps_max_v[..., :3].sum(axis=-1)
+    assert np.all(tr_max > CLOSURE_TRACE_GUARD)
+    s = np.logaddexp(0.0, P.a_c * eps_v[..., :3].sum(axis=-1) / tr_max) / P.a_c
+    return HOOKE.apply(eps_v - s[..., None] * eps_max_v)
+
+
+def blend_stress(eps, eps_max, d):
+    """The paper's blend (1-d) E:eps + d E:F(eps) at every point, F = 0 without history."""
+    d = np.broadcast_to(np.asarray(d, dtype=float), eps.shape[:-1])
+    eps_max = np.broadcast_to(eps_max, eps.shape)
+    elastic = HOOKE.apply(eps)
+    closed = eps_max[..., :3].sum(axis=-1) > CLOSURE_TRACE_GUARD
+    sig_cr = np.zeros_like(elastic)
+    sig_cr[closed] = crack_closure_stress(eps[closed], eps_max[closed])
+    return (1.0 - d)[..., None] * elastic + d[..., None] * sig_cr
+
+
+def closed_form_stress(eps, eps_max, d):
+    """E:eps - d s E:eps_max (or - d E:eps without history) at every point.
+
+    The closed form of `blend_stress`, with the operations of the kernel in
+    their order, so the screened kernel must match it bit for bit.
+    """
+    d = np.broadcast_to(np.asarray(d, dtype=float), eps.shape[:-1])
+    eps_max = np.broadcast_to(eps_max, eps.shape)
+    sig = HOOKE.apply(eps)
+    tr_max = eps_max[..., :3].sum(axis=-1)
+    peak = tr_max > CLOSURE_TRACE_GUARD
+    scale = P.a_c / np.where(peak, tr_max, 1.0)
+    s = np.logaddexp(0.0, scale * (eps[..., 0] + eps[..., 1] + eps[..., 2]))
+    at_peak = ((-d / P.a_c) * s)[..., None] * HOOKE.apply(eps_max)
+    return sig + np.where(peak[..., None], at_peak, -d[..., None] * sig)
 
 
 class TestParams:
@@ -124,40 +173,79 @@ class TestDelayIntegration:
         d = integrate_delay(t, dbar, 0.0, P)[0]
         assert d.max() <= 0.9 + 1e-12
 
+    def test_empty_leading_span_takes_no_substep(self, monkeypatch):
+        # The Newmark step calls with times = [0, dt]: the leading [0, 0]
+        # span is empty and one substep (dt <= tau_c/20) covers [0, dt], so
+        # the call is one classic 4-stage step, rate evaluations included.
+        calls = []
+        rate = material._delay_rate
+
+        def counted(gap, params):
+            calls.append(1)
+            return rate(gap, params)
+
+        monkeypatch.setattr(material, "_delay_rate", counted)
+        dt = 0.002
+        db0 = np.array([0.0, 0.3, 0.3, 0.7, 0.1])
+        db1 = np.array([0.2, 0.3, 0.5, 0.6, 0.0])
+        d0 = np.array([0.0, 0.1, 0.25, 0.2, 0.1])
+        d = integrate_delay(np.array([0.0, dt]), np.stack([db0, db1], axis=-1), d0, P)
+        assert len(calls) == 4
+        assert_bitwise(d[:, 0], d0)
+
+        def f(gap):
+            return (1.0 - np.exp(-P.a * np.maximum(gap, 0.0))) / P.tau_c
+
+        mid = db0 + (db1 - db0) * 0.5
+        end = db0 + (db1 - db0)
+        k1 = f(db0 - d0)
+        k2 = f(mid - (d0 + 0.5 * dt * k1))
+        k3 = f(mid - (d0 + 0.5 * dt * k2))
+        k4 = f(end - (d0 + dt * k3))
+        assert_bitwise(d[:, 1], d0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+
 
 class TestCrackClosure:
     def test_residual_at_peak(self):
         eps = uniaxial(2e-4)
-        sig = crack_closure_stress(eps, eps, P, HOOKE)
+        sig = stress(eps, eps, 1.0)          # d = 1: sigma = E:F(eps)
         assert np.linalg.norm(sig) <= 2e-5 * np.linalg.norm(HOOKE.apply(eps))
 
     def test_deep_compression_recovers_elasticity(self):
         eps_max = uniaxial(2e-4)
         eps = uniaxial(-1e-3)          # tr ratio = -5
-        sig = crack_closure_stress(eps, eps_max, P, HOOKE)
+        sig = stress(eps, eps_max, 1.0)
         assert np.allclose(sig, HOOKE.apply(eps), rtol=1e-14)
 
     def test_guard_rejected(self):
-        with pytest.raises(ValueError):
-            crack_closure_stress(uniaxial(1e-4), np.zeros(6), P, HOOKE)
+        # a tension history at or below the guard is no history: the point
+        # takes the zero-history branch, sigma = (1 - d) E:eps, even in
+        # compression, where a history just above the guard closes the crack
+        eps = uniaxial(-1e-4)
+        for eps_max in (np.zeros(6), uniaxial(CLOSURE_TRACE_GUARD)):
+            np.testing.assert_allclose(stress(eps, eps_max, 0.4),
+                                       0.6 * HOOKE.apply(eps), rtol=1e-15, atol=0.0)
+        above = stress(eps, uniaxial(2.0 * CLOSURE_TRACE_GUARD), 0.4)
+        np.testing.assert_allclose(above, HOOKE.apply(eps), rtol=1e-15, atol=0.0)
 
     def test_total_stress_undamaged_is_elastic(self):
         rng = np.random.default_rng(3)
         eps = rng.normal(size=(10, 6)) * 1e-4
-        sig = total_stress(eps, np.zeros((10, 6)), np.zeros(10), P, HOOKE)
+        sig = stress(eps, np.zeros((10, 6)), np.zeros(10))
         assert np.array_equal(sig, HOOKE.apply(eps))
+        assert np.array_equal(total_stress(eps, HOOKE, None), HOOKE.apply(eps))
 
     def test_total_stress_residual_at_zero_strain(self):
         eps_max = uniaxial(2e-4)
         d = 0.4
-        sig = total_stress(np.zeros(6), eps_max, d, P, HOOKE)
+        sig = stress(np.zeros(6), eps_max, d)
         expect = -d * HOOKE.apply(eps_max) * np.log(2.0) / P.a_c
         assert np.allclose(sig, expect, rtol=1e-12)
 
     def test_total_stress_deep_compression_any_damage(self):
         eps_max = uniaxial(2e-4)
         eps = uniaxial(-2e-3)
-        sig = total_stress(eps, eps_max, 0.5, P, HOOKE)
+        sig = stress(eps, eps_max, 0.5)
         assert np.allclose(sig, HOOKE.apply(eps), rtol=1e-2)
 
 
@@ -305,16 +393,6 @@ def assert_bitwise(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-def unscreened_stress(eps, eps_max, d):
-    """(1-d) E:eps + d E:F(eps) evaluated at every point, F = 0 without history."""
-    d = np.asarray(d, dtype=float)
-    elastic = HOOKE.apply(eps)
-    closed = eps_max[..., :3].sum(axis=-1) > CLOSURE_TRACE_GUARD
-    sig_cr = np.zeros_like(elastic)
-    sig_cr[closed] = crack_closure_stress(eps[closed], eps_max[closed], P, HOOKE)
-    return (1.0 - d)[..., None] * elastic + d[..., None] * sig_cr
-
-
 class TestScreens:
     """The screened damage-law kernels equal their everywhere-evaluated forms bit for bit."""
 
@@ -356,11 +434,39 @@ class TestScreens:
         damaged = d != 0.0
         assert np.any(damaged & closed) and np.any(damaged & ~closed)
         assert np.any(~damaged)
-        assert_bitwise(total_stress(eps, eps_max, d, P, HOOKE),
-                       unscreened_stress(eps, eps_max, d))
+        assert_bitwise(stress(eps, eps_max, d), closed_form_stress(eps, eps_max, d))
         for scalar in (0.0, 0.35):
-            assert_bitwise(total_stress(eps, eps_max, scalar, P, HOOKE),
-                           unscreened_stress(eps, eps_max, scalar))
+            assert_bitwise(stress(eps, eps_max, scalar),
+                           closed_form_stress(eps, eps_max, scalar))
+        # the kernel's correction field is sigma - E:eps of the same state
+        correction = DamageCorrection(eps_max, d, P, HOOKE)
+        with pytest.raises(ValueError, match="eps_max has shape"):
+            DamageCorrection(eps_max[..., :3], d, P, HOOKE)
+        np.testing.assert_allclose(
+            HOOKE.apply(eps) + correction.field(eps), closed_form_stress(eps, eps_max, d),
+            rtol=0.0, atol=4.0 * np.finfo(float).eps * np.abs(HOOKE.apply(eps)).max())
+
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_closed_form_matches_the_blend(self, seed):
+        # sigma = (1-d) E:eps + d E:F(eps) regrouped as E:eps - d s E:eps_max
+        # moves each point by a few ulp of its largest stress scale (at most
+        # 4.3 ulp on these seeds)
+        rng = np.random.default_rng(seed)
+        shape = (4000,)
+        eps = rng.normal(size=shape + (6,)) * 1e-4
+        eps[::7] *= 1e-3                          # lightly strained points
+        eps_max = rng.normal(size=shape + (6,)) * 1e-4
+        eps_max[..., :3] += 5e-5
+        eps_max[rng.random(shape) < 0.2] = 0.0
+        d = rng.uniform(0.0, 1.0, shape)
+        d[rng.random(shape) < 0.3] = rng.uniform(0.0, 1e-6, shape)[:1]
+        d[rng.random(shape) < 0.05] = 1.0
+        got = stress(eps, eps_max, d)
+        want = blend_stress(eps, eps_max, d)
+        scale = np.maximum(np.abs(HOOKE.apply(eps)).max(axis=-1),
+                           np.abs(want).max(axis=-1))
+        gap = np.abs(got - want).max(axis=-1)
+        assert np.all(gap <= 8.0 * np.finfo(float).eps * scale)
 
     def test_local_stage_matches_unscreened_composition(self):
         t = np.linspace(1.0 / 60, 1.0, 60)
@@ -385,7 +491,7 @@ class TestScreens:
         d = integrate_delay(t, dbar, 0.0, P)
         eps_max, _ = tension_peak_history(eps)
         want = {"dbar": dbar, "Z": Z, "d": d,
-                "sig": unscreened_stress(eps, eps_max, d)}
+                "sig": closed_form_stress(eps, eps_max, d)}
         for key, value in want.items():
             assert_bitwise(out[key], value)
 

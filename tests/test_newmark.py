@@ -8,8 +8,9 @@ from latinpgd.assembly import (SpatialSystem, assemble_mass, assemble_stiffness,
                                internal_force, modal_analysis, rayleigh_coeffs,
                                strain_at_gauss)
 from latinpgd.config import MONO_SINE_AMPLITUDE, preset
-from latinpgd.material import (integrate_delay, reference_concrete,
-                               released_energy, static_damage, total_stress)
+from latinpgd.material import (DamageCorrection, integrate_delay,
+                               reference_concrete, released_energy,
+                               static_damage, total_stress)
 from latinpgd.mesh import generate_box_mesh
 from latinpgd.newmark import (LoadCase, compare_error, newmark_quasi_newton,
                               resample_fields_to_gauss)
@@ -169,7 +170,8 @@ class TestElasticLimits:
         def forbidden(*args, **kwargs):
             raise AssertionError("Gauss-point work in the elastic march")
 
-        for name in ("strain_at_gauss", "total_stress", "internal_force"):
+        for name in ("strain_at_gauss", "total_stress", "internal_force",
+                     "DamageCorrection"):
             monkeypatch.setattr(newmark, name, forbidden)
         system = build_system(cube_system().mesh, damping=True)
         times = np.linspace(0.0, 0.01, 41)
@@ -179,6 +181,7 @@ class TestElasticLimits:
         assert np.all(np.isfinite(res["u"])) and np.abs(res["u"]).max() > 0.0
         assert not {"eps", "sig", "d"} & set(res)
         assert res["info"]["iterations"].min() >= 1
+        assert np.all(res["info"]["passes"] == 1)
 
 
 def assert_gauss_fields_of_elastic_march(res, mesh):
@@ -314,16 +317,22 @@ class TestSplitForce:
         eps_max[1] = 0.0                             # damaged, no tension history
         return full, {"d": d, "eps_max": eps_max}
 
+    @staticmethod
+    def correction(state):
+        """The kernel the march builds for `state` (None without damage)."""
+        return newmark._correction(state["eps_max"], state["d"], PARAMS, HOOKE)
+
     def test_equals_integrated_total_stress(self):
         system = build_system(generate_box_mesh(2.0, 0.5, 0.5, 4, 2, 2))
         mesh, free, presc = system.mesh, system.free, system.prescribed
         full, state = self.random_state(mesh, np.random.default_rng(11))
         damaged = state["d"].reshape(mesh.n_elements, -1).any(axis=1)
         assert 0 < damaged.sum() < mesh.n_elements
+        correction = self.correction(state)
+        assert isinstance(correction, DamageCorrection)
         f = system.Kff @ full[free] + newmark._free_force(
-            system, system.Kfp @ full[presc], full, state, PARAMS, HOOKE)
-        sig = total_stress(strain_at_gauss(mesh, full), state["eps_max"],
-                           state["d"], PARAMS, HOOKE)
+            system, system.Kfp @ full[presc], full, correction)
+        sig = total_stress(strain_at_gauss(mesh, full), HOOKE, correction)
         ref = internal_force(mesh, sig)[free]
         np.testing.assert_allclose(f, ref, rtol=1e-12,
                                    atol=1e-12 * np.abs(ref).max())
@@ -334,9 +343,10 @@ class TestSplitForce:
         mesh, free, presc = system.mesh, system.free, system.prescribed
         full, state = self.random_state(mesh, np.random.default_rng(12))
         state["d"][:] = 0.0
+        assert self.correction(state) is None
         f_p = system.Kfp @ full[presc]
-        f = system.Kff @ full[free] + newmark._free_force(system, f_p, full, state,
-                                                          PARAMS, HOOKE)
+        f = system.Kff @ full[free] + newmark._free_force(system, f_p, full,
+                                                          self.correction(state))
         assert np.array_equal(f, system.Kff @ full[free] + f_p)
 
     def test_one_operator_residual_equals_the_three_matrix_form(self):
@@ -359,12 +369,13 @@ class TestSplitForce:
         a = ca * (u - pred_u)
         v = pred_v + newmark.NEWMARK_GAMMA * dt * a
         eps = strain_at_gauss(mesh, full)
-        sig = total_stress(eps, state["eps_max"], state["d"], PARAMS, HOOKE)
+        correction = self.correction(state)
+        sig = total_stress(eps, HOOKE, correction)
         ref = (system.Mff @ a + system.Cff @ v + system.Kff @ u + f_sup
                + internal_force(mesh, sig - HOOKE.apply(eps))[free])
         h = newmark._step_load(system, pred_u, pred_v, f_sup)
         got = (system.operator(ca, cc, 1.0) @ (u - pred_u)
-               + newmark._free_force(system, h, full, state, PARAMS, HOOKE))
+               + newmark._free_force(system, h, full, correction))
         np.testing.assert_allclose(got, ref, rtol=0.0,
                                    atol=1e-12 * np.abs(ref).max())
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from latinpgd import pgd
 from latinpgd.assembly import (SpatialSystem, assemble_mass,
                                assemble_stiffness, internal_force,
                                strain_at_gauss)
@@ -333,6 +334,102 @@ class TestNormalizeAndStagnation:
         with pytest.raises(ValueError, match="different time grids"):
             stagnation(TimeFunction(grid, np.ones((grid.n_elements, 4))),
                        TimeFunction(other, np.ones((other.n_elements, 4))))
+
+
+class TestReductions:
+    """The space-time reductions equal plain loops over points and instants."""
+
+    @staticmethod
+    def fields(setup, seed):
+        mesh, system, grid = setup
+        rng = np.random.default_rng(seed)
+        delta = rng.normal(size=(mesh.n_gauss, grid.n_gauss, 6)) * 1e4
+        return rng, delta, mesh.gp_weights.ravel(), grid.all_gauss_weights
+
+    @staticmethod
+    def assert_close(got, want):
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_time_weighted(self, setup):
+        mesh, system, grid = setup
+        rng, delta, _, wt = self.fields(setup, 30)
+        samples = rng.normal(size=grid.n_gauss)
+        want = np.zeros((mesh.n_gauss, 6))
+        for g in range(mesh.n_gauss):
+            for t in range(grid.n_gauss):
+                for v in range(6):
+                    want[g, v] += delta[g, t, v] * samples[t] * wt[t]
+        self.assert_close(pgd._time_weighted(delta, samples, grid), want)
+
+    def test_time_lambda_forcing(self, setup, monkeypatch):
+        mesh, system, grid = setup
+        rng, delta, wg, _ = self.fields(setup, 31)
+        u, eps = random_mode_shape(mesh, system, rng)
+        seen = []
+
+        def march(grid, a, c, b, f):
+            seen.append(f)
+            return tdgm_march(grid, a, c, b, f)
+
+        monkeypatch.setattr(pgd, "tdgm_march", march)
+        time_lambda(u, eps, delta, system, grid, HOOKE)
+        want = np.zeros(grid.n_gauss)
+        for t in range(grid.n_gauss):
+            for g in range(mesh.n_gauss):
+                for v in range(6):
+                    want[t] += delta[g, t, v] * eps[g, v] * wg[g]
+        self.assert_close(seen[0], want.reshape(grid.n_elements, 4))
+
+    def test_time_mu_samples(self, setup, monkeypatch):
+        mesh, system, grid = setup
+        rng, delta, wg, _ = self.fields(setup, 33)
+        _, eps_bar = random_mode_shape(mesh, system, rng)
+        sig_bar = rng.normal(size=(mesh.n_gauss, 6)) * 1e4
+        lam = TimeFunction(grid, rng.normal(size=(grid.n_elements, 4)))
+        seen = []
+
+        def fit(grid, samples):
+            seen.append(samples)
+            return lam
+
+        monkeypatch.setattr(pgd, "l2_fit", fit)
+        time_mu(sig_bar, eps_bar, lam, delta, HOOKE, grid, mesh)
+        comp = sig_bar @ HOOKE.inverse.T
+        den = se = 0.0
+        sd = np.zeros(grid.n_gauss)
+        for g in range(mesh.n_gauss):
+            den += wg[g] * (comp[g] @ sig_bar[g])
+            se += wg[g] * (sig_bar[g] @ eps_bar[g])
+            for t in range(grid.n_gauss):
+                for v in range(6):
+                    sd[t] += comp[g, v] * delta[g, t, v] * wg[g]
+        self.assert_close(seen[0], (se * lam.values_at_gauss() - sd) / den)
+
+    @pytest.mark.parametrize("with_mode", [False, True])
+    def test_cre_functional(self, setup, with_mode):
+        mesh, system, grid = setup
+        rng, delta, wg, wt = self.fields(setup, 32)
+        resid = delta.copy()
+        mode = None
+        if with_mode:
+            _, eps_bar = random_mode_shape(mesh, system, rng)
+            sig_bar = rng.normal(size=(mesh.n_gauss, 6)) * 1e4
+            lam = TimeFunction(grid, rng.normal(size=(grid.n_elements, 4)))
+            mu = TimeFunction(grid, rng.normal(size=(grid.n_elements, 4)))
+            mode = PgdMode(None, eps_bar, sig_bar, lam, mu)
+            lv, mv = lam.values_at_gauss(), mu.values_at_gauss()
+            e_bar = HOOKE.apply(eps_bar)
+            for g in range(mesh.n_gauss):
+                for t in range(grid.n_gauss):
+                    resid[g, t] += sig_bar[g] * mv[t] - e_bar[g] * lv[t]
+        want = 0.0
+        for g in range(mesh.n_gauss):
+            for t in range(grid.n_gauss):
+                r = resid[g, t]
+                want += wg[g] * wt[t] * (r @ HOOKE.inverse @ r)
+        self.assert_close(cre_functional(delta, mesh, grid, HOOKE, mode), want)
 
 
 class TestEnrich:
