@@ -182,6 +182,13 @@ class SpatialSystem:
     def solve_free(self, ca, cc, ck, rhs):
         """Direct solve of (ca*M + cc*C + ck*K) x = rhs on the free DOFs, rhs 1-D.
 
+        The factorization is a sparse LU with a fill-reducing minimum-degree
+        ordering of A^T + A and a symmetric-mode pivot preference: the
+        operator is symmetric, so diagonal pivots keep the fill of the
+        ordering.  Pivoting stays on, because the enrichment's space
+        operator can be indefinite (<lam'' lam> < 0).  A singular operator
+        raises RuntimeError.
+
         Only the last factorization is kept: a call with the coefficient
         triple of the previous call reuses it, any other triple refactorizes.
         That is all the callers need: a Newmark march solves with one triple
@@ -193,7 +200,9 @@ class SpatialSystem:
         key = (float(ca), float(cc), float(ck))
         cached, solve = self._solve
         if key != cached:
-            solve = spla.factorized(self.operator(ca, cc, ck))
+            solve = spla.splu(self.operator(ca, cc, ck).tocsc(),
+                              permc_spec="MMD_AT_PLUS_A",
+                              options=dict(SymmetricMode=True)).solve
             self._solve = (key, solve)
             self.n_factorizations += 1
         return solve(np.asarray(rhs, dtype=float))

@@ -29,8 +29,9 @@ from .assembly import strain_at_gauss
 from .material import local_stage
 from .newmark import newmark_quasi_newton
 from .pgd import (PgdSolution, compute_delta, cre_functional, enrich,
-                  relax_mode, strain_norm)
-from .timegrid import quad_resample_to_gauss
+                  gap_norms, mode_products, relax_mode, strain_norm)
+from .tensors import STRAIN_CONTRACTION, STRESS_CONTRACTION
+from .timegrid import quad_resample_to_gauss, spatial_blocks
 
 RELAXATION = 0.4
 
@@ -60,42 +61,62 @@ def _st_norm2(mesh, grid, field, flavor):
 
     Proper tensor contraction (shear components counted twice for stresses,
     engineering shear strains halved twice) integrated with the spatial and
-    temporal quadrature weights.
+    temporal quadrature weights, reading the field once, block by block.
     """
     if flavor == "stress":
-        shear = 2.0
+        c = STRESS_CONTRACTION
     elif flavor == "strain":
-        shear = 0.5
+        c = STRAIN_CONTRACTION
     else:
         raise ValueError("flavor must be 'stress' or 'strain', got %r" % (flavor,))
-    c = np.array([1.0, 1.0, 1.0, shear, shear, shear])
-    sq = np.einsum("gtv,gtv,v->gt", field, field, c)
-    return float(mesh.gp_weights.ravel() @ sq @ grid.all_gauss_weights)
+    wg = mesh.gp_weights.ravel()
+    wt = grid.all_gauss_weights
+    total = 0.0
+    for s in spatial_blocks(field):
+        block = field[s]
+        total += wg[s] @ ((wt @ (block * block)) @ c)
+    return float(total)
 
 
-def latin_error(delta, sig, eps, mesh, grid, mode=None):
+def latin_error(gap2, norms, mesh, grid, mode=None, products=None):
     """Manifold distance xi of the global fields from the local-stage pair.
 
-    delta is the stress gap sig - sig_hat (`pgd.compute_delta`), formed once
-    by the caller, which also hands it to the enrichment.  The local stage
-    takes eps_hat = eps, so the strain gap is exactly zero for the fields
-    the local stage ran on (mode None).  After `mode` has been added to
-    them, the gap is that mode's eps_bar lam, whose squared norm separates
-    as |eps_bar|^2_Omega <lam, lam>_I (same contraction and weights as the
-    dense norm).  Both gaps are normalized by the global-field norms; a
-    vanishing global stress or strain signals a degenerate (all-zero)
-    solution and is rejected rather than silently returning inf.
+    gap2 is |Delta|^2 of the stress gap Delta = sig - sig_hat the last local
+    stage left (`pgd.gap_norms`), and norms = (|sig|^2, |eps|^2) are the
+    squared norms of the current global fields, which the driver keeps from
+    one change of the fields to the next.  The local stage takes
+    eps_hat = eps, so the strain gap is exactly zero for the fields the local
+    stage ran on (mode None).
+
+    After `mode` has been added to the global fields, the gaps separate and
+    no field is read here: the stress gap is Delta + sig_bar mu, with
+
+        |Delta + sig_bar mu|^2 = |Delta|^2 + 2 <mu, P_c> + |sig_bar|^2_Omega <mu, mu>_I,
+
+    P_c being the first row of `pgd.mode_products` of the same Delta
+    (`products`), and the strain gap is the mode's eps_bar lam, with
+    |eps_bar|^2_Omega <lam, lam>_I.  Both gaps are normalized by the global
+    norms; a vanishing global stress or strain signals a degenerate
+    (all-zero) solution and is rejected rather than silently returning inf.
     """
-    den_s = _st_norm2(mesh, grid, sig, "stress")
-    den_e = _st_norm2(mesh, grid, eps, "strain")
+    den_s, den_e = norms
     if den_s <= 0.0 or den_e <= 0.0:
         raise ValueError("global solution vanishes; manifold distance undefined")
-    num_s = _st_norm2(mesh, grid, delta, "stress")
-    num_e = 0.0
+    num_s, num_e = gap2, 0.0
     if mode is not None:
         lv = mode.lam.values_at_gauss()
+        mv = mode.mu.values_at_gauss()
+        sig2 = mesh.gp_weights.ravel() @ (mode.sig_bar ** 2 @ STRESS_CONTRACTION)
+        # The sum is a norm; round-off alone could take it below zero.
+        num_s = max(gap2 + 2.0 * grid.inner(mv, products[0])
+                    + sig2 * grid.inner(mv, mv), 0.0)
         num_e = strain_norm(mode.eps_bar, mesh) ** 2 * grid.inner(lv, lv)
     return float(np.sqrt(num_s / den_s + num_e / den_e))
+
+
+def _global_norms(mesh, grid, eps, sig):
+    """(|sig|^2, |eps|^2) of the global fields: the denominators of xi."""
+    return _st_norm2(mesh, grid, sig, "stress"), _st_norm2(mesh, grid, eps, "strain")
 
 
 class LatinState:
@@ -146,6 +167,15 @@ def run_latin(system, params, load, grid, zeta_stop=5e-4, max_modes=150,
 
     Returns a LatinState; `state.converged` distinguishes a met threshold
     from an exhausted budget.
+
+    After the elastic start no iteration allocates a space-time field: the
+    running fields take each mode in place, and the local stage's stress
+    and the stress gap Delta live in two held buffers.  An iteration reads
+    Delta once for |Delta|^2 and J(Delta) (`pgd.gap_norms`), twice per
+    enrichment sweep, and once after the mode for the separated xi and CRE
+    (`pgd.mode_products`).  The squared global norms |sig|^2 and |eps|^2
+    are formed once per change of the global fields: after a mode they
+    serve both its xi and the next iteration's test before enrichment.
     """
     if zeta_stop <= 0.0:
         raise ValueError("zeta_stop must be positive")
@@ -161,30 +191,35 @@ def run_latin(system, params, load, grid, zeta_stop=5e-4, max_modes=150,
     n_t = grid.n_gauss
     local = {"Z": np.zeros((mesh.n_gauss, n_t)),
              "dbar": np.zeros((mesh.n_gauss, n_t))}
+    # The running fields are updated in place, the local stage's stress and
+    # the stress gap are rewritten into these two buffers: after the elastic
+    # start no iteration allocates a space-time field.
+    _, eps, sig = solution.fields()
+    sig_hat = np.empty_like(sig)
+    delta = np.empty_like(sig)
+    norms = _global_norms(mesh, grid, eps, sig)
 
     while True:
         state.iteration += 1
-        _, eps, sig = solution.fields()
         local = local_stage(eps, local["Z"], local["dbar"], grid.all_gauss_times,
-                            params, hooke)
+                            params, hooke, out=sig_hat)
         state.hat = local
 
         # Distance of the current global iterate from the manifold.  When it
         # is already below the threshold (elastic loads: the constitutive
         # relation returns the elastic stress bit-for-bit and the distance is
-        # exactly zero) the iteration ends without spending a mode.  xi = 0
-        # only when sig equals sig_hat, so the CRE of the gap is 0 then.
-        delta = compute_delta(sig, local["sig"])
-        xi = latin_error(delta, sig, eps, mesh, grid)
+        # exactly zero) the iteration ends without spending a mode.  The pass
+        # that forms |Delta|^2 also gives the CRE of the gap, 0 when xi is.
+        compute_delta(sig, sig_hat, out=delta)
+        gap2, cre = gap_norms(delta, mesh, grid, hooke)
+        xi = latin_error(gap2, norms, mesh, grid)
         if xi <= zeta_stop:
             state.xi = xi
             state.converged = True
             wall = time.perf_counter() - t0
             state.log.append({"iteration": state.iteration,
                               "modes": solution.n_modes, "xi": xi,
-                              "cre": 0.0 if xi == 0.0 else
-                              cre_functional(delta, mesh, grid, hooke),
-                              "seconds": wall})
+                              "cre": cre, "seconds": wall})
             return state
 
         mode, info = enrich(delta, system, grid, hooke, rng, zeta_stop=enrich_zeta)
@@ -194,17 +229,20 @@ def run_latin(system, params, load, grid, zeta_stop=5e-4, max_modes=150,
             # stress gaps cannot both be zero here, so the run is degenerate.
             raise ValueError("stress gap vanished with xi = %g above the "
                              "threshold" % xi)
-        solution.add_mode(relax_mode(mode, omega))
+        mode = relax_mode(mode, omega)
+        solution.add_mode(mode)
 
-        _, eps, sig = solution.fields()
-        xi = latin_error(compute_delta(sig, local["sig"]), sig, eps, mesh, grid,
-                         mode=solution.modes[-1])
+        # The new global norms serve this test and the next iteration's; the
+        # gaps after the mode separate into one product of Delta.
+        norms = _global_norms(mesh, grid, eps, sig)
+        products = mode_products(delta, mode, mesh, hooke)
+        xi = latin_error(gap2, norms, mesh, grid, mode, products)
         state.xi = xi
         wall = time.perf_counter() - t0
         state.log.append({"iteration": state.iteration,
                           "modes": solution.n_modes, "xi": xi,
-                          "cre": cre_functional(delta, mesh, grid, hooke,
-                                                mode=solution.modes[-1]),
+                          "cre": cre_functional(cre, products, mode, mesh, grid,
+                                                hooke),
                           "seconds": wall})
         if xi <= zeta_stop:
             state.converged = True

@@ -32,17 +32,23 @@ happen, with results bit-identical to evaluating it everywhere:
   can reach it;
 * stress: E:eps is exact where d = 0, so the damage correction is
   evaluated only at damaged points;
+* threshold: the target damage and its dual are refreshed only where the
+  threshold is exceeded;
 * delay: with zero target and zero start the rate is exactly 0, so the
   update stage integrates only the spatial points whose target damage is
   nonzero somewhere on the time axis, and scans the tension peak, which
   the stress reads only where d != 0, at those points only.
+
+The kernels that gather a subset of points (eigenvalue solve, correction)
+work through it in chunks, so their temporaries stay small however many
+points qualify.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import HookeTensor, voigt_to_matrix
+from .tensors import STRAIN_CONTRACTION, HookeTensor, voigt_to_matrix
 
 CLOSURE_TRACE_GUARD = 1e-12
 
@@ -50,8 +56,14 @@ CLOSURE_TRACE_GUARD = 1e-12
 # the eigenvalue route, so a screened point never has a computed Y above
 # the floor.
 _BOUND_SLACK = 1e-10
-# |eps|^2 = eps : eps in engineering-strain Voigt components.
-_FROBENIUS_STRAIN = np.array([1.0, 1.0, 1.0, 0.5, 0.5, 0.5])
+# Points per chunk of the pointwise kernels that gather a subset of a field:
+# their temporaries stay this small however many points qualify.
+_CHUNK = 1 << 14
+
+
+def _chunks(n):
+    """Slices covering range(n) in chunks of _CHUNK."""
+    return [slice(i, i + _CHUNK) for i in range(0, n, _CHUNK)]
 
 
 @dataclass(frozen=True)
@@ -99,16 +111,18 @@ def released_energy(eps_v, hooke, floor=0.0):
     The default floor 0 sends every nonzero strain through the solver.
     """
     eps_v = np.asarray(eps_v, dtype=float)
-    norm2 = np.einsum("...v,...v,v->...", eps_v, eps_v, _FROBENIUS_STRAIN)
+    norm2 = np.einsum("...v,...v,v->...", eps_v, eps_v, STRAIN_CONTRACTION)
     bound = 0.5 * (3.0 * max(hooke.lam, 0.0) + 2.0 * hooke.mu) * norm2
     # Negated test, so a non-finite strain still reaches the solver.
     live = np.flatnonzero(~(bound * (1.0 + _BOUND_SLACK) <= floor))
     Y = np.full(norm2.shape, float(floor))
-    if live.size:
-        eps_live = eps_v.reshape(-1, 6).take(live, axis=0)
-        pos = np.maximum(np.linalg.eigvalsh(voigt_to_matrix(eps_live, "strain")), 0.0)
+    flat_eps, flat_Y = eps_v.reshape(-1, 6), Y.reshape(-1)
+    for s in _chunks(live.size):
+        points = live[s]
+        pos = np.maximum(np.linalg.eigvalsh(
+            voigt_to_matrix(flat_eps.take(points, axis=0), "strain")), 0.0)
         tr = pos.sum(axis=-1)
-        Y.reshape(-1)[live] = np.maximum(
+        flat_Y[points] = np.maximum(
             0.5 * (hooke.lam * tr ** 2 + 2.0 * hooke.mu * (pos ** 2).sum(axis=-1)), floor)
     return Y[()]   # a scalar for a single strain (6,), an array otherwise
 
@@ -190,50 +204,66 @@ class DamageCorrection:
     damaged points split by history, -d/a_c, a_c/tr eps_max and E:eps_max
     at the points with a history, -d at the others.  Each strain field then
     costs one trace, one softplus and one scaled scatter at the damaged
-    points.  eps_max_v is strain-Voigt (..., 6) and d has its shape (...).
+    points.
+
+    d and tr_max (the trace of the tension peak eps_max) share the state's
+    shape (...).  peak_stress(flat) returns E:eps_max, shape (k, 6), at the
+    flat indices `flat` of that shape; it is called once, here, for the
+    damaged points with a history only.  So a caller never forms eps_max as
+    a field: the Newmark march applies E to its per-point peaks, and the
+    local stage reads E:eps at the running peak index off the E:eps it forms
+    anyway.
     """
 
-    def __init__(self, eps_max_v, d, params, hooke):
-        eps_max_v = np.asarray(eps_max_v, dtype=float)
+    def __init__(self, d, tr_max, peak_stress, params, hooke):
         d = np.asarray(d, dtype=float)
-        if eps_max_v.shape != d.shape + (6,):
-            raise ValueError("eps_max has shape %s, expected %s"
-                             % (eps_max_v.shape, d.shape + (6,)))
-        self.shape = d.shape
+        tr_max = np.asarray(tr_max, dtype=float)
+        if tr_max.shape != d.shape:
+            raise ValueError("tr_max has shape %s, expected %s"
+                             % (tr_max.shape, d.shape))
         self.hooke = hooke
         d = d.reshape(-1)
         damaged = np.flatnonzero(d)
-        eps_max = eps_max_v.reshape(-1, 6).take(damaged, axis=0)
-        tr_max = eps_max[:, :3].sum(axis=-1)
-        history = tr_max > CLOSURE_TRACE_GUARD
+        tr = tr_max.reshape(-1)[damaged]
+        history = tr > CLOSURE_TRACE_GUARD
         self.peak = damaged[history]        # flat indices, with a tension history
         self.no_peak = damaged[~history]    # flat indices, without one
         self.coef = -d[self.peak] / params.a_c
-        self.scale = params.a_c / tr_max[history]
-        self.e_max = hooke.apply(eps_max[history])
+        self.scale = params.a_c / tr[history]
+        self.e_max = peak_stress(self.peak)
         self.neg_d = -d[self.no_peak][:, None]
 
-    def _at_peak(self, flat):
-        """-d s E:eps_max at the points with a tension history."""
-        e = flat.take(self.peak, axis=0)
+    def _at_peak(self, flat, s=slice(None)):
+        """-d s E:eps_max at the points self.peak[s], which have a tension history."""
+        e = flat.take(self.peak[s], axis=0)
         tr = e[:, 0] + e[:, 1] + e[:, 2]
-        return (self.coef * np.logaddexp(0.0, self.scale * tr))[:, None] * self.e_max
+        return ((self.coef[s] * np.logaddexp(0.0, self.scale[s] * tr))[:, None]
+                * self.e_max[s])
 
     def field(self, eps_v):
         """The correction of a strain field (shape of the state, 6)."""
-        flat = np.asarray(eps_v, dtype=float).reshape(-1, 6)
+        eps_v = np.asarray(eps_v, dtype=float)
+        flat = eps_v.reshape(-1, 6)
         out = np.zeros_like(flat)
         out[self.peak] = self._at_peak(flat)
         out[self.no_peak] = self.neg_d * self.hooke.apply(flat[self.no_peak])
-        return out.reshape(self.shape + (6,))
+        return out.reshape(eps_v.shape)
 
     def add_to(self, sig, eps_v):
-        """Add the correction of eps_v in place to sig, which holds E:eps_v."""
+        """Add the correction of eps_v in place to sig, which holds E:eps_v.
+
+        Chunk by chunk of the damaged points, so a whole damaged field
+        forms no temporary of its size.
+        """
         flat_sig = sig.reshape(-1, 6)     # a view: sig is C-ordered
         flat = np.asarray(eps_v, dtype=float).reshape(-1, 6)
-        flat_sig[self.peak] = flat_sig.take(self.peak, axis=0) + self._at_peak(flat)
-        at = flat_sig.take(self.no_peak, axis=0)
-        flat_sig[self.no_peak] = at + self.neg_d * at
+        for s in _chunks(self.peak.size):
+            points = self.peak[s]
+            flat_sig[points] = flat_sig.take(points, axis=0) + self._at_peak(flat, s)
+        for s in _chunks(self.no_peak.size):
+            points = self.no_peak[s]
+            at = flat_sig.take(points, axis=0)
+            flat_sig[points] = at + self.neg_d[s] * at
 
 
 def total_stress(eps_v, hooke, correction):
@@ -249,15 +279,15 @@ def total_stress(eps_v, hooke, correction):
     return sig
 
 
-def tension_peak_history(eps_v):
+def tension_peak_history(tr):
     """Running tension peak along the time axis.
 
-    eps_v: strain-Voigt (..., n_t, 6).  Returns (eps_max, tr_max) where
-    eps_max[..., t, :] is the strain at the running argmax of tr(eps) over
-    [0, t] (earliest index on ties, so the scan is deterministic).
+    tr: trace of a strain history (..., n_t).  Returns (idx, tr_max) where
+    idx[..., t] is the running argmax of tr over [0, t] (earliest index on
+    ties, so the scan is deterministic) and tr_max = tr at idx: the tension
+    peak eps_max[..., t, :] is the strain at time index idx[..., t].
     """
-    eps_v = np.asarray(eps_v, dtype=float)
-    tr = eps_v[..., :3].sum(axis=-1)
+    tr = np.asarray(tr, dtype=float)
     n_t = tr.shape[-1]
     run = np.maximum.accumulate(tr, axis=-1)
     is_new = np.empty(tr.shape, dtype=bool)
@@ -265,11 +295,10 @@ def tension_peak_history(eps_v):
     is_new[..., 1:] = tr[..., 1:] > run[..., :-1]
     cand = np.where(is_new, np.arange(n_t), 0)
     idx = np.maximum.accumulate(cand, axis=-1)
-    eps_max = np.take_along_axis(eps_v, idx[..., None], axis=-2)
-    return eps_max, np.take_along_axis(tr, idx, axis=-1)
+    return idx, np.take_along_axis(tr, idx, axis=-1)
 
 
-def local_stage(eps, Z_prev, dbar_prev, times, params, hooke):
+def local_stage(eps, Z_prev, dbar_prev, times, params, hooke, out=None):
     """Nonlinear update stage: constitutive relations at every Gauss point.
 
     All fields live on the (spatial Gauss x temporal Gauss) grid: eps has
@@ -283,34 +312,56 @@ def local_stage(eps, Z_prev, dbar_prev, times, params, hooke):
     damage is nonzero somewhere: d stays exactly 0 on every other row, so
     the stress there is E:eps and never reads the peak.
 
+    The stress is E:eps, formed once into `out`, plus the damage correction
+    at the damaged points (`DamageCorrection`).  The correction's E:eps_max
+    is read off that E:eps at the running tension-peak index, before the
+    correction is added, so no tension-peak strain field is formed.
+
     Z_prev, dbar_prev : dual softening Z and target damage d_bar of the
         previous update (Z_prev >= 0); the softening variable is z = -d_bar.
+    out : array (n_sp, n_t, 6) to write the stress into (the driver's held
+        buffer); a new array by default.
 
     Returns a dict with exactly the keys its callers read: sig, d, dbar and
     Z.  The local strain is the input strain itself and is not echoed; the
     released energy is available from `released_energy(eps, hooke, Y0)`.
     """
     eps = np.asarray(eps, dtype=float)
-    if not np.all(np.isfinite(eps)):
-        bad = np.nonzero(~np.isfinite(eps).all(axis=(1, 2)))[0][0]
-        raise ValueError("non-finite strain input at spatial Gauss point %d" % bad)
+    # One reduction screens the field; the per-point scan runs only when it
+    # is not finite (an overflowing sum of finite strains passes it).
+    if not np.isfinite(np.sum(eps)):
+        bad = np.flatnonzero(~np.isfinite(eps).all(axis=(1, 2)))
+        if bad.size:
+            raise ValueError("non-finite strain input at spatial Gauss point %d"
+                             % bad[0])
     Y = released_energy(eps, hooke, params.Y0)
-    f_c = Y - (params.Y0 + np.asarray(Z_prev, dtype=float))
-    damaging = f_c > 0.0
-
-    dbar = np.where(damaging, static_damage(Y, params),
-                    np.asarray(dbar_prev, dtype=float))
-    Z = np.where(damaging, dual_softening(-dbar, params), Z_prev)
+    Z = np.array(Z_prev, dtype=float)
+    damaging = Y - (params.Y0 + Z) > 0.0
+    dbar = np.array(dbar_prev, dtype=float)
+    dbar[damaging] = static_damage(Y[damaging], params)
+    Z[damaging] = dual_softening(-dbar[damaging], params)
 
     d = np.zeros_like(dbar)
-    eps_max = np.zeros(eps.shape)   # read by the correction only where d != 0
+    sig = hooke.apply(eps, out=out)      # exact wherever d = 0
     active = np.any(dbar != 0.0, axis=-1)
     if np.any(active):
         d[active] = integrate_delay(times, dbar[active], 0.0, params)
-        eps_max[active] = tension_peak_history(eps[active])[0]
-    correction = DamageCorrection(eps_max, d, params, hooke)
-    return {"sig": total_stress(eps, hooke, correction), "d": d,
-            "dbar": dbar, "Z": Z}
+        n_t = eps.shape[1]
+        idx = np.zeros(d.shape, dtype=np.intp)
+        tr_max = np.zeros_like(d)
+        idx[active], tr_max[active] = tension_peak_history(
+            eps[active, :, 0] + eps[active, :, 1] + eps[active, :, 2])
+        flat_sig = sig.reshape(-1, 6)
+        flat_idx = idx.reshape(-1)
+
+        def peak_stress(flat):
+            """E:eps_max: E:eps of the same point at its peak time index."""
+            source = flat - flat % n_t
+            source += flat_idx[flat]
+            return flat_sig[source]
+
+        DamageCorrection(d, tr_max, peak_stress, params, hooke).add_to(sig, eps)
+    return {"sig": sig, "d": d, "dbar": dbar, "Z": Z}
 
 
 def matpoint_drive(times, eps_x, params):

@@ -35,8 +35,11 @@ the frozen state contributes once, when the state is built, that is once
 per stagger pass.  The committed state's kernel sets the stored stress
 (`total_stress`, E : eps plus the same correction) and serves the next
 step's first pass.  The elastic march (`damage=False`) does no
-Gauss-point work at all; a damaging march samples the strain once after
-each pass, for the damage update and the stored history.
+Gauss-point work at all.  A damaging march needs the strain of each
+pass's converged displacement, for the damage update and the stored
+history: at a damaged state the pass's last residual has sampled it
+already and it is reused, at an undamaged state it is sampled once after
+the pass.
 
 The first equilibrium pass of a step always applies one correction before
 it tests the residual: the trial point (the previous step's displacement)
@@ -66,7 +69,7 @@ import numpy as np
 from .assembly import internal_force, strain_at_gauss
 from .material import (DamageCorrection, integrate_delay, released_energy,
                        static_damage, total_stress)
-from .timegrid import quad_resample_blocks
+from .timegrid import quad_resample_blocks, spatial_blocks
 
 NEWMARK_GAMMA = 0.5
 NEWMARK_BETA = 0.25
@@ -147,14 +150,21 @@ def _advance_damage(eps_k, state, dt, params, hooke):
     tr = eps_k[:, :3].sum(axis=1)
     grow = tr > state["tr_max"]
     eps_max = np.where(grow[:, None], eps_k, state["eps_max"])
-    return {"dbar": dbar, "d": d, "eps_max": eps_max,
-            "tr_max": np.where(grow, tr, state["tr_max"]),
-            "correction": _correction(eps_max, d, params, hooke)}
+    tr_max = np.where(grow, tr, state["tr_max"])
+    return {"dbar": dbar, "d": d, "eps_max": eps_max, "tr_max": tr_max,
+            "correction": _correction(eps_max, tr_max, d, params, hooke)}
 
 
-def _correction(eps_max, d, params, hooke):
-    """Damage-correction kernel of a frozen state; None while d = 0 everywhere."""
-    return DamageCorrection(eps_max, d, params, hooke) if d.any() else None
+def _correction(eps_max, tr_max, d, params, hooke):
+    """Damage-correction kernel of a frozen state; None while d = 0 everywhere.
+
+    The state keeps its per-point tension peak eps_max (n_gauss, 6) and its
+    trace tr_max; the kernel applies E to the peaks it needs.
+    """
+    if not d.any():
+        return None
+    return DamageCorrection(d, tr_max, lambda flat: hooke.apply(eps_max[flat]),
+                            params, hooke)
 
 
 def _step_load(system, pred_u, pred_v, f_sup_k):
@@ -169,21 +179,21 @@ def _step_load(system, pred_u, pred_v, f_sup_k):
     return h
 
 
-def _free_force(system, f_p, full, correction):
+def _free_force(system, f_p, eps, correction):
     """Elastic force f_p plus the damage correction at a frozen state.
 
     In the march f_p is the step's h (`_step_load`) and the equilibrium
     residual is -(K_eff (u_f - pred_u) + this); with f_p = K_ff u_f + K_fp u_p
     it is the internal force.  `correction` is the state's kernel
     (`_correction`): when a point is damaged, B^T W (sigma - E : eps) of the
-    full displacement `full` is added, integrated over the whole mesh.  The
-    kernel gives sigma - E : eps in closed form, exactly zero at the
-    undamaged points, so sigma is never formed and no second E : eps is
-    subtracted from it.  Without damage (None) f_p is returned as it is.
+    strain `eps` of the full displacement (n_gauss, 6) is added, integrated
+    over the whole mesh.  The kernel gives sigma - E : eps in closed form,
+    exactly zero at the undamaged points, so sigma is never formed and no
+    second E : eps is subtracted from it.  Without damage (None) f_p is
+    returned as it is and eps is not read (the march passes None).
     """
     if correction is None:
         return f_p
-    eps = strain_at_gauss(system.mesh, full)
     return f_p + internal_force(system.mesh, correction.field(eps))[system.free]
 
 
@@ -293,12 +303,15 @@ def newmark_quasi_newton(system, params, load, times, damage=True,
         spent = 0
         for stagger in range(_MAX_STAGGER + 1):
             # Equilibrium pass at frozen constitutive state `state_new`.
+            correction = state_new["correction"]
             r_prev = None
             omega = 1.0
             for it in range(max_iter + 1):
                 full[free] = u_trial
+                eps_k = (None if correction is None
+                         else strain_at_gauss(mesh, full))
                 r = -(K_eff @ (u_trial - pred_u)
-                      + _free_force(system, h, full, state_new["correction"]))
+                      + _free_force(system, h, eps_k, correction))
                 # The first pass corrects once before it tests (see the
                 # module docstring).
                 if (it or stagger) and np.linalg.norm(r) <= tol_abs:
@@ -325,7 +338,10 @@ def newmark_quasi_newton(system, params, load, times, damage=True,
             spent += it
             if not damage:
                 break
-            eps_k = strain_at_gauss(mesh, full)
+            # The pass ends on a residual at the converged `full`; at a
+            # damaged state that residual has already sampled its strain.
+            if eps_k is None:
+                eps_k = strain_at_gauss(mesh, full)
             advanced = _advance_damage(eps_k, state, dt, params, hooke)
             if np.abs(advanced["d"] - state_new["d"]).max() <= _STAGGER_TOL:
                 state_new = advanced
@@ -389,16 +405,22 @@ def compare_error(eps_ref, sig_ref, eps, sig):
         100 * sqrt(|sig - sig_ref|^2 / |sig_ref|^2
                    + |eps - eps_ref|^2 / |eps_ref|^2)
 
-    with plain (unweighted) sums of squares over every sample and component.
+    with plain (unweighted) sums of squares over every sample and component,
+    accumulated block by block along the first axis, so no temporary is
+    larger than a block.
     """
     eps_ref, sig_ref, eps, sig = (np.asarray(f, dtype=float)
                                   for f in (eps_ref, sig_ref, eps, sig))
     if not (eps_ref.shape == sig_ref.shape == eps.shape == sig.shape):
         raise ValueError("field shapes do not match")
-    den_e = np.sum(eps_ref * eps_ref)
-    den_s = np.sum(sig_ref * sig_ref)
+    den_e = den_s = num_e = num_s = 0.0
+    for s in spatial_blocks(eps_ref):
+        gap_e = eps[s] - eps_ref[s]
+        gap_s = sig[s] - sig_ref[s]
+        den_e += np.vdot(eps_ref[s], eps_ref[s])
+        den_s += np.vdot(sig_ref[s], sig_ref[s])
+        num_e += np.vdot(gap_e, gap_e)
+        num_s += np.vdot(gap_s, gap_s)
     if den_e <= 0.0 or den_s <= 0.0:
         raise ValueError("reference fields vanish; relative error undefined")
-    num_e = np.sum((eps - eps_ref) ** 2)
-    num_s = np.sum((sig - sig_ref) ** 2)
     return 100.0 * np.sqrt(num_s / den_s + num_e / den_e)

@@ -24,19 +24,30 @@ norm.  A relaxation factor scales the new mode's time functions only.
 Space-time fields are arrays of shape (n_space_gauss, n_time_gauss, 6); all
 integrals use the mesh and time-grid quadrature weights.  Each field exists
 once: `PgdSolution` takes the elastic arrays it is given as its running
-reconstruction and adds every mode into them in place, so the elastic start
-itself is not kept apart from the sum.  The quality measure
-is the constitutive-gap functional
+reconstruction and adds every mode into them in place, block by block, so
+the elastic start itself is not kept apart from the sum.  The quality
+measure is the constitutive-gap functional
 
     J = int_I int_Omega (Delta + sig_bar mu - E:eps_bar lam) : E^-1 : (...) dOmega dt
 
 which each completed (sig_bar, mu) pair minimizes over its own slice.
+
+The space-time fields are large and the subproblems small, so every
+reduction reads a field a fixed number of times and forms no temporary of
+its size.  A sweep of `enrich` reads Delta twice: once against the two time
+functions (space problem and stress function), once against the two new
+spatial fields (both time problems).  J(Delta) comes from the pass that
+forms |Delta|^2 (`gap_norms`), and after a mode has been added the norm and
+the functional separate into one product of Delta with the mode's spatial
+fields (`mode_products`) plus spatial and temporal scalars.
 """
 
 import numpy as np
 
 from .assembly import internal_force, strain_at_gauss
-from .timegrid import TimeFunction, l2_fit, st_inner, tdgm_march
+from .tensors import STRESS_CONTRACTION
+from .timegrid import (TimeFunction, l2_fit, spatial_blocks, st_inner,
+                       tdgm_march)
 
 
 class PgdMode:
@@ -55,25 +66,45 @@ class PgdMode:
         self.mu = mu
 
 
-def compute_delta(sig, sig_hat):
-    """Stress gap Delta = sig - sig_hat between global and local stage."""
+def compute_delta(sig, sig_hat, out=None):
+    """Stress gap Delta = sig - sig_hat between global and local stage.
+
+    out : array to write the gap into (the driver's held buffer); a new
+        array by default.
+    """
     sig = np.asarray(sig, dtype=float)
     sig_hat = np.asarray(sig_hat, dtype=float)
     if sig.shape != sig_hat.shape:
         raise ValueError("stress fields have mismatched shapes %s and %s"
                          % (sig.shape, sig_hat.shape))
-    return sig - sig_hat
+    return np.subtract(sig, sig_hat, out=out)
 
 
 def _time_weighted(delta, samples, grid):
-    """Time integral int_I Delta(x, t) s(t) dt -> spatial field (n_gauss, 6).
+    """Time integrals int_I Delta(x, t) s(t) dt -> spatial fields.
 
-    One (n_t,) @ (n_t, 6) product per spatial point, a stacked BLAS matmul.
+    samples (n_t,) gives (n_gauss, 6); samples (k, n_t) gives (n_gauss, k, 6),
+    all k integrals from one read of Delta: one (k, n_t) @ (n_t, 6) product
+    per spatial point, a stacked BLAS matmul.
     """
     return (samples * grid.all_gauss_weights) @ delta
 
 
-def space_problem(lam, delta, system):
+def _space_weighted(delta, shapes, mesh):
+    """Space integrals int_Omega Delta(x, t) . shape_j(x) dOmega -> (k, n_t).
+
+    shapes (n_gauss, 6, k) holds k spatial Voigt fields; all k integrals come
+    from one read of Delta, block by block: (n_t, 6) @ (6, k) per point,
+    summed over the block's points.
+    """
+    weighted = shapes * mesh.gp_weights.ravel()[:, None, None]
+    out = np.zeros((delta.shape[1], weighted.shape[-1]))
+    for s in spatial_blocks(delta):
+        out += (delta[s] @ weighted[s]).sum(axis=0)
+    return out.T
+
+
+def space_problem(lam, delta_lam, system):
     """Spatial equilibrium problem of the fixed point.
 
     Galerkin projection of the dynamic equilibrium onto the separated test
@@ -81,9 +112,11 @@ def space_problem(lam, delta, system):
 
         [<lam'' lam> M + <lam' lam> C + <lam lam> K] u_bar = F(<Delta lam>)
 
-    where F is the internal-force functional of the time-averaged stress gap.
-    The damping term is present only when the system carries a damping
-    matrix.  Returns (u_bar, eps_bar) with u_bar zero on prescribed DOFs.
+    where F is the internal-force functional of the time-weighted stress gap
+    delta_lam = <Delta lam> (n_gauss, 6), formed by the caller
+    (`_time_weighted`).  The damping term is present only when the system
+    carries a damping matrix.  Returns (u_bar, eps_bar) with u_bar zero on
+    prescribed DOFs.
     """
     grid = lam.grid
     lv = lam.values_at_gauss()
@@ -93,7 +126,7 @@ def space_problem(lam, delta, system):
         raise ValueError("time function has zero L2 norm; <lam lam> = %g" % ck)
     cc = st_inner(grid, lam.values_at_gauss(1), lv) if system.C is not None else 0.0
 
-    rhs = internal_force(system.mesh, _time_weighted(delta, lv, grid))
+    rhs = internal_force(system.mesh, delta_lam)
     try:
         u_free = system.solve_free(ca, cc, ck, rhs[system.free])
     except RuntimeError as exc:
@@ -104,22 +137,24 @@ def space_problem(lam, delta, system):
     return u_bar, strain_at_gauss(system.mesh, u_bar)
 
 
-def stress_spatial(eps_bar, lam, mu, delta, hooke, grid):
+def stress_spatial(eps_bar, lam, mu, delta_mu, hooke, grid):
     """Spatial stress function minimizing the gap functional for fixed times.
 
     Stationarity of J with respect to sig_bar gives the closed form
 
-        sig_bar = [E:eps_bar <mu lam> - <mu Delta>] / <mu^2>.
+        sig_bar = [E:eps_bar <mu lam> - <mu Delta>] / <mu^2>,
+
+    with delta_mu = <mu Delta> (n_gauss, 6) formed by the caller.
     """
     mv = mu.values_at_gauss()
     mu2 = st_inner(grid, mv, mv)
     if not mu2 > 0.0:
         raise ValueError("degenerate mode: <mu^2> = %g" % mu2)
     ml = st_inner(grid, mv, lam.values_at_gauss())
-    return (hooke.apply(eps_bar) * ml - _time_weighted(delta, mv, grid)) / mu2
+    return (hooke.apply(eps_bar) * ml - delta_mu) / mu2
 
 
-def time_lambda(u_bar, eps_bar, delta, system, grid, hooke):
+def time_lambda(u_bar, eps_bar, forcing, system, grid, hooke):
     """Temporal problem for the kinematic time function.
 
     Spatial Galerkin reduction of the equilibrium onto the fixed mode shape
@@ -129,7 +164,8 @@ def time_lambda(u_bar, eps_bar, delta, system, grid, hooke):
         b = int eps_bar : E : eps_bar,     f = int Delta : eps_bar
 
     (c = u_bar . C u_bar with damping), integrated by the discontinuous
-    march from zero initial conditions.
+    march from zero initial conditions.  forcing holds f at the temporal
+    Gauss points (n_t,), formed by the caller (`_space_weighted`).
     """
     wg = system.mesh.gp_weights.ravel()
     a = float(u_bar @ (system.M @ u_bar))
@@ -137,14 +173,11 @@ def time_lambda(u_bar, eps_bar, delta, system, grid, hooke):
     if not a > 0.0:
         raise ValueError("degenerate mode: mass coefficient a = %g" % a)
     c = float(u_bar @ (system.C @ u_bar)) if system.C is not None else 0.0
-    # f(t) = sum over points of Delta(x_g, t) . eps_bar(x_g) w_g: one
-    # (n_t, 6) @ (6,) product per point, summed over the points.
-    f = (delta @ (eps_bar * wg[:, None])[:, :, None]).sum(axis=0)[:, 0]
-    lam, _ = tdgm_march(grid, a, c, b, f.reshape(grid.n_elements, 4))
+    lam, _ = tdgm_march(grid, a, c, b, np.reshape(forcing, (grid.n_elements, 4)))
     return lam
 
 
-def time_mu(sig_bar, eps_bar, lam, delta, hooke, grid, mesh):
+def time_mu(sig_bar, eps_bar, lam, sd, hooke, grid, mesh):
     """Temporal problem for the stress time function.
 
     J has no mu time derivatives, so its minimizer is pointwise in time:
@@ -152,17 +185,15 @@ def time_mu(sig_bar, eps_bar, lam, delta, hooke, grid, mesh):
         mu(t) = int sig_bar : E^-1 : (E:eps_bar lam(t) - Delta(., t)) dOmega
                 / int sig_bar : E^-1 : sig_bar dOmega
 
-    evaluated at the temporal Gauss points and fitted per element.
+    evaluated at the temporal Gauss points and fitted per element.  sd holds
+    int E^-1:sig_bar . Delta(., t) dOmega at the temporal Gauss points (n_t,),
+    formed by the caller (`_space_weighted`).
     """
     wg = mesh.gp_weights.ravel()
-    compliance_sig = hooke.apply_inverse(sig_bar)
-    den = float(wg @ np.einsum("gv,gv->g", compliance_sig, sig_bar))
+    den = float(wg @ np.einsum("gv,gv->g", hooke.apply_inverse(sig_bar), sig_bar))
     if not den > 0.0:
         raise ValueError("degenerate mode: zero stress norm in the mu problem")
     se = float(wg @ np.einsum("gv,gv->g", sig_bar, eps_bar))
-    # sd(t) = sum over points of E^-1:sig_bar . Delta(x_g, t) w_g, as in
-    # the forcing of `time_lambda`.
-    sd = (delta @ (compliance_sig * wg[:, None])[:, :, None]).sum(axis=0)[:, 0]
     mu_gauss = (se * lam.values_at_gauss() - sd) / den
     return l2_fit(grid, mu_gauss)
 
@@ -205,22 +236,66 @@ def stagnation(lam_i, lam_prev):
     return float(np.sqrt(grid.inner(a - b, a - b) / den))
 
 
-def cre_functional(delta, mesh, grid, hooke, mode=None):
-    """Constitutive-gap functional J of Delta, optionally after one mode.
+def gap_norms(delta, mesh, grid, hooke):
+    """Squared norm |Delta|^2 and gap functional J(Delta), from one pass.
 
-    J = int_I int_Omega R : E^-1 : R with R = Delta + sig_bar mu - E:eps_bar lam
-    (R = Delta when mode is None).
+    |Delta|^2 = int_I int_Omega Delta : Delta and J = int_I int_Omega
+    Delta : E^-1 : Delta.  The Hooke tensor is isotropic, so pointwise
+
+        R : E^-1 : R = ((1 + nu) R : R - nu (tr R)^2) / E,
+
+    and J needs only the trace next to the contraction the norm forms
+    anyway.  Delta is read once, block by block.
     """
-    if mode is None:
-        resid = delta
-    else:
-        resid = mode.sig_bar[:, None, :] * mode.mu.values_at_gauss()[None, :, None]
-        resid += delta
-        resid -= (hooke.apply(mode.eps_bar)[:, None, :]
-                  * mode.lam.values_at_gauss()[None, :, None])
-    # R : E^-1 : R per point and instant, then the two quadratures.
-    sq = np.einsum("gtv,gtv->gt", resid, hooke.apply_inverse(resid))
-    return float(mesh.gp_weights.ravel() @ sq @ grid.all_gauss_weights)
+    wg = mesh.gp_weights.ravel()
+    wt = grid.all_gauss_weights
+    norm2 = trace2 = 0.0
+    for s in spatial_blocks(delta):
+        block = delta[s]
+        norm2 += wg[s] @ ((wt @ (block * block)) @ STRESS_CONTRACTION)
+        tr = block[..., 0] + block[..., 1] + block[..., 2]
+        trace2 += wg[s] @ ((tr * tr) @ wt)
+    cre = ((1.0 + hooke.nu) * norm2 - hooke.nu * trace2) / hooke.E
+    return float(norm2), float(cre)
+
+
+def mode_products(delta, mode, mesh, hooke):
+    """Time samples (3, n_t) of the gap against the mode's spatial fields.
+
+    Rows: int_Omega Delta(., t) . X dOmega for X = c sig_bar (the stress
+    contraction, so the row integrated against mu is <Delta, sig_bar mu>),
+    E^-1 : sig_bar and eps_bar.  With them and spatial and temporal scalars,
+    the norm of Delta + sig_bar mu and the gap functional of
+    Delta + sig_bar mu - E:eps_bar lam separate (`latin.latin_error`,
+    `cre_functional`); one read of Delta gives all three rows.
+    """
+    shapes = np.stack([mode.sig_bar * STRESS_CONTRACTION,
+                       hooke.apply_inverse(mode.sig_bar), mode.eps_bar], axis=-1)
+    return _space_weighted(delta, shapes, mesh)
+
+
+def cre_functional(cre_delta, products, mode, mesh, grid, hooke):
+    """Gap functional J of R = Delta + sig_bar mu - E:eps_bar lam after one mode.
+
+    J(R) = int_I int_Omega R : E^-1 : R separates as
+
+        J(Delta) + 2 <mu, P_S> - 2 <lam, P_eps>
+        + <mu mu> |sig_bar|^2_S - 2 <mu lam> (sig_bar, eps_bar)_Omega
+        + <lam lam> (eps_bar, E:eps_bar)_Omega
+
+    with cre_delta = J(Delta) (`gap_norms`) and the rows P_S (E^-1:sig_bar)
+    and P_eps (eps_bar) of `mode_products` of the same Delta; E^-1:E = I
+    leaves no field-size work.
+    """
+    wg = mesh.gp_weights.ravel()
+    lv, mv = mode.lam.values_at_gauss(), mode.mu.values_at_gauss()
+    sig_s = wg @ np.einsum("gv,gv->g", mode.sig_bar, hooke.apply_inverse(mode.sig_bar))
+    sig_eps = wg @ np.einsum("gv,gv->g", mode.sig_bar, mode.eps_bar)
+    eps_e = wg @ np.einsum("gv,gv->g", mode.eps_bar, hooke.apply(mode.eps_bar))
+    return float(cre_delta
+                 + 2.0 * (grid.inner(mv, products[1]) - grid.inner(lv, products[2]))
+                 + grid.inner(mv, mv) * sig_s - 2.0 * grid.inner(mv, lv) * sig_eps
+                 + grid.inner(lv, lv) * eps_e)
 
 
 def enrich(delta, system, grid, hooke, rng, zeta_stop=1e-2, max_iter=5):
@@ -231,20 +306,31 @@ def enrich(delta, system, grid, hooke, rng, zeta_stop=1e-2, max_iter=5):
     or max_iter sweeps.  Returns (mode, info); mode is None when Delta is
     identically zero and no enrichment is needed.  info records the
     normalization constants, stagnation history and iteration count.
+
+    Each sweep reads Delta twice.  One (2, n_t) @ Delta product gives the
+    space problem its <Delta lam> and the stress function its <Delta mu>,
+    both against the previous sweep's time functions; one
+    Delta @ [eps_bar w, E^-1:sig_bar w] product gives the forcing of both
+    time problems.
     """
     info = {"c_c": [], "zeta": [], "iterations": 0}
     if not np.any(delta):
         return None, info
+    mesh = system.mesh
     lam = TimeFunction(grid, rng.uniform(-1.0, 1.0, (grid.n_elements, 4)))
     mu = TimeFunction(grid, rng.uniform(-1.0, 1.0, (grid.n_elements, 4)))
     mode = None
     for sweep in range(1, max_iter + 1):
-        u_bar, eps_bar = space_problem(lam, delta, system)
-        sig_bar = stress_spatial(eps_bar, lam, mu, delta, hooke, grid)
-        lam_new = time_lambda(u_bar, eps_bar, delta, system, grid, hooke)
-        mu = time_mu(sig_bar, eps_bar, lam_new, delta, hooke, grid, system.mesh)
+        weighted = _time_weighted(
+            delta, np.stack([lam.values_at_gauss(), mu.values_at_gauss()]), grid)
+        u_bar, eps_bar = space_problem(lam, weighted[:, 0], system)
+        sig_bar = stress_spatial(eps_bar, lam, mu, weighted[:, 1], hooke, grid)
+        forcing = _space_weighted(
+            delta, np.stack([eps_bar, hooke.apply_inverse(sig_bar)], axis=-1), mesh)
+        lam_new = time_lambda(u_bar, eps_bar, forcing[0], system, grid, hooke)
+        mu = time_mu(sig_bar, eps_bar, lam_new, forcing[1], hooke, grid, mesh)
         c_c, mode = normalize_mode(
-            PgdMode(u_bar, eps_bar, sig_bar, lam_new, mu), system.mesh)
+            PgdMode(u_bar, eps_bar, sig_bar, lam_new, mu), mesh)
         zeta = stagnation(mode.lam, lam)
         info["c_c"].append(c_c)
         info["zeta"].append(zeta)
@@ -291,11 +377,19 @@ class PgdSolution:
         return len(self.modes)
 
     def add_mode(self, mode):
+        """Add the mode's products into the running fields, in place.
+
+        Block by block over the leading axis, so no temporary is larger
+        than a block.
+        """
         self.modes.append(mode)
         lv = mode.lam.values_at_gauss()
-        self._u += mode.u_bar[:, None] * lv[None, :]
-        self._eps += mode.eps_bar[:, None, :] * lv[None, :, None]
-        self._sig += mode.sig_bar[:, None, :] * mode.mu.values_at_gauss()[None, :, None]
+        mv = mode.mu.values_at_gauss()
+        for s in spatial_blocks(self._u):
+            self._u[s] += mode.u_bar[s, None] * lv[None, :]
+        for s in spatial_blocks(self._eps):
+            self._eps[s] += mode.eps_bar[s, None, :] * lv[None, :, None]
+            self._sig[s] += mode.sig_bar[s, None, :] * mv[None, :, None]
 
     def fields(self):
         """Reconstructed (u, eps, sig); u is nodal, eps/sig on Gauss points."""

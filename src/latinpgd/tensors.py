@@ -14,6 +14,12 @@ Two flavors of Voigt vectors are used:
 
 import numpy as np
 
+# Tensor contractions of Voigt vectors as weighted sums of squares:
+# sig : sig for stress-Voigt (shear components counted twice) and
+# eps : eps for engineering strain-Voigt (engineering shears halved twice).
+STRESS_CONTRACTION = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
+STRAIN_CONTRACTION = np.array([1.0, 1.0, 1.0, 0.5, 0.5, 0.5])
+
 
 def voigt_to_matrix(v, flavor):
     """Voigt 6-vector(s) -> symmetric 3x3 matrix(es).  v may be (..., 6)."""
@@ -71,9 +77,12 @@ class HookeTensor:
         S[3, 3] = S[4, 4] = S[5, 5] = 1.0 / self.mu
         self.inverse = S
 
-    def apply(self, eps_v):
-        """E : eps for engineering-strain Voigt field(s) (..., 6) -> stress Voigt."""
-        return np.asarray(eps_v, dtype=float) @ self.matrix.T
+    def apply(self, eps_v, out=None):
+        """E : eps for engineering-strain Voigt field(s) (..., 6) -> stress Voigt.
+
+        out : array to write the stress into; a new array by default.
+        """
+        return np.matmul(np.asarray(eps_v, dtype=float), self.matrix.T, out=out)
 
     def apply_inverse(self, sig_v):
         """E^-1 : sig for stress Voigt field(s) -> engineering-strain Voigt."""

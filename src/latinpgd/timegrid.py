@@ -9,10 +9,11 @@ the value is transferred between elements through penalty operators
     L^[k] : single entry [0, 0] = 1.1 * max(Q^[k])
     R^[k] : single entry [0, 3] = 1.1 * max(Q^[k])
 
-and each element problem is marched forward, reusing one factorized 4x4
-operator for every element.  The initial value lam(0) = lam_init is imposed
-through the first element's L operator with a transfer from a virtual
-previous element ending at lam_init.
+and each element problem is marched forward with one factorized 4x4
+operator for every element (by superposition: see `tdgm_march`).  The
+initial value lam(0) = lam_init is imposed through the first element's L
+operator with a transfer from a virtual previous element ending at
+lam_init.
 
 For a second-order equation a*lam'' + c*lam' + b*lam = f the value-transfer
 row alone leaves the element problems over-determined in the wrong direction:
@@ -45,6 +46,18 @@ _GW = 0.5 * np.array([0.3478548451374538, 0.6521451548625461,
 _NODES = np.array([0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])
 # Lagrange basis coefficients: N_i(tau) = sum_p _COEF[p, i] tau^p
 _COEF = np.linalg.inv(np.vander(_NODES, 4, increasing=True).T).T
+
+
+# A block of the leading (spatial) axis of a field holds about this many
+# bytes, so a block and the temporaries formed from it stay in cache while
+# it is reduced or updated.
+_BLOCK_BYTES = 1 << 19
+
+
+def spatial_blocks(field):
+    """Slices of the leading (spatial) axis of a field, about _BLOCK_BYTES each."""
+    rows = max(1, _BLOCK_BYTES // max(field[0].nbytes, 1))
+    return [slice(i, i + rows) for i in range(0, len(field), rows)]
 
 
 def _basis(tau, deriv=0):
@@ -194,6 +207,17 @@ def tdgm_march(grid, a, c, b, f_samples, lam_init=0.0, vel_init=0.0):
     an upwind velocity-flux row and right-biased collocation rows for the
     residual.  The equation must be of second order: a > 0.
 
+    The march runs by superposition.  Element k solves A c_k = r_k with one
+    4x4 operator A, and r_k is linear in the pair carried from element
+    k - 1, its end value e and end velocity v:
+
+        c_k = p_k + (penalty e_{k-1}) A^-1 e_0 + (a v_{k-1}) A^-1 e_1,
+
+    where p_k solves the element with the forcing rows alone.  All p_k come
+    from one multi-right-hand-side solve; only the pair (e, v) goes through
+    a scalar two-term recurrence, and the coefficients are then formed for
+    every element at once.
+
     Parameters
     ----------
     f_samples : TimeFunction, or forcing sampled at the Gauss points with
@@ -205,9 +229,12 @@ def tdgm_march(grid, a, c, b, f_samples, lam_init=0.0, vel_init=0.0):
     -------
     lam : TimeFunction
     info : dict with 'penalty' (the factor 1.1*max(Q)), 'factorizations'
-        (always 1: a single 4x4 factorization is reused for every element)
-        and 'max_jump' (largest inter-element value jump, a weak-continuity
+        (always 1: a single 4x4 factorization serves every element) and
+        'max_jump' (largest inter-element value jump, a weak-continuity
         diagnostic).
+
+    Raises ValueError naming the first element whose coefficients are not
+    finite.
     """
     if not a > 0.0:
         raise ValueError("time march needs a positive mass coefficient a, got %g" % a)
@@ -234,19 +261,30 @@ def tdgm_march(grid, a, c, b, f_samples, lam_init=0.0, vel_init=0.0):
     f_collo = _basis(taus, 0) @ g._N_inv  # forcing interpolated at the abscissae
     dN1 = _basis(np.array([1.0]), 1)[0] / g.h
 
-    coeffs = np.empty((g.n_elements, 4))
-    prev_end = float(lam_init)
-    prev_vel = float(vel_init)
-    rhs = np.empty(4)
+    # Forced part of every element, then the responses to a unit carried
+    # value (column 0) and a unit carried velocity (column 1).
+    rhs = np.zeros((4, g.n_elements))
+    rhs[2:] = f_collo @ f.T
+    # Non-finite forcing is reported below, by element.
+    coeffs = lu_solve(lu, rhs, check_finite=False).T
+    unit = lu_solve(lu, np.eye(4)[:, :2] * [penalty, a])
+    # Carried pair: end value (row 3) and end velocity (dN1) of each element.
+    forced_end = coeffs[:, 3].tolist()
+    forced_vel = (coeffs @ dN1).tolist()
+    (t_ee, t_ev), (t_ve, t_vv) = unit[3], dN1 @ unit
+    prev_end = np.empty(g.n_elements)
+    prev_vel = np.empty(g.n_elements)
+    end, vel = float(lam_init), float(vel_init)
     for k in range(g.n_elements):
-        rhs[0] = penalty * prev_end
-        rhs[1] = a * prev_vel
-        rhs[2:] = f_collo @ f[k]
-        coeffs[k] = lu_solve(lu, rhs)
-        if not np.all(np.isfinite(coeffs[k])):
-            raise ValueError("time march produced non-finite values in element %d" % k)
-        prev_end = coeffs[k, 3]
-        prev_vel = coeffs[k] @ dN1
+        prev_end[k] = end
+        prev_vel[k] = vel
+        end, vel = (forced_end[k] + t_ee * end + t_ev * vel,
+                    forced_vel[k] + t_ve * end + t_vv * vel)
+    coeffs += np.outer(prev_end, unit[:, 0]) + np.outer(prev_vel, unit[:, 1])
+    bad = np.flatnonzero(~np.isfinite(coeffs).all(axis=1))
+    if bad.size:
+        raise ValueError("time march produced non-finite values in element %d"
+                         % bad[0])
     lam = TimeFunction(g, coeffs)
     jump = float(np.abs(lam.jumps(init=lam_init)).max())
     return lam, {"penalty": penalty, "factorizations": 1, "max_jump": jump}
@@ -263,7 +301,8 @@ def quad_resample_blocks(grid, values):
 
     done as two matrix products against kron(P, I_C)^T: the samples
     (2k, 2k+1) of every element are one contiguous row of values[:, :-1]
-    viewed as (B, N_T, 2C), and the samples 2k+2 are values[:, 2::2].
+    viewed as (B, N_T, 2C), and the samples 2k+2 are values[:, 2::2].  The
+    products run block by block over B, written straight into the result.
     Both the (n_gauss, n_t, 6) field layout and (via
     `quad_resample_to_gauss`) time-last histories go through this kernel.
     """
@@ -279,8 +318,11 @@ def quad_resample_blocks(grid, values):
                   -4.0 * x * (x - 1.0),
                   2.0 * x * (x - 0.5)], axis=1)  # (4, 3)
     W = np.kron(P, np.eye(n_c)).T                 # (3C, 4C)
-    out = v[:, :-1].reshape(n_b, n_el, 2 * n_c) @ W[:2 * n_c]
-    out += v[:, 2::2] @ W[2 * n_c:]
+    pairs = v[:, :-1].reshape(n_b, n_el, 2 * n_c)
+    out = np.empty((n_b, n_el, 4 * n_c))
+    for s in spatial_blocks(out):   # the second product's temporary stays a block
+        np.matmul(pairs[s], W[:2 * n_c], out=out[s])
+        out[s] += v[s, 2::2] @ W[2 * n_c:]
     return out.reshape(n_b, grid.n_gauss, n_c)
 
 

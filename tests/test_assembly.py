@@ -237,6 +237,21 @@ class TestSpatialSystem:
         A = (sysm.Mff + 2.0 * sysm.Kff).toarray()
         assert np.allclose(A @ x1, r, rtol=0.0, atol=1e-8 * np.abs(r).max())
 
+    def test_indefinite_operator_solves(self):
+        # The enrichment's space operator <lam'' lam> M + <lam lam> K has
+        # ca < 0 and can be indefinite; the symmetric-mode LU keeps pivoting.
+        mesh = beam_mesh((4, 2, 2))
+        sysm = SpatialSystem(mesh, assemble_mass(mesh, 2550.0),
+                             assemble_stiffness(mesh, CONCRETE))
+        freqs, _ = modal_analysis(sysm.Mff, sysm.Kff, 2)
+        shift = np.mean((2.0 * np.pi * freqs) ** 2)   # between the first two
+        A = sysm.operator(-shift, 0.0, 1.0).toarray()
+        w = np.linalg.eigvalsh(A)
+        assert w.min() < 0.0 < w.max()
+        r = np.random.default_rng(9).normal(size=sysm.n_free)
+        x = sysm.solve_free(-shift, 0.0, 1.0, r)
+        assert np.linalg.norm(A @ x - r) <= 1e-10 * np.linalg.norm(r)
+
     def test_stiffness_spd_on_free_dofs(self):
         mesh = beam_mesh((4, 2, 2))
         sysm = SpatialSystem(mesh, assemble_mass(mesh, 2550.0),

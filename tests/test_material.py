@@ -32,7 +32,15 @@ def stress(eps, eps_max, d):
     d may be a scalar: it is spread over the points of eps_max.
     """
     d = np.broadcast_to(np.asarray(d, dtype=float), np.shape(eps_max)[:-1])
-    return total_stress(eps, HOOKE, DamageCorrection(eps_max, d, P, HOOKE))
+    return total_stress(eps, HOOKE, kernel(eps_max, d))
+
+
+def kernel(eps_max, d):
+    """The DamageCorrection of the state (eps_max, d), eps_max given as a field."""
+    eps_max = np.asarray(eps_max, dtype=float)
+    flat = eps_max.reshape(-1, 6)
+    return DamageCorrection(d, eps_max[..., :3].sum(axis=-1),
+                            lambda points: HOOKE.apply(flat[points]), P, HOOKE)
 
 
 def crack_closure_stress(eps_v, eps_max_v):
@@ -254,7 +262,9 @@ class TestTensionPeakHistory:
         eps = np.zeros((1, 4, 6))
         eps[0, :, 0] = [1e-4, 3.0e-4, 2.0e-4, 2.9e-4]
         eps[0, :, 1] = [0.0, 1.0e-5, 2.0e-5, 2.0e-5]   # step 3 ties step 1
-        em, trm = tension_peak_history(eps)
+        idx, trm = tension_peak_history(eps[..., :3].sum(axis=-1))
+        em = np.take_along_axis(eps, idx[..., None], axis=-2)
+        assert np.array_equal(idx[0], [0, 1, 1, 1])
         assert np.allclose(trm[0], [1e-4, 3.1e-4, 3.1e-4, 3.1e-4])
         assert np.allclose(em[0, 2], eps[0, 1])
         assert np.allclose(em[0, 3], eps[0, 1])   # tie keeps earliest tensor
@@ -439,9 +449,9 @@ class TestScreens:
             assert_bitwise(stress(eps, eps_max, scalar),
                            closed_form_stress(eps, eps_max, scalar))
         # the kernel's correction field is sigma - E:eps of the same state
-        correction = DamageCorrection(eps_max, d, P, HOOKE)
-        with pytest.raises(ValueError, match="eps_max has shape"):
-            DamageCorrection(eps_max[..., :3], d, P, HOOKE)
+        correction = kernel(eps_max, d)
+        with pytest.raises(ValueError, match="tr_max has shape"):
+            DamageCorrection(d, eps_max[..., :3], HOOKE.apply, P, HOOKE)
         np.testing.assert_allclose(
             HOOKE.apply(eps) + correction.field(eps), closed_form_stress(eps, eps_max, d),
             rtol=0.0, atol=4.0 * np.finfo(float).eps * np.abs(HOOKE.apply(eps)).max())
@@ -489,14 +499,15 @@ class TestScreens:
         dbar = np.where(damaging, static_damage(Y, P), dbar_prev)
         Z = np.where(damaging, dual_softening(-dbar, P), Z_prev)
         d = integrate_delay(t, dbar, 0.0, P)
-        eps_max, _ = tension_peak_history(eps)
+        idx, _ = tension_peak_history(eps[..., :3].sum(axis=-1))
+        eps_max = np.take_along_axis(eps, idx[..., None], axis=-2)
         want = {"dbar": dbar, "Z": Z, "d": d,
                 "sig": closed_form_stress(eps, eps_max, d)}
         for key, value in want.items():
             assert_bitwise(out[key], value)
 
     def test_local_stage_skips_tension_peak_without_damage(self, monkeypatch):
-        def no_scan(eps_v):
+        def no_scan(tr):
             raise AssertionError("tension peak scanned on an undamaged field")
 
         monkeypatch.setattr(material, "tension_peak_history", no_scan)

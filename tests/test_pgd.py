@@ -11,8 +11,9 @@ from latinpgd.assembly import (SpatialSystem, assemble_mass,
 from latinpgd.material import reference_concrete
 from latinpgd.mesh import generate_box_mesh
 from latinpgd.pgd import (PgdMode, PgdSolution, compute_delta,
-                          cre_functional, dump_modes, enrich, normalize_mode,
-                          relax_mode, space_problem, stagnation, strain_norm,
+                          cre_functional, dump_modes, enrich, gap_norms,
+                          mode_products, normalize_mode, relax_mode,
+                          space_problem, stagnation, strain_norm,
                           stress_spatial, time_lambda, time_mu)
 from latinpgd.timegrid import TimeFunction, TimeGrid, st_inner, tdgm_march
 
@@ -39,6 +40,43 @@ def rank_one_delta(eps_w, gauss_signal):
     return HOOKE.apply(eps_w)[:, None, :] * gauss_signal[None, :, None]
 
 
+# The subproblems take the reductions of Delta that `enrich` forms; these
+# feed them the same reductions of a given Delta.
+
+def space_of(lam, delta, system):
+    """space_problem with <Delta lam>."""
+    return space_problem(
+        lam, pgd._time_weighted(delta, lam.values_at_gauss(), lam.grid), system)
+
+
+def stress_of(eps_bar, lam, mu, delta, hooke, grid):
+    """stress_spatial with <Delta mu>."""
+    return stress_spatial(eps_bar, lam, mu,
+                          pgd._time_weighted(delta, mu.values_at_gauss(), grid),
+                          hooke, grid)
+
+
+def lambda_of(u_bar, eps_bar, delta, system, grid, hooke):
+    """time_lambda with the forcing int Delta : eps_bar."""
+    forcing = pgd._space_weighted(delta, eps_bar[:, :, None], system.mesh)[0]
+    return time_lambda(u_bar, eps_bar, forcing, system, grid, hooke)
+
+
+def mu_of(sig_bar, eps_bar, lam, delta, hooke, grid, mesh):
+    """time_mu with int E^-1:sig_bar . Delta."""
+    sd = pgd._space_weighted(delta, hooke.apply_inverse(sig_bar)[:, :, None], mesh)[0]
+    return time_mu(sig_bar, eps_bar, lam, sd, hooke, grid, mesh)
+
+
+def cre(delta, mesh, grid, hooke, mode=None):
+    """J(Delta), or J(Delta + sig_bar mu - E:eps_bar lam), as the driver forms it."""
+    _, j_delta = gap_norms(delta, mesh, grid, hooke)
+    if mode is None:
+        return j_delta
+    return cre_functional(j_delta, mode_products(delta, mode, mesh, hooke), mode,
+                          mesh, grid, hooke)
+
+
 class TestComputeDelta:
     def test_identical_fields(self, setup):
         mesh, system, grid = setup
@@ -62,8 +100,8 @@ class TestSpaceProblem:
     def test_zero_delta(self, setup):
         mesh, system, grid = setup
         lam = TimeFunction(grid, np.ones((grid.n_elements, 4)))
-        u, eps = space_problem(lam, np.zeros((mesh.n_gauss, grid.n_gauss, 6)),
-                               system)
+        u, eps = space_of(lam, np.zeros((mesh.n_gauss, grid.n_gauss, 6)),
+                          system)
         assert not u.any() and not eps.any()
 
     def test_static_oracle(self, setup):
@@ -71,7 +109,7 @@ class TestSpaceProblem:
         rng = np.random.default_rng(3)
         lam = TimeFunction(grid, np.ones((grid.n_elements, 4)))
         delta = rng.normal(size=(mesh.n_gauss, grid.n_gauss, 6)) * 1e5
-        u, _ = space_problem(lam, delta, system)
+        u, _ = space_of(lam, delta, system)
         avg = np.einsum("gtv,t->gv", delta, grid.all_gauss_weights) / grid.T
         oracle = spla.spsolve(system.Kff.tocsc(),
                               internal_force(mesh, avg)[system.free])
@@ -83,8 +121,8 @@ class TestSpaceProblem:
         rng = np.random.default_rng(42)
         w, eps_w = random_mode_shape(mesh, system, rng)
         lam = TimeFunction(grid, grid.node_times.copy())
-        u, eps = space_problem(lam, rank_one_delta(eps_w, lam.values_at_gauss()),
-                               system)
+        u, eps = space_of(lam, rank_one_delta(eps_w, lam.values_at_gauss()),
+                          system)
         assert np.linalg.norm(u - w) <= 1e-9 * np.linalg.norm(w)
         assert np.array_equal(eps, strain_at_gauss(mesh, u))
 
@@ -93,7 +131,7 @@ class TestSpaceProblem:
         rng = np.random.default_rng(5)
         lam = TimeFunction(grid, rng.normal(size=(grid.n_elements, 4)))
         delta = rng.normal(size=(mesh.n_gauss, grid.n_gauss, 6)) * 1e4
-        u, _ = space_problem(lam, delta, system)
+        u, _ = space_of(lam, delta, system)
         lv = lam.values_at_gauss()
         ca = st_inner(grid, lam.values_at_gauss(2), lv)
         ck = st_inner(grid, lv, lv)
@@ -106,16 +144,16 @@ class TestSpaceProblem:
         mesh, system, grid = setup
         lam = TimeFunction(grid, np.zeros((grid.n_elements, 4)))
         with pytest.raises(ValueError, match="zero L2 norm"):
-            space_problem(lam, np.zeros((mesh.n_gauss, grid.n_gauss, 6)), system)
+            space_of(lam, np.zeros((mesh.n_gauss, grid.n_gauss, 6)), system)
 
     def test_factorization_reuse(self, setup):
         mesh, system, grid = setup
         rng = np.random.default_rng(8)
         lam = TimeFunction(grid, rng.normal(size=(grid.n_elements, 4)))
         delta = rng.normal(size=(mesh.n_gauss, grid.n_gauss, 6))
-        space_problem(lam, delta, system)
+        space_of(lam, delta, system)
         before = system.n_factorizations
-        space_problem(lam, 2.0 * delta, system)
+        space_of(lam, 2.0 * delta, system)
         assert system.n_factorizations == before
 
 
@@ -125,9 +163,9 @@ class TestStressSpatial:
         rng = np.random.default_rng(1)
         _, eps_bar = random_mode_shape(mesh, system, rng)
         lam = TimeFunction(grid, rng.normal(size=(grid.n_elements, 4)))
-        sig = stress_spatial(eps_bar, lam, lam,
-                             np.zeros((mesh.n_gauss, grid.n_gauss, 6)),
-                             HOOKE, grid)
+        sig = stress_of(eps_bar, lam, lam,
+                        np.zeros((mesh.n_gauss, grid.n_gauss, 6)),
+                        HOOKE, grid)
         assert np.allclose(sig, HOOKE.apply(eps_bar), rtol=1e-12)
 
     def test_zero_strain_branch(self, setup):
@@ -136,8 +174,8 @@ class TestStressSpatial:
         mu = TimeFunction(grid, rng.normal(size=(grid.n_elements, 4)))
         delta = rng.normal(size=(mesh.n_gauss, grid.n_gauss, 6))
         mv = mu.values_at_gauss()
-        sig = stress_spatial(np.zeros((mesh.n_gauss, 6)), mu, mu, delta,
-                             HOOKE, grid)
+        sig = stress_of(np.zeros((mesh.n_gauss, 6)), mu, mu, delta,
+                        HOOKE, grid)
         wt = grid.all_gauss_weights
         oracle = -np.tensordot(delta, mv * wt, axes=([1], [0])) / ((mv ** 2) @ wt)
         assert np.allclose(sig, oracle, rtol=1e-12)
@@ -146,8 +184,8 @@ class TestStressSpatial:
         mesh, system, grid = setup
         mu = TimeFunction(grid, np.zeros((grid.n_elements, 4)))
         with pytest.raises(ValueError, match="degenerate"):
-            stress_spatial(np.zeros((mesh.n_gauss, 6)), mu, mu,
-                           np.zeros((mesh.n_gauss, grid.n_gauss, 6)), HOOKE, grid)
+            stress_of(np.zeros((mesh.n_gauss, 6)), mu, mu,
+                      np.zeros((mesh.n_gauss, grid.n_gauss, 6)), HOOKE, grid)
 
     def test_minimizes_gap_functional(self, setup):
         # J is quadratic in sig_bar, so the formula must be its global minimum
@@ -157,13 +195,13 @@ class TestStressSpatial:
         lam = TimeFunction(grid, rng.normal(size=(grid.n_elements, 4)))
         mu = TimeFunction(grid, rng.normal(size=(grid.n_elements, 4)))
         delta = rng.normal(size=(mesh.n_gauss, grid.n_gauss, 6)) * 1e3
-        sig = stress_spatial(eps_bar, lam, mu, delta, HOOKE, grid)
-        j_min = cre_functional(delta, mesh, grid, HOOKE,
-                               PgdMode(None, eps_bar, sig, lam, mu))
+        sig = stress_of(eps_bar, lam, mu, delta, HOOKE, grid)
+        j_min = cre(delta, mesh, grid, HOOKE,
+                    PgdMode(None, eps_bar, sig, lam, mu))
         for _ in range(5):
             pert = sig + rng.normal(size=sig.shape) * np.abs(sig).max() * 0.1
-            j_pert = cre_functional(delta, mesh, grid, HOOKE,
-                                    PgdMode(None, eps_bar, pert, lam, mu))
+            j_pert = cre(delta, mesh, grid, HOOKE,
+                         PgdMode(None, eps_bar, pert, lam, mu))
             assert j_pert >= j_min * (1.0 - 1e-12)
 
 
@@ -172,8 +210,8 @@ class TestTimeLambda:
         mesh, system, grid = setup
         rng = np.random.default_rng(4)
         u, eps = random_mode_shape(mesh, system, rng)
-        lam = time_lambda(u, eps, np.zeros((mesh.n_gauss, grid.n_gauss, 6)),
-                          system, grid, HOOKE)
+        lam = lambda_of(u, eps, np.zeros((mesh.n_gauss, grid.n_gauss, 6)),
+                        system, grid, HOOKE)
         assert not lam.coeffs.any()
 
     def test_wiring_matches_direct_march(self, setup):
@@ -181,7 +219,7 @@ class TestTimeLambda:
         rng = np.random.default_rng(9)
         u, eps = random_mode_shape(mesh, system, rng)
         delta = rng.normal(size=(mesh.n_gauss, grid.n_gauss, 6)) * 1e4
-        lam = time_lambda(u, eps, delta, system, grid, HOOKE)
+        lam = lambda_of(u, eps, delta, system, grid, HOOKE)
         wg = mesh.gp_weights.ravel()
         a = float(u @ (system.M @ u))
         b = float(wg @ np.einsum("gv,gv->g", eps, HOOKE.apply(eps)))
@@ -194,9 +232,9 @@ class TestTimeLambda:
     def test_zero_mode_rejected(self, setup):
         mesh, system, grid = setup
         with pytest.raises(ValueError, match="degenerate"):
-            time_lambda(np.zeros(mesh.n_dofs), np.zeros((mesh.n_gauss, 6)),
-                        np.zeros((mesh.n_gauss, grid.n_gauss, 6)),
-                        system, grid, HOOKE)
+            lambda_of(np.zeros(mesh.n_dofs), np.zeros((mesh.n_gauss, 6)),
+                      np.zeros((mesh.n_gauss, grid.n_gauss, 6)),
+                      system, grid, HOOKE)
 
 
 class TestTimeMu:
@@ -206,9 +244,9 @@ class TestTimeMu:
         rng = np.random.default_rng(10)
         _, eps_bar = random_mode_shape(mesh, system, rng)
         lam = TimeFunction(grid, rng.normal(size=(grid.n_elements, 4)))
-        mu = time_mu(HOOKE.apply(eps_bar), eps_bar, lam,
-                     np.zeros((mesh.n_gauss, grid.n_gauss, 6)),
-                     HOOKE, grid, mesh)
+        mu = mu_of(HOOKE.apply(eps_bar), eps_bar, lam,
+                   np.zeros((mesh.n_gauss, grid.n_gauss, 6)),
+                   HOOKE, grid, mesh)
         assert np.allclose(mu.coeffs, lam.coeffs, rtol=1e-12)
 
     def test_orthogonal_stress_gives_zero(self, setup):
@@ -220,7 +258,7 @@ class TestTimeMu:
         lam = TimeFunction(grid, np.ones((grid.n_elements, 4)))
         wg = mesh.gp_weights.ravel()
         sig = HOOKE.apply(rng.normal(size=(mesh.n_gauss, 6)) * 1e-4)
-        mu_ref = time_mu(sig, eps_bar, lam, delta, HOOKE, grid, mesh)
+        mu_ref = mu_of(sig, eps_bar, lam, delta, HOOKE, grid, mesh)
 
         # Gram-Schmidt sig_bar against E:eps_bar and the Delta pattern
         def against(s, other_stress):
@@ -233,7 +271,7 @@ class TestTimeMu:
         base2 = against(pattern, base1)
         for _ in range(2):
             sig = against(against(sig, base1), base2)
-        mu = time_mu(sig, eps_bar, lam, delta, HOOKE, grid, mesh)
+        mu = mu_of(sig, eps_bar, lam, delta, HOOKE, grid, mesh)
         ref = np.abs(mu_ref.values_at_gauss()).max()
         assert np.abs(mu.values_at_gauss()).max() <= 1e-10 * ref
 
@@ -244,7 +282,7 @@ class TestTimeMu:
         eps_b = rng.normal(size=(mesh.n_gauss, 6)) * 1e-5
         lam = TimeFunction(grid, rng.normal(size=(grid.n_elements, 4)))
         delta = rng.normal(size=(mesh.n_gauss, grid.n_gauss, 6)) * 1e5
-        mu = time_mu(sig_b, eps_b, lam, delta, HOOKE, grid, mesh)
+        mu = mu_of(sig_b, eps_b, lam, delta, HOOKE, grid, mesh)
         wg = mesh.gp_weights.ravel()
         den = wg @ np.einsum("gv,gv->g", HOOKE.apply_inverse(sig_b), sig_b)
         se = wg @ np.einsum("gv,gv->g", sig_b, eps_b)
@@ -264,9 +302,9 @@ class TestTimeMu:
         mesh, system, grid = setup
         lam = TimeFunction(grid, np.ones((grid.n_elements, 4)))
         with pytest.raises(ValueError, match="degenerate"):
-            time_mu(np.zeros((mesh.n_gauss, 6)), np.zeros((mesh.n_gauss, 6)),
-                    lam, np.zeros((mesh.n_gauss, grid.n_gauss, 6)),
-                    HOOKE, grid, mesh)
+            mu_of(np.zeros((mesh.n_gauss, 6)), np.zeros((mesh.n_gauss, 6)),
+                  lam, np.zeros((mesh.n_gauss, grid.n_gauss, 6)),
+                  HOOKE, grid, mesh)
 
 
 class TestNormalizeAndStagnation:
@@ -352,50 +390,66 @@ class TestReductions:
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
+    @staticmethod
+    def random_mode(setup, rng):
+        mesh, system, grid = setup
+        _, eps_bar = random_mode_shape(mesh, system, rng)
+        sig_bar = rng.normal(size=(mesh.n_gauss, 6)) * 1e4
+        lam = TimeFunction(grid, rng.normal(size=(grid.n_elements, 4)))
+        mu = TimeFunction(grid, rng.normal(size=(grid.n_elements, 4)))
+        return PgdMode(None, eps_bar, sig_bar, lam, mu)
+
     def test_time_weighted(self, setup):
         mesh, system, grid = setup
         rng, delta, _, wt = self.fields(setup, 30)
-        samples = rng.normal(size=grid.n_gauss)
-        want = np.zeros((mesh.n_gauss, 6))
+        samples = rng.normal(size=(2, grid.n_gauss))
+        want = np.zeros((mesh.n_gauss, 2, 6))
         for g in range(mesh.n_gauss):
             for t in range(grid.n_gauss):
                 for v in range(6):
-                    want[g, v] += delta[g, t, v] * samples[t] * wt[t]
+                    want[g, :, v] += delta[g, t, v] * samples[:, t] * wt[t]
+        self.assert_close(pgd._time_weighted(delta, samples[0], grid), want[:, 0])
+        # both time functions of a sweep from one product
         self.assert_close(pgd._time_weighted(delta, samples, grid), want)
 
     def test_time_lambda_forcing(self, setup, monkeypatch):
+        # the forcing enrich hands to time_lambda is int Delta : eps_bar
         mesh, system, grid = setup
         rng, delta, wg, _ = self.fields(setup, 31)
-        u, eps = random_mode_shape(mesh, system, rng)
         seen = []
 
-        def march(grid, a, c, b, f):
-            seen.append(f)
-            return tdgm_march(grid, a, c, b, f)
+        def spy(u_bar, eps_bar, forcing, *args):
+            seen.append((eps_bar, forcing))
+            return time_lambda(u_bar, eps_bar, forcing, *args)
 
-        monkeypatch.setattr(pgd, "tdgm_march", march)
-        time_lambda(u, eps, delta, system, grid, HOOKE)
+        monkeypatch.setattr(pgd, "time_lambda", spy)
+        enrich(delta, system, grid, HOOKE, rng, max_iter=1)
+        eps, got = seen[0]
         want = np.zeros(grid.n_gauss)
         for t in range(grid.n_gauss):
             for g in range(mesh.n_gauss):
                 for v in range(6):
                     want[t] += delta[g, t, v] * eps[g, v] * wg[g]
-        self.assert_close(seen[0], want.reshape(grid.n_elements, 4))
+        self.assert_close(got, want)
 
     def test_time_mu_samples(self, setup, monkeypatch):
+        # the samples enrich's time_mu fits, with its int E^-1:sig_bar . Delta
         mesh, system, grid = setup
         rng, delta, wg, _ = self.fields(setup, 33)
-        _, eps_bar = random_mode_shape(mesh, system, rng)
-        sig_bar = rng.normal(size=(mesh.n_gauss, 6)) * 1e4
-        lam = TimeFunction(grid, rng.normal(size=(grid.n_elements, 4)))
-        seen = []
+        args, seen = [], []
+
+        def spy(sig_bar, eps_bar, lam, sd, *rest):
+            args.append((sig_bar, eps_bar, lam))
+            return time_mu(sig_bar, eps_bar, lam, sd, *rest)
 
         def fit(grid, samples):
             seen.append(samples)
-            return lam
+            return TimeFunction(grid, np.ones((grid.n_elements, 4)))
 
+        monkeypatch.setattr(pgd, "time_mu", spy)
         monkeypatch.setattr(pgd, "l2_fit", fit)
-        time_mu(sig_bar, eps_bar, lam, delta, HOOKE, grid, mesh)
+        enrich(delta, system, grid, HOOKE, rng, max_iter=1)
+        sig_bar, eps_bar, lam = args[0]
         comp = sig_bar @ HOOKE.inverse.T
         den = se = 0.0
         sd = np.zeros(grid.n_gauss)
@@ -407,6 +461,29 @@ class TestReductions:
                     sd[t] += comp[g, v] * delta[g, t, v] * wg[g]
         self.assert_close(seen[0], (se * lam.values_at_gauss() - sd) / den)
 
+    def test_gap_norms(self, setup):
+        mesh, system, grid = setup
+        _, delta, wg, wt = self.fields(setup, 34)
+        c = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
+        want = 0.0
+        for g in range(mesh.n_gauss):
+            for t in range(grid.n_gauss):
+                want += wg[g] * wt[t] * (delta[g, t] ** 2 @ c)
+        self.assert_close(gap_norms(delta, mesh, grid, HOOKE)[0], want)
+
+    def test_mode_products(self, setup):
+        mesh, system, grid = setup
+        rng, delta, wg, _ = self.fields(setup, 35)
+        mode = self.random_mode(setup, rng)
+        c = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
+        rows = (mode.sig_bar * c, mode.sig_bar @ HOOKE.inverse.T, mode.eps_bar)
+        want = np.zeros((3, grid.n_gauss))
+        for i, x in enumerate(rows):
+            for t in range(grid.n_gauss):
+                for g in range(mesh.n_gauss):
+                    want[i, t] += wg[g] * (delta[g, t] @ x[g])
+        self.assert_close(mode_products(delta, mode, mesh, HOOKE), want)
+
     @pytest.mark.parametrize("with_mode", [False, True])
     def test_cre_functional(self, setup, with_mode):
         mesh, system, grid = setup
@@ -414,22 +491,18 @@ class TestReductions:
         resid = delta.copy()
         mode = None
         if with_mode:
-            _, eps_bar = random_mode_shape(mesh, system, rng)
-            sig_bar = rng.normal(size=(mesh.n_gauss, 6)) * 1e4
-            lam = TimeFunction(grid, rng.normal(size=(grid.n_elements, 4)))
-            mu = TimeFunction(grid, rng.normal(size=(grid.n_elements, 4)))
-            mode = PgdMode(None, eps_bar, sig_bar, lam, mu)
-            lv, mv = lam.values_at_gauss(), mu.values_at_gauss()
-            e_bar = HOOKE.apply(eps_bar)
+            mode = self.random_mode(setup, rng)
+            lv, mv = mode.lam.values_at_gauss(), mode.mu.values_at_gauss()
+            e_bar = HOOKE.apply(mode.eps_bar)
             for g in range(mesh.n_gauss):
                 for t in range(grid.n_gauss):
-                    resid[g, t] += sig_bar[g] * mv[t] - e_bar[g] * lv[t]
+                    resid[g, t] += mode.sig_bar[g] * mv[t] - e_bar[g] * lv[t]
         want = 0.0
         for g in range(mesh.n_gauss):
             for t in range(grid.n_gauss):
                 r = resid[g, t]
                 want += wg[g] * wt[t] * (r @ HOOKE.inverse @ r)
-        self.assert_close(cre_functional(delta, mesh, grid, HOOKE, mode), want)
+        self.assert_close(cre(delta, mesh, grid, HOOKE, mode), want)
 
 
 class TestEnrich:
@@ -445,9 +518,9 @@ class TestEnrich:
         _, eps_w = random_mode_shape(mesh, system, rng)
         g = np.sin(2 * np.pi * 3.0 * grid.all_gauss_times)
         delta = rank_one_delta(eps_w, g)
-        j0 = cre_functional(delta, mesh, grid, HOOKE)
+        j0 = cre(delta, mesh, grid, HOOKE)
         mode, info = enrich(delta, system, grid, HOOKE, np.random.default_rng(7))
-        j1 = cre_functional(delta, mesh, grid, HOOKE, mode)
+        j1 = cre(delta, mesh, grid, HOOKE, mode)
         assert j1 <= 1e-3 * j0     # acceptance bound
         assert j1 <= 1e-6 * j0     # regression margin (measured ~3e-12 of j0)
         assert info["zeta"][-1] < 1e-2
@@ -456,9 +529,9 @@ class TestEnrich:
         mesh, system, grid = setup
         rng = np.random.default_rng(3)
         delta = rng.normal(size=(mesh.n_gauss, grid.n_gauss, 6)) * 1e4
-        j0 = cre_functional(delta, mesh, grid, HOOKE)
+        j0 = cre(delta, mesh, grid, HOOKE)
         mode, _ = enrich(delta, system, grid, HOOKE, np.random.default_rng(11))
-        j1 = cre_functional(delta, mesh, grid, HOOKE, mode)
+        j1 = cre(delta, mesh, grid, HOOKE, mode)
         assert j1 <= j0 * (1.0 + 1e-9)
 
     def test_deterministic_under_fixed_seed(self, setup):

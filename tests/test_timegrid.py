@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from latinpgd.timegrid import (TimeFunction, TimeGrid, element_operator, l2_fit,
-                               quad_resample_blocks, quad_resample_to_gauss,
-                               st_inner, tdgm_march)
+from scipy.linalg import lu_factor, lu_solve
+
+from latinpgd.timegrid import (_TAU_COLLOCATION, TimeFunction, TimeGrid, _basis,
+                               element_operator, l2_fit, quad_resample_blocks,
+                               quad_resample_to_gauss, st_inner, tdgm_march)
 
 
 class TestTimeGrid:
@@ -196,6 +198,49 @@ class TestMarch:
         exact = np.exp(-xi * omega * t) * (np.cos(omd * t)
                                            + xi * omega / omd * np.sin(omd * t))
         assert np.abs(lam.values_at_gauss() - exact).max() < 2e-2
+
+
+def per_element_march(grid, a, c, b, f, lam_init=0.0, vel_init=0.0):
+    """The march element by element: one LU solve per element, carrying the
+    end value and end velocity into the next element's right-hand side."""
+    g = grid
+    f = np.asarray(f, dtype=float).reshape(g.n_elements, 4)
+    penalty = 1.1 * element_operator(g, a, c, b).max()
+    taus = _TAU_COLLOCATION
+    A = np.zeros((4, 4))
+    A[0, 0] = penalty
+    A[1, :] = a * _basis(np.array([0.0]), 1)[0] / g.h
+    A[2:, :] = (a * _basis(taus, 2) / g.h ** 2 + c * _basis(taus, 1) / g.h
+                + b * _basis(taus, 0))
+    lu = lu_factor(A)
+    f_collo = _basis(taus, 0) @ g._N_inv
+    dN1 = _basis(np.array([1.0]), 1)[0] / g.h
+    coeffs = np.empty((g.n_elements, 4))
+    end, vel = lam_init, vel_init
+    for k in range(g.n_elements):
+        rhs = np.concatenate([[penalty * end, a * vel], f_collo @ f[k]])
+        coeffs[k] = lu_solve(lu, rhs)
+        end, vel = coeffs[k, 3], coeffs[k] @ dN1
+    return coeffs
+
+
+class TestMarchSuperposition:
+    @pytest.mark.parametrize("a,c,b", [(1.0, 0.0, 5000.0), (2.3, 0.4, 80.0),
+                                       (1e-3, 1e-2, 30.0)])
+    @pytest.mark.parametrize("init", [(0.0, 0.0), (0.3, -0.7)])
+    def test_matches_the_per_element_march(self, a, c, b, init):
+        g = TimeGrid(2.0, 400)
+        f = np.random.default_rng(41).normal(size=g.n_gauss)
+        lam, _ = tdgm_march(g, a, c, b, f, lam_init=init[0], vel_init=init[1])
+        want = per_element_march(g, a, c, b, f, *init)
+        assert np.abs(lam.coeffs - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_non_finite_names_the_first_bad_element(self):
+        g = TimeGrid(1.0, 12)
+        f = np.ones(g.n_gauss)
+        f[4 * 5 + 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite values in element 5$"):
+            tdgm_march(g, 1.0, 0.1, 40.0, f)
 
 
 def per_element_quadratic(grid, hist):
