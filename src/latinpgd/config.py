@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .material import MaterialParams
+from .material import MaterialParams, reference_concrete
 from .mesh import generate_box_mesh
 from .newmark import LoadCase
 from .timegrid import TimeGrid
@@ -298,8 +298,6 @@ def canonical(config):
 # report signal shapes without magnitudes.
 
 _BEAM = dict(d1=8.0, d2=0.3, d3=0.3)
-_CONCRETE = dict(rho=2550.0, E=37.9e9, nu=0.2, Y0=150.0, A_d=8.0e-3,
-                 tau_c=0.05, a=15.0, a_c=9.0, xi=0.02)
 
 # Amplitude of the elastic preset sits below the damage-activation strain
 # (8.44e-5 in the weakest direction), so the response stays linear.
@@ -319,21 +317,21 @@ def preset(name):
     if name == "elastic":
         return RunConfig(
             MeshConfig(nx=16, ny=2, nz=2, **_BEAM),
-            MaterialParams(**_CONCRETE),
+            reference_concrete(),
             LoadConfig((ELASTIC_AMPLITUDE,), (3.0,), 2.0),
             SolverConfig(N_T=100, xi_stop=5e-4, zeta_stop=1e-3),
             OutputConfig())
     if name == "mono_sine":
         return RunConfig(
             MeshConfig(**MONO_SINE_MESH, **_BEAM),
-            MaterialParams(**_CONCRETE),
+            reference_concrete(),
             LoadConfig((MONO_SINE_AMPLITUDE,), (3.0,), 2.0),
             SolverConfig(N_T=MONO_SINE_NT, xi_stop=5e-4, zeta_stop=1e-3),
             OutputConfig())
     if name == "multi_sine":
         return RunConfig(
             MeshConfig(**MONO_SINE_MESH, **_BEAM),
-            MaterialParams(**_CONCRETE),
+            reference_concrete(),
             LoadConfig((MULTI_SINE_AMPLITUDE,) * 4, (1.0, 2.3, 3.6, 5.0), 2.0),
             SolverConfig(N_T=MONO_SINE_NT, xi_stop=4e-3, zeta_stop=1e-3),
             OutputConfig())

@@ -122,10 +122,12 @@ def _global_norms(mesh, grid, eps, sig):
 class LatinState:
     """Driver state: global solution, last local fields, error and log.
 
-    hat is the last local stage's result (keys sig, d, dbar, Z); log rows
-    are dicts with keys iteration, modes, xi, cre, seconds (since the start
-    of the run); enrich_log keeps each enrichment's c_c / stagnation
-    history; elastic_seconds is the time the elastic start took.
+    hat is the last local stage's result (keys sig and d).  No constitutive
+    state passes from one iteration to the next: the local stage is a pure
+    map of the global strain.  Log rows are dicts with keys iteration,
+    modes, xi, cre, seconds (since the start of the run); enrich_log keeps
+    each enrichment's c_c / stagnation history; elastic_seconds is the time
+    the elastic start took.
     """
 
     def __init__(self, solution, elastic_seconds):
@@ -168,14 +170,16 @@ def run_latin(system, params, load, grid, zeta_stop=5e-4, max_modes=150,
     Returns a LatinState; `state.converged` distinguishes a met threshold
     from an exhausted budget.
 
-    After the elastic start no iteration allocates a space-time field: the
-    running fields take each mode in place, and the local stage's stress
-    and the stress gap Delta live in two held buffers.  An iteration reads
-    Delta once for |Delta|^2 and J(Delta) (`pgd.gap_norms`), twice per
-    enrichment sweep, and once after the mode for the separated xi and CRE
-    (`pgd.mode_products`).  The squared global norms |sig|^2 and |eps|^2
-    are formed once per change of the global fields: after a mode they
-    serve both its xi and the next iteration's test before enrichment.
+    The driver carries no constitutive state between iterations: each local
+    stage maps the current global strain alone.  After the elastic start no
+    iteration allocates a space-time field: the running fields take each
+    mode in place, and the local stage's stress and the stress gap Delta
+    live in two held buffers.  An iteration reads Delta once for |Delta|^2
+    and J(Delta) (`pgd.gap_norms`), twice per enrichment sweep, and once
+    after the mode for the separated xi and CRE (`pgd.mode_products`).  The
+    squared global norms |sig|^2 and |eps|^2 are formed once per change of
+    the global fields: after a mode they serve both its xi and the next
+    iteration's test before enrichment.
     """
     if zeta_stop <= 0.0:
         raise ValueError("zeta_stop must be positive")
@@ -188,9 +192,6 @@ def run_latin(system, params, load, grid, zeta_stop=5e-4, max_modes=150,
     solution = PgdSolution(grid, el["u"], el["eps"], el["sig"])
     state = LatinState(solution, time.perf_counter() - t0)
 
-    n_t = grid.n_gauss
-    local = {"Z": np.zeros((mesh.n_gauss, n_t)),
-             "dbar": np.zeros((mesh.n_gauss, n_t))}
     # The running fields are updated in place, the local stage's stress and
     # the stress gap are rewritten into these two buffers: after the elastic
     # start no iteration allocates a space-time field.
@@ -201,9 +202,8 @@ def run_latin(system, params, load, grid, zeta_stop=5e-4, max_modes=150,
 
     while True:
         state.iteration += 1
-        local = local_stage(eps, local["Z"], local["dbar"], grid.all_gauss_times,
-                            params, hooke, out=sig_hat)
-        state.hat = local
+        state.hat = local_stage(eps, grid.all_gauss_times, params, hooke,
+                                out=sig_hat)
 
         # Distance of the current global iterate from the manifold.  When it
         # is already below the threshold (elastic loads: the constitutive

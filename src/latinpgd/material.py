@@ -1,13 +1,14 @@
 """Quasi-brittle isotropic damage with delay regularization and crack re-closure.
 
-The constitutive state at a point is (eps, sigma, d, Y, z, Z):
+The constitutive state at a point is (eps, sigma, d, Y):
 
 * Y = 1/2 <eps>+ : E : <eps>+ is the released energy density (J/m^3); only
   positive principal strains contribute, so compression never damages.
-* The quasi-static damage is d_bar = 1 - 1/(1 + A_d (Y - Y0)) above the
-  activation threshold Y0; z = -d_bar and Z = (1/A_d)(-1 + 1/(1+z)) are the
-  dual softening variables, chosen so the threshold function
-  f = Y - (Y0 + Z) closes to zero at the updated state.
+* The target damage is the instantaneous quasi-static law
+  d_bar = 1 - 1/(1 + A_d <Y - Y0>+) of the current released energy: zero at
+  and below the activation threshold Y0, and falling when Y falls.  No
+  threshold or softening variable is carried; irreversibility comes from
+  the delay law alone, whose rate is clamped at zero.
 * The effective damage d follows d_bar through the delay law
   d_dot = (1/tau_c)(1 - exp(-a <d_bar - d>+)), which caps the damage rate at
   1/tau_c and regularizes the softening.
@@ -21,8 +22,9 @@ The constitutive state at a point is (eps, sigma, d, Y, z, Z):
   gathers what a frozen state contributes once and is then applied to any
   number of strains.
 
-The nonlinear update stage evaluates this model at every spatial Gauss point
-over the whole time axis at once; points are independent, so everything is
+The nonlinear update stage evaluates the law that the Newmark march advances
+step by step, at every spatial Gauss point over the whole time axis at once:
+a pure map of the strain history.  Points are independent, so everything is
 vectorized over space.  Damage-law work is only done where damage can
 happen, with results bit-identical to evaluating it everywhere:
 
@@ -32,8 +34,6 @@ happen, with results bit-identical to evaluating it everywhere:
   can reach it;
 * stress: E:eps is exact where d = 0, so the damage correction is
   evaluated only at damaged points;
-* threshold: the target damage and its dual are refreshed only where the
-  threshold is exceeded;
 * delay: with zero target and zero start the rate is exactly 0, so the
   update stage integrates only the spatial points whose target damage is
   nonzero somewhere on the time axis, and scans the tension peak, which
@@ -132,14 +132,6 @@ def static_damage(Y, params):
     Y = np.asarray(Y, dtype=float)
     over = np.maximum(Y - params.Y0, 0.0)
     return 1.0 - 1.0 / (1.0 + params.A_d * over)
-
-
-def dual_softening(z, params):
-    """Thermodynamic dual Z(z) = (1/A_d)(-1 + 1/(1+z)) for z in (-1, 0]."""
-    z = np.asarray(z, dtype=float)
-    if np.any(z <= -1.0):
-        raise ValueError("softening variable z must stay above -1")
-    return (-1.0 + 1.0 / (1.0 + z)) / params.A_d
 
 
 def _delay_rate(gap, params):
@@ -298,14 +290,15 @@ def tension_peak_history(tr):
     return idx, np.take_along_axis(tr, idx, axis=-1)
 
 
-def local_stage(eps, Z_prev, dbar_prev, times, params, hooke, out=None):
+def local_stage(eps, times, params, hooke, out=None):
     """Nonlinear update stage: constitutive relations at every Gauss point.
 
     All fields live on the (spatial Gauss x temporal Gauss) grid: eps has
-    shape (n_sp, n_t, 6), the scalars (n_sp, n_t).  Per point and instant:
-    the released energy is evaluated on the input strain, the damage
-    variables are refreshed wherever the threshold f = Y - (Y0 + Z_prev) is
-    exceeded (and kept otherwise), the delayed damage is re-integrated from
+    shape (n_sp, n_t, 6), the scalars (n_sp, n_t).  The stage is a pure map
+    of the strain history, with no state carried from an earlier call.  Per
+    point and instant the target damage is the quasi-static law of the
+    released energy, d_bar = static_damage(Y), the same expression as the
+    Newmark march's damage update; the delayed damage is integrated from
     d(0) = 0 over the whole axis, and the stress combines the damaged and
     re-closure branches using the running tension peak of the input strain.
     Delay and tension peak are evaluated only on the rows whose target
@@ -317,14 +310,12 @@ def local_stage(eps, Z_prev, dbar_prev, times, params, hooke, out=None):
     is read off that E:eps at the running tension-peak index, before the
     correction is added, so no tension-peak strain field is formed.
 
-    Z_prev, dbar_prev : dual softening Z and target damage d_bar of the
-        previous update (Z_prev >= 0); the softening variable is z = -d_bar.
     out : array (n_sp, n_t, 6) to write the stress into (the driver's held
         buffer); a new array by default.
 
-    Returns a dict with exactly the keys its callers read: sig, d, dbar and
-    Z.  The local strain is the input strain itself and is not echoed; the
-    released energy is available from `released_energy(eps, hooke, Y0)`.
+    Returns a dict with exactly the keys its callers read: sig and d.  The
+    local strain is the input strain itself and is not echoed; the target
+    damage is `static_damage(released_energy(eps, hooke, Y0))`.
     """
     eps = np.asarray(eps, dtype=float)
     # One reduction screens the field; the per-point scan runs only when it
@@ -334,12 +325,7 @@ def local_stage(eps, Z_prev, dbar_prev, times, params, hooke, out=None):
         if bad.size:
             raise ValueError("non-finite strain input at spatial Gauss point %d"
                              % bad[0])
-    Y = released_energy(eps, hooke, params.Y0)
-    Z = np.array(Z_prev, dtype=float)
-    damaging = Y - (params.Y0 + Z) > 0.0
-    dbar = np.array(dbar_prev, dtype=float)
-    dbar[damaging] = static_damage(Y[damaging], params)
-    Z[damaging] = dual_softening(-dbar[damaging], params)
+    dbar = static_damage(released_energy(eps, hooke, params.Y0), params)
 
     d = np.zeros_like(dbar)
     sig = hooke.apply(eps, out=out)      # exact wherever d = 0
@@ -361,16 +347,15 @@ def local_stage(eps, Z_prev, dbar_prev, times, params, hooke, out=None):
             return flat_sig[source]
 
         DamageCorrection(d, tr_max, peak_stress, params, hooke).add_to(sig, eps)
-    return {"sig": sig, "d": d, "dbar": dbar, "Z": Z}
+    return {"sig": sig, "d": d}
 
 
 def matpoint_drive(times, eps_x, params):
     """Drive a single material point with a uniaxial-strain history.
 
-    The kinematics are uniaxial strain, eps = diag(eps_x, 0, 0); the damage
-    variables start virgin and the update stage is evaluated once (it is
-    idempotent for a fixed strain input, so one pass gives the converged
-    constitutive response).
+    The kinematics are uniaxial strain, eps = diag(eps_x, 0, 0), from a
+    virgin state; the update stage maps the strain history to the
+    constitutive response in one evaluation.
 
     Returns a dict of time series: sig_x, d, dbar, Y (the released energy
     itself, also below the threshold).
@@ -382,8 +367,8 @@ def matpoint_drive(times, eps_x, params):
         raise ValueError("eps_x must have shape (%d,)" % n_t)
     eps = np.zeros((1, n_t, 6))
     eps[0, :, 0] = eps_x
-    zero = np.zeros((1, n_t))
     hooke = params.hooke()
-    out = local_stage(eps, zero, zero, times, params, hooke)
-    return {"sig_x": out["sig"][0, :, 0], "d": out["d"][0], "dbar": out["dbar"][0],
-            "Y": released_energy(eps[0], hooke)}
+    out = local_stage(eps, times, params, hooke)
+    Y = released_energy(eps[0], hooke)
+    return {"sig_x": out["sig"][0, :, 0], "d": out["d"][0],
+            "dbar": static_damage(Y, params), "Y": Y}

@@ -7,12 +7,12 @@ Gauss rule; the strain-displacement operator rows are tabulated per Gauss
 point at construction (engineering-shear Voigt convention, matching
 ``tensors``).
 
-Supports: the beam rests on two supports, one per end face.  The default
-``support="line"`` prescribes all three displacement components along the
-horizontal mid-height node line of each end face (x = 0 and x = d1,
-z = d3/2, every y) — the end section stays free to rotate about the support
-line, which is what gives the measured 1:4:9 vertical bending frequency
-series.  ``support="face"`` instead blocks the whole end faces (clamped).
+Supports: the beam rests on two supports, one per end face.  All three
+displacement components are prescribed along the horizontal mid-height node
+line of each end face (x = 0 and x = d1, z = d3/2, every y) — the end
+section stays free to rotate about the support line, which is what gives
+the measured 1:4:9 vertical bending frequency series.  A node row sits at
+mid-height only when nz is even.
 """
 
 import numpy as np
@@ -98,12 +98,19 @@ class Mesh:
         self.n_gauss = n_el * n_gpe
 
 
-def generate_box_mesh(d1, d2, d3, nx, ny, nz, support="line"):
-    """Mesh the box [0,d1] x [0,d2] x [0,d3] into nx*ny*nz hexahedra."""
+def generate_box_mesh(d1, d2, d3, nx, ny, nz):
+    """Mesh the box [0,d1] x [0,d2] x [0,d3] into nx*ny*nz hexahedra.
+
+    The mid-height node lines of the two end faces are the prescribed
+    supports, so nz must be even.
+    """
     if min(d1, d2, d3) <= 0.0:
         raise ValueError("box dimensions must be positive")
     if min(nx, ny, nz) < 1:
         raise ValueError("element counts must be at least 1")
+    if nz % 2 != 0:
+        raise ValueError("the line supports need an even nz so a node row "
+                         "sits at mid-height z = d3/2")
     xs = np.linspace(0.0, d1, nx + 1)
     ys = np.linspace(0.0, d2, ny + 1)
     zs = np.linspace(0.0, d3, nz + 1)
@@ -123,15 +130,7 @@ def generate_box_mesh(d1, d2, d3, nx, ny, nz, support="line"):
         nid(ix + 1, iy + 1, iz + 1), nid(ix, iy + 1, iz + 1)])
 
     end = np.isclose(nodes[:, 0], 0.0) | np.isclose(nodes[:, 0], d1)
-    if support == "line":
-        if nz % 2 != 0:
-            raise ValueError("support='line' needs an even nz so a node row "
-                             "sits at mid-height z = d3/2")
-        sel = end & np.isclose(nodes[:, 2], 0.5 * d3)
-    elif support == "face":
-        sel = end
-    else:
-        raise ValueError("support must be 'line' or 'face', got %r" % (support,))
+    sel = end & np.isclose(nodes[:, 2], 0.5 * d3)
     return Mesh(nodes, conn, np.nonzero(sel)[0])
 
 

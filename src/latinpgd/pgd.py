@@ -46,8 +46,7 @@ import numpy as np
 
 from .assembly import internal_force, strain_at_gauss
 from .tensors import STRESS_CONTRACTION
-from .timegrid import (TimeFunction, l2_fit, spatial_blocks, st_inner,
-                       tdgm_march)
+from .timegrid import TimeFunction, l2_fit, spatial_blocks, tdgm_march
 
 
 class PgdMode:
@@ -120,11 +119,11 @@ def space_problem(lam, delta_lam, system):
     """
     grid = lam.grid
     lv = lam.values_at_gauss()
-    ca = st_inner(grid, lam.values_at_gauss(2), lv)
-    ck = st_inner(grid, lv, lv)
+    ca = grid.inner(lam.values_at_gauss(2), lv)
+    ck = grid.inner(lv, lv)
     if not ck > 0.0:
         raise ValueError("time function has zero L2 norm; <lam lam> = %g" % ck)
-    cc = st_inner(grid, lam.values_at_gauss(1), lv) if system.C is not None else 0.0
+    cc = grid.inner(lam.values_at_gauss(1), lv) if system.C is not None else 0.0
 
     rhs = internal_force(system.mesh, delta_lam)
     try:
@@ -147,10 +146,10 @@ def stress_spatial(eps_bar, lam, mu, delta_mu, hooke, grid):
     with delta_mu = <mu Delta> (n_gauss, 6) formed by the caller.
     """
     mv = mu.values_at_gauss()
-    mu2 = st_inner(grid, mv, mv)
+    mu2 = grid.inner(mv, mv)
     if not mu2 > 0.0:
         raise ValueError("degenerate mode: <mu^2> = %g" % mu2)
-    ml = st_inner(grid, mv, lam.values_at_gauss())
+    ml = grid.inner(mv, lam.values_at_gauss())
     return (hooke.apply(eps_bar) * ml - delta_mu) / mu2
 
 

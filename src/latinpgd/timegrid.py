@@ -113,20 +113,6 @@ class TimeGrid:
         return (a * b) @ self.all_gauss_weights
 
 
-def st_inner(grid, a, b):
-    """Integral over [0, T] of the product of two functions.
-
-    Arguments may be TimeFunction instances or arrays of samples at the
-    grid's Gauss points (flattened, shape (n_gauss,)).
-    """
-    for f in (a, b):
-        if isinstance(f, TimeFunction) and f.grid is not grid:
-            raise ValueError("operands live on different time grids")
-    av = a.values_at_gauss() if isinstance(a, TimeFunction) else np.asarray(a, dtype=float).ravel()
-    bv = b.values_at_gauss() if isinstance(b, TimeFunction) else np.asarray(b, dtype=float).ravel()
-    return float(grid.inner(av, bv))
-
-
 class TimeFunction:
     """Piecewise-cubic function on a TimeGrid, stored by nodal values (n_el, 4)."""
 

@@ -18,7 +18,7 @@ def beam_mesh(divs=(16, 2, 2)):
 
 class TestMass:
     def test_unit_cube_unit_density(self):
-        mesh = generate_box_mesh(1.0, 1.0, 1.0, 2, 2, 2, support="face")
+        mesh = generate_box_mesh(1.0, 1.0, 1.0, 2, 2, 2)
         M = assemble_mass(mesh, 1.0)
         one = np.ones(mesh.n_dofs)
         for comp in range(3):
@@ -38,20 +38,22 @@ class TestMass:
         assert (M - M.T).count_nonzero() == 0
 
     def test_quadrature_exact_for_trilinear_products(self):
-        # one stretched element: 2x2x2 Gauss vs analytic 8-node mass block
-        mesh = generate_box_mesh(2.0, 3.0, 0.5, 1, 1, 1, support="face")
+        # two stretched 2 x 3 x 0.5 elements stacked in z: 2x2x2 Gauss vs the
+        # analytic 8-node mass blocks, summed on the shared face
+        mesh = generate_box_mesh(2.0, 3.0, 1.0, 1, 1, 2)
         M = assemble_mass(mesh, 7.0).toarray()
         # analytic: int N_a N_b over a box = V/216 * prod over dirs of (2 or 1)
         V = 3.0
-        verts = mesh.nodes[mesh.conn[0]]
-        ref = np.zeros((8, 8))
-        for a in range(8):
-            for b in range(8):
-                f = 1.0
-                for k in range(3):
-                    f *= 2.0 if verts[a, k] == verts[b, k] else 1.0
-                ref[a, b] = f * V / 27.0 / 8.0
-        got = M[np.ix_(3 * mesh.conn[0], 3 * mesh.conn[0])] / 7.0
+        ref = np.zeros((mesh.n_nodes, mesh.n_nodes))
+        for conn in mesh.conn:
+            verts = mesh.nodes[conn]
+            for a in range(8):
+                for b in range(8):
+                    f = 1.0
+                    for k in range(3):
+                        f *= 2.0 if verts[a, k] == verts[b, k] else 1.0
+                    ref[conn[a], conn[b]] += f * V / 27.0 / 8.0
+        got = M[0::3, 0::3] / 7.0
         assert np.allclose(got, ref, rtol=1e-12)
 
 

@@ -1,15 +1,14 @@
-"""Damage model checks: energy, softening pair, delay ODE, closure, update stage."""
+"""Damage model checks: energy, static damage law, delay ODE, closure, update stage."""
 
 import numpy as np
 import pytest
 
 from latinpgd import material
 from latinpgd.material import (CLOSURE_TRACE_GUARD, DamageCorrection,
-                               MaterialParams, dual_softening,
-                               integrate_delay, local_stage, matpoint_drive,
-                               reference_concrete, released_energy,
-                               static_damage, tension_peak_history,
-                               total_stress)
+                               MaterialParams, integrate_delay, local_stage,
+                               matpoint_drive, reference_concrete,
+                               released_energy, static_damage,
+                               tension_peak_history, total_stress)
 from latinpgd.tensors import HookeTensor, matrix_to_voigt
 
 from test_tensors import STRAINS
@@ -129,20 +128,6 @@ class TestSofteningPair:
         d = static_damage(Y, P)
         assert np.all(np.diff(d) >= 0.0)
         assert d.min() == 0.0 and d.max() < 1.0
-
-    def test_dual_values(self):
-        assert dual_softening(0.0, P) == 0.0
-        assert dual_softening(-0.5, P) == pytest.approx(125.0, rel=1e-14)
-
-    def test_dual_rejects_saturated(self):
-        with pytest.raises(ValueError):
-            dual_softening(-1.0, P)
-
-    def test_consistency_closes_threshold(self):
-        rng = np.random.default_rng(12)
-        Y = P.Y0 + rng.uniform(1.0, 5e3, size=50)
-        Z = dual_softening(-static_damage(Y, P), P)
-        assert np.allclose(Y - (P.Y0 + Z), 0.0, atol=1e-9 * Y.max())
 
 
 class TestDelayIntegration:
@@ -279,37 +264,37 @@ class TestLocalStage:
         t = self.grid()
         eps = np.zeros((3, t.size, 6))
         eps[:, :, 0] = 0.5 * THRESHOLD_STRAIN * np.sin(2 * np.pi * t)[None, :]
-        zero = np.zeros((3, t.size))
-        out = local_stage(eps, zero, zero, t, P, HOOKE)
+        out = local_stage(eps, t, P, HOOKE)
         assert not out["d"].any()
         assert np.array_equal(out["sig"], HOOKE.apply(eps))
 
-    def test_below_threshold_keeps_previous_variables(self):
-        t = self.grid(10)
-        eps = np.zeros((1, 10, 6))
-        dbar_prev = np.full((1, 10), 0.3)
-        Z_prev = np.full((1, 10), 5e3)  # large enough that f < 0 everywhere
-        out = local_stage(eps, Z_prev, dbar_prev, t, P, HOOKE)
-        assert np.array_equal(out["dbar"], dbar_prev)
-        assert np.array_equal(out["Z"], Z_prev)
+    def test_consistency_at_damaging_instants(self, monkeypatch):
+        # The delay law chases the instantaneous target static_damage(Y),
+        # which falls back to zero wherever Y drops under the threshold.
+        targets = []
 
-    def test_consistency_at_damaging_instants(self):
+        def spy(times, dbar, d_init, params):
+            targets.append(dbar.copy())
+            return integrate_delay(times, dbar, d_init, params)
+
+        monkeypatch.setattr(material, "integrate_delay", spy)
         t = self.grid()
         rng = np.random.default_rng(7)
         eps = rng.normal(size=(4, t.size, 6)) * 3e-4
-        zero = np.zeros((4, t.size))
-        out = local_stage(eps, zero, zero, t, P, HOOKE)
-        Y = released_energy(eps, HOOKE, P.Y0)
+        out = local_stage(eps, t, P, HOOKE)
+        Y = released_energy(eps, HOOKE)
         damaging = Y > P.Y0
-        f = Y - (P.Y0 + out["Z"])
-        assert np.abs(f[damaging]).max() <= 1e-9 * Y.max()
+        assert damaging.any() and not damaging.all()
+        assert len(targets) == 1
+        assert_bitwise(targets[0], static_damage(Y, P))
+        assert np.all(targets[0][damaging] > 0.0) and not targets[0][~damaging].any()
+        assert out["d"].max() > 0.0
 
     def test_monotone_ramp_damage_below_static(self):
         t = self.grid(120, 2.0)
         eps = np.zeros((1, t.size, 6))
         eps[0, :, 0] = 3e-4 * t / 2.0
-        zero = np.zeros((1, t.size))
-        out = local_stage(eps, zero, zero, t, P, HOOKE)
+        out = local_stage(eps, t, P, HOOKE)
         d = out["d"][0]
         assert np.all(np.diff(d) >= 0.0)
         Y = released_energy(eps[0], HOOKE, P.Y0)
@@ -319,10 +304,9 @@ class TestLocalStage:
         t = self.grid()
         rng = np.random.default_rng(9)
         eps = rng.normal(size=(6, t.size, 6)) * 3e-4
-        zero = np.zeros((6, t.size))
-        out = local_stage(eps, zero, zero, t, P, HOOKE)
+        out = local_stage(eps, t, P, HOOKE)
         perm = rng.permutation(6)
-        out_p = local_stage(eps[perm], zero, zero, t, P, HOOKE)
+        out_p = local_stage(eps[perm], t, P, HOOKE)
         assert np.array_equal(out_p["sig"], out["sig"][perm])
         assert np.array_equal(out_p["d"], out["d"][perm])
 
@@ -330,17 +314,15 @@ class TestLocalStage:
         t = self.grid(5)
         eps = np.zeros((3, 5, 6))
         eps[1, 2, 0] = np.nan
-        zero = np.zeros((3, 5))
         with pytest.raises(ValueError, match="point 1"):
-            local_stage(eps, zero, zero, t, P, HOOKE)
+            local_stage(eps, t, P, HOOKE)
 
     def test_matches_matpoint_drive_bitwise(self):
         t = self.grid(80)
         sig_x = 2e-4 * np.sin(2 * np.pi * 1.5 * t) * t
         eps = np.zeros((1, t.size, 6))
         eps[0, :, 0] = sig_x
-        zero = np.zeros((1, t.size))
-        out = local_stage(eps, zero, zero, t, P, HOOKE)
+        out = local_stage(eps, t, P, HOOKE)
         drive = matpoint_drive(t, sig_x, P)
         assert np.array_equal(drive["sig_x"], out["sig"][0, :, 0])
         assert np.array_equal(drive["d"], out["d"][0])
@@ -369,7 +351,7 @@ class TestMatpointDrive:
         assert gap.max() > 0.01                       # delay visibly lags
 
     def test_slow_loading_closes_delay_gap(self):
-        T, n = 700.0, 3000
+        T, n = 70.0, 300
         t = np.linspace(0.1, T, n)
         e = 2e-4 * np.clip(t / T, 0.0, 1.0)
         out = matpoint_drive(t, e, P)
@@ -484,25 +466,16 @@ class TestScreens:
         n_sp = 12
         eps = rng.normal(size=(n_sp, t.size, 6)) * 6e-5
         eps[:4] *= 0.2                           # rows that never reach Y0
-        dbar_prev = np.where(rng.random((n_sp, t.size)) < 0.3,
-                             rng.uniform(0.05, 0.6, (n_sp, t.size)), 0.0)
-        dbar_prev[:2] = 0.0                      # two rows stay virgin
-        dbar_prev[3] *= 0.05                     # one carries a small old damage
-        Z_prev = dual_softening(-dbar_prev, P)
-        out = local_stage(eps, Z_prev, dbar_prev, t, P, HOOKE)
-        assert sorted(out) == ["Z", "d", "dbar", "sig"]
+        out = local_stage(eps, t, P, HOOKE)
+        assert sorted(out) == ["d", "sig"]
 
         Y = released_energy(eps, HOOKE)
-        assert np.any(Y > P.Y0 + Z_prev) and np.any((Y > P.Y0) & (Y <= P.Y0 + Z_prev))
-        assert np.all(Y[:2] <= P.Y0)
-        damaging = Y - (P.Y0 + Z_prev) > 0.0
-        dbar = np.where(damaging, static_damage(Y, P), dbar_prev)
-        Z = np.where(damaging, dual_softening(-dbar, P), Z_prev)
-        d = integrate_delay(t, dbar, 0.0, P)
+        assert np.all(Y[:4] <= P.Y0)
+        assert np.any(Y[4:] > P.Y0) and np.any(Y[4:] <= P.Y0)
+        d = integrate_delay(t, static_damage(Y, P), 0.0, P)
         idx, _ = tension_peak_history(eps[..., :3].sum(axis=-1))
         eps_max = np.take_along_axis(eps, idx[..., None], axis=-2)
-        want = {"dbar": dbar, "Z": Z, "d": d,
-                "sig": closed_form_stress(eps, eps_max, d)}
+        want = {"d": d, "sig": closed_form_stress(eps, eps_max, d)}
         for key, value in want.items():
             assert_bitwise(out[key], value)
 
@@ -514,7 +487,6 @@ class TestScreens:
         t = np.linspace(1.0 / 60, 1.0, 60)
         rng = np.random.default_rng(22)
         eps = rng.normal(size=(5, t.size, 6)) * 0.2 * THRESHOLD_STRAIN
-        zero = np.zeros((5, t.size))
-        out = local_stage(eps, zero, zero, t, P, HOOKE)
+        out = local_stage(eps, t, P, HOOKE)
         assert not out["d"].any()
         assert_bitwise(out["sig"], HOOKE.apply(eps))

@@ -14,8 +14,8 @@ class TestGeneration:
         assert mesh.n_elements == 16 * 2 * 2
 
     def test_unit_cube(self):
-        mesh = generate_box_mesh(1.0, 1.0, 1.0, 1, 1, 1, support="face")
-        assert mesh.n_nodes == 8
+        mesh = generate_box_mesh(1.0, 1.0, 1.0, 1, 1, 2)
+        assert mesh.n_nodes == 12
         assert mesh.gp_weights.sum() == pytest.approx(1.0, rel=1e-14)
 
     def test_gauss_weights_match_element_volume(self):
@@ -49,20 +49,12 @@ class TestSupports:
         assert mesh.prescribed_dofs.size == 18
         assert mesh.free_dofs.size == 459 - 18
 
-    def test_face_support_blocks_whole_end_sections(self):
-        mesh = generate_box_mesh(8.0, 0.3, 0.3, 16, 2, 2, support="face")
-        assert mesh.prescribed_nodes.size == 2 * 3 * 3
-
     def test_line_support_needs_even_nz(self):
         with pytest.raises(ValueError):
-            generate_box_mesh(8.0, 0.3, 0.3, 16, 2, 3, support="line")
-
-    def test_unknown_support_rejected(self):
-        with pytest.raises(ValueError):
-            generate_box_mesh(1.0, 1.0, 1.0, 2, 2, 2, support="edges")
+            generate_box_mesh(8.0, 0.3, 0.3, 16, 2, 3)
 
     def test_prescribed_node_bounds_checked(self):
-        mesh = generate_box_mesh(1.0, 1.0, 1.0, 1, 1, 1, support="face")
+        mesh = generate_box_mesh(1.0, 1.0, 1.0, 1, 1, 2)
         with pytest.raises(ValueError):
             Mesh(mesh.nodes, mesh.conn, np.array([99]))
 
@@ -74,7 +66,7 @@ class TestSupports:
 
 class TestVtkDump:
     def test_legacy_ascii_layout(self, tmp_path):
-        mesh = generate_box_mesh(2.0, 1.0, 1.0, 2, 1, 1, support="face")
+        mesh = generate_box_mesh(2.0, 1.0, 1.0, 2, 1, 2)
         path = tmp_path / "mesh.vtk"
         write_vtk(mesh, path,
                   point_data={"u": np.zeros((mesh.n_nodes, 3)),
@@ -106,6 +98,6 @@ class TestVtkDump:
         assert np.allclose(pts, mesh.nodes, atol=0.0)
 
     def test_bad_field_shape_rejected(self, tmp_path):
-        mesh = generate_box_mesh(1.0, 1.0, 1.0, 1, 1, 1, support="face")
+        mesh = generate_box_mesh(1.0, 1.0, 1.0, 1, 1, 2)
         with pytest.raises(ValueError):
             write_vtk(mesh, tmp_path / "m.vtk", point_data={"bad": np.zeros(5)})

@@ -33,7 +33,7 @@ def build_system(mesh, damping=False):
 
 
 def cube_system():
-    return build_system(generate_box_mesh(1.0, 1.0, 1.0, 2, 2, 2, support="line"))
+    return build_system(generate_box_mesh(1.0, 1.0, 1.0, 2, 2, 2))
 
 
 def desk_system():
@@ -96,7 +96,7 @@ class TestLoadCase:
             LoadCase(np.array([1.0]), np.array([0.0]))
 
     def test_prescribed_motion_moves_vertical_rows_only(self):
-        mesh = generate_box_mesh(1.0, 1.0, 1.0, 2, 2, 2, support="face")
+        mesh = generate_box_mesh(1.0, 1.0, 1.0, 2, 2, 2)
         load = LoadCase(np.array([1e-3]), np.array([2.0]))
         t = np.linspace(0.0, 1.0, 11)
         u_p, v_p, a_p = load.prescribed_motion(mesh, t)
@@ -409,8 +409,8 @@ class TestSplitForce:
         # K_eff (u - pred_u) + h with h built once per step is the residual
         # force M a + C v + K u + f_sup plus the damage correction, for the
         # a and v that the average-acceleration scheme ties to u.
-        system = build_system(generate_box_mesh(1.0, 1.0, 1.0, 2, 2, 2,
-                                                support="line"), damping=True)
+        system = build_system(generate_box_mesh(1.0, 1.0, 1.0, 2, 2, 2),
+                              damping=True)
         mesh, free = system.mesh, system.free
         rng = np.random.default_rng(13)
         full, state = self.random_state(mesh, rng)

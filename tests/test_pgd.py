@@ -15,7 +15,7 @@ from latinpgd.pgd import (PgdMode, PgdSolution, compute_delta,
                           mode_products, normalize_mode, relax_mode,
                           space_problem, stagnation, strain_norm,
                           stress_spatial, time_lambda, time_mu)
-from latinpgd.timegrid import TimeFunction, TimeGrid, st_inner, tdgm_march
+from latinpgd.timegrid import TimeFunction, TimeGrid, tdgm_march
 
 P = reference_concrete()
 HOOKE = P.hooke()
@@ -23,7 +23,7 @@ HOOKE = P.hooke()
 
 @pytest.fixture(scope="module")
 def setup():
-    mesh = generate_box_mesh(1.0, 1.0, 1.0, 2, 2, 2, support="line")
+    mesh = generate_box_mesh(1.0, 1.0, 1.0, 2, 2, 2)
     system = SpatialSystem(mesh, assemble_mass(mesh, P.rho),
                            assemble_stiffness(mesh, HOOKE))
     grid = TimeGrid(0.5, 8)
@@ -133,8 +133,8 @@ class TestSpaceProblem:
         delta = rng.normal(size=(mesh.n_gauss, grid.n_gauss, 6)) * 1e4
         u, _ = space_of(lam, delta, system)
         lv = lam.values_at_gauss()
-        ca = st_inner(grid, lam.values_at_gauss(2), lv)
-        ck = st_inner(grid, lv, lv)
+        ca = grid.inner(lam.values_at_gauss(2), lv)
+        ck = grid.inner(lv, lv)
         rhs = internal_force(
             mesh, np.einsum("gtv,t->gv", delta, lv * grid.all_gauss_weights))
         resid = system.operator(ca, 0.0, ck) @ u[system.free] - rhs[system.free]

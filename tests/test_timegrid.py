@@ -7,7 +7,7 @@ from scipy.linalg import lu_factor, lu_solve
 
 from latinpgd.timegrid import (_TAU_COLLOCATION, TimeFunction, TimeGrid, _basis,
                                element_operator, l2_fit, quad_resample_blocks,
-                               quad_resample_to_gauss, st_inner, tdgm_march)
+                               quad_resample_to_gauss, tdgm_march)
 
 
 class TestTimeGrid:
@@ -35,13 +35,15 @@ class TestStInner:
     def test_constant_pair(self):
         g = TimeGrid(2.0, 25)
         one = l2_fit(g, np.ones(g.n_gauss))
-        assert st_inner(g, one, one) == pytest.approx(2.0, rel=1e-14)
+        assert g.inner(one.values_at_gauss(), one.values_at_gauss()) == pytest.approx(
+            2.0, rel=1e-14)
 
     def test_linear_against_constant(self):
         g = TimeGrid(1.0, 10)
         t = l2_fit(g, g.all_gauss_times)
         one = l2_fit(g, np.ones(g.n_gauss))
-        assert st_inner(g, t, one) == pytest.approx(0.5, rel=1e-13)
+        assert g.inner(t.values_at_gauss(), one.values_at_gauss()) == pytest.approx(
+            0.5, rel=1e-13)
 
     def test_random_cubic_pair_matches_trapezoid_oracle(self):
         rng = np.random.default_rng(21)
@@ -52,14 +54,16 @@ class TestStInner:
         h = l2_fit(g, np.polyval(pb, g.all_gauss_times))
         tt = np.linspace(0.0, 2.0, 200001)
         oracle = np.trapezoid(np.polyval(pa, tt) * np.polyval(pb, tt), tt)
-        assert st_inner(g, f, h) == pytest.approx(oracle, rel=1e-10)
+        assert g.inner(f.values_at_gauss(), h.values_at_gauss()) == pytest.approx(
+            oracle, rel=1e-10)
 
     def test_grid_mismatch_rejected(self):
+        # samples of two grids with different element counts do not pair up
         g1, g2 = TimeGrid(1.0, 4), TimeGrid(1.0, 5)
         f = TimeFunction(g1)
         h = TimeFunction(g2)
         with pytest.raises(ValueError):
-            st_inner(g1, f, h)
+            g1.inner(f.values_at_gauss(), h.values_at_gauss())
 
 
 class TestL2Fit:
