@@ -144,13 +144,16 @@ class SpatialSystem:
     """Assembled matrices plus the free/prescribed DOF partition.
 
     Sub-blocks are precomputed: `Aff` acts on free DOFs, `Afp` couples the
-    prescribed (support-motion) DOFs into the free equations.  The last
-    factorization of ca*M + cc*C + ck*K on the free DOFs is kept (see
-    `solve_free`); `n_factorizations` counts actual numeric factorizations
-    for the solver reuse assertions.
+    prescribed (support-motion) DOFs into the free equations.  A system
+    built without damping (C = None) stores C as a sparse matrix with no
+    entries, so its damping terms are exact zeros that cost no real work.
+    The last factorization of ca*M + cc*C + ck*K on the free DOFs is kept
+    (see `solve_free`); `n_factorizations` counts actual numeric
+    factorizations for the solver reuse assertions.
     """
 
     def __init__(self, mesh, M, K, C=None):
+        C = C if C is not None else sp.csr_matrix(M.shape)
         self.mesh = mesh
         self.M, self.K, self.C = M, K, C
         self.free = mesh.free_dofs
@@ -158,10 +161,7 @@ class SpatialSystem:
         self.n_free = self.free.size
         self.Mff, self.Mfp = self._blocks(M)
         self.Kff, self.Kfp = self._blocks(K)
-        if C is not None:
-            self.Cff, self.Cfp = self._blocks(C)
-        else:
-            self.Cff = self.Cfp = None
+        self.Cff, self.Cfp = self._blocks(C)
         self._solve = (None, None)   # (coefficient triple, factorized solve)
         self.n_factorizations = 0
 
@@ -172,12 +172,7 @@ class SpatialSystem:
 
     def operator(self, ca, cc, ck):
         """ca*M + cc*C + ck*K restricted to the free DOFs (csc)."""
-        A = ca * self.Mff + ck * self.Kff
-        if cc != 0.0:
-            if self.Cff is None:
-                raise ValueError("system has no damping matrix")
-            A = A + cc * self.Cff
-        return A
+        return ca * self.Mff + ck * self.Kff + cc * self.Cff
 
     def solve_free(self, ca, cc, ck, rhs):
         """Direct solve of (ca*M + cc*C + ck*K) x = rhs on the free DOFs, rhs 1-D.

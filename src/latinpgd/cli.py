@@ -334,21 +334,19 @@ def cmd_modal(args):
 
 
 def cmd_calibrate(args):
-    import numpy as np
-    from dataclasses import replace
-
-    from .newmark import newmark_quasi_newton
+    from .newmark import LoadCase, newmark_quasi_newton
 
     conf = _load_config(args)
     out = _out_dir(args, conf)
     target = args.target
+    # The load amplitude enters only the load case: mesh, matrices and the
+    # system's factorization serve every scale tried.
+    _, params, system, load = _build_problem(conf)
+    times = conf.solver.newmark_times(conf.load.T)
 
     def peak_damage(scale):
-        scaled = replace(conf, load=replace(
-            conf.load, amplitudes=tuple(a * scale for a in conf.load.amplitudes)))
-        _, params, system, load = _build_problem(scaled)
-        times = conf.solver.newmark_times(conf.load.T)
-        res = newmark_quasi_newton(system, params, load, times,
+        scaled = LoadCase(load.amplitudes * scale, load.frequencies)
+        res = newmark_quasi_newton(system, params, scaled, times,
                                    tol=conf.solver.newmark_tol)
         return float(res["d"].max())
 

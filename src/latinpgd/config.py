@@ -24,7 +24,7 @@ overriding only the keys it names.  `canonical` serializes a configuration
 in a fixed order so that runs can be identified by a stable hash.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -79,9 +79,14 @@ class LoadConfig:
 class SolverConfig:
     """Discretization and iteration controls shared by the two solvers.
 
+    This class is the one home of the solver defaults: `latin.run_latin`
+    takes every control as a keyword without a default, and the CLI passes
+    them from here.
+
     N_T is the number of temporal finite elements of the weak time solver;
-    the incremental reference marches the same horizon on 2 N_T + 1 nodes so
-    both discretizations resolve the time axis comparably.
+    the incremental reference marches the same horizon on the grid's step
+    nodes (`TimeGrid.step_times`, two steps per element) so both
+    discretizations resolve the time axis comparably.
     """
 
     N_T: int
@@ -108,7 +113,7 @@ class SolverConfig:
         return TimeGrid(T, self.N_T)
 
     def newmark_times(self, T):
-        return np.linspace(0.0, T, 2 * self.N_T + 1)
+        return self.build_grid(T).step_times
 
 
 @dataclass(frozen=True)
@@ -131,8 +136,15 @@ class RunConfig:
     output: OutputConfig
 
 
-# Typed key registry: section -> key -> reader.  The readers double as the
-# documentation of the value grammar for each key.
+# Section -> the RunConfig part it builds, in canonical order.
+_SECTION_CLASSES = {"mesh": MeshConfig, "material": MaterialParams,
+                    "load": LoadConfig, "solver": SolverConfig,
+                    "output": OutputConfig}
+
+_MANDATORY_SECTIONS = ("mesh", "material", "load", "solver")
+
+
+# Value readers by field annotation; they document the value grammar.
 
 def _read_float(text):
     return float(text)
@@ -170,27 +182,23 @@ def _read_optional_float_list(text):
     return _read_float_list(text) if text.strip() else ()
 
 
-_SCHEMA = {
-    "mesh": {"d1": _read_float, "d2": _read_float, "d3": _read_float,
-             "nx": _read_int, "ny": _read_int, "nz": _read_int},
-    "material": {"rho": _read_float, "E": _read_float, "nu": _read_float,
-                 "Y0": _read_float, "A_d": _read_float, "tau_c": _read_float,
-                 "a": _read_float, "a_c": _read_float, "xi": _read_float},
-    "load": {"amplitudes": _read_float_list, "frequencies": _read_float_list,
-             "T": _read_float},
-    "solver": {"N_T": _read_int, "xi_stop": _read_float, "zeta_stop": _read_float,
-               "omega": _read_float, "max_modes": _read_int, "seed": _read_int,
-               "damping": _read_bool, "newmark_tol": _read_float},
-    "output": {"directory": _read_str, "vtk": _read_bool,
-               "snapshots": _read_optional_float_list},
-}
+_READERS = {float: _read_float, int: _read_int, bool: _read_bool, str: _read_str}
 
-_MANDATORY_SECTIONS = ("mesh", "material", "load", "solver")
 
-# Section -> the RunConfig part it builds, in canonical order.
-_SECTION_CLASSES = {"mesh": MeshConfig, "material": MaterialParams,
-                    "load": LoadConfig, "solver": SolverConfig,
-                    "output": OutputConfig}
+def _reader(field):
+    """Reader of a section field: by its annotation, a tuple as a float list.
+
+    A list may be empty exactly when its default is the empty tuple.
+    """
+    if field.type is tuple:
+        return _read_optional_float_list if field.default == () else _read_float_list
+    return _READERS[field.type]
+
+
+# Typed key registry: section -> key -> reader, in field order, which is
+# also the canonical order.
+_SCHEMA = {name: {field.name: _reader(field) for field in fields(cls)}
+           for name, cls in _SECTION_CLASSES.items()}
 
 
 def read_sections(path):

@@ -33,14 +33,12 @@ from .pgd import (PgdSolution, compute_delta, cre_functional, enrich,
 from .tensors import STRAIN_CONTRACTION, STRESS_CONTRACTION
 from .timegrid import quad_resample_to_gauss, spatial_blocks
 
-RELAXATION = 0.4
-
 
 def elastic_solution(system, params, load, grid):
     """Undamaged dynamic response sampled on the space-time Gauss grid.
 
-    The marching reference integrates the linear problem on the 2*N_T + 1
-    uniform nodes of `grid`, then its displacement history is carried onto
+    The marching reference integrates the linear problem on the step nodes
+    `grid.step_times`, then its displacement history is carried onto
     the temporal Gauss points by the per-element quadratic fit.  Returns a
     dict with u (n_dofs, n_gauss_t), eps and sig (n_gauss, n_gauss_t, 6).
 
@@ -49,26 +47,20 @@ def elastic_solution(system, params, load, grid):
     strain of the march up to round-off) and the stress is E : eps, exact
     on the grid.
     """
-    times = np.linspace(0.0, grid.T, 2 * grid.n_elements + 1)
-    res = newmark_quasi_newton(system, params, load, times, damage=False)
+    res = newmark_quasi_newton(system, params, load, grid.step_times, damage=False)
     u = quad_resample_to_gauss(grid, res["u"])
     eps = strain_at_gauss(system.mesh, u)
     return {"u": u, "eps": eps, "sig": params.hooke().apply(eps)}
 
 
-def _st_norm2(mesh, grid, field, flavor):
+def _st_norm2(mesh, grid, field, c):
     """Squared space-time L2 norm of a Voigt field (n_gauss, n_t, 6).
 
-    Proper tensor contraction (shear components counted twice for stresses,
-    engineering shear strains halved twice) integrated with the spatial and
+    c is the Voigt contraction of the field's flavor (`STRESS_CONTRACTION`
+    counts shear components twice, `STRAIN_CONTRACTION` halves engineering
+    shears twice); the contraction is integrated with the spatial and
     temporal quadrature weights, reading the field once, block by block.
     """
-    if flavor == "stress":
-        c = STRESS_CONTRACTION
-    elif flavor == "strain":
-        c = STRAIN_CONTRACTION
-    else:
-        raise ValueError("flavor must be 'stress' or 'strain', got %r" % (flavor,))
     wg = mesh.gp_weights.ravel()
     wt = grid.all_gauss_weights
     total = 0.0
@@ -116,7 +108,8 @@ def latin_error(gap2, norms, mesh, grid, mode=None, products=None):
 
 def _global_norms(mesh, grid, eps, sig):
     """(|sig|^2, |eps|^2) of the global fields: the denominators of xi."""
-    return _st_norm2(mesh, grid, sig, "stress"), _st_norm2(mesh, grid, eps, "strain")
+    return (_st_norm2(mesh, grid, sig, STRESS_CONTRACTION),
+            _st_norm2(mesh, grid, eps, STRAIN_CONTRACTION))
 
 
 class LatinState:
@@ -156,9 +149,11 @@ class LatinState:
         return int(self.hat["d"].max(axis=1).argmax())
 
 
-def run_latin(system, params, load, grid, zeta_stop=5e-4, max_modes=150,
-              omega=RELAXATION, seed=0, enrich_zeta=1e-2):
+def run_latin(system, params, load, grid, *, zeta_stop, max_modes, omega, seed,
+              enrich_zeta):
     """Alternate local and global stages from the elastic initialization.
+
+    The controls have no defaults here: `config.SolverConfig` holds them.
 
     zeta_stop : manifold-distance threshold (fraction; 5e-4 is 0.05%).
     max_modes : enrichment budget; exhausting it flags the state
@@ -166,6 +161,7 @@ def run_latin(system, params, load, grid, zeta_stop=5e-4, max_modes=150,
     omega : relaxation applied to each new mode's time functions.
     seed : seeds the random time-function initialization of every
         enrichment, making the run reproducible.
+    enrich_zeta : stagnation threshold of each enrichment's fixed point.
 
     Returns a LatinState; `state.converged` distinguishes a met threshold
     from an exhausted budget.

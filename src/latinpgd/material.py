@@ -56,6 +56,8 @@ CLOSURE_TRACE_GUARD = 1e-12
 # the eigenvalue route, so a screened point never has a computed Y above
 # the floor.
 _BOUND_SLACK = 1e-10
+# Relative round-off allowance of the delay law's substep count.
+_SUBSTEP_SLACK = 1e-9
 # Points per chunk of the pointwise kernels that gather a subset of a field:
 # their temporaries stay this small however many points qualify.
 _CHUNK = 1 << 14
@@ -151,7 +153,10 @@ def integrate_delay(times, dbar, d_init, params):
 
     Classic one-step 4-stage integration on substeps no longer than tau_c/20;
     the right-hand side is bounded by 1/tau_c and Lipschitz, so the explicit
-    scheme is stable at that step.  Returns d at the sample instants.
+    scheme is stable at that step.  A span within a relative 1e-9 of a
+    whole number of substeps takes that number, so round-off in the sample
+    instants never adds a substep: a span of exactly tau_c/20, however it
+    was computed, takes one.  Returns d at the sample instants.
     """
     times = np.asarray(times, dtype=float)
     dbar = np.asarray(dbar, dtype=float)
@@ -166,7 +171,7 @@ def integrate_delay(times, dbar, d_init, params):
     for k in range(n_t):
         span = times[k] - prev_t
         db0, db1 = prev_db, dbar[..., k]
-        n_sub = int(np.ceil(span / h_max))   # 0 on an empty span
+        n_sub = int(np.ceil(span / h_max * (1.0 - _SUBSTEP_SLACK)))  # 0 if empty
         h = span / max(n_sub, 1)
         for s in range(n_sub):
             f0 = db0 + (db1 - db0) * (s / n_sub)

@@ -79,6 +79,8 @@ NEWMARK_BETA = 0.25
 # converged strains imply drops below the tolerance.
 _STAGGER_TOL = 1e-6
 _MAX_STAGGER = 100
+# Corrections allowed in one equilibrium pass before the march gives up.
+_MAX_ITER = 100
 
 
 class LoadCase:
@@ -174,8 +176,7 @@ def _step_load(system, pred_u, pred_v, f_sup_k):
     trial displacement u of the step is K_eff (u - pred_u) + h.
     """
     h = system.Kff @ pred_u + f_sup_k
-    if system.Cff is not None:
-        h += system.Cff @ pred_v
+    h += system.Cff @ pred_v
     return h
 
 
@@ -197,8 +198,7 @@ def _free_force(system, f_p, eps, correction):
     return f_p + internal_force(system.mesh, correction.field(eps))[system.free]
 
 
-def newmark_quasi_newton(system, params, load, times, damage=True,
-                         tol=1e-4, max_iter=100):
+def newmark_quasi_newton(system, params, load, times, damage=True, tol=1e-4):
     """March the support-driven problem over uniform time nodes.
 
     system : SpatialSystem (its K must be the undamaged stiffness).
@@ -236,7 +236,6 @@ def newmark_quasi_newton(system, params, load, times, damage=True,
     hooke = params.hooke()
     free, presc = mesh.free_dofs, mesh.prescribed_dofs
     n_t = times.size
-    damped = system.C is not None
 
     u_p, v_p, a_p = (np.asarray(f, dtype=float)
                      for f in load.prescribed_motion(mesh, times))
@@ -246,8 +245,7 @@ def newmark_quasi_newton(system, params, load, times, damage=True,
     # Elastic support-motion load of every step; its largest norm over the
     # run is the reference of the residual tolerance.
     f_sup = system.Mfp @ a_p + system.Kfp @ u_p
-    if damped:
-        f_sup += system.Cfp @ v_p
+    f_sup += system.Cfp @ v_p
     ref = np.linalg.norm(f_sup, axis=0).max()
     tol_abs = tol * ref
 
@@ -283,7 +281,7 @@ def newmark_quasi_newton(system, params, load, times, damage=True,
     a_f = np.zeros(free.size)
 
     ca = 1.0 / (NEWMARK_BETA * dt * dt)
-    cc = NEWMARK_GAMMA / (NEWMARK_BETA * dt) if damped else 0.0
+    cc = NEWMARK_GAMMA / (NEWMARK_BETA * dt)
     K_eff = system.operator(ca, cc, 1.0)
     iters = np.zeros(n_t - 1, dtype=int)
     passes = np.zeros(n_t - 1, dtype=int)
@@ -306,7 +304,7 @@ def newmark_quasi_newton(system, params, load, times, damage=True,
             correction = state_new["correction"]
             r_prev = None
             omega = 1.0
-            for it in range(max_iter + 1):
+            for it in range(_MAX_ITER + 1):
                 full[free] = u_trial
                 eps_k = (None if correction is None
                          else strain_at_gauss(mesh, full))
@@ -316,7 +314,7 @@ def newmark_quasi_newton(system, params, load, times, damage=True,
                 # module docstring).
                 if (it or stagger) and np.linalg.norm(r) <= tol_abs:
                     break
-                if it == max_iter:
+                if it == _MAX_ITER:
                     raise RuntimeError(
                         "equilibrium loop failed to converge at step %d "
                         "(t = %g): residual %g > %g"
@@ -381,13 +379,14 @@ def resample_fields_to_gauss(grid, result):
     """Map an incremental run's strain/stress pair onto grid Gauss points.
 
     `result` must come from a damaging run (damage=True: the elastic march
-    stores no Gauss-point fields) over the 2*n_elements + 1 uniform nodes
-    of `grid` (each time element spans two steps).  Both fields go through
+    stores no Gauss-point fields) over the step nodes `grid.step_times`
+    (each time element spans two steps).  Both fields go through
     `timegrid.quad_resample_blocks` in their own (n_gauss, n_t, 6) layout.
     Returns (eps, sig), both shaped (n_gauss_space, n_gauss_time, 6).
     """
     times = result["times"]
-    if times.size != 2 * grid.n_elements + 1 or not np.isclose(times[-1], grid.T):
+    if (times.shape != grid.step_times.shape
+            or not np.allclose(times, grid.step_times)):
         raise ValueError("run nodes do not match the quadrature grid")
     if "eps" not in result:
         raise ValueError("run holds no Gauss-point fields (an elastic march); "

@@ -48,6 +48,9 @@ from .assembly import internal_force, strain_at_gauss
 from .tensors import STRESS_CONTRACTION
 from .timegrid import TimeFunction, l2_fit, spatial_blocks, tdgm_march
 
+# Sweeps of the enrichment fixed point when |lam| does not stagnate first.
+_MAX_SWEEPS = 5
+
 
 class PgdMode:
     """One rank-one space-time correction.
@@ -113,8 +116,7 @@ def space_problem(lam, delta_lam, system):
 
     where F is the internal-force functional of the time-weighted stress gap
     delta_lam = <Delta lam> (n_gauss, 6), formed by the caller
-    (`_time_weighted`).  The damping term is present only when the system
-    carries a damping matrix.  Returns (u_bar, eps_bar) with u_bar zero on
+    (`_time_weighted`).  Returns (u_bar, eps_bar) with u_bar zero on
     prescribed DOFs.
     """
     grid = lam.grid
@@ -123,7 +125,7 @@ def space_problem(lam, delta_lam, system):
     ck = grid.inner(lv, lv)
     if not ck > 0.0:
         raise ValueError("time function has zero L2 norm; <lam lam> = %g" % ck)
-    cc = grid.inner(lam.values_at_gauss(1), lv) if system.C is not None else 0.0
+    cc = grid.inner(lam.values_at_gauss(1), lv)
 
     rhs = internal_force(system.mesh, delta_lam)
     try:
@@ -162,7 +164,7 @@ def time_lambda(u_bar, eps_bar, forcing, system, grid, hooke):
         a lam'' + c lam' + b lam = f(t),   a = int rho u_bar . u_bar,
         b = int eps_bar : E : eps_bar,     f = int Delta : eps_bar
 
-    (c = u_bar . C u_bar with damping), integrated by the discontinuous
+    (c = u_bar . C u_bar), integrated by the discontinuous
     march from zero initial conditions.  forcing holds f at the temporal
     Gauss points (n_t,), formed by the caller (`_space_weighted`).
     """
@@ -171,7 +173,7 @@ def time_lambda(u_bar, eps_bar, forcing, system, grid, hooke):
     b = float(wg @ np.einsum("gv,gv->g", hooke.apply(eps_bar), eps_bar))
     if not a > 0.0:
         raise ValueError("degenerate mode: mass coefficient a = %g" % a)
-    c = float(u_bar @ (system.C @ u_bar)) if system.C is not None else 0.0
+    c = float(u_bar @ (system.C @ u_bar))
     lam, _ = tdgm_march(grid, a, c, b, np.reshape(forcing, (grid.n_elements, 4)))
     return lam
 
@@ -297,12 +299,12 @@ def cre_functional(cre_delta, products, mode, mesh, grid, hooke):
                  + grid.inner(lv, lv) * eps_e)
 
 
-def enrich(delta, system, grid, hooke, rng, zeta_stop=1e-2, max_iter=5):
+def enrich(delta, system, grid, hooke, rng, zeta_stop):
     """Add one space-time mode correcting the stress gap Delta.
 
     Runs the alternating fixed point from randomly initialized time functions
     (nodal values uniform in [-1, 1]) until |lam| stagnates below zeta_stop
-    or max_iter sweeps.  Returns (mode, info); mode is None when Delta is
+    or after _MAX_SWEEPS sweeps.  Returns (mode, info); mode is None when Delta is
     identically zero and no enrichment is needed.  info records the
     normalization constants, stagnation history and iteration count.
 
@@ -319,7 +321,7 @@ def enrich(delta, system, grid, hooke, rng, zeta_stop=1e-2, max_iter=5):
     lam = TimeFunction(grid, rng.uniform(-1.0, 1.0, (grid.n_elements, 4)))
     mu = TimeFunction(grid, rng.uniform(-1.0, 1.0, (grid.n_elements, 4)))
     mode = None
-    for sweep in range(1, max_iter + 1):
+    for sweep in range(1, _MAX_SWEEPS + 1):
         weighted = _time_weighted(
             delta, np.stack([lam.values_at_gauss(), mu.values_at_gauss()]), grid)
         u_bar, eps_bar = space_problem(lam, weighted[:, 0], system)

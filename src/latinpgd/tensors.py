@@ -35,20 +35,6 @@ def voigt_to_matrix(v, flavor):
     return t
 
 
-def matrix_to_voigt(t, flavor):
-    """Symmetric 3x3 matrix(es) -> Voigt 6-vector(s).  t may be (..., 3, 3)."""
-    t = np.asarray(t, dtype=float)
-    shear = 2.0 if flavor == "strain" else 1.0
-    v = np.empty(t.shape[:-2] + (6,))
-    v[..., 0] = t[..., 0, 0]
-    v[..., 1] = t[..., 1, 1]
-    v[..., 2] = t[..., 2, 2]
-    v[..., 3] = shear * t[..., 1, 2]
-    v[..., 4] = shear * t[..., 0, 2]
-    v[..., 5] = shear * t[..., 0, 1]
-    return v
-
-
 class HookeTensor:
     """Isotropic Hooke tensor: 6x6 matrix on strain-Voigt vectors and its inverse.
 

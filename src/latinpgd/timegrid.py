@@ -3,17 +3,20 @@
 The time interval [0, T] is split into N_T uniform elements.  On each element
 a scalar function is a degree-3 Lagrange polynomial on 4 equispaced nodes
 (local coordinates 0, 1/3, 2/3, 1), so a function carries 4*N_T nodal values
-and may jump across element boundaries.  Continuity is only enforced weakly:
-the value is transferred between elements through penalty operators
+and may jump across element boundaries.  The march nevertheless imposes
+value continuity exactly: the first row of every element problem transfers
+the value through the penalty operators
 
     L^[k] : single entry [0, 0] = 1.1 * max(Q^[k])
     R^[k] : single entry [0, 3] = 1.1 * max(Q^[k])
 
-and each element problem is marched forward with one factorized 4x4
-operator for every element (by superposition: see `tdgm_march`).  The
-initial value lam(0) = lam_init is imposed through the first element's L
-operator with a transfer from a virtual previous element ending at
-lam_init.
+that is, penalty * lam(t_k+) = penalty * lam(t_k-), and the penalty factor
+only scales that row (the marched functions jump by round-off only, below
+6e-16 of their largest value in probes).  Each element problem is marched
+forward with one factorized 4x4 operator for every element (by
+superposition: see `tdgm_march`).  The initial value lam(0) = lam_init is
+imposed through the first element's L operator with a transfer from a
+virtual previous element ending at lam_init.
 
 For a second-order equation a*lam'' + c*lam' + b*lam = f the value-transfer
 row alone leaves the element problems over-determined in the wrong direction:
@@ -92,6 +95,10 @@ class TimeGrid:
         self.n_elements = int(n_elements)
         self.h = self.T / self.n_elements
         self.t_bounds = np.linspace(0.0, self.T, self.n_elements + 1)
+        # Uniform step nodes of an incremental march over the same horizon,
+        # two steps per element: the axis the Newmark reference runs on and
+        # `quad_resample_blocks` reads.
+        self.step_times = np.linspace(0.0, self.T, 2 * self.n_elements + 1)
         self.node_times = self.t_bounds[:-1, None] + self.h * _NODES[None, :]
         self.gauss_local = _GX
         self.gauss_weights_local = _GW
@@ -131,19 +138,6 @@ class TimeFunction:
         """Samples at all Gauss points, flattened to (n_gauss,)."""
         table = (self.grid.N, self.grid.dN, self.grid.d2N)[deriv]
         return (self.coeffs @ table.T).ravel()
-
-    def eval(self, t, deriv=0):
-        """Evaluate at arbitrary times (element-local polynomial evaluation).
-
-        At element boundaries the left element's value is returned (except at
-        t=0).  Mainly a diagnostic; solver inner products use Gauss samples.
-        """
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        g = self.grid
-        k = np.clip(np.ceil(t / g.h).astype(int) - 1, 0, g.n_elements - 1)
-        tau = (t - g.t_bounds[k]) / g.h
-        table = _basis(tau, deriv) / g.h ** deriv
-        return np.einsum("ti,ti->t", self.coeffs[k], table)
 
     def jumps(self, init=0.0):
         """Jump diagnostics: [lam(0+) - init, interior jumps across boundaries]."""
@@ -216,8 +210,8 @@ def tdgm_march(grid, a, c, b, f_samples, lam_init=0.0, vel_init=0.0):
     lam : TimeFunction
     info : dict with 'penalty' (the factor 1.1*max(Q)), 'factorizations'
         (always 1: a single 4x4 factorization serves every element) and
-        'max_jump' (largest inter-element value jump, a weak-continuity
-        diagnostic).
+        'max_jump' (largest inter-element value jump, round-off of the
+        exact value-transfer row).
 
     Raises ValueError naming the first element whose coefficients are not
     finite.
@@ -277,7 +271,7 @@ def tdgm_march(grid, a, c, b, f_samples, lam_init=0.0, vel_init=0.0):
 
 
 def quad_resample_blocks(grid, values):
-    """Resample step histories (B, 2*N_T+1, C) onto the Gauss points (B, n_gauss, C).
+    """Resample step histories (B, n_steps, C) onto the Gauss points (B, n_gauss, C).
 
     Each time element covers two steps (three samples); the quadratic through
     them is evaluated at the element's 4 Gauss points.  With P the (4, 3)
@@ -294,9 +288,9 @@ def quad_resample_blocks(grid, values):
     """
     v = np.asarray(values, dtype=float)
     n_el = grid.n_elements
-    if v.ndim != 3 or v.shape[1] != 2 * n_el + 1:
+    if v.ndim != 3 or v.shape[1] != grid.step_times.size:
         raise ValueError("expected %d time samples, got shape %s"
-                         % (2 * n_el + 1, v.shape))
+                         % (grid.step_times.size, v.shape))
     n_b, _, n_c = v.shape
     # quadratic Lagrange basis on local nodes {0, 1/2, 1} at the Gauss points
     x = grid.gauss_local
@@ -313,9 +307,9 @@ def quad_resample_blocks(grid, values):
 
 
 def quad_resample_to_gauss(grid, values):
-    """Resample a history on the 2*N_T+1 uniform step grid onto the Gauss points.
+    """Resample a history on the step nodes `grid.step_times` onto the Gauss points.
 
-    `values` has the time axis last: (..., 2*N_T+1) -> (..., n_gauss).  It is
+    `values` has the time axis last: (..., n_steps) -> (..., n_gauss).  It is
     the `quad_resample_blocks` kernel with one component per history.
     """
     v = np.asarray(values, dtype=float)

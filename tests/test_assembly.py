@@ -7,7 +7,9 @@ from latinpgd.assembly import (SpatialSystem, assemble_mass, assemble_stiffness,
                                internal_force, modal_analysis, rayleigh_coeffs,
                                strain_at_gauss)
 from latinpgd.mesh import generate_box_mesh
-from latinpgd.tensors import HookeTensor, matrix_to_voigt
+from latinpgd.tensors import HookeTensor
+
+from test_tensors import matrix_to_voigt
 
 CONCRETE = HookeTensor(37.9e9, 0.2)
 
@@ -263,13 +265,17 @@ class TestSpatialSystem:
         wm = np.linalg.eigvalsh(sysm.Mff.toarray())
         assert wm.min() > 0.0
 
-    def test_damping_requires_matrix(self):
+    def test_damping_term_of_the_operator(self):
         mesh = beam_mesh((4, 2, 2))
         M = assemble_mass(mesh, 2550.0)
         K = assemble_stiffness(mesh, CONCRETE)
+        # an undamped system stores no damping entries: cc changes nothing
         sysm = SpatialSystem(mesh, M, K)
-        with pytest.raises(ValueError):
-            sysm.operator(1.0, 1.0, 1.0)
+        assert sysm.C.nnz == sysm.Cff.nnz == sysm.Cfp.nnz == 0
+        ref = 3.0 * sysm.Mff + 2.0 * sysm.Kff
+        for cc in (0.0, 1.0, -7.5e3):
+            A = sysm.operator(3.0, cc, 2.0)
+            assert (A != ref).nnz == 0
         alpha, beta = rayleigh_coeffs(0.02, 8.99, 45.8)
         damped = SpatialSystem(mesh, M, K, C=(alpha * M + beta * K).tocsr())
         A = damped.operator(0.0, 1.0, 0.0)

@@ -131,3 +131,30 @@ def test_spent_mode_budget_exits_3_with_outputs(tmp_path):
     # the elastic start is part of the run: no longer than the whole log
     last = (out / "convergence_log.csv").read_text().splitlines()[-1]
     assert 0.0 < manifest["elastic_seconds"] <= float(last.split(",")[-1]) + 1e-6
+
+
+def test_calibrate_rows_match_direct_runs(tmp_path):
+    # calibrate assembles once and scales only the load; each row must be
+    # what a Newmark run on a freshly built problem gives at that scale
+    from latinpgd.config import parse_config, preset
+    from latinpgd.newmark import LoadCase, newmark_quasi_newton
+
+    overlay = tiny_overlay(tmp_path)
+    out = tmp_path / "out"
+    code = cli.main(["calibrate", "--preset", "mono_sine", "--config", overlay,
+                     "--bisections", "1", "--out-dir", str(out)])
+    assert code == cli.EXIT_OK
+    lines = (out / "calibration.csv").read_text().splitlines()
+    assert lines[0] == "scale,amplitudes,d_max"
+    conf = parse_config(overlay, base=preset("mono_sine"))
+    times = conf.solver.newmark_times(conf.load.T)
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) >= 3                   # start, bracket, one bisection
+    for scale, amplitudes, d_max in rows:
+        _, params, system, load = cli._build_problem(conf)
+        amplitudes = np.array([float(a) for a in amplitudes.split(";")])
+        assert np.array_equal(amplitudes, load.amplitudes * float(scale))
+        res = newmark_quasi_newton(system, params,
+                                   LoadCase(amplitudes, load.frequencies), times,
+                                   tol=conf.solver.newmark_tol)
+        assert float(d_max) == res["d"].max()

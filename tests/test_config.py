@@ -1,5 +1,6 @@
 """Config file checks: located parse errors, preset overlay, canonical round trip."""
 
+import hashlib
 from dataclasses import replace
 
 import pytest
@@ -20,6 +21,8 @@ MALFORMED = {
     "duplicate_key": ("# beam\n[solver]\nN_T = 10\nN_T = 20\n", 4, "duplicate key 'N_T'"),
     "bad_value": ("[solver]\nN_T = 10\nseed = 1.5\n", 3, "bad value for seed"),
     "key_outside_section": ("\nd1 = 8.0\n[mesh]\n", 2, "outside of any [section]"),
+    "empty_amplitudes": ("[load]\nT = 2.0\namplitudes =\n", 3,
+                         "bad value for amplitudes"),
 }
 
 
@@ -66,3 +69,24 @@ def test_canonical_round_trip(tmp_path, name):
     back = parse_config(write(tmp_path, canonical(conf)))
     assert back == conf
     assert canonical(back) == canonical(conf)
+
+
+def test_empty_snapshot_list_is_the_empty_tuple(tmp_path):
+    # a tuple key may be empty exactly when its default is ()
+    sections = read_sections(write(tmp_path, "[output]\nsnapshots =\n"))
+    assert sections == {"output": {"snapshots": ()}}
+
+
+# sha256 of each preset's canonical text: the config hash every run
+# manifest and benchmark record carries.
+PRESET_SHA256 = {
+    "elastic": "356a208a3dff7f57f1a9c10bcdc8c46c8a5649a609d79883e4ae576502895db0",
+    "mono_sine": "51d2a965ed958a7a6f391c1f6dd1887259f4849a7670df2afab7a94c017dad4d",
+    "multi_sine": "0b4fc3470caa52967245b5e51edaa34433417f692421e87584032330776bd680",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_SHA256))
+def test_canonical_text_of_each_preset_is_pinned(name):
+    text = canonical(preset(name))
+    assert hashlib.sha256(text.encode()).hexdigest() == PRESET_SHA256[name]

@@ -18,6 +18,7 @@ from latinpgd.mesh import generate_box_mesh
 from latinpgd.newmark import (LoadCase, compare_error, newmark_quasi_newton,
                               resample_fields_to_gauss)
 from latinpgd.pgd import PgdMode, compute_delta, gap_norms, mode_products
+from latinpgd.tensors import STRAIN_CONTRACTION, STRESS_CONTRACTION
 from latinpgd.timegrid import (TimeFunction, TimeGrid, quad_resample_to_gauss,
                                tdgm_march)
 
@@ -47,16 +48,10 @@ def test_st_norm2_of_constant_field_is_contraction_times_measure(setup):
     measure = 1.0 * 0.5            # box volume 1.0 m^3 times horizon 0.5 s
     normal = 1.0 + 4.0 + 9.0
     shear = 0.25 + 1.0 + 4.0
-    assert _st_norm2(mesh, grid, field, "stress") == pytest.approx(
+    assert _st_norm2(mesh, grid, field, STRESS_CONTRACTION) == pytest.approx(
         (normal + 2.0 * shear) * measure, rel=1e-12)
-    assert _st_norm2(mesh, grid, field, "strain") == pytest.approx(
+    assert _st_norm2(mesh, grid, field, STRAIN_CONTRACTION) == pytest.approx(
         (normal + 0.5 * shear) * measure, rel=1e-12)
-
-
-def test_st_norm2_rejects_unknown_flavor(setup):
-    mesh, grid = setup
-    with pytest.raises(ValueError, match="flavor"):
-        _st_norm2(mesh, grid, random_field(setup, 0), "displacement")
 
 
 def random_mode(setup, seed):
@@ -75,14 +70,14 @@ def mode_field(mode):
 
 def dense_xi(mesh, grid, sig, sig_hat, eps, eps_hat):
     """The two-field manifold distance with both gaps formed as fields."""
-    num_s = _st_norm2(mesh, grid, sig - sig_hat, "stress")
-    num_e = _st_norm2(mesh, grid, eps - eps_hat, "strain")
-    return np.sqrt(num_s / _st_norm2(mesh, grid, sig, "stress")
-                   + num_e / _st_norm2(mesh, grid, eps, "strain"))
+    num_s, num_e = global_norms(mesh, grid, sig - sig_hat, eps - eps_hat)
+    den_s, den_e = global_norms(mesh, grid, sig, eps)
+    return np.sqrt(num_s / den_s + num_e / den_e)
 
 
 def global_norms(mesh, grid, sig, eps):
-    return _st_norm2(mesh, grid, sig, "stress"), _st_norm2(mesh, grid, eps, "strain")
+    return (_st_norm2(mesh, grid, sig, STRESS_CONTRACTION),
+            _st_norm2(mesh, grid, eps, STRAIN_CONTRACTION))
 
 
 def xi_before(delta, sig, eps, mesh, grid):
@@ -171,11 +166,17 @@ def tiny_damaging_problem():
     return conf, mesh, params, system, load, conf.solver.build_grid(conf.load.T)
 
 
+def controls(solver, **override):
+    """run_latin's controls as a SolverConfig sets them, with overrides."""
+    return dict(dict(zeta_stop=solver.xi_stop, max_modes=solver.max_modes,
+                     omega=solver.omega, seed=solver.seed,
+                     enrich_zeta=solver.zeta_stop), **override)
+
+
 def run_tiny(zeta_stop, max_modes=150):
     conf, mesh, params, system, load, grid = tiny_damaging_problem()
-    state = run_latin(system, params, load, grid, zeta_stop=zeta_stop,
-                      max_modes=max_modes, omega=conf.solver.omega, seed=0,
-                      enrich_zeta=conf.solver.zeta_stop)
+    state = run_latin(system, params, load, grid,
+                      **controls(conf.solver, zeta_stop=zeta_stop, max_modes=max_modes))
     return mesh, grid, params, state
 
 
@@ -243,9 +244,8 @@ def test_transient_memory_of_a_later_iteration(monkeypatch):
     monkeypatch.setattr(latin, "local_stage", mark)
     tracemalloc.start()
     try:
-        state = run_latin(system, params, load, grid, zeta_stop=1e-6, max_modes=2,
-                          omega=conf.solver.omega, seed=0,
-                          enrich_zeta=conf.solver.zeta_stop)
+        state = run_latin(system, params, load, grid,
+                          **controls(conf.solver, zeta_stop=1e-6, max_modes=2))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -314,15 +314,15 @@ def test_every_local_stage_is_a_pure_map_of_its_strain(monkeypatch):
         assert_bitwise(got["d"], want["d"])
 
 
-def test_local_stage_replays_the_newmark_march():
+@pytest.mark.parametrize("n_t", [10, 12])
+def test_local_stage_replays_the_newmark_march(n_t):
     # One damage law on both sides: the update stage run over the strain
     # history a Newmark march stored, on its node times, gives back the
     # march's damage and stress.  N_T = 12 makes the node spacing 8.33
-    # delay substeps of tau_c/20.  N_T = 10 is avoided: its spacing tau_c/2
-    # sits where integrate_delay's substep count ceil(span / (tau_c/20))
-    # flips with round-off, and the replay there is 2.2e-3 off.
+    # delay substeps of tau_c/20; at N_T = 10 it is a whole 10 substeps,
+    # which the node differences reach only up to round-off.
     conf, _, params, system, load, _ = tiny_damaging_problem()
-    times = replace(conf.solver, N_T=12).newmark_times(conf.load.T)
+    times = replace(conf.solver, N_T=n_t).newmark_times(conf.load.T)
     res = newmark_quasi_newton(system, params, load, times)
     assert res["d"].max() > 0.1
     got = material.local_stage(res["eps"], times, params, params.hooke())
@@ -355,9 +355,7 @@ def test_linear_softening_lands_on_the_modal_oracle(monkeypatch):
     mesh, params, system, load = cli._build_problem(conf)
     grid = conf.solver.build_grid(conf.load.T)
     monkeypatch.setattr(latin, "local_stage", softened)
-    state = run_latin(system, params, load, grid, zeta_stop=conf.solver.xi_stop,
-                      max_modes=conf.solver.max_modes, omega=conf.solver.omega,
-                      seed=0, enrich_zeta=conf.solver.zeta_stop)
+    state = run_latin(system, params, load, grid, **controls(conf.solver))
     assert state.converged
 
     u = elastic_solution(system, params, load, grid)["u"]
@@ -377,7 +375,8 @@ def test_linear_softening_lands_on_the_modal_oracle(monkeypatch):
 @pytest.mark.parametrize("zeta_stop", [0.0, -1e-3])
 def test_run_latin_rejects_nonpositive_threshold(zeta_stop):
     with pytest.raises(ValueError, match="zeta_stop"):
-        run_latin(None, None, None, None, zeta_stop=zeta_stop)
+        run_latin(None, None, None, None,
+                  **controls(config.preset("mono_sine").solver, zeta_stop=zeta_stop))
 
 
 def test_elastic_start_is_the_resampled_elastic_march():
@@ -401,7 +400,8 @@ def test_elastic_start_is_the_resampled_elastic_march():
                                atol=1e-12 * np.abs(eps_ref).max())
     assert np.array_equal(el["sig"], params.hooke().apply(el["eps"]))
     # so the local stage returns the elastic stress bit for bit
-    state = run_latin(system, params, load, grid)
+    state = run_latin(system, params, load, grid,
+                      **controls(config.preset("mono_sine").solver))
     assert state.converged and state.n_modes == 0 and state.xi == 0.0
     assert not state.damage.any()
     assert state.elastic_seconds > 0.0

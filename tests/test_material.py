@@ -9,9 +9,9 @@ from latinpgd.material import (CLOSURE_TRACE_GUARD, DamageCorrection,
                                matpoint_drive, reference_concrete,
                                released_energy, static_damage,
                                tension_peak_history, total_stress)
-from latinpgd.tensors import HookeTensor, matrix_to_voigt
+from latinpgd.tensors import HookeTensor
 
-from test_tensors import STRAINS
+from test_tensors import STRAINS, matrix_to_voigt
 
 P = reference_concrete()
 HOOKE = P.hooke()

@@ -343,12 +343,13 @@ class TestDamageCommitment:
                                            replay[:, k - 1], PARAMS)[:, 1]
         np.testing.assert_allclose(replay, d, rtol=0.0, atol=1e-12)
 
-    def test_nonconvergence_reports_step(self):
+    def test_nonconvergence_reports_step(self, monkeypatch):
         system = desk_system()
         times = np.linspace(0.0, 2.0, 201)
         load = LoadCase(np.array([0.02]), np.array([3.0]))
+        monkeypatch.setattr(newmark, "_MAX_ITER", 4)
         with pytest.raises(RuntimeError, match="step 4"):
-            newmark_quasi_newton(system, PARAMS, load, times, max_iter=4)
+            newmark_quasi_newton(system, PARAMS, load, times)
 
 
 class TestSplitForce:

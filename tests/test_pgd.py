@@ -19,6 +19,8 @@ from latinpgd.timegrid import TimeFunction, TimeGrid, tdgm_march
 
 P = reference_concrete()
 HOOKE = P.hooke()
+# Stagnation threshold of the enrichment fixed point in these checks.
+ZETA_STOP = 1e-2
 
 
 @pytest.fixture(scope="module")
@@ -423,7 +425,7 @@ class TestReductions:
             return time_lambda(u_bar, eps_bar, forcing, *args)
 
         monkeypatch.setattr(pgd, "time_lambda", spy)
-        enrich(delta, system, grid, HOOKE, rng, max_iter=1)
+        enrich(delta, system, grid, HOOKE, rng, ZETA_STOP)
         eps, got = seen[0]
         want = np.zeros(grid.n_gauss)
         for t in range(grid.n_gauss):
@@ -448,7 +450,7 @@ class TestReductions:
 
         monkeypatch.setattr(pgd, "time_mu", spy)
         monkeypatch.setattr(pgd, "l2_fit", fit)
-        enrich(delta, system, grid, HOOKE, rng, max_iter=1)
+        enrich(delta, system, grid, HOOKE, rng, ZETA_STOP)
         sig_bar, eps_bar, lam = args[0]
         comp = sig_bar @ HOOKE.inverse.T
         den = se = 0.0
@@ -509,7 +511,7 @@ class TestEnrich:
     def test_zero_delta_no_enrichment(self, setup):
         mesh, system, grid = setup
         mode, info = enrich(np.zeros((mesh.n_gauss, grid.n_gauss, 6)), system,
-                            grid, HOOKE, np.random.default_rng(0))
+                            grid, HOOKE, np.random.default_rng(0), ZETA_STOP)
         assert mode is None and info["iterations"] == 0
 
     def test_manufactured_rank_one(self, setup):
@@ -519,7 +521,8 @@ class TestEnrich:
         g = np.sin(2 * np.pi * 3.0 * grid.all_gauss_times)
         delta = rank_one_delta(eps_w, g)
         j0 = cre(delta, mesh, grid, HOOKE)
-        mode, info = enrich(delta, system, grid, HOOKE, np.random.default_rng(7))
+        mode, info = enrich(delta, system, grid, HOOKE, np.random.default_rng(7),
+                            ZETA_STOP)
         j1 = cre(delta, mesh, grid, HOOKE, mode)
         assert j1 <= 1e-3 * j0     # acceptance bound
         assert j1 <= 1e-6 * j0     # regression margin (measured ~3e-12 of j0)
@@ -530,7 +533,8 @@ class TestEnrich:
         rng = np.random.default_rng(3)
         delta = rng.normal(size=(mesh.n_gauss, grid.n_gauss, 6)) * 1e4
         j0 = cre(delta, mesh, grid, HOOKE)
-        mode, _ = enrich(delta, system, grid, HOOKE, np.random.default_rng(11))
+        mode, _ = enrich(delta, system, grid, HOOKE, np.random.default_rng(11),
+                         ZETA_STOP)
         j1 = cre(delta, mesh, grid, HOOKE, mode)
         assert j1 <= j0 * (1.0 + 1e-9)
 
@@ -538,8 +542,10 @@ class TestEnrich:
         mesh, system, grid = setup
         rng = np.random.default_rng(3)
         delta = rng.normal(size=(mesh.n_gauss, grid.n_gauss, 6)) * 1e4
-        m1, i1 = enrich(delta, system, grid, HOOKE, np.random.default_rng(11))
-        m2, i2 = enrich(delta, system, grid, HOOKE, np.random.default_rng(11))
+        m1, i1 = enrich(delta, system, grid, HOOKE, np.random.default_rng(11),
+                        ZETA_STOP)
+        m2, i2 = enrich(delta, system, grid, HOOKE, np.random.default_rng(11),
+                        ZETA_STOP)
         assert np.array_equal(m1.u_bar, m2.u_bar)
         assert np.array_equal(m1.sig_bar, m2.sig_bar)
         assert np.array_equal(m1.lam.coeffs, m2.lam.coeffs)
@@ -550,7 +556,8 @@ class TestEnrich:
         mesh, system, grid = setup
         rng = np.random.default_rng(3)
         delta = rng.normal(size=(mesh.n_gauss, grid.n_gauss, 6)) * 1e4
-        mode, _ = enrich(delta, system, grid, HOOKE, np.random.default_rng(1))
+        mode, _ = enrich(delta, system, grid, HOOKE, np.random.default_rng(1),
+                         ZETA_STOP)
         assert strain_norm(mode.eps_bar, mesh) == pytest.approx(1.0, rel=1e-12)
         assert np.array_equal(mode.eps_bar, strain_at_gauss(mesh, mode.u_bar))
 

@@ -4,7 +4,19 @@ import numpy as np
 import pytest
 
 from latinpgd.material import released_energy
-from latinpgd.tensors import HookeTensor, matrix_to_voigt, voigt_to_matrix
+from latinpgd.tensors import HookeTensor, voigt_to_matrix
+
+
+def matrix_to_voigt(t, flavor):
+    """Symmetric 3x3 matrix(es) -> Voigt 6-vector(s), t (..., 3, 3).
+
+    The inverse of `voigt_to_matrix`: engineering shears (doubled) for the
+    strain flavor, plain components for stresses.
+    """
+    t = np.asarray(t, dtype=float)
+    shear = 2.0 if flavor == "strain" else 1.0
+    return np.stack([t[..., 0, 0], t[..., 1, 1], t[..., 2, 2], shear * t[..., 1, 2],
+                     shear * t[..., 0, 2], shear * t[..., 0, 1]], axis=-1)
 
 
 def random_sym(rng, scale=1.0):

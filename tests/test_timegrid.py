@@ -85,20 +85,15 @@ class TestL2Fit:
         tau = np.linspace(0.0, 1.0, 2001)
         w = np.abs(np.prod(tau[:, None] - g.gauss_local[None, :], axis=1)).max()
         bound = g.h ** 4 * w / 24.0
-        t_dense = np.linspace(0.0, 2.0, 40001)[1:]
-        err = np.abs(f.eval(t_dense) - np.sin(t_dense)).max()
-        assert err < bound
+        # exact at the Gauss samples it fits; within the bound at the nodal
+        # values, which sit between them and at the element ends
+        assert np.allclose(f.values_at_gauss(), np.sin(g.all_gauss_times),
+                           rtol=0.0, atol=1e-14)
+        err = np.abs(f.coeffs - np.sin(g.node_times)).max()
+        assert 0.0 < err < bound
 
 
 class TestTimeFunction:
-    def test_eval_matches_gauss_table(self):
-        rng = np.random.default_rng(5)
-        g = TimeGrid(2.0, 7)
-        f = TimeFunction(g, rng.normal(size=(7, 4)))
-        for deriv in (0, 1, 2):
-            assert np.allclose(f.eval(g.all_gauss_times, deriv),
-                               f.values_at_gauss(deriv), atol=1e-10)
-
     def test_jumps(self):
         g = TimeGrid(1.0, 3)
         c = np.zeros((3, 4))
