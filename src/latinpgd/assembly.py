@@ -16,6 +16,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import eigh
 
 from .mesh import _shape, _GP
+from .timegrid import spatial_blocks
 
 
 def _scatter(mesh, values):
@@ -69,18 +70,23 @@ def strain_at_gauss(mesh, u):
     """Engineering-strain Voigt samples of a nodal field or history.
 
     u (n_dofs,) gives (n_gauss, 6); a history u (n_dofs, n_t) gives
-    (n_gauss, n_t, 6).
+    (n_gauss, n_t, 6), written block by block of elements, so no
+    temporary is larger than a block.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim not in (1, 2) or u.shape[0] != mesh.n_dofs:
         raise ValueError("u has shape %s, expected (%d,) or (%d, n_t)"
                          % (u.shape, mesh.n_dofs, mesh.n_dofs))
     B = mesh.B.reshape(mesh.n_elements, -1, 24)          # (e, gp * 6, 24)
-    ue = u[mesh.edofs].reshape(mesh.n_elements, 24, -1)  # (e, 24, n_t)
-    eps = (B @ ue).reshape(-1, 6, ue.shape[-1])          # (points, 6, n_t)
     if u.ndim == 1:
-        return eps[:, :, 0]
-    return np.ascontiguousarray(eps.transpose(0, 2, 1))
+        return (B @ u[mesh.edofs][:, :, None]).reshape(-1, 6)
+    n_t = u.shape[1]
+    out = np.empty((mesh.n_gauss, n_t, 6))
+    per_element = out.reshape(mesh.n_elements, -1, n_t, 6)  # (e, gp, n_t, 6)
+    for s in spatial_blocks(per_element):
+        eps = B[s] @ u[mesh.edofs[s]]                    # (e, gp * 6, n_t)
+        per_element[s] = eps.reshape(eps.shape[0], -1, 6, n_t).transpose(0, 1, 3, 2)
+    return out
 
 
 def internal_force(mesh, sig):

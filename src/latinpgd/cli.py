@@ -34,6 +34,11 @@ EXIT_NONCONVERGED = 3
 # run of a preset family shares one damping operator.
 RAYLEIGH_ANCHORS = (8.99, 45.8)
 
+# `calibrate` expands the load scale for at most this many rows, and fails
+# unless its closest row lies within this fraction of the target damage.
+_CALIBRATE_ROWS = 12
+_CALIBRATE_TOLERANCE = 0.1
+
 
 # Thread-count variables of the numeric libraries, most specific first.
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
@@ -350,41 +355,46 @@ def cmd_calibrate(args):
                                    tol=conf.solver.newmark_tol)
         return float(res["d"].max())
 
-    rows = []
-    lo, hi = 1.0, 1.0
-    d0 = peak_damage(1.0)
-    rows.append((1.0, d0))
-    grow = d0 < target
-    while (rows[-1][1] < target) == grow and len(rows) < 12:
-        if grow:
-            hi *= 1.4
-            rows.append((hi, peak_damage(hi)))
-        else:
-            lo /= 1.4
-            rows.append((lo, peak_damage(lo)))
-    if grow:
-        lo = rows[-2][0] if len(rows) > 1 else lo
-    else:
-        hi = rows[-2][0] if len(rows) > 1 else hi
-        lo, hi = min(lo, hi), max(lo, hi)
+    # Expand the scale by 1.4 per row until d_max crosses the target; the
+    # last two rows are the bracket (lo, d_lo), (hi, d_hi) that is bisected.
+    rows = [(1.0, peak_damage(1.0))]
+    grow = rows[0][1] < target
+    while (rows[-1][1] < target) == grow and len(rows) < _CALIBRATE_ROWS:
+        scale = rows[-1][0] * 1.4 if grow else rows[-1][0] / 1.4
+        rows.append((scale, peak_damage(scale)))
+    straddled = (rows[-1][1] < target) != grow
+    lo, hi = sorted(rows[-2:])
     for _ in range(args.bisections):
-        mid = 0.5 * (lo + hi)
-        dm = peak_damage(mid)
-        rows.append((mid, dm))
-        if dm < target:
-            lo = mid
+        mid = 0.5 * (lo[0] + hi[0])
+        row = (mid, peak_damage(mid))
+        rows.append(row)
+        if row[1] < target:
+            lo = row
         else:
-            hi = mid
+            hi = row
     best = min(rows, key=lambda r: abs(r[1] - target))
     with open(os.path.join(out, "calibration.csv"), "w") as fh:
         fh.write("scale,amplitudes,d_max\n")
         for scale, dm in rows:
             amps = ";".join("%.17g" % (a * scale) for a in conf.load.amplitudes)
             fh.write("%.17g,%s,%.17g\n" % (scale, amps, dm))
-    print("calibrated scale %.6g -> amplitudes %s (d_max=%.4f, target %.4f)"
+    bracket = ("final bracket (lo, d_lo) = (%.6g, %.4f), (hi, d_hi) = (%.6g, %.4f)"
+               % (lo + hi))
+    if not straddled:
+        missed = "the %d-row expansion never crossed it" % _CALIBRATE_ROWS
+    elif abs(best[1] - target) > _CALIBRATE_TOLERANCE * target:
+        missed = "no row came within %g%% of it" % (100.0 * _CALIBRATE_TOLERANCE)
+    else:
+        missed = None
+    if missed:
+        print("error: calibration missed the target d_max %.4f: %s; the closest "
+              "row, scale %.6g, gives d_max=%.4f; %s"
+              % (target, missed, best[0], best[1], bracket), file=sys.stderr)
+        return EXIT_NONCONVERGED
+    print("calibrated scale %.6g -> amplitudes %s (d_max=%.4f, target %.4f); %s"
           % (best[0],
              ", ".join("%.6g" % (a * best[0]) for a in conf.load.amplitudes),
-             best[1], target))
+             best[1], target, bracket))
     return EXIT_OK
 
 

@@ -29,7 +29,7 @@ from .assembly import strain_at_gauss
 from .material import local_stage
 from .newmark import newmark_quasi_newton
 from .pgd import (PgdSolution, compute_delta, cre_functional, enrich,
-                  gap_norms, mode_products, relax_mode, strain_norm)
+                  mode_products, relax_mode, strain_norm, weighted_norm2)
 from .tensors import STRAIN_CONTRACTION, STRESS_CONTRACTION
 from .timegrid import quad_resample_to_gauss, spatial_blocks
 
@@ -59,14 +59,14 @@ def _st_norm2(mesh, grid, field, c):
     c is the Voigt contraction of the field's flavor (`STRESS_CONTRACTION`
     counts shear components twice, `STRAIN_CONTRACTION` halves engineering
     shears twice); the contraction is integrated with the spatial and
-    temporal quadrature weights, reading the field once, block by block.
+    temporal quadrature weights, reading the field once, block by block
+    (`pgd.weighted_norm2`).
     """
     wg = mesh.gp_weights.ravel()
     wt = grid.all_gauss_weights
     total = 0.0
     for s in spatial_blocks(field):
-        block = field[s]
-        total += wg[s] @ ((wt @ (block * block)) @ c)
+        total += weighted_norm2(field[s], wg[s], wt, c)
     return float(total)
 
 
@@ -74,7 +74,7 @@ def latin_error(gap2, norms, mesh, grid, mode=None, products=None):
     """Manifold distance xi of the global fields from the local-stage pair.
 
     gap2 is |Delta|^2 of the stress gap Delta = sig - sig_hat the last local
-    stage left (`pgd.gap_norms`), and norms = (|sig|^2, |eps|^2) are the
+    stage left (`pgd.compute_delta`), and norms = (|sig|^2, |eps|^2) are the
     squared norms of the current global fields, which the driver keeps from
     one change of the fields to the next.  The local stage takes
     eps_hat = eps, so the strain gap is exactly zero for the fields the local
@@ -107,7 +107,10 @@ def latin_error(gap2, norms, mesh, grid, mode=None, products=None):
 
 
 def _global_norms(mesh, grid, eps, sig):
-    """(|sig|^2, |eps|^2) of the global fields: the denominators of xi."""
+    """(|sig|^2, |eps|^2) of the elastic start: the denominators of xi.
+
+    After a mode, `PgdSolution.add_mode` forms them as it updates the fields.
+    """
     return (_st_norm2(mesh, grid, sig, STRESS_CONTRACTION),
             _st_norm2(mesh, grid, eps, STRAIN_CONTRACTION))
 
@@ -170,12 +173,20 @@ def run_latin(system, params, load, grid, *, zeta_stop, max_modes, omega, seed,
     stage maps the current global strain alone.  After the elastic start no
     iteration allocates a space-time field: the running fields take each
     mode in place, and the local stage's stress and the stress gap Delta
-    live in two held buffers.  An iteration reads Delta once for |Delta|^2
-    and J(Delta) (`pgd.gap_norms`), twice per enrichment sweep, and once
-    after the mode for the separated xi and CRE (`pgd.mode_products`).  The
-    squared global norms |sig|^2 and |eps|^2 are formed once per change of
-    the global fields: after a mode they serve both its xi and the next
-    iteration's test before enrichment.
+    live in two held buffers.  Per iteration the space-time fields are
+    swept, block by block, this many times:
+
+    * the local stage reads eps once, writing sig_hat (it then gathers only
+      the samples and rows where damage can happen);
+    * one pass reads sig and sig_hat, writes Delta and forms |Delta|^2 and
+      J(Delta) (`pgd.compute_delta`);
+    * each enrichment sweep reads Delta twice;
+    * adding the mode updates eps and sig in place and forms the squared
+      global norms |sig|^2 and |eps|^2 in the same pass
+      (`PgdSolution.add_mode`); they serve both the mode's xi and the next
+      iteration's test before enrichment;
+    * one more read of Delta gives the separated xi and CRE after the mode
+      (`pgd.mode_products`).
     """
     if zeta_stop <= 0.0:
         raise ValueError("zeta_stop must be positive")
@@ -206,8 +217,7 @@ def run_latin(system, params, load, grid, *, zeta_stop, max_modes, omega, seed,
         # relation returns the elastic stress bit-for-bit and the distance is
         # exactly zero) the iteration ends without spending a mode.  The pass
         # that forms |Delta|^2 also gives the CRE of the gap, 0 when xi is.
-        compute_delta(sig, sig_hat, out=delta)
-        gap2, cre = gap_norms(delta, mesh, grid, hooke)
+        _, gap2, cre = compute_delta(sig, sig_hat, mesh, grid, hooke, out=delta)
         xi = latin_error(gap2, norms, mesh, grid)
         if xi <= zeta_stop:
             state.xi = xi
@@ -226,11 +236,10 @@ def run_latin(system, params, load, grid, *, zeta_stop, max_modes, omega, seed,
             raise ValueError("stress gap vanished with xi = %g above the "
                              "threshold" % xi)
         mode = relax_mode(mode, omega)
-        solution.add_mode(mode)
-
-        # The new global norms serve this test and the next iteration's; the
-        # gaps after the mode separate into one product of Delta.
-        norms = _global_norms(mesh, grid, eps, sig)
+        # The new global norms, formed as the mode is added, serve this test
+        # and the next iteration's; the gaps after the mode separate into one
+        # product of Delta.
+        norms = solution.add_mode(mode, mesh)
         products = mode_products(delta, mode, mesh, hooke)
         xi = latin_error(gap2, norms, mesh, grid, mode, products)
         state.xi = xi

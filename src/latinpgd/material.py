@@ -28,16 +28,25 @@ a pure map of the strain history.  Points are independent, so everything is
 vectorized over space.  Damage-law work is only done where damage can
 happen, with results bit-identical to evaluating it everywhere:
 
-* released energy: isotropy bounds Y <= B = 1/2 (3 max(lam, 0) + 2 mu) |eps|^2,
-  since (sum <e_i>+)^2 <= 3 sum e_i^2 <= 3 |eps|^2.  Callers that only look at
-  max(Y, Y0) pass Y0 as a floor, and the eigenvalue solve runs only where B
-  can reach it;
-* stress: E:eps is exact where d = 0, so the damage correction is
-  evaluated only at damaged points;
+* released energy: with e_i the principal strains, Y is at most
+  B = 1/2 (max(lam, 0) P^2 + 2 mu |eps|^2), P = 1/2 (tr eps + sqrt(3) |eps|),
+  which is attained at eps = e I when lam >= 0 (`_energy_bound`).  Callers that only look
+  at max(Y, Y0) pass Y0 as a floor, and the eigenvalue solve runs only
+  where B can reach it.  The update stage first screens each block of its
+  sweep with the looser 1/2 (3 max(lam, 0) + 2 mu) |eps|^2 >= B, which
+  needs |eps|^2 alone, and hands only the samples it passes to
+  `released_energy`; the target damage is formed only where Y > Y0;
 * delay: with zero target and zero start the rate is exactly 0, so the
   update stage integrates only the spatial points whose target damage is
-  nonzero somewhere on the time axis, and scans the tension peak, which
-  the stress reads only where d != 0, at those points only.
+  nonzero somewhere on the time axis (the active rows).  Along the time
+  axis, a step whose stage targets are all <= d on every row leaves d
+  bit-identical, and the delay law skips it (`integrate_delay`): on a
+  damaging run most steps are frozen;
+* tension peak: the stress reads it only where d != 0, so its running
+  index and trace are built on the active rows only, a chunk of rows at a
+  time;
+* stress: E:eps is exact where d = 0, so the damage correction is
+  evaluated only at damaged points.
 
 The kernels that gather a subset of points (eigenvalue solve, correction)
 work through it in chunks, so their temporaries stay small however many
@@ -49,6 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensors import STRAIN_CONTRACTION, HookeTensor, voigt_to_matrix
+from .timegrid import spatial_blocks
 
 CLOSURE_TRACE_GUARD = 1e-12
 
@@ -58,6 +68,8 @@ CLOSURE_TRACE_GUARD = 1e-12
 _BOUND_SLACK = 1e-10
 # Relative round-off allowance of the delay law's substep count.
 _SUBSTEP_SLACK = 1e-9
+# Steps the delay law tests for a frozen state at a time.
+_WINDOW = 64
 # Points per chunk of the pointwise kernels that gather a subset of a field:
 # their temporaries stay this small however many points qualify.
 _CHUNK = 1 << 14
@@ -101,6 +113,27 @@ def reference_concrete():
                           tau_c=0.05, a=15.0, a_c=9.0, xi=0.02)
 
 
+def _energy_bound(eps_v, hooke):
+    """Upper bound of Y at each strain of a strain-Voigt field (..., 6).
+
+    With e_i the principal strains, sum <e_i>+ = 1/2 (tr eps + sum |e_i|) is
+    at most P = 1/2 (tr eps + sqrt(3) |eps|), and sum <e_i>+^2 <= |eps|^2,
+    so Y <= B = 1/2 (max(lam, 0) P^2 + 2 mu |eps|^2).  Both inequalities
+    hold with equality at eps = e I, e > 0, so with lam >= 0 B is attained
+    there.  The
+    bound is inflated by _BOUND_SLACK, and a non-finite strain gives a
+    non-finite bound.
+    """
+    norm2 = (eps_v * eps_v) @ STRAIN_CONTRACTION
+    p = eps_v[..., 0] + eps_v[..., 1] + eps_v[..., 2]
+    p += np.sqrt(3.0 * norm2)
+    p *= p
+    p *= 0.125 * max(hooke.lam, 0.0) * (1.0 + _BOUND_SLACK)
+    norm2 *= hooke.mu * (1.0 + _BOUND_SLACK)
+    p += norm2
+    return p
+
+
 def released_energy(eps_v, hooke, floor=0.0):
     """max(Y, floor) with Y = 1/2 <eps>+ : E : <eps>+, for strain-Voigt fields (..., 6).
 
@@ -108,16 +141,15 @@ def released_energy(eps_v, hooke, floor=0.0):
     principal strains e_i enter:  Y = 1/2 (lam (sum <e_i>+)^2
     + 2 mu sum <e_i>+^2).  The e_i come from LAPACK's symmetric eigenvalue
     solver, which stays accurate at repeated eigenvalues (uniaxial strain).
-    It only runs where the bound B = 1/2 (3 max(lam, 0) + 2 mu) |eps|^2 can
-    exceed `floor`; everywhere else Y <= floor and the result is `floor`.
-    The default floor 0 sends every nonzero strain through the solver.
+    It only runs where the bound of `_energy_bound` can exceed `floor`;
+    everywhere else Y <= floor and the result is `floor`.  The default
+    floor 0 sends every nonzero strain through the solver.
     """
     eps_v = np.asarray(eps_v, dtype=float)
-    norm2 = np.einsum("...v,...v,v->...", eps_v, eps_v, STRAIN_CONTRACTION)
-    bound = 0.5 * (3.0 * max(hooke.lam, 0.0) + 2.0 * hooke.mu) * norm2
+    bound = _energy_bound(eps_v, hooke)
     # Negated test, so a non-finite strain still reaches the solver.
-    live = np.flatnonzero(~(bound * (1.0 + _BOUND_SLACK) <= floor))
-    Y = np.full(norm2.shape, float(floor))
+    live = np.flatnonzero(~(bound <= floor))
+    Y = np.full(bound.shape, float(floor))
     flat_eps, flat_Y = eps_v.reshape(-1, 6), Y.reshape(-1)
     for s in _chunks(live.size):
         points = live[s]
@@ -157,35 +189,68 @@ def integrate_delay(times, dbar, d_init, params):
     whole number of substeps takes that number, so round-off in the sample
     instants never adds a substep: a span of exactly tau_c/20, however it
     was computed, takes one.  Returns d at the sample instants.
+
+    A substep whose three stage targets (start, middle, end) are all <= d
+    on every row is frozen: <.>+ clamps each of its four rates to exactly
+    0, so d does not change by a single bit, and the substep is skipped.
+    Within a step the target is fl(db0 + fl((db1 - db0) c)), monotone in the
+    stage coefficient c in [0, 1], so every stage target of a step lies
+    between its first (c = 0) and its last (c = 1).  Those two are formed
+    for the whole axis up front, with the loop's own expressions, and a
+    step whose larger one is <= d on every row is skipped whole: finding
+    the next step that can move d is one comparison per step, made a
+    window of steps at a time.  A non-finite target never counts as frozen.
     """
     times = np.asarray(times, dtype=float)
     dbar = np.asarray(dbar, dtype=float)
     n_t = times.size
     if dbar.shape[-1] != n_t:
         raise ValueError("dbar last axis must match times")
-    d = np.empty_like(dbar)
-    cur = np.broadcast_to(np.asarray(d_init, dtype=float), dbar.shape[:-1]).copy()
-    h_max = params.tau_c / 20.0
-    prev_t = 0.0
-    prev_db = dbar[..., 0]  # flat extrapolation before the first sample
-    for k in range(n_t):
-        span = times[k] - prev_t
-        db0, db1 = prev_db, dbar[..., k]
-        n_sub = int(np.ceil(span / h_max * (1.0 - _SUBSTEP_SLACK)))  # 0 if empty
-        h = span / max(n_sub, 1)
-        for s in range(n_sub):
-            f0 = db0 + (db1 - db0) * (s / n_sub)
-            fh = db0 + (db1 - db0) * ((s + 0.5) / n_sub)
-            f1 = db0 + (db1 - db0) * ((s + 1.0) / n_sub)
+    rows = dbar.reshape(-1, n_t) if dbar.size else dbar.reshape(0, n_t)
+    d = np.empty_like(rows)
+    cur = np.broadcast_to(np.asarray(d_init, dtype=float), dbar.shape[:-1]).ravel()
+
+    # Step k spans [times[k-1], times[k]] ([0, times[0]] for k = 0, with the
+    # target extrapolated flat) and takes n_sub[k] substeps.
+    span = np.diff(times, prepend=0.0)
+    n_sub = np.ceil(span / (params.tau_c / 20.0) * (1.0 - _SUBSTEP_SLACK)).astype(int)
+    db0 = np.concatenate((rows[:, :1], rows[:, :-1]), axis=1)
+    last = rows - db0
+    first = last * 0.0
+    first += db0                         # db0 + (db1 - db0) 0, the first target
+    last += db0                          # db0 + (db1 - db0) 1, the last one
+    top = np.maximum(first, last, out=last)
+    del db0, first
+
+    k = done = 0
+    while True:
+        # Next step that can move d; negated test, so NaN counts.
+        while k < n_t:
+            moves = ~(top[:, k:k + _WINDOW] <= cur[:, None])
+            if moves.any():
+                k += int(moves.any(axis=0).argmax())
+                break
+            k += _WINDOW
+        k = min(k, n_t)
+        d[:, done:k] = cur[:, None]      # frozen steps end where they start
+        if k == n_t:
+            return d.reshape(dbar.shape)
+        n = int(n_sub[k])
+        h = span[k] / max(n, 1)
+        db0, db1 = rows[:, max(k - 1, 0)], rows[:, k]
+        for s in range(n):
+            f0 = db0 + (db1 - db0) * (s / n)
+            fh = db0 + (db1 - db0) * ((s + 0.5) / n)
+            f1 = db0 + (db1 - db0) * ((s + 1.0) / n)
+            if (np.maximum(np.maximum(f0, fh), f1) <= cur).all():
+                continue
             k1 = _delay_rate(f0 - cur, params)
             k2 = _delay_rate(fh - (cur + 0.5 * h * k1), params)
             k3 = _delay_rate(fh - (cur + 0.5 * h * k2), params)
             k4 = _delay_rate(f1 - (cur + h * k3), params)
             cur = cur + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        d[..., k] = cur
-        prev_t = times[k]
-        prev_db = db1
-    return d
+        d[:, k] = cur
+        done = k = k + 1
 
 
 class DamageCorrection:
@@ -310,10 +375,17 @@ def local_stage(eps, times, params, hooke, out=None):
     damage is nonzero somewhere: d stays exactly 0 on every other row, so
     the stress there is E:eps and never reads the peak.
 
-    The stress is E:eps, formed once into `out`, plus the damage correction
-    at the damaged points (`DamageCorrection`).  The correction's E:eps_max
-    is read off that E:eps at the running tension-peak index, before the
-    correction is added, so no tension-peak strain field is formed.
+    One sweep over spatial blocks reads the strain: it writes E:eps into
+    `out`, screens the block for non-finite strains and bounds its released
+    energy by |eps|^2.  `released_energy` then runs once, on the samples
+    whose bound can exceed Y0, and the target damage is formed only where
+    Y > Y0.  The stress is E:eps plus the damage correction at the
+    damaged points (`DamageCorrection`).  The correction's E:eps_max is read
+    off that E:eps at the running tension-peak index, before the correction
+    is added, so no tension-peak strain field is formed.  Besides d, no
+    temporary has the size of a scalar field: the targets and the delay law
+    cover the active rows, and the tension-peak index, its trace and the
+    correction a chunk of them at a time.
 
     out : array (n_sp, n_t, 6) to write the stress into (the driver's held
         buffer); a new array by default.
@@ -323,35 +395,62 @@ def local_stage(eps, times, params, hooke, out=None):
     damage is `static_damage(released_energy(eps, hooke, Y0))`.
     """
     eps = np.asarray(eps, dtype=float)
-    # One reduction screens the field; the per-point scan runs only when it
-    # is not finite (an overflowing sum of finite strains passes it).
-    if not np.isfinite(np.sum(eps)):
-        bad = np.flatnonzero(~np.isfinite(eps).all(axis=(1, 2)))
-        if bad.size:
-            raise ValueError("non-finite strain input at spatial Gauss point %d"
-                             % bad[0])
-    dbar = static_damage(released_energy(eps, hooke, params.Y0), params)
+    n_sp, n_t = eps.shape[:2]
+    sig = np.empty_like(eps) if out is None else out
+    # |eps|^2 alone bounds Y by 1/2 (3 max(lam, 0) + 2 mu) |eps|^2, a looser
+    # bound than `_energy_bound`'s, which released_energy then applies to
+    # the samples this one passes.
+    loose = 0.5 * (3.0 * max(hooke.lam, 0.0) + 2.0 * hooke.mu) * (1.0 + _BOUND_SLACK)
+    live = []
+    for s in spatial_blocks(eps):
+        block = eps[s]
+        norm2 = (block * block) @ STRAIN_CONTRACTION
+        # One reduction screens the block; the per-point scan runs only when
+        # it is not finite (an overflowing sum of finite strains passes it).
+        if not np.isfinite(np.sum(norm2)):
+            bad = np.flatnonzero(~np.isfinite(block).all(axis=(1, 2)))
+            if bad.size:
+                raise ValueError("non-finite strain input at spatial Gauss point %d"
+                                 % (s.start + bad[0]))
+        hooke.apply(block, out=sig[s])       # exact wherever d = 0
+        norm2 *= loose
+        live.append(np.flatnonzero(~(norm2 <= params.Y0)) + s.start * n_t)
+    live = np.concatenate(live)
+    Y = released_energy(eps.reshape(-1, 6).take(live, axis=0), hooke, params.Y0)
+    hit = Y > params.Y0
+    points = live[hit]
+    d = np.zeros((n_sp, n_t))
+    if not points.size:
+        return {"sig": sig, "d": d}
 
-    d = np.zeros_like(dbar)
-    sig = hooke.apply(eps, out=out)      # exact wherever d = 0
-    active = np.any(dbar != 0.0, axis=-1)
-    if np.any(active):
-        d[active] = integrate_delay(times, dbar[active], 0.0, params)
-        n_t = eps.shape[1]
-        idx = np.zeros(d.shape, dtype=np.intp)
-        tr_max = np.zeros_like(d)
-        idx[active], tr_max[active] = tension_peak_history(
-            eps[active, :, 0] + eps[active, :, 1] + eps[active, :, 2])
-        flat_sig = sig.reshape(-1, 6)
-        flat_idx = idx.reshape(-1)
+    # The active rows, in increasing order, and their target damage.
+    hit_rows = points // n_t
+    active = np.unique(hit_rows)
+    dbar = np.zeros((active.size, n_t))
+    dbar[np.searchsorted(active, hit_rows), points % n_t] = static_damage(Y[hit], params)
+    d_act = integrate_delay(times, dbar, 0.0, params)
+    d[active] = d_act
+    del dbar
+
+    # Tension peak and damage correction, a chunk of active rows at a time,
+    # on copies of the chunk's rows, whose shape the chunk's state shares.
+    per_chunk = max(1, _CHUNK // n_t)
+    for first in range(0, active.size, per_chunk):
+        rows = active[first:first + per_chunk]
+        eps_rows, sig_rows = eps[rows], sig[rows]
+        idx, tr_max = tension_peak_history(
+            eps_rows[..., 0] + eps_rows[..., 1] + eps_rows[..., 2])
+        flat_sig, flat_idx = sig_rows.reshape(-1, 6), idx.reshape(-1)
 
         def peak_stress(flat):
             """E:eps_max: E:eps of the same point at its peak time index."""
             source = flat - flat % n_t
             source += flat_idx[flat]
-            return flat_sig[source]
+            return flat_sig.take(source, axis=0)
 
-        DamageCorrection(d, tr_max, peak_stress, params, hooke).add_to(sig, eps)
+        DamageCorrection(d_act[first:first + per_chunk], tr_max, peak_stress,
+                         params, hooke).add_to(sig_rows, eps_rows)
+        sig[rows] = sig_rows
     return {"sig": sig, "d": d}
 
 

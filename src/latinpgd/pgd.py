@@ -36,16 +36,18 @@ The space-time fields are large and the subproblems small, so every
 reduction reads a field a fixed number of times and forms no temporary of
 its size.  A sweep of `enrich` reads Delta twice: once against the two time
 functions (space problem and stress function), once against the two new
-spatial fields (both time problems).  J(Delta) comes from the pass that
-forms |Delta|^2 (`gap_norms`), and after a mode has been added the norm and
-the functional separate into one product of Delta with the mode's spatial
-fields (`mode_products`) plus spatial and temporal scalars.
+spatial fields (both time problems).  The pass that writes Delta forms
+|Delta|^2 and J(Delta) (`compute_delta`), the pass that adds a mode forms
+the norms of the updated fields (`PgdSolution.add_mode`), and after a mode
+has been added the gap's norm and functional separate into one product of
+Delta with the mode's spatial fields (`mode_products`) plus spatial and
+temporal scalars.
 """
 
 import numpy as np
 
 from .assembly import internal_force, strain_at_gauss
-from .tensors import STRESS_CONTRACTION
+from .tensors import STRAIN_CONTRACTION, STRESS_CONTRACTION
 from .timegrid import TimeFunction, l2_fit, spatial_blocks, tdgm_march
 
 # Sweeps of the enrichment fixed point when |lam| does not stagnate first.
@@ -68,18 +70,52 @@ class PgdMode:
         self.mu = mu
 
 
-def compute_delta(sig, sig_hat, out=None):
-    """Stress gap Delta = sig - sig_hat between global and local stage.
+def weighted_norm2(block, wg, wt, c):
+    """Squared space-time L2 norm of a block of a Voigt field (k, n_t, 6).
+
+    wg (k,) and wt (n_t,) are the block's spatial and the temporal
+    quadrature weights, c the Voigt contraction of the field's flavor
+    (`STRESS_CONTRACTION` or `STRAIN_CONTRACTION`).  Every norm of a field
+    sums this over the blocks of `spatial_blocks`, in order, so a norm
+    formed while a field is written equals one read back afterwards, bit
+    for bit.
+    """
+    return wg @ ((wt @ (block * block)) @ c)
+
+
+def compute_delta(sig, sig_hat, mesh, grid, hooke, out=None):
+    """Stress gap Delta = sig - sig_hat, with |Delta|^2 and J(Delta) from one pass.
+
+    |Delta|^2 = int_I int_Omega Delta : Delta and J = int_I int_Omega
+    Delta : E^-1 : Delta.  The Hooke tensor is isotropic, so pointwise
+
+        R : E^-1 : R = ((1 + nu) R : R - nu (tr R)^2) / E,
+
+    and J needs only the trace next to the contraction the norm forms
+    anyway.  Delta is written block by block, and each block is reduced
+    while it is in cache.
 
     out : array to write the gap into (the driver's held buffer); a new
         array by default.
+
+    Returns (Delta, |Delta|^2, J(Delta)).
     """
     sig = np.asarray(sig, dtype=float)
     sig_hat = np.asarray(sig_hat, dtype=float)
     if sig.shape != sig_hat.shape:
         raise ValueError("stress fields have mismatched shapes %s and %s"
                          % (sig.shape, sig_hat.shape))
-    return np.subtract(sig, sig_hat, out=out)
+    delta = np.empty_like(sig) if out is None else out
+    wg = mesh.gp_weights.ravel()
+    wt = grid.all_gauss_weights
+    norm2 = trace2 = 0.0
+    for s in spatial_blocks(delta):
+        block = np.subtract(sig[s], sig_hat[s], out=delta[s])
+        norm2 += weighted_norm2(block, wg[s], wt, STRESS_CONTRACTION)
+        tr = block[..., 0] + block[..., 1] + block[..., 2]
+        trace2 += wg[s] @ ((tr * tr) @ wt)
+    cre = ((1.0 + hooke.nu) * norm2 - hooke.nu * trace2) / hooke.E
+    return delta, float(norm2), float(cre)
 
 
 def _time_weighted(delta, samples, grid):
@@ -237,29 +273,6 @@ def stagnation(lam_i, lam_prev):
     return float(np.sqrt(grid.inner(a - b, a - b) / den))
 
 
-def gap_norms(delta, mesh, grid, hooke):
-    """Squared norm |Delta|^2 and gap functional J(Delta), from one pass.
-
-    |Delta|^2 = int_I int_Omega Delta : Delta and J = int_I int_Omega
-    Delta : E^-1 : Delta.  The Hooke tensor is isotropic, so pointwise
-
-        R : E^-1 : R = ((1 + nu) R : R - nu (tr R)^2) / E,
-
-    and J needs only the trace next to the contraction the norm forms
-    anyway.  Delta is read once, block by block.
-    """
-    wg = mesh.gp_weights.ravel()
-    wt = grid.all_gauss_weights
-    norm2 = trace2 = 0.0
-    for s in spatial_blocks(delta):
-        block = delta[s]
-        norm2 += wg[s] @ ((wt @ (block * block)) @ STRESS_CONTRACTION)
-        tr = block[..., 0] + block[..., 1] + block[..., 2]
-        trace2 += wg[s] @ ((tr * tr) @ wt)
-    cre = ((1.0 + hooke.nu) * norm2 - hooke.nu * trace2) / hooke.E
-    return float(norm2), float(cre)
-
-
 def mode_products(delta, mode, mesh, hooke):
     """Time samples (3, n_t) of the gap against the mode's spatial fields.
 
@@ -284,7 +297,7 @@ def cre_functional(cre_delta, products, mode, mesh, grid, hooke):
         + <mu mu> |sig_bar|^2_S - 2 <mu lam> (sig_bar, eps_bar)_Omega
         + <lam lam> (eps_bar, E:eps_bar)_Omega
 
-    with cre_delta = J(Delta) (`gap_norms`) and the rows P_S (E^-1:sig_bar)
+    with cre_delta = J(Delta) (`compute_delta`) and the rows P_S (E^-1:sig_bar)
     and P_eps (eps_bar) of `mode_products` of the same Delta; E^-1:E = I
     leaves no field-size work.
     """
@@ -377,20 +390,28 @@ class PgdSolution:
     def n_modes(self):
         return len(self.modes)
 
-    def add_mode(self, mode):
+    def add_mode(self, mode, mesh):
         """Add the mode's products into the running fields, in place.
 
         Block by block over the leading axis, so no temporary is larger
-        than a block.
+        than a block.  Each block of eps and sig is reduced while it is in
+        cache: returns the squared norms (|sig|^2, |eps|^2) of the updated
+        fields (`weighted_norm2`, with the mesh's spatial weights).
         """
         self.modes.append(mode)
         lv = mode.lam.values_at_gauss()
         mv = mode.mu.values_at_gauss()
         for s in spatial_blocks(self._u):
             self._u[s] += mode.u_bar[s, None] * lv[None, :]
+        wg = mesh.gp_weights.ravel()
+        wt = self.grid.all_gauss_weights
+        norm_sig = norm_eps = 0.0
         for s in spatial_blocks(self._eps):
             self._eps[s] += mode.eps_bar[s, None, :] * lv[None, :, None]
             self._sig[s] += mode.sig_bar[s, None, :] * mv[None, :, None]
+            norm_sig += weighted_norm2(self._sig[s], wg[s], wt, STRESS_CONTRACTION)
+            norm_eps += weighted_norm2(self._eps[s], wg[s], wt, STRAIN_CONTRACTION)
+        return float(norm_sig), float(norm_eps)
 
     def fields(self):
         """Reconstructed (u, eps, sig); u is nodal, eps/sig on Gauss points."""

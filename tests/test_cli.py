@@ -143,7 +143,7 @@ def test_calibrate_rows_match_direct_runs(tmp_path):
     out = tmp_path / "out"
     code = cli.main(["calibrate", "--preset", "mono_sine", "--config", overlay,
                      "--bisections", "1", "--out-dir", str(out)])
-    assert code == cli.EXIT_OK
+    assert code == cli.EXIT_NONCONVERGED
     lines = (out / "calibration.csv").read_text().splitlines()
     assert lines[0] == "scale,amplitudes,d_max"
     conf = parse_config(overlay, base=preset("mono_sine"))
@@ -158,3 +158,16 @@ def test_calibrate_rows_match_direct_runs(tmp_path):
                                    LoadCase(amplitudes, load.frequencies), times,
                                    tol=conf.solver.newmark_tol)
         assert float(d_max) == res["d"].max()
+
+
+def test_calibrate_that_misses_the_target_names_its_bracket(tmp_path, capsys):
+    # One bisection leaves the tiny overlay's closest row at d_max = 0, far
+    # from the target: the run fails and prints the bracket it ended with.
+    code = cli.main(["calibrate", "--preset", "mono_sine",
+                     "--config", tiny_overlay(tmp_path), "--bisections", "1",
+                     "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_NONCONVERGED
+    assert "missed the target d_max 0.4200" in err
+    assert "d_max=0.0000" in err
+    assert "final bracket (lo, d_lo) = (0.510204, 0.0000), (hi, d_hi) = (0.612245, " in err

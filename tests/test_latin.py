@@ -17,7 +17,7 @@ from latinpgd.material import (integrate_delay, reference_concrete,
 from latinpgd.mesh import generate_box_mesh
 from latinpgd.newmark import (LoadCase, compare_error, newmark_quasi_newton,
                               resample_fields_to_gauss)
-from latinpgd.pgd import PgdMode, compute_delta, gap_norms, mode_products
+from latinpgd.pgd import PgdMode, compute_delta, mode_products
 from latinpgd.tensors import STRAIN_CONTRACTION, STRESS_CONTRACTION
 from latinpgd.timegrid import (TimeFunction, TimeGrid, quad_resample_to_gauss,
                                tdgm_march)
@@ -80,15 +80,20 @@ def global_norms(mesh, grid, sig, eps):
             _st_norm2(mesh, grid, eps, STRAIN_CONTRACTION))
 
 
+def gap_norm2(delta, mesh, grid):
+    """|Delta|^2 of a given gap, as `compute_delta` forms it (Delta - 0 is Delta)."""
+    return compute_delta(delta, np.zeros_like(delta), mesh, grid, HOOKE)[1]
+
+
 def xi_before(delta, sig, eps, mesh, grid):
     """latin_error of the gap a local stage left on (sig, eps), as run_latin forms it."""
-    gap2, _ = gap_norms(delta, mesh, grid, HOOKE)
+    gap2 = gap_norm2(delta, mesh, grid)
     return latin_error(gap2, global_norms(mesh, grid, sig, eps), mesh, grid)
 
 
 def xi_after(delta, mode, sig, eps, mesh, grid):
     """latin_error once `mode` has been added: (sig, eps) hold it, delta does not."""
-    gap2, _ = gap_norms(delta, mesh, grid, HOOKE)
+    gap2 = gap_norm2(delta, mesh, grid)
     return latin_error(gap2, global_norms(mesh, grid, sig, eps), mesh, grid, mode,
                        mode_products(delta, mode, mesh, HOOKE))
 
@@ -96,7 +101,7 @@ def xi_after(delta, mode, sig, eps, mesh, grid):
 def test_latin_error_is_zero_for_identical_pairs(setup):
     mesh, grid = setup
     sig, eps = random_field(setup, 1), random_field(setup, 2)
-    assert xi_before(compute_delta(sig, sig.copy()), sig, eps, mesh, grid) == 0.0
+    assert xi_before(sig - sig, sig, eps, mesh, grid) == 0.0
 
 
 def test_latin_error_adds_relative_gaps_in_quadrature(setup):
@@ -104,7 +109,7 @@ def test_latin_error_adds_relative_gaps_in_quadrature(setup):
     sig = random_field(setup, 3)
     mode = random_mode(setup, 4)
     eps = 5.0 * mode_field(mode)     # the mode is a fifth of the strain
-    xi = xi_after(compute_delta(sig, 0.9 * sig), mode, sig, eps, mesh, grid)
+    xi = xi_after(sig - 0.9 * sig, mode, sig, eps, mesh, grid)
     assert xi == pytest.approx(np.hypot(0.1, 0.2), rel=1e-12)
 
 
@@ -116,7 +121,7 @@ def test_latin_error_with_mode_matches_dense_two_field_formula(setup, seed):
     eps_hat = random_field(setup, seed + 20)
     mode = random_mode(setup, seed + 30)
     eps = eps_hat + mode_field(mode)
-    delta = compute_delta(sig, sig_hat)
+    delta = sig - sig_hat
     xi = xi_after(delta, mode, sig, eps, mesh, grid)
     assert xi == pytest.approx(dense_xi(mesh, grid, sig, sig_hat, eps, eps_hat),
                                rel=1e-12, abs=0.0)
@@ -135,7 +140,7 @@ def test_separated_xi_after_a_stress_mode_matches_dense(setup, seed):
     base = random_mode(setup, seed + 30)
     mode = PgdMode(base.u_bar, base.eps_bar, rng.normal(size=base.eps_bar.shape),
                    base.lam, TimeFunction(grid, rng.normal(size=(grid.n_elements, 4))))
-    delta = compute_delta(sig, sig_hat)
+    delta = sig - sig_hat
     sig_after = sig + mode.sig_bar[:, None, :] * mode.mu.values_at_gauss()[None, :, None]
     eps = eps_hat + mode_field(mode)
     xi = xi_after(delta, mode, sig_after, eps, mesh, grid)
@@ -150,9 +155,9 @@ def test_latin_error_rejects_vanishing_global_fields(setup, vanishing):
     fields[vanishing] = np.zeros_like(fields[vanishing])
     sig, eps = fields["sig"], fields["eps"]
     with pytest.raises(ValueError, match="vanishes"):
-        xi_before(compute_delta(sig, sig + 1.0), sig, eps, mesh, grid)
+        xi_before(sig - (sig + 1.0), sig, eps, mesh, grid)
     with pytest.raises(ValueError, match="vanishes"):
-        xi_after(compute_delta(sig, sig + 1.0), random_mode(setup, 6), sig, eps,
+        xi_after(sig - (sig + 1.0), random_mode(setup, 6), sig, eps,
                  mesh, grid)
 
 
@@ -206,7 +211,7 @@ def test_separated_xi_and_cre_match_the_dense_formulas(budget_run):
     mode = state.solution.modes[-1]
     # the local stage ran on eps_hat = eps - eps_bar lam, the fields before the mode
     strain_gap = mode.eps_bar[:, None, :] * mode.lam.values_at_gauss()[None, :, None]
-    delta = compute_delta(sig, state.hat["sig"])
+    delta = sig - state.hat["sig"]
     xi = dense_xi(mesh, grid, sig, state.hat["sig"], eps, eps - strain_gap)
     assert state.xi == pytest.approx(xi, rel=1e-10, abs=0.0)
     # R = Delta_before + sig_bar mu - E:eps_bar lam = Delta_after - E:eps_bar lam
@@ -220,10 +225,13 @@ def test_transient_memory_of_a_later_iteration(monkeypatch):
     # Peak of the memory the second iteration allocates beyond what it
     # started with, in units of one space-time field (n_sp, n_t, 6) of
     # float64.  Blocks and chunks are shrunk so that the tiny field spans
-    # many of them, as a large field does at the default sizes.  What
-    # remains are the local stage's (n_sp, n_t) scalar fields: its output d
-    # next to the previous one, its target damage, screens and indices.
-    # Bound 1.5; measured 1.27 here.
+    # many of them, as a large field does at the default sizes.  The
+    # iteration's peak is the sparse factorization of an enrichment's space
+    # problem, which does not scale with the field: bound 1.35, measured
+    # 1.27.  The local stage's own peak is its output d next to the
+    # previous one, plus what its active rows need: bound 0.5, measured
+    # 0.44 (1.05 when it formed its targets, screens and tension-peak index
+    # on the whole field).
     import tracemalloc
 
     from latinpgd import timegrid
@@ -234,12 +242,16 @@ def test_transient_memory_of_a_later_iteration(monkeypatch):
     field = mesh.n_gauss * grid.n_gauss * 6 * 8
     stage = latin.local_stage
     start = []
+    stage_peak = []
 
     def mark(*args, **kwargs):
         if len(start) < 2:
             tracemalloc.reset_peak()
             start.append(tracemalloc.get_traced_memory()[0])
-        return stage(*args, **kwargs)
+        result = stage(*args, **kwargs)
+        if len(stage_peak) < 2:
+            stage_peak.append(tracemalloc.get_traced_memory()[1])
+        return result
 
     monkeypatch.setattr(latin, "local_stage", mark)
     tracemalloc.start()
@@ -250,7 +262,8 @@ def test_transient_memory_of_a_later_iteration(monkeypatch):
     finally:
         tracemalloc.stop()
     assert state.n_modes == 2 and len(start) == 2 and state.damage.max() > 0.1
-    assert (peak - start[1]) / field <= 1.5
+    assert (stage_peak[1] - start[1]) / field <= 0.5
+    assert (peak - start[1]) / field <= 1.35
 
 
 def test_converged_row_logs_the_cre_of_the_current_gap(damaging_run):
@@ -258,8 +271,7 @@ def test_converged_row_logs_the_cre_of_the_current_gap(damaging_run):
     assert state.converged and state.damage.max() > 0.1
     assert [row["modes"] for row in state.log] == [1, 1]
     _, _, sig = state.solution.fields()
-    _, cre = gap_norms(compute_delta(sig, state.hat["sig"]), mesh, grid,
-                       params.hooke())
+    _, _, cre = compute_delta(sig, state.hat["sig"], mesh, grid, params.hooke())
     assert state.log[-1]["cre"] == pytest.approx(cre, rel=1e-12)
 
 

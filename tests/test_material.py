@@ -82,6 +82,55 @@ def closed_form_stress(eps, eps_max, d):
     return sig + np.where(peak[..., None], at_peak, -d[..., None] * sig)
 
 
+def plain_delay_loop(times, dbar, d_init, params):
+    """The delay law as a plain loop of classic 4-stage substeps, frozen or not.
+
+    The reference `integrate_delay` must equal bit for bit: substeps of at
+    most tau_c/20 per sample span, linear targets, flat before times[0].
+    """
+    times = np.asarray(times, dtype=float)
+    dbar = np.asarray(dbar, dtype=float)
+    d = np.empty_like(dbar)
+    cur = np.broadcast_to(np.asarray(d_init, dtype=float), dbar.shape[:-1]).copy()
+    h_max = params.tau_c / 20.0
+    prev_t = 0.0
+    prev_db = dbar[..., 0]
+    for k in range(times.size):
+        span = times[k] - prev_t
+        db0, db1 = prev_db, dbar[..., k]
+        n_sub = int(np.ceil(span / h_max * (1.0 - 1e-9)))
+        h = span / max(n_sub, 1)
+        for s in range(n_sub):
+            f0 = db0 + (db1 - db0) * (s / n_sub)
+            fh = db0 + (db1 - db0) * ((s + 0.5) / n_sub)
+            f1 = db0 + (db1 - db0) * ((s + 1.0) / n_sub)
+            k1 = (1.0 - np.exp(-params.a * np.maximum(f0 - cur, 0.0))) / params.tau_c
+            k2 = (1.0 - np.exp(-params.a * np.maximum(
+                fh - (cur + 0.5 * h * k1), 0.0))) / params.tau_c
+            k3 = (1.0 - np.exp(-params.a * np.maximum(
+                fh - (cur + 0.5 * h * k2), 0.0))) / params.tau_c
+            k4 = (1.0 - np.exp(-params.a * np.maximum(
+                f1 - (cur + h * k3), 0.0))) / params.tau_c
+            cur = cur + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        d[..., k] = cur
+        prev_t = times[k]
+        prev_db = db1
+    return d
+
+
+def counted_rates(monkeypatch):
+    """Count the delay-rate evaluations of `integrate_delay`."""
+    calls = []
+    rate = material._delay_rate
+
+    def counted(gap, params):
+        calls.append(1)
+        return rate(gap, params)
+
+    monkeypatch.setattr(material, "_delay_rate", counted)
+    return calls
+
+
 class TestParams:
     def test_reference_values(self):
         assert (P.rho, P.E, P.nu) == (2550.0, 37.9e9, 0.2)
@@ -196,6 +245,49 @@ class TestDelayIntegration:
         k3 = f(mid - (d0 + 0.5 * dt * k2))
         k4 = f(end - (d0 + dt * k3))
         assert_bitwise(d[:, 1], d0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+
+
+    def test_frozen_steps_make_no_rate_call(self, monkeypatch):
+        # Every target at or below d on every row: <.>+ clamps each rate to
+        # exactly 0, so no substep is integrated and d keeps every bit.
+        calls = counted_rates(monkeypatch)
+        rng = np.random.default_rng(3)
+        d0 = np.array([0.0, 0.2, 0.35, 0.6])
+        for t in (np.array([0.0, 0.002]),                # one Newmark step
+                  np.cumsum(rng.uniform(0.5, 3.0, 30) * P.tau_c / 20.0)):
+            dbar = d0[:, None] * rng.uniform(0.0, 1.0, (4, t.size))
+            dbar[2, ::3] = d0[2]                         # targets equal to d
+            d = integrate_delay(t, dbar, d0, P)
+            assert not calls
+            assert_bitwise(d, np.repeat(d0[:, None], t.size, axis=1))
+
+    @pytest.mark.parametrize("shape", ["pulses", "sine", "newmark_step", "single_row"])
+    def test_matches_the_plain_substep_loop(self, shape, monkeypatch):
+        # Rising and falling targets, spans of 0.1 to 4 substeps of tau_c/20,
+        # and d_init > 0: skipping frozen steps changes no bit.
+        rng = np.random.default_rng(["pulses", "sine", "newmark_step",
+                                     "single_row"].index(shape))
+        t = np.cumsum(rng.uniform(0.1, 4.0, 80) * P.tau_c / 20.0)
+        d_init = rng.uniform(0.0, 0.3, 5)
+        if shape == "pulses":
+            dbar = np.clip(rng.normal(0.3, 0.35, (5, t.size)), 0.0, 0.95)
+            dbar[rng.random(dbar.shape) < 0.5] = 0.0
+        elif shape == "sine":
+            dbar = np.clip(np.sin(40.0 * t), 0.0, None) * np.linspace(0.2, 0.9, 5)[:, None]
+        elif shape == "newmark_step":
+            t = np.array([0.0, 0.002])
+            dbar = rng.uniform(0.0, 0.6, (5, 2))
+        else:
+            dbar = np.clip(0.9 * np.sin(4.0 * t), 0.0, None)
+            d_init = 0.1
+        calls = counted_rates(monkeypatch)
+        got = integrate_delay(t, dbar, d_init, P)
+        assert_bitwise(got, plain_delay_loop(t, dbar, d_init, P))
+        assert got.max() > np.max(d_init)
+        if shape == "sine":
+            # the target falls under d after each rise: most steps are frozen
+            n_sub = np.ceil(np.diff(t, prepend=0.0) / (P.tau_c / 20.0) * (1.0 - 1e-9))
+            assert 0 < len(calls) < 4 * n_sub.sum() / 2
 
 
 class TestCrackClosure:
@@ -317,6 +409,58 @@ class TestLocalStage:
         with pytest.raises(ValueError, match="point 1"):
             local_stage(eps, t, P, HOOKE)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_strain_in_a_later_block_names_its_point(self, monkeypatch, bad):
+        from latinpgd import timegrid
+
+        monkeypatch.setattr(timegrid, "_BLOCK_BYTES", 1 << 10)   # one row a block
+        t = self.grid(20)
+        eps = np.zeros((12, t.size, 6))
+        eps[9, 3, 4] = bad
+        eps[11, 0, 0] = bad
+        with pytest.raises(ValueError, match="point 9$"):
+            local_stage(eps, t, P, HOOKE)
+
+    def test_released_energy_runs_once_on_screened_samples(self, monkeypatch):
+        from latinpgd import timegrid
+
+        monkeypatch.setattr(timegrid, "_BLOCK_BYTES", 1 << 12)
+        seen = []
+
+        def spy(eps_v, hooke, floor=0.0):
+            seen.append((eps_v.copy(), floor))
+            return released_energy(eps_v, hooke, floor)
+
+        monkeypatch.setattr(material, "released_energy", spy)
+        t = self.grid()
+        rng = np.random.default_rng(23)
+        eps = rng.normal(size=(16, t.size, 6)) * 3e-5
+        out = local_stage(eps, t, P, HOOKE)
+        assert len(seen) == 1 and seen[0][1] == P.Y0
+        screened, Y = seen[0][0], released_energy(eps, HOOKE)
+        # only a share of the samples, but every one that exceeds Y0
+        assert (Y > P.Y0).sum() <= len(screened) < Y.size / 2
+        assert out["d"].any()
+
+    def test_tension_peak_scanned_on_active_rows_only(self, monkeypatch):
+        scanned = []
+
+        def spy(tr):
+            scanned.append(tr.copy())
+            return tension_peak_history(tr)
+
+        monkeypatch.setattr(material, "tension_peak_history", spy)
+        monkeypatch.setattr(material, "_CHUNK", 120)        # two rows a chunk
+        t = self.grid()
+        rng = np.random.default_rng(24)
+        eps = rng.normal(size=(9, t.size, 6)) * 3e-5
+        eps[::2] *= 0.2                                     # rows that never damage
+        out = local_stage(eps, t, P, HOOKE)
+        active = np.flatnonzero((released_energy(eps, HOOKE) > P.Y0).any(axis=1))
+        assert 0 < active.size < 9 and len(scanned) == (active.size + 1) // 2
+        assert_bitwise(np.concatenate(scanned), eps[active, :, :3].sum(axis=-1))
+        assert np.array_equal(np.flatnonzero(out["d"].any(axis=1)), active)
+
     def test_matches_matpoint_drive_bitwise(self):
         t = self.grid(80)
         sig_x = 2e-4 * np.sin(2 * np.pi * 1.5 * t) * t
@@ -412,6 +556,50 @@ class TestScreens:
         Y = released_energy(eps_v, hooke)
         assert (Y[0] > P.Y0) == (side > 1.0)
         assert_bitwise(released_energy(eps_v, hooke, P.Y0), np.maximum(Y, P.Y0))
+
+    @pytest.mark.parametrize("nu", [0.2, -0.3])
+    @pytest.mark.parametrize("case", ["hydrostatic_compression", "pure_shear",
+                                      "uniaxial", "biaxial", "random"])
+    def test_released_energy_floor_across_strain_states(self, case, nu):
+        # Each strain state on 400 magnitudes straddling the threshold, so
+        # samples fall under the bound's screen, pass it without reaching
+        # the floor, and exceed the floor.
+        hooke = HookeTensor(P.E, nu)
+        rng = np.random.default_rng(11)
+        directions = {
+            "hydrostatic_compression": -np.eye(3),
+            "pure_shear": np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+            "uniaxial": np.diag([1.0, 0.0, 0.0]),
+            "biaxial": np.diag([1.0, 0.6, 0.0]),
+            "random": rng.normal(size=(400, 3, 3)),
+        }
+        direction = directions[case]
+        direction = 0.5 * (direction + np.swapaxes(direction, -1, -2))
+        direction = direction / np.linalg.norm(direction, axis=(-2, -1), keepdims=True)
+        eps = np.geomspace(1e-6, 1e-3, 400)[:, None, None] * direction
+        eps_v = matrix_to_voigt(eps, "strain")
+        Y = released_energy(eps_v, hooke)
+        if case != "hydrostatic_compression":
+            assert np.any(Y > P.Y0) and np.any((Y > 0.0) & (Y <= P.Y0))
+        assert_bitwise(released_energy(eps_v, hooke, P.Y0), np.maximum(Y, P.Y0))
+
+    @pytest.mark.parametrize("nu", [0.2, -0.3, 0.45])
+    def test_energy_bound_holds_tightens_and_is_attained(self, nu):
+        hooke = HookeTensor(P.E, nu)
+        eps_v = matrix_to_voigt(STRAINS["random"], "strain")
+        bound = material._energy_bound(eps_v, hooke)
+        Y = released_energy(eps_v, hooke)
+        assert np.all(Y <= bound)
+        # never above the |eps|^2 bound 1/2 (3 max(lam, 0) + 2 mu) |eps|^2,
+        norm2 = np.einsum("...v,...v,v->...", eps_v, eps_v, [1, 1, 1, 0.5, 0.5, 0.5])
+        loose = 0.5 * (3.0 * max(hooke.lam, 0.0) + 2.0 * hooke.mu) * norm2
+        # which it tightens where lam > 0; with lam <= 0 both are mu |eps|^2
+        assert np.all(bound <= loose * (1.0 + 1e-9))
+        assert np.mean(bound < 0.9 * loose) > 0.5 or hooke.lam <= 0.0
+        if hooke.lam >= 0.0:                     # then attained at e I
+            iso = matrix_to_voigt(3e-4 * np.eye(3)[None], "strain")
+            np.testing.assert_allclose(material._energy_bound(iso, hooke),
+                                       released_energy(iso, hooke), rtol=1e-9)
 
     @pytest.mark.parametrize("shape", [(200,), (10, 20)])
     def test_total_stress_matches_unscreened(self, shape):

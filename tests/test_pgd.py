@@ -8,13 +8,15 @@ from latinpgd import pgd
 from latinpgd.assembly import (SpatialSystem, assemble_mass,
                                assemble_stiffness, internal_force,
                                strain_at_gauss)
+from latinpgd.latin import _st_norm2
 from latinpgd.material import reference_concrete
 from latinpgd.mesh import generate_box_mesh
 from latinpgd.pgd import (PgdMode, PgdSolution, compute_delta,
-                          cre_functional, dump_modes, enrich, gap_norms,
+                          cre_functional, dump_modes, enrich,
                           mode_products, normalize_mode, relax_mode,
                           space_problem, stagnation, strain_norm,
                           stress_spatial, time_lambda, time_mu)
+from latinpgd.tensors import STRAIN_CONTRACTION, STRESS_CONTRACTION
 from latinpgd.timegrid import TimeFunction, TimeGrid, tdgm_march
 
 P = reference_concrete()
@@ -72,7 +74,7 @@ def mu_of(sig_bar, eps_bar, lam, delta, hooke, grid, mesh):
 
 def cre(delta, mesh, grid, hooke, mode=None):
     """J(Delta), or J(Delta + sig_bar mu - E:eps_bar lam), as the driver forms it."""
-    _, j_delta = gap_norms(delta, mesh, grid, hooke)
+    _, _, j_delta = compute_delta(delta, np.zeros_like(delta), mesh, grid, hooke)
     if mode is None:
         return j_delta
     return cre_functional(j_delta, mode_products(delta, mode, mesh, hooke), mode,
@@ -83,19 +85,23 @@ class TestComputeDelta:
     def test_identical_fields(self, setup):
         mesh, system, grid = setup
         sig = np.ones((mesh.n_gauss, grid.n_gauss, 6))
-        assert not compute_delta(sig, sig.copy()).any()
+        delta, norm2, cre = compute_delta(sig, sig.copy(), mesh, grid, HOOKE)
+        assert not delta.any() and norm2 == 0.0 and cre == 0.0
 
     def test_pointwise_subtraction(self, setup):
         mesh, system, grid = setup
         rng = np.random.default_rng(0)
         a = rng.normal(size=(mesh.n_gauss, grid.n_gauss, 6))
         b = rng.normal(size=(mesh.n_gauss, grid.n_gauss, 6))
-        assert np.array_equal(compute_delta(a, b), a - b)
+        assert np.array_equal(compute_delta(a, b, mesh, grid, HOOKE)[0], a - b)
+        out = np.empty_like(a)
+        assert compute_delta(a, b, mesh, grid, HOOKE, out=out)[0] is out
+        assert np.array_equal(out, a - b)
 
     def test_shape_mismatch(self, setup):
         mesh, system, grid = setup
         with pytest.raises(ValueError, match="mismatched"):
-            compute_delta(np.zeros((4, 8, 6)), np.zeros((4, 9, 6)))
+            compute_delta(np.zeros((4, 8, 6)), np.zeros((4, 9, 6)), mesh, grid, HOOKE)
 
 
 class TestSpaceProblem:
@@ -471,7 +477,8 @@ class TestReductions:
         for g in range(mesh.n_gauss):
             for t in range(grid.n_gauss):
                 want += wg[g] * wt[t] * (delta[g, t] ** 2 @ c)
-        self.assert_close(gap_norms(delta, mesh, grid, HOOKE)[0], want)
+        self.assert_close(
+            compute_delta(delta, np.zeros_like(delta), mesh, grid, HOOKE)[1], want)
 
     def test_mode_products(self, setup):
         mesh, system, grid = setup
@@ -593,9 +600,9 @@ class TestRelaxMode:
         mode = self.make_mode(setup)
         # each solution owns its arrays, so the other two get copies
         with_full = PgdSolution(grid, *(f.copy() for f in elastic))
-        with_full.add_mode(mode)
+        with_full.add_mode(mode, mesh)
         blended = PgdSolution(grid, *(f.copy() for f in elastic))
-        blended.add_mode(relax_mode(mode, 0.4))
+        blended.add_mode(relax_mode(mode, 0.4), mesh)
         for got, prev, full in zip(blended.fields(), base.fields(),
                                    with_full.fields()):
             assert np.allclose(got, 0.6 * prev + 0.4 * full, rtol=1e-12)
@@ -636,7 +643,7 @@ class TestSolutionReconstruct:
         mode = PgdMode(u, eps, HOOKE.apply(eps),
                        TimeFunction(grid, rng.normal(size=(grid.n_elements, 4))),
                        TimeFunction(grid, rng.normal(size=(grid.n_elements, 4))))
-        sol.add_mode(mode)
+        sol.add_mode(mode, mesh)
         _, eps_f, sig_f = sol.fields()
         g, t = 17, 5
         lam_t = mode.lam.values_at_gauss()[t]
@@ -652,11 +659,14 @@ class TestSolutionReconstruct:
         rng = np.random.default_rng(32)
         for _ in range(2):
             u, eps = random_mode_shape(mesh, system, rng)
-            sol.add_mode(PgdMode(
+            norms = sol.add_mode(PgdMode(
                 u, eps, HOOKE.apply(eps) * rng.uniform(0.5, 2.0),
                 TimeFunction(grid, rng.normal(size=(grid.n_elements, 4))),
-                TimeFunction(grid, rng.normal(size=(grid.n_elements, 4)))))
+                TimeFunction(grid, rng.normal(size=(grid.n_elements, 4)))), mesh)
         u_f, eps_f, sig_f = sol.fields()
+        # the norms formed while adding equal the ones read back, bit for bit
+        assert norms == (_st_norm2(mesh, grid, sig_f, STRESS_CONTRACTION),
+                         _st_norm2(mesh, grid, eps_f, STRAIN_CONTRACTION))
         eps_dense = eps_el.copy()
         sig_dense = sig_el.copy()
         u_dense = u_el.copy()
@@ -685,7 +695,7 @@ def normalized_solution(setup, n, seed=40):
                        TimeFunction(grid, rng.normal(size=(grid.n_elements, 4))),
                        TimeFunction(grid, rng.normal(size=(grid.n_elements, 4))))
         _, mode = normalize_mode(mode, mesh)
-        sol.add_mode(mode)
+        sol.add_mode(mode, mesh)
     return sol
 
 
