@@ -53,6 +53,7 @@ work through it in chunks, so their temporaries stay small however many
 points qualify.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,7 +207,7 @@ def integrate_delay(times, dbar, d_init, params):
     n_t = times.size
     if dbar.shape[-1] != n_t:
         raise ValueError("dbar last axis must match times")
-    rows = dbar.reshape(-1, n_t) if dbar.size else dbar.reshape(0, n_t)
+    rows = dbar.reshape(math.prod(dbar.shape[:-1]), n_t)
     d = np.empty_like(rows)
     cur = np.broadcast_to(np.asarray(d_init, dtype=float), dbar.shape[:-1]).ravel()
 
