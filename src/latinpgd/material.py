@@ -126,13 +126,8 @@ def _energy_bound(eps_v, hooke):
     non-finite bound.
     """
     norm2 = (eps_v * eps_v) @ STRAIN_CONTRACTION
-    p = eps_v[..., 0] + eps_v[..., 1] + eps_v[..., 2]
-    p += np.sqrt(3.0 * norm2)
-    p *= p
-    p *= 0.125 * max(hooke.lam, 0.0) * (1.0 + _BOUND_SLACK)
-    norm2 *= hooke.mu * (1.0 + _BOUND_SLACK)
-    p += norm2
-    return p
+    p2 = (eps_v[..., 0] + eps_v[..., 1] + eps_v[..., 2] + np.sqrt(3.0 * norm2)) ** 2
+    return (1.0 + _BOUND_SLACK) * (0.125 * max(hooke.lam, 0.0) * p2 + hooke.mu * norm2)
 
 
 def released_energy(eps_v, hooke, floor=0.0):
