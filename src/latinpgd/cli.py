@@ -213,12 +213,13 @@ def _run_latin(conf, out):
 def cmd_run_latin(args):
     conf = _load_config(args)
     out = _out_dir(args, conf)
-    state, _, _, _ = _run_latin(conf, out)
+    state, _, system, _ = _run_latin(conf, out)
     body = _config_manifest(conf, conf.solver.seed, "run-latin",
                             {"converged": state.converged,
                              "modes": state.n_modes, "xi": state.xi,
                              "monitored_gauss_point": state.monitored_point(),
-                             "elastic_seconds": state.elastic_seconds})
+                             "elastic_seconds": state.elastic_seconds,
+                             "factorizations": system.n_factorizations})
     _write_manifest(os.path.join(out, "manifest.json"), body)
     return EXIT_OK if state.converged else EXIT_NONCONVERGED
 
@@ -253,9 +254,13 @@ def cmd_run_newmark(args):
     conf = _load_config(args)
     out = _out_dir(args, conf)
     res, _, _, _, gp = _run_newmark(conf, out)
+    info = res["info"]
     body = _config_manifest(conf, conf.solver.seed, "run-newmark",
                             {"monitored_gauss_point": gp,
-                             "max_damage": float(res["d"][:, -1].max())})
+                             "max_damage": float(res["d"][:, -1].max()),
+                             "factorizations": info["factorizations"],
+                             "corrections": int(info["iterations"].sum()),
+                             "passes": int(info["passes"].sum())})
     _write_manifest(os.path.join(out, "manifest.json"), body)
     return EXIT_OK
 

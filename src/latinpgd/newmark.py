@@ -23,7 +23,15 @@ ca = 1 / (beta dt^2) and cc = gamma / (beta dt), so on the free DOFs
     h = K pred_u + C pred_v + f_sup[:, k],
 
 where K_eff is the operator the solves factorize and h is built once per
-step (f_sup, the support-motion load, is built once for the whole run).
+step (f_sup, the support-motion load, is built once for the whole run and
+stored one step to a row).  K_eff, K and C are multiplied in CSR copies
+made once per march.  The first correction of a step starts from the
+previous converged displacement u_f and comes straight from the
+predictor: u_f + K_eff^-1 r0 with r0 = -(K_eff (u_f - pred_u) + F(u_f))
+is u = pred_u - K_eff^-1 F(u_f), where F(u) is h plus the damage
+correction below at the strain of u.  So the first correction needs no
+product with K_eff, and r0 itself is formed only when the first pass needs
+a second correction, as the previous residual of the Aitken relaxation.
 Once any point is damaged the correction B^T W (sigma - E : eps) is
 added, integrated over the whole mesh; at an undamaged point
 sigma = E : eps exactly, so the correction is zero there, and a pass at a
@@ -41,11 +49,11 @@ history: at a damaged state the pass's last residual has sampled it
 already and it is reused, at an undamaged state it is sampled once after
 the pass.
 
-The first equilibrium pass of a step always applies one correction before
-it tests the residual: the trial point (the previous step's displacement)
-can fall under the tolerance by chance, and accepting it would skip the
-step's solve.  Later passes of the stagger loop below start from a
-converged displacement and test before correcting.
+The first equilibrium pass of a step always applies that first correction
+before it tests the residual: the trial point (the previous step's
+displacement) can fall under the tolerance by chance, and accepting it
+would skip the step's solve.  Later passes of the stagger loop below start
+from a converged displacement and test before correcting.
 
 Equilibrium and damage are coupled with a staggered loop.  Within an
 equilibrium pass the constitutive state is frozen, so the pass solves a
@@ -81,6 +89,10 @@ _STAGGER_TOL = 1e-6
 _MAX_STAGGER = 100
 # Corrections allowed in one equilibrium pass before the march gives up.
 _MAX_ITER = 100
+# Steps of Gauss-point history gathered in step-major rows before they are
+# written to the (n_gauss, n_t, ...) histories: one step's column of those
+# strides over the whole array.
+_HISTORY_BLOCK = 32
 
 
 class LoadCase:
@@ -169,21 +181,10 @@ def _correction(eps_max, tr_max, d, params, hooke):
                             params, hooke)
 
 
-def _step_load(system, pred_u, pred_v, f_sup_k):
-    """h = K_ff pred_u + C_ff pred_v + f_sup[:, k], built once per step.
-
-    With it the elastic residual force M a + C v + K u + f_sup[:, k] of any
-    trial displacement u of the step is K_eff (u - pred_u) + h.
-    """
-    h = system.Kff @ pred_u + f_sup_k
-    h += system.Cff @ pred_v
-    return h
-
-
 def _free_force(system, f_p, eps, correction):
     """Elastic force f_p plus the damage correction at a frozen state.
 
-    In the march f_p is the step's h (`_step_load`) and the equilibrium
+    In the march f_p is the step's h (module docstring) and the equilibrium
     residual is -(K_eff (u_f - pred_u) + this); with f_p = K_ff u_f + K_fp u_p
     it is the internal force.  `correction` is the state's kernel
     (`_correction`): when a point is damaged, B^T W (sigma - E : eps) of the
@@ -208,7 +209,8 @@ def newmark_quasi_newton(system, params, load, times, damage=True, tol=1e-4):
     damage : with False the constitutive state stays frozen at zero and the
         run is the elastic solution, with the same integrator and residual.
     tol : equilibrium tolerance, relative to the largest elastic
-        support-motion load ||M_fp a_p + C_fp v_p + K_fp u_p|| over the run.
+        support-motion load ||M_fp a_p + C_fp v_p + K_fp u_p|| over the run;
+        a finite positive number.
 
     Returns a dict with the node times, full displacement/velocity/
     acceleration histories u, v, a (n_dofs, n_t) and an `info` block
@@ -223,6 +225,8 @@ def newmark_quasi_newton(system, params, load, times, damage=True, tol=1e-4):
 
     Raises RuntimeError naming the step index if an equilibrium loop fails.
     """
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError("tol must be a finite positive number, got %r" % (tol,))
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 2:
         raise ValueError("need at least two time nodes")
@@ -243,11 +247,13 @@ def newmark_quasi_newton(system, params, load, times, damage=True, tol=1e-4):
         raise ValueError("prescribed motion shape mismatch")
 
     # Elastic support-motion load of every step; its largest norm over the
-    # run is the reference of the residual tolerance.
+    # run is the reference of the residual tolerance.  Each step then reads
+    # its load as a contiguous row.
     f_sup = system.Mfp @ a_p + system.Kfp @ u_p
     f_sup += system.Cfp @ v_p
     ref = np.linalg.norm(f_sup, axis=0).max()
     tol_abs = tol * ref
+    f_sup = f_sup.T.copy()
 
     u = np.zeros((mesh.n_dofs, n_t))
     v = np.zeros((mesh.n_dofs, n_t))
@@ -273,6 +279,9 @@ def newmark_quasi_newton(system, params, load, times, damage=True, tol=1e-4):
         eps = np.zeros((mesh.n_gauss, n_t, 6))
         sig = np.zeros((mesh.n_gauss, n_t, 6))
         dmg = np.zeros((mesh.n_gauss, n_t))
+        eps_rows = np.empty((_HISTORY_BLOCK, mesh.n_gauss, 6))
+        sig_rows = np.empty_like(eps_rows)
+        d_rows = np.empty((_HISTORY_BLOCK, mesh.n_gauss))
         full[presc] = u_p[:, 0]
         eps[:, 0] = strain_at_gauss(mesh, full)
         sig[:, 0] = hooke.apply(eps[:, 0])
@@ -282,37 +291,46 @@ def newmark_quasi_newton(system, params, load, times, damage=True, tol=1e-4):
 
     ca = 1.0 / (NEWMARK_BETA * dt * dt)
     cc = NEWMARK_GAMMA / (NEWMARK_BETA * dt)
-    K_eff = system.operator(ca, cc, 1.0)
+    K_eff = system.operator(ca, cc, 1.0).tocsr()
+    Kff, Cff = system.Kff.tocsr(), system.Cff.tocsr()
     iters = np.zeros(n_t - 1, dtype=int)
     passes = np.zeros(n_t - 1, dtype=int)
 
     for k in range(1, n_t):
         pred_u = u_f + dt * v_f + dt * dt * (0.5 - NEWMARK_BETA) * a_f
         pred_v = v_f + dt * (1.0 - NEWMARK_GAMMA) * a_f
-        h = _step_load(system, pred_u, pred_v, f_sup[:, k])
+        h = Kff @ pred_u + f_sup[k]
+        h += Cff @ pred_v
+        full[presc] = u_p[:, k]
         # The iteration starts from the previous converged displacement, not
         # from the extrapolated predictor: extrapolation can overshoot the
         # damage threshold near the supports and feed the staggered loop
         # spurious candidate states.  The converged step is the same either
-        # way.
-        u_trial = u_f.copy()
-        full[presc] = u_p[:, k]
+        # way.  Its first correction comes from the predictor (module
+        # docstring); f_0 = F(u_f) is kept for the first pass's r0.
+        correction = state["correction"]
+        eps_k = None
+        if correction is not None:
+            full[free] = u_f
+            eps_k = strain_at_gauss(mesh, full)
+        f_0 = _free_force(system, h, eps_k, correction)
+        u_trial = pred_u - system.solve_free(ca, cc, 1.0, f_0)
         state_new = state
         spent = 0
         for stagger in range(_MAX_STAGGER + 1):
-            # Equilibrium pass at frozen constitutive state `state_new`.
+            # Equilibrium pass at frozen constitutive state `state_new`; the
+            # first pass has made its first correction and tests from it = 1.
             correction = state_new["correction"]
             r_prev = None
             omega = 1.0
-            for it in range(_MAX_ITER + 1):
-                full[free] = u_trial
-                eps_k = (None if correction is None
-                         else strain_at_gauss(mesh, full))
+            for it in range(stagger == 0, _MAX_ITER + 1):
+                eps_k = None
+                if correction is not None:
+                    full[free] = u_trial
+                    eps_k = strain_at_gauss(mesh, full)
                 r = -(K_eff @ (u_trial - pred_u)
                       + _free_force(system, h, eps_k, correction))
-                # The first pass corrects once before it tests (see the
-                # module docstring).
-                if (it or stagger) and np.linalg.norm(r) <= tol_abs:
+                if np.linalg.norm(r) <= tol_abs:
                     break
                 if it == _MAX_ITER:
                     raise RuntimeError(
@@ -324,6 +342,9 @@ def newmark_quasi_newton(system, params, load, times, damage=True, tol=1e-4):
                 # elastic ones: they converge on the first correction, before
                 # a second residual exists).  The correction itself stays a
                 # K_eff solve.
+                if r_prev is None and stagger == 0:
+                    # r0 of the first correction, needed only from here on
+                    r_prev = -(K_eff @ (u_f - pred_u) + f_0)
                 if r_prev is not None:
                     dr = r - r_prev
                     den = dr @ dr
@@ -336,9 +357,10 @@ def newmark_quasi_newton(system, params, load, times, damage=True, tol=1e-4):
             spent += it
             if not damage:
                 break
-            # The pass ends on a residual at the converged `full`; at a
-            # damaged state that residual has already sampled its strain.
+            # The pass ends on a residual at the converged displacement; at
+            # a damaged state that residual has already sampled its strain.
             if eps_k is None:
+                full[free] = u_trial
                 eps_k = strain_at_gauss(mesh, full)
             advanced = _advance_damage(eps_k, state, dt, params, hooke)
             if np.abs(advanced["d"] - state_new["d"]).max() <= _STAGGER_TOL:
@@ -362,9 +384,15 @@ def newmark_quasi_newton(system, params, load, times, damage=True, tol=1e-4):
             # Keep the stored stress consistent with the committed state (it
             # can differ from the last pass state by up to the stagger
             # tolerance).
-            eps[:, k] = eps_k
-            sig[:, k] = total_stress(eps_k, hooke, state["correction"])
-            dmg[:, k] = state["d"]
+            j = (k - 1) % _HISTORY_BLOCK
+            eps_rows[j] = eps_k
+            sig_rows[j] = total_stress(eps_k, hooke, state["correction"])
+            d_rows[j] = state["d"]
+            if j == _HISTORY_BLOCK - 1 or k == n_t - 1:
+                block = slice(k - j, k + 1)
+                eps[:, block] = eps_rows[:j + 1].transpose(1, 0, 2)
+                sig[:, block] = sig_rows[:j + 1].transpose(1, 0, 2)
+                dmg[:, block] = d_rows[:j + 1].T
 
     info = {"iterations": iters, "passes": passes,
             "factorizations": system.n_factorizations - n_fact0,

@@ -6,7 +6,7 @@ import pytest
 from latinpgd.assembly import (SpatialSystem, assemble_mass, assemble_stiffness,
                                internal_force, modal_analysis, rayleigh_coeffs,
                                strain_at_gauss)
-from latinpgd.mesh import generate_box_mesh
+from latinpgd.mesh import Mesh, generate_box_mesh
 from latinpgd.tensors import HookeTensor
 
 from test_tensors import matrix_to_voigt
@@ -255,6 +255,31 @@ class TestSpatialSystem:
         r = np.random.default_rng(9).normal(size=sysm.n_free)
         x = sysm.solve_free(-shift, 0.0, 1.0, r)
         assert np.linalg.norm(A @ x - r) <= 1e-10 * np.linalg.norm(r)
+
+    @pytest.mark.parametrize("divs", [(16, 2, 2), (32, 4, 4)])
+    def test_spd_triples_match_a_dense_solve(self, divs):
+        # ca, cc >= 0 and ck > 0: the banded Cholesky path; a Newmark K_eff
+        # of the damped beam (dt = 2.5 ms) and the static operator K_ff
+        mesh = beam_mesh(divs)
+        M = assemble_mass(mesh, 2550.0)
+        K = assemble_stiffness(mesh, CONCRETE)
+        alpha, beta = rayleigh_coeffs(0.02, 8.99, 45.8)
+        sysm = SpatialSystem(mesh, M, K, C=alpha * M + beta * K)
+        r = np.random.default_rng(10).normal(size=sysm.n_free)
+        for triple in ((6.4e5, 800.0, 1.0), (0.0, 0.0, 1.0)):
+            x = sysm.solve_free(*triple, r)
+            ref = np.linalg.solve(sysm.operator(*triple).toarray(), r)
+            assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_singular_spd_triple_raises(self):
+        # without supports K_ff keeps its six rigid-body modes
+        box = beam_mesh((4, 2, 2))
+        mesh = Mesh(box.nodes, box.conn, [])
+        sysm = SpatialSystem(mesh, assemble_mass(mesh, 2550.0),
+                             assemble_stiffness(mesh, CONCRETE))
+        assert sysm.n_free == mesh.n_dofs
+        with pytest.raises(RuntimeError, match=r"0\*M \+ 0\*C \+ 1\*K"):
+            sysm.solve_free(0.0, 0.0, 1.0, np.ones(sysm.n_free))
 
     def test_stiffness_spd_on_free_dofs(self):
         mesh = beam_mesh((4, 2, 2))

@@ -70,9 +70,13 @@ def test_run_newmark_exits_0_with_a_step_log(tmp_path):
     code = cli.main(["run-newmark", "--preset", "mono_sine",
                      "--config", tiny_overlay(tmp_path), "--out-dir", str(out)])
     assert code == cli.EXIT_OK
-    assert_step_log_corrects_every_step(out / "step_log.csv")
+    rows = assert_step_log_corrects_every_step(out / "step_log.csv")
     manifest = json.loads((out / "manifest.json").read_text())
     assert 0.0 <= manifest["max_damage"] <= 1.0
+    # one factorization serves the march; the totals are the step log's
+    assert manifest["factorizations"] == 1
+    assert manifest["corrections"] == rows[:, 2].sum()
+    assert manifest["passes"] == rows[:, 3].sum()
 
 
 def test_step_log_counts_every_stagger_pass(tmp_path, monkeypatch):
@@ -122,6 +126,9 @@ def test_spent_mode_budget_exits_3_with_outputs(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["converged"] is False and manifest["modes"] == 1
     assert manifest["xi"] > 5e-4
+    # the elastic march's K_eff and at least one space operator of the mode
+    assert isinstance(manifest["factorizations"], int)
+    assert manifest["factorizations"] >= 2
     assert (out / "convergence_log.csv").is_file()
     # run environment and cost
     assert isinstance(manifest["threads"], int) and manifest["threads"] >= 1

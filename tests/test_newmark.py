@@ -186,6 +186,43 @@ class TestElasticLimits:
         assert np.all(res["info"]["passes"] == 1)
 
 
+def test_elastic_march_matches_a_dense_reference_march():
+    # The same recurrence with dense matrices: u = pred_u - K_eff^-1 h,
+    # h = K pred_u + C pred_v + f_sup, then a and v from u.
+    system = build_system(cube_system().mesh, damping=True)
+    mesh = system.mesh
+    free, presc = mesh.free_dofs, mesh.prescribed_dofs
+    times = np.linspace(0.0, 0.01, 41)
+    load = LoadCase(np.array([1e-7]), np.array([100.0]))
+    res = newmark_quasi_newton(system, PARAMS, load, times, damage=False)
+
+    dt = times[1] - times[0]
+    beta, gamma = newmark.NEWMARK_BETA, newmark.NEWMARK_GAMMA
+    ca, cc = 1.0 / (beta * dt * dt), gamma / (beta * dt)
+    M, C, K = (A.toarray() for A in (system.M, system.C, system.K))
+    ff, fp = np.ix_(free, free), np.ix_(free, presc)
+    K_eff = ca * M[ff] + cc * C[ff] + K[ff]
+    u_p, v_p, a_p = load.prescribed_motion(mesh, times)
+    f_sup = M[fp] @ a_p + C[fp] @ v_p + K[fp] @ u_p
+    ref = {name: np.zeros((mesh.n_dofs, times.size)) for name in "uva"}
+    for name, prescribed in zip("uva", (u_p, v_p, a_p)):
+        ref[name][presc] = prescribed
+    u_f, v_f, a_f = (np.zeros(free.size) for _ in range(3))
+    for k in range(1, times.size):
+        pred_u = u_f + dt * v_f + dt * dt * (0.5 - beta) * a_f
+        pred_v = v_f + dt * (1.0 - gamma) * a_f
+        h = K[ff] @ pred_u + C[ff] @ pred_v + f_sup[:, k]
+        u_f = pred_u - np.linalg.solve(K_eff, h)
+        a_f = ca * (u_f - pred_u)
+        v_f = pred_v + gamma * dt * a_f
+        for name, value in zip("uva", (u_f, v_f, a_f)):
+            ref[name][free, k] = value
+    assert np.abs(ref["u"]).max() > 0.0
+    for name in "uva":
+        assert (np.linalg.norm(res[name] - ref[name])
+                <= 1e-12 * np.linalg.norm(ref[name])), name
+
+
 def test_elastic_march_converges_at_second_order_in_dt():
     # mono_sine on a 4x2x2 mesh over 0.5 s, N_T = 100, 200, 400, 800 (the
     # step is T / (2 N_T)): the relative gap in u between successive
@@ -409,7 +446,9 @@ class TestSplitForce:
     def test_one_operator_residual_equals_the_three_matrix_form(self):
         # K_eff (u - pred_u) + h with h built once per step is the residual
         # force M a + C v + K u + f_sup plus the damage correction, for the
-        # a and v that the average-acceleration scheme ties to u.
+        # a and v that the average-acceleration scheme ties to u; and the
+        # first correction from the predictor, pred_u - K_eff^-1 F(u), is
+        # u + K_eff^-1 r0 with r0 the negated residual force at u.
         system = build_system(generate_box_mesh(1.0, 1.0, 1.0, 2, 2, 2),
                               damping=True)
         mesh, free = system.mesh, system.free
@@ -430,11 +469,15 @@ class TestSplitForce:
         sig = total_stress(eps, HOOKE, correction)
         ref = (system.Mff @ a + system.Cff @ v + system.Kff @ u + f_sup
                + internal_force(mesh, sig - HOOKE.apply(eps))[free])
-        h = newmark._step_load(system, pred_u, pred_v, f_sup)
-        got = (system.operator(ca, cc, 1.0) @ (u - pred_u)
-               + newmark._free_force(system, h, eps, correction))
+        h = system.Kff @ pred_u + f_sup + system.Cff @ pred_v
+        force = newmark._free_force(system, h, eps, correction)
+        got = system.operator(ca, cc, 1.0) @ (u - pred_u) + force
         np.testing.assert_allclose(got, ref, rtol=0.0,
                                    atol=1e-12 * np.abs(ref).max())
+        from_predictor = pred_u - system.solve_free(ca, cc, 1.0, force)
+        from_u = u + system.solve_free(ca, cc, 1.0, -got)
+        np.testing.assert_allclose(from_predictor, from_u, rtol=0.0,
+                                   atol=1e-12 * np.abs(from_u).max())
 
     def test_undamaged_marches_integrate_no_full_mesh_force(self, monkeypatch):
         # The elastic part of the residual comes from K; the Gauss points are
@@ -475,6 +518,14 @@ class TestValidation:
             newmark_quasi_newton(system, PARAMS,
                                  LoadCase(np.array([1e-6]), np.array([1.0])),
                                  np.array([0.0]))
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-4, np.nan, np.inf])
+    def test_rejects_a_tolerance_that_is_not_finite_and_positive(self, tol):
+        system = cube_system()
+        with pytest.raises(ValueError, match="tol"):
+            newmark_quasi_newton(system, PARAMS,
+                                 LoadCase(np.array([1e-6]), np.array([1.0])),
+                                 np.linspace(0.0, 0.01, 11), tol=tol)
 
 
 class TestResample:
