@@ -154,8 +154,9 @@ def _stress_magnitude(sig):
     """Frobenius norm of engineering-Voigt stresses (..., 6)."""
     import numpy as np
 
-    return np.sqrt((sig[..., :3] ** 2).sum(axis=-1)
-                   + 2.0 * (sig[..., 3:] ** 2).sum(axis=-1))
+    from .tensors import STRESS_CONTRACTION
+
+    return np.sqrt(sig ** 2 @ STRESS_CONTRACTION)
 
 
 def _write_field_vtk(mesh, path, u_nodal, d_gauss, sig_gauss):
@@ -210,6 +211,11 @@ def _run_latin(conf, out):
     return state, mesh, system, grid
 
 
+def _latin_work(system):
+    """Manifest keys of the linear-algebra work of a LATIN run."""
+    return {"factorizations": system.n_factorizations}
+
+
 def cmd_run_latin(args):
     conf = _load_config(args)
     out = _out_dir(args, conf)
@@ -219,7 +225,7 @@ def cmd_run_latin(args):
                              "modes": state.n_modes, "xi": state.xi,
                              "monitored_gauss_point": state.monitored_point(),
                              "elastic_seconds": state.elastic_seconds,
-                             "factorizations": system.n_factorizations})
+                             **_latin_work(system)})
     _write_manifest(os.path.join(out, "manifest.json"), body)
     return EXIT_OK if state.converged else EXIT_NONCONVERGED
 
@@ -250,17 +256,21 @@ def _run_newmark(conf, out):
     return res, mesh, system, times, gp
 
 
+def _newmark_work(info):
+    """Manifest keys of the work of a Newmark march (totals of its step log)."""
+    return {"factorizations": info["factorizations"],
+            "corrections": int(info["iterations"].sum()),
+            "passes": int(info["passes"].sum())}
+
+
 def cmd_run_newmark(args):
     conf = _load_config(args)
     out = _out_dir(args, conf)
     res, _, _, _, gp = _run_newmark(conf, out)
-    info = res["info"]
     body = _config_manifest(conf, conf.solver.seed, "run-newmark",
                             {"monitored_gauss_point": gp,
                              "max_damage": float(res["d"][:, -1].max()),
-                             "factorizations": info["factorizations"],
-                             "corrections": int(info["iterations"].sum()),
-                             "passes": int(info["passes"].sum())})
+                             **_newmark_work(res["info"])})
     _write_manifest(os.path.join(out, "manifest.json"), body)
     return EXIT_OK
 
@@ -275,7 +285,7 @@ def cmd_compare(args):
 
     from .newmark import compare_error, resample_fields_to_gauss
 
-    state, _, _, grid = _run_latin(conf, latin_dir)
+    state, _, system, grid = _run_latin(conf, latin_dir)
     res, _, _, _, _ = _run_newmark(conf, newmark_dir)
     ref_eps, ref_sig = resample_fields_to_gauss(grid, res)
     _, eps, sig = state.solution.fields()
@@ -292,7 +302,9 @@ def cmd_compare(args):
     body = _config_manifest(conf, conf.solver.seed, "compare",
                             {"eps_percent": eps_pc, "converged": state.converged,
                              "modes": state.n_modes,
-                             "d_latin": d_latin, "d_newmark": d_ref})
+                             "d_latin": d_latin, "d_newmark": d_ref,
+                             "latin": _latin_work(system),
+                             "newmark": _newmark_work(res["info"])})
     _write_manifest(os.path.join(out, "manifest.json"), body)
     return EXIT_OK if state.converged else EXIT_NONCONVERGED
 

@@ -210,8 +210,7 @@ def time_lambda(u_bar, eps_bar, forcing, system, grid, hooke):
     if not a > 0.0:
         raise ValueError("degenerate mode: mass coefficient a = %g" % a)
     c = float(u_bar @ (system.C @ u_bar))
-    lam, _ = tdgm_march(grid, a, c, b, np.reshape(forcing, (grid.n_elements, 4)))
-    return lam
+    return tdgm_march(grid, a, c, b, np.reshape(forcing, (grid.n_elements, 4)))
 
 
 def time_mu(sig_bar, eps_bar, lam, sd, hooke, grid, mesh):
@@ -237,8 +236,7 @@ def time_mu(sig_bar, eps_bar, lam, sd, hooke, grid, mesh):
 
 def strain_norm(eps_bar, mesh):
     """L2(Omega) norm of a spatial strain field (tensor contraction)."""
-    sq = (eps_bar[:, :3] ** 2).sum(axis=1) + 0.5 * (eps_bar[:, 3:] ** 2).sum(axis=1)
-    return float(np.sqrt(mesh.gp_weights.ravel() @ sq))
+    return float(np.sqrt(mesh.gp_weights.ravel() @ (eps_bar ** 2 @ STRAIN_CONTRACTION)))
 
 
 def normalize_mode(mode, mesh):

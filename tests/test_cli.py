@@ -114,7 +114,14 @@ def test_compare_writes_one_finite_comparison_row(tmp_path):
     row = np.array([float(x) for x in lines[1].split(",")])
     assert row.size == 7 and np.all(np.isfinite(row))
     assert row[3] == (code == cli.EXIT_OK)
-    assert_step_log_corrects_every_step(out / "newmark" / "step_log.csv")
+    steps = assert_step_log_corrects_every_step(out / "newmark" / "step_log.csv")
+    # both solvers' work, under the keys run-latin and run-newmark record
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert isinstance(manifest["latin"]["factorizations"], int)
+    assert manifest["latin"]["factorizations"] >= 2
+    assert manifest["newmark"] == {"factorizations": 1,
+                                   "corrections": steps[:, 2].sum(),
+                                   "passes": steps[:, 3].sum()}
 
 
 def test_spent_mode_budget_exits_3_with_outputs(tmp_path):

@@ -187,12 +187,28 @@ def run_tiny(zeta_stop, max_modes=150):
 
 @pytest.fixture(scope="module")
 def damaging_run():
-    """The tiny damaging problem, seed 0.
+    """The tiny damaging problem, seed 0, converged at the start of its
+    second iteration, after a local stage and before any enrichment.
 
-    At this threshold the run converges at the start of its second
-    iteration, after a local stage and before any enrichment.
+    No threshold reaches that path on this problem: the xi before the
+    second enrichment (0.335) lies above the xi before the first (0.295).
+    So a spy on `latin.latin_error` reads 0 for the second test before an
+    enrichment (the call without a mode) and passes every other call on.
     """
-    return run_tiny(0.2748)
+    error = latin.latin_error
+    tests_before_enrichment = []
+
+    def spy(gap2, norms, mesh, grid, *mode):
+        xi = error(gap2, norms, mesh, grid, *mode)
+        if not mode:
+            tests_before_enrichment.append(xi)
+            if len(tests_before_enrichment) == 2:
+                return 0.0
+        return xi
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(latin, "latin_error", spy)
+        return run_tiny(config.preset("mono_sine").solver.xi_stop)
 
 
 @pytest.fixture(scope="module")
@@ -345,7 +361,7 @@ def test_local_stage_replays_the_newmark_march(n_t):
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="ROADMAP item 1: the global stage's fixed point is "
-                          "the elastic start, 24.11 % from the exact answer")
+                          "the elastic start, 24.73 % from the exact answer")
 def test_linear_softening_lands_on_the_modal_oracle(monkeypatch):
     # Linear oracle: the local stage returns sig_hat = (1 - s) E:eps, so the
     # exact answer is u = u_el + delta with
@@ -375,7 +391,7 @@ def test_linear_softening_lands_on_the_modal_oracle(monkeypatch):
     w2, phi = eigh(system.Kff.toarray(), system.Mff.toarray())
     damping = np.einsum("ij,ij->j", phi, system.Cff @ phi)
     force = phi.T @ (s * (system.K @ u)[free])
-    q = np.array([tdgm_march(grid, 1.0, c, (1.0 - s) * k, f)[0].values_at_gauss()
+    q = np.array([tdgm_march(grid, 1.0, c, (1.0 - s) * k, f).values_at_gauss()
                   for k, c, f in zip(w2, damping, force)])
     u[free] += phi @ q
     eps_ref = strain_at_gauss(mesh, u)
