@@ -82,9 +82,6 @@ def _load_config(args):
         conf = base
     else:
         raise ValueError("provide --preset, --config, or both")
-    if args.seed is not None:
-        from dataclasses import replace
-        conf = replace(conf, solver=replace(conf.solver, seed=args.seed))
     return conf
 
 
@@ -111,7 +108,7 @@ def _build_problem(conf):
     return mesh, params, system, conf.load.build()
 
 
-def _config_manifest(conf, seed_used, subcommand, extra):
+def _config_manifest(conf, subcommand, extra):
     import numpy
     import scipy
 
@@ -120,7 +117,7 @@ def _config_manifest(conf, seed_used, subcommand, extra):
 
     text = canonical(conf)
     body = {"config_sha256": hashlib.sha256(text.encode()).hexdigest(),
-            "seed": seed_used, "version": __version__,
+            "seed": conf.solver.seed, "version": __version__,
             "subcommand": subcommand, "threads": _numeric_threads(),
             "numpy_version": numpy.__version__, "scipy_version": scipy.__version__,
             "peak_rss_mb": _peak_rss_mb()}
@@ -159,29 +156,33 @@ def _stress_magnitude(sig):
     return np.sqrt(sig ** 2 @ STRESS_CONTRACTION)
 
 
-def _write_field_vtk(mesh, path, u_nodal, d_gauss, sig_gauss):
+def _write_snapshots(conf, out, mesh, times, u, d, sig):
+    """VTK fields at the configured instants (default: the end of the load).
+
+    Each instant takes the nearest sample of `times`, the last axis of the
+    nodal u and of the Gauss-point d and sig; damage and stress magnitude
+    are averaged over each element's Gauss points.
+    """
+    if not conf.output.vtk:
+        return
     import numpy as np
 
     from .mesh import write_vtk
 
     n_el = mesh.n_elements
-    point = {"u": u_nodal.reshape(-1, 3)}
-    cell = {"damage": d_gauss.reshape(n_el, 8).mean(axis=1),
-            "stress_mag": _stress_magnitude(sig_gauss).reshape(n_el, 8).mean(axis=1)}
-    write_vtk(mesh, path, point_data=point, cell_data=cell)
+    for t_star in conf.output.snapshots or (conf.load.T,):
+        k = int(np.argmin(np.abs(times - t_star)))
+        point = {"u": u[:, k].reshape(-1, 3)}
+        cell = {"damage": d[:, k].reshape(n_el, 8).mean(axis=1),
+                "stress_mag": _stress_magnitude(sig[:, k]).reshape(n_el, 8).mean(axis=1)}
+        write_vtk(mesh, os.path.join(out, "field_t%g.vtk" % t_star),
+                  point_data=point, cell_data=cell)
 
 
-def _snapshot_instants(conf):
-    return conf.output.snapshots if conf.output.snapshots else (conf.load.T,)
-
-
-def _run_latin(conf, out):
-    import numpy as np
-
+def _run_latin(conf, out, params, system, load):
     from .latin import run_latin
     from .pgd import dump_modes
 
-    mesh, params, system, load = _build_problem(conf)
     grid = conf.solver.build_grid(conf.load.T)
     state = run_latin(system, params, load, grid,
                       zeta_stop=conf.solver.xi_stop,
@@ -197,45 +198,37 @@ def _run_latin(conf, out):
     mode_dir = os.path.join(out, "modes")
     os.makedirs(mode_dir, exist_ok=True)
     dump_modes(state.solution, mode_dir)
-    _write_manifest(os.path.join(mode_dir, "manifest.json"),
-                    {"seed": conf.solver.seed,
-                     "modes": state.n_modes,
-                     "c_c_history": [info["c_c"] for info in state.enrich_log],
-                     "zeta_history": [info["zeta"] for info in state.enrich_log]})
-    if conf.output.vtk:
-        u, _, sig = state.solution.fields()
-        for t_star in _snapshot_instants(conf):
-            k = int(np.argmin(np.abs(grid.all_gauss_times - t_star)))
-            _write_field_vtk(mesh, os.path.join(out, "field_t%g.vtk" % t_star),
-                             u[:, k], state.damage[:, k], sig[:, k])
-    return state, mesh, system, grid
+    u, _, sig = state.solution.fields()
+    _write_snapshots(conf, out, system.mesh, grid.all_gauss_times, u, state.damage, sig)
+    return state
 
 
-def _latin_work(system):
-    """Manifest keys of the linear-algebra work of a LATIN run."""
-    return {"factorizations": system.n_factorizations}
+def _latin_work(state, system):
+    """Manifest keys of the work of a LATIN run: its factorizations, and
+    each enrichment's c_c and stagnation history, one entry per sweep."""
+    return {"factorizations": system.n_factorizations,
+            "c_c_history": [info["c_c"] for info in state.enrich_log],
+            "zeta_history": [info["zeta"] for info in state.enrich_log]}
 
 
 def cmd_run_latin(args):
     conf = _load_config(args)
     out = _out_dir(args, conf)
-    state, _, system, _ = _run_latin(conf, out)
-    body = _config_manifest(conf, conf.solver.seed, "run-latin",
+    _, params, system, load = _build_problem(conf)
+    state = _run_latin(conf, out, params, system, load)
+    body = _config_manifest(conf, "run-latin",
                             {"converged": state.converged,
                              "modes": state.n_modes, "xi": state.xi,
                              "monitored_gauss_point": state.monitored_point(),
                              "elastic_seconds": state.elastic_seconds,
-                             **_latin_work(system)})
+                             **_latin_work(state, system)})
     _write_manifest(os.path.join(out, "manifest.json"), body)
     return EXIT_OK if state.converged else EXIT_NONCONVERGED
 
 
-def _run_newmark(conf, out):
-    import numpy as np
-
+def _run_newmark(conf, out, params, system, load):
     from .newmark import newmark_quasi_newton
 
-    mesh, params, system, load = _build_problem(conf)
     times = conf.solver.newmark_times(conf.load.T)
     res = newmark_quasi_newton(system, params, load, times,
                                tol=conf.solver.newmark_tol)
@@ -248,12 +241,8 @@ def _run_newmark(conf, out):
         for k, (n, p) in enumerate(zip(res["info"]["iterations"],
                                        res["info"]["passes"])):
             fh.write("%d,%.17g,%d,%d\n" % (k + 1, times[k + 1], n, p))
-    if conf.output.vtk:
-        for t_star in _snapshot_instants(conf):
-            k = int(np.argmin(np.abs(times - t_star)))
-            _write_field_vtk(mesh, os.path.join(out, "field_t%g.vtk" % t_star),
-                             res["u"][:, k], res["d"][:, k], res["sig"][:, k])
-    return res, mesh, system, times, gp
+    _write_snapshots(conf, out, system.mesh, times, res["u"], res["d"], res["sig"])
+    return res, gp
 
 
 def _newmark_work(info):
@@ -266,8 +255,9 @@ def _newmark_work(info):
 def cmd_run_newmark(args):
     conf = _load_config(args)
     out = _out_dir(args, conf)
-    res, _, _, _, gp = _run_newmark(conf, out)
-    body = _config_manifest(conf, conf.solver.seed, "run-newmark",
+    _, params, system, load = _build_problem(conf)
+    res, gp = _run_newmark(conf, out, params, system, load)
+    body = _config_manifest(conf, "run-newmark",
                             {"monitored_gauss_point": gp,
                              "max_damage": float(res["d"][:, -1].max()),
                              **_newmark_work(res["info"])})
@@ -283,11 +273,16 @@ def cmd_compare(args):
     os.makedirs(latin_dir, exist_ok=True)
     os.makedirs(newmark_dir, exist_ok=True)
 
+    from .assembly import SpatialSystem
     from .newmark import compare_error, resample_fields_to_gauss
 
-    state, _, system, grid = _run_latin(conf, latin_dir)
-    res, _, _, _, _ = _run_newmark(conf, newmark_dir)
-    ref_eps, ref_sig = resample_fields_to_gauss(grid, res)
+    # One mesh and one set of matrices; the reference gets its own system,
+    # so each solver's factorizations are its own.
+    _, params, system, load = _build_problem(conf)
+    state = _run_latin(conf, latin_dir, params, system, load)
+    reference = SpatialSystem(system.mesh, system.M, system.K, system.C)
+    res, _ = _run_newmark(conf, newmark_dir, params, reference, load)
+    ref_eps, ref_sig = resample_fields_to_gauss(state.solution.grid, res)
     _, eps, sig = state.solution.fields()
     eps_pc = compare_error(ref_eps, ref_sig, eps, sig)
     d_latin = float(state.damage.max())
@@ -299,11 +294,11 @@ def cmd_compare(args):
         fh.write("%.17g,%d,%.17g,%d,%.17g,%.17g,%.17g\n"
                  % (eps_pc, state.n_modes, state.xi, int(state.converged),
                     d_latin, d_ref, gap))
-    body = _config_manifest(conf, conf.solver.seed, "compare",
+    body = _config_manifest(conf, "compare",
                             {"eps_percent": eps_pc, "converged": state.converged,
                              "modes": state.n_modes,
                              "d_latin": d_latin, "d_newmark": d_ref,
-                             "latin": _latin_work(system),
+                             "latin": _latin_work(state, system),
                              "newmark": _newmark_work(res["info"])})
     _write_manifest(os.path.join(out, "manifest.json"), body)
     return EXIT_OK if state.converged else EXIT_NONCONVERGED
@@ -349,7 +344,7 @@ def cmd_modal(args):
     if conf.output.vtk:
         from .mesh import write_vtk
         write_vtk(mesh, os.path.join(out, "mesh.vtk"))
-    body = _config_manifest(conf, conf.solver.seed, "modal",
+    body = _config_manifest(conf, "modal",
                             {"frequencies_hz": [float(f) for f in freqs]})
     _write_manifest(os.path.join(out, "manifest.json"), body)
     return EXIT_OK
@@ -427,7 +422,6 @@ def build_parser():
         p.add_argument("--preset",
                        help="scenario preset: elastic, mono_sine, multi_sine")
         p.add_argument("--out-dir", help="output directory (default from config)")
-        p.add_argument("--seed", type=int, help="override the solver seed")
         p.add_argument("--threads", type=int, default=0,
                        help="worker threads for numerics (0 = auto, "
                             "1 = deterministic)")

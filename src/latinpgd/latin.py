@@ -29,9 +29,9 @@ from .assembly import strain_at_gauss
 from .material import local_stage
 from .newmark import newmark_quasi_newton
 from .pgd import (PgdSolution, compute_delta, cre_functional, enrich,
-                  mode_products, relax_mode, strain_norm, weighted_norm2)
-from .tensors import STRAIN_CONTRACTION, STRESS_CONTRACTION
-from .timegrid import quad_resample_to_gauss, spatial_blocks
+                  mode_products, relax_mode, strain_norm)
+from .tensors import STRESS_CONTRACTION
+from .timegrid import quad_resample_blocks
 
 
 def elastic_solution(system, params, load, grid):
@@ -39,7 +39,8 @@ def elastic_solution(system, params, load, grid):
 
     The marching reference integrates the linear problem on the step nodes
     `grid.step_times`, then its displacement history is carried onto
-    the temporal Gauss points by the per-element quadratic fit.  Returns a
+    the temporal Gauss points by the per-element quadratic fit
+    (`quad_resample_blocks`, one component per DOF).  Returns a
     dict with u (n_dofs, n_gauss_t), eps and sig (n_gauss, n_gauss_t, 6).
 
     The strain is computed from the resampled displacement in one batched
@@ -48,26 +49,9 @@ def elastic_solution(system, params, load, grid):
     on the grid.
     """
     res = newmark_quasi_newton(system, params, load, grid.step_times, damage=False)
-    u = quad_resample_to_gauss(grid, res["u"])
+    u = quad_resample_blocks(grid, res["u"][:, :, None])[:, :, 0]
     eps = strain_at_gauss(system.mesh, u)
     return {"u": u, "eps": eps, "sig": params.hooke().apply(eps)}
-
-
-def _st_norm2(mesh, grid, field, c):
-    """Squared space-time L2 norm of a Voigt field (n_gauss, n_t, 6).
-
-    c is the Voigt contraction of the field's flavor (`STRESS_CONTRACTION`
-    counts shear components twice, `STRAIN_CONTRACTION` halves engineering
-    shears twice); the contraction is integrated with the spatial and
-    temporal quadrature weights, reading the field once, block by block
-    (`pgd.weighted_norm2`).
-    """
-    wg = mesh.gp_weights.ravel()
-    wt = grid.all_gauss_weights
-    total = 0.0
-    for s in spatial_blocks(field):
-        total += weighted_norm2(field[s], wg[s], wt, c)
-    return float(total)
 
 
 def latin_error(gap2, norms, mesh, grid, mode=None, products=None):
@@ -104,15 +88,6 @@ def latin_error(gap2, norms, mesh, grid, mode=None, products=None):
                     + sig2 * grid.inner(mv, mv), 0.0)
         num_e = strain_norm(mode.eps_bar, mesh) ** 2 * grid.inner(lv, lv)
     return float(np.sqrt(num_s / den_s + num_e / den_e))
-
-
-def _global_norms(mesh, grid, eps, sig):
-    """(|sig|^2, |eps|^2) of the elastic start: the denominators of xi.
-
-    After a mode, `PgdSolution.add_mode` forms them as it updates the fields.
-    """
-    return (_st_norm2(mesh, grid, sig, STRESS_CONTRACTION),
-            _st_norm2(mesh, grid, eps, STRAIN_CONTRACTION))
 
 
 class LatinState:
@@ -205,7 +180,7 @@ def run_latin(system, params, load, grid, *, zeta_stop, max_modes, omega, seed,
     _, eps, sig = solution.fields()
     sig_hat = np.empty_like(sig)
     delta = np.empty_like(sig)
-    norms = _global_norms(mesh, grid, eps, sig)
+    norms = solution.norms(mesh)
 
     while True:
         state.iteration += 1

@@ -388,28 +388,41 @@ class PgdSolution:
     def n_modes(self):
         return len(self.modes)
 
+    def norms(self, mesh, update=None):
+        """Squared norms (|sig|^2, |eps|^2) of the running strain and stress.
+
+        One pass block by block over the spatial axis (`weighted_norm2`,
+        with the mesh's spatial weights).  `update(s)`, when given, first
+        writes block s of eps and sig, so each block is reduced while it is
+        in cache and no temporary is larger than a block.
+        """
+        wg = mesh.gp_weights.ravel()
+        wt = self.grid.all_gauss_weights
+        norm_sig = norm_eps = 0.0
+        for s in spatial_blocks(self._eps):
+            if update is not None:
+                update(s)
+            norm_sig += weighted_norm2(self._sig[s], wg[s], wt, STRESS_CONTRACTION)
+            norm_eps += weighted_norm2(self._eps[s], wg[s], wt, STRAIN_CONTRACTION)
+        return float(norm_sig), float(norm_eps)
+
     def add_mode(self, mode, mesh):
         """Add the mode's products into the running fields, in place.
 
-        Block by block over the leading axis, so no temporary is larger
-        than a block.  Each block of eps and sig is reduced while it is in
-        cache: returns the squared norms (|sig|^2, |eps|^2) of the updated
-        fields (`weighted_norm2`, with the mesh's spatial weights).
+        Returns the squared norms of the updated fields, formed in the same
+        pass (`norms`).
         """
         self.modes.append(mode)
         lv = mode.lam.values_at_gauss()
         mv = mode.mu.values_at_gauss()
         for s in spatial_blocks(self._u):
             self._u[s] += mode.u_bar[s, None] * lv[None, :]
-        wg = mesh.gp_weights.ravel()
-        wt = self.grid.all_gauss_weights
-        norm_sig = norm_eps = 0.0
-        for s in spatial_blocks(self._eps):
+
+        def add(s):
             self._eps[s] += mode.eps_bar[s, None, :] * lv[None, :, None]
             self._sig[s] += mode.sig_bar[s, None, :] * mv[None, :, None]
-            norm_sig += weighted_norm2(self._sig[s], wg[s], wt, STRESS_CONTRACTION)
-            norm_eps += weighted_norm2(self._eps[s], wg[s], wt, STRAIN_CONTRACTION)
-        return float(norm_sig), float(norm_eps)
+
+        return self.norms(mesh, add)
 
     def fields(self):
         """Reconstructed (u, eps, sig); u is nodal, eps/sig on Gauss points."""

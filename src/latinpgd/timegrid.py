@@ -232,8 +232,8 @@ def quad_resample_blocks(grid, values):
     (2k, 2k+1) of every element are one contiguous row of values[:, :-1]
     viewed as (B, N_T, 2C), and the samples 2k+2 are values[:, 2::2].  The
     products run block by block over B, written straight into the result.
-    Both the (n_gauss, n_t, 6) field layout and (via
-    `quad_resample_to_gauss`) time-last histories go through this kernel.
+    Both the (n_gauss, n_t, 6) field layout and a time-last history
+    (n_dofs, n_steps), given a trailing unit axis, go through this kernel.
     """
     v = np.asarray(values, dtype=float)
     n_el = grid.n_elements
@@ -253,14 +253,3 @@ def quad_resample_blocks(grid, values):
         np.matmul(pairs[s], W[:2 * n_c], out=out[s])
         out[s] += v[s, 2::2] @ W[2 * n_c:]
     return out.reshape(n_b, grid.n_gauss, n_c)
-
-
-def quad_resample_to_gauss(grid, values):
-    """Resample a history on the step nodes `grid.step_times` onto the Gauss points.
-
-    `values` has the time axis last: (..., n_steps) -> (..., n_gauss).  It is
-    the `quad_resample_blocks` kernel with one component per history.
-    """
-    v = np.asarray(values, dtype=float)
-    out = quad_resample_blocks(grid, v.reshape(-1, v.shape[-1], 1))
-    return out.reshape(v.shape[:-1] + (grid.n_gauss,))

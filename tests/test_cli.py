@@ -3,9 +3,10 @@
 import json
 
 import numpy as np
+import pytest
 import scipy
 
-from latinpgd import cli
+from latinpgd import assembly, cli
 from latinpgd.material import reference_concrete, released_energy
 
 
@@ -101,12 +102,20 @@ def test_step_log_counts_every_stagger_pass(tmp_path, monkeypatch):
     assert rows[:, 3].max() > 1             # damage made some step stagger
 
 
-def test_compare_writes_one_finite_comparison_row(tmp_path):
+def test_compare_writes_one_finite_comparison_row(tmp_path, monkeypatch):
+    # both solvers run on one assembled beam
+    assembled = []
+    for name in ("assemble_mass", "assemble_stiffness"):
+        def counted(*args, _name=name, _assemble=getattr(assembly, name)):
+            assembled.append(_name)
+            return _assemble(*args)
+        monkeypatch.setattr(assembly, name, counted)
     out = tmp_path / "out"
     code = cli.main(["compare", "--preset", "mono_sine",
                      "--config", tiny_overlay(tmp_path), "--out-dir", str(out)])
     # a spent mode budget exits 3, a converged run 0; both write outputs
     assert code in (cli.EXIT_OK, cli.EXIT_NONCONVERGED)
+    assert sorted(assembled) == ["assemble_mass", "assemble_stiffness"]
     lines = (out / "comparison.csv").read_text().splitlines()
     assert lines[0] == ("eps_percent,latin_modes,latin_xi,latin_converged,"
                         "d_latin,d_newmark,d_gap_percent")
@@ -119,9 +128,21 @@ def test_compare_writes_one_finite_comparison_row(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert isinstance(manifest["latin"]["factorizations"], int)
     assert manifest["latin"]["factorizations"] >= 2
+    assert_enrichment_histories(manifest["latin"], row[1])
+    assert (out / "latin" / "modes").is_dir()
+    assert not (out / "latin" / "modes" / "manifest.json").exists()
     assert manifest["newmark"] == {"factorizations": 1,
                                    "corrections": steps[:, 2].sum(),
                                    "passes": steps[:, 3].sum()}
+
+
+def assert_enrichment_histories(record, modes):
+    """One c_c and one stagnation history per enrichment, one entry per sweep."""
+    c_c, zeta = record["c_c_history"], record["zeta_history"]
+    assert len(c_c) == len(zeta) == modes
+    for a, b in zip(c_c, zeta):
+        assert len(a) == len(b) >= 1
+        assert np.all(np.isfinite(a)) and np.all(np.isfinite(b))
 
 
 def test_spent_mode_budget_exits_3_with_outputs(tmp_path):
@@ -136,6 +157,10 @@ def test_spent_mode_budget_exits_3_with_outputs(tmp_path):
     # the elastic march's K_eff and at least one space operator of the mode
     assert isinstance(manifest["factorizations"], int)
     assert manifest["factorizations"] >= 2
+    assert_enrichment_histories(manifest, 1)
+    # one manifest per run: the mode directory holds only the mode CSVs
+    assert sorted(p.name for p in (out / "modes").iterdir()) == [
+        "mode_000_space.csv", "mode_000_time.csv"]
     assert (out / "convergence_log.csv").is_file()
     # run environment and cost
     assert isinstance(manifest["threads"], int) and manifest["threads"] >= 1
@@ -185,3 +210,63 @@ def test_calibrate_that_misses_the_target_names_its_bracket(tmp_path, capsys):
     assert "missed the target d_max 0.4200" in err
     assert "d_max=0.0000" in err
     assert "final bracket (lo, d_lo) = (0.510204, 0.0000), (hi, d_hi) = (0.612245, " in err
+
+
+def test_seed_comes_from_the_config_alone(tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["modal", "--preset", "mono_sine", "--config", tiny_overlay(tmp_path),
+                  "--seed", "3", "--out-dir", str(out)])
+    assert stop.value.code == cli.EXIT_INPUT
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+    overlay = write(tmp_path / "seeded.cfg", "[mesh]\nnx = 4\nny = 2\nnz = 2\n"
+                                             "[solver]\nseed = 3\n")
+    code = cli.main(["modal", "--preset", "mono_sine", "--config", overlay,
+                     "--count", "1", "--out-dir", str(out)])
+    assert code == cli.EXIT_OK
+    assert json.loads((out / "manifest.json").read_text())["seed"] == 3
+
+
+def read_vtk_data(path):
+    """Counts of the POINT_DATA / CELL_DATA sections and their named arrays."""
+    lines = path.read_text().splitlines()
+    counts, arrays = {}, {}
+    i = next(k for k, line in enumerate(lines) if line.startswith("POINT_DATA"))
+    while i < len(lines):
+        head = lines[i].split()
+        i += 1
+        if head[0] in ("POINT_DATA", "CELL_DATA"):
+            section, n = head[0], int(head[1])
+            counts[section] = n
+        elif head[0] in ("VECTORS", "SCALARS"):
+            if head[0] == "SCALARS":
+                assert lines[i] == "LOOKUP_TABLE default"
+                i += 1
+            arrays[(section, head[1])] = np.loadtxt(lines[i:i + n], ndmin=1)
+            i += n
+    return counts, arrays
+
+
+@pytest.mark.parametrize("subcommand", ["run-latin", "run-newmark"])
+def test_vtk_snapshots_hold_displacement_damage_and_stress(tmp_path, subcommand):
+    with open(tiny_overlay(tmp_path)) as fh:
+        overlay = write(tmp_path / "vtk.cfg",
+                        fh.read() + "[output]\nvtk = on\nsnapshots = 0.25, 0.5\n")
+    out = tmp_path / "out"
+    code = cli.main([subcommand, "--preset", "mono_sine", "--config", overlay,
+                     "--out-dir", str(out)])
+    assert code in (cli.EXIT_OK, cli.EXIT_NONCONVERGED)
+    paths = sorted(out.glob("field_t*.vtk"))
+    assert [p.name for p in paths] == ["field_t0.25.vtk", "field_t0.5.vtk"]
+    n_nodes, n_elements = 5 * 3 * 3, 4 * 2 * 2
+    for path in paths:
+        counts, arrays = read_vtk_data(path)
+        assert counts == {"POINT_DATA": n_nodes, "CELL_DATA": n_elements}
+        assert sorted(arrays) == [("CELL_DATA", "damage"), ("CELL_DATA", "stress_mag"),
+                                  ("POINT_DATA", "u")]
+        assert arrays[("POINT_DATA", "u")].shape == (n_nodes, 3)
+        damage = arrays[("CELL_DATA", "damage")]
+        assert damage.shape == (n_elements,)
+        assert damage.min() >= 0.0 and damage.max() <= 1.0
+        stress = arrays[("CELL_DATA", "stress_mag")]
+        assert stress.shape == (n_elements,) and np.all(np.isfinite(stress))

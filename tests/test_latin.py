@@ -10,16 +10,15 @@ from scipy.linalg import eigh
 
 from latinpgd import cli, config, latin, material
 from latinpgd.assembly import strain_at_gauss
-from latinpgd.latin import _st_norm2, elastic_solution, latin_error, run_latin
+from latinpgd.latin import elastic_solution, latin_error, run_latin
 from latinpgd.material import (integrate_delay, reference_concrete,
                                released_energy, static_damage,
                                tension_peak_history)
 from latinpgd.mesh import generate_box_mesh
 from latinpgd.newmark import (LoadCase, compare_error, newmark_quasi_newton,
                               resample_fields_to_gauss)
-from latinpgd.pgd import PgdMode, compute_delta, mode_products
-from latinpgd.tensors import STRAIN_CONTRACTION, STRESS_CONTRACTION
-from latinpgd.timegrid import (TimeFunction, TimeGrid, quad_resample_to_gauss,
+from latinpgd.pgd import PgdMode, PgdSolution, compute_delta, mode_products
+from latinpgd.timegrid import (TimeFunction, TimeGrid, quad_resample_blocks,
                                tdgm_march)
 
 from test_material import assert_bitwise, closed_form_stress
@@ -41,17 +40,16 @@ def random_field(setup, seed):
     return rng.normal(size=(mesh.n_gauss, grid.n_gauss, 6))
 
 
-def test_st_norm2_of_constant_field_is_contraction_times_measure(setup):
+def test_solution_norms_of_constant_field_are_contraction_times_measure(setup):
     mesh, grid = setup
     v = np.array([1.0, -2.0, 3.0, 0.5, -1.0, 2.0])
     field = np.broadcast_to(v, (mesh.n_gauss, grid.n_gauss, 6))
     measure = 1.0 * 0.5            # box volume 1.0 m^3 times horizon 0.5 s
     normal = 1.0 + 4.0 + 9.0
     shear = 0.25 + 1.0 + 4.0
-    assert _st_norm2(mesh, grid, field, STRESS_CONTRACTION) == pytest.approx(
-        (normal + 2.0 * shear) * measure, rel=1e-12)
-    assert _st_norm2(mesh, grid, field, STRAIN_CONTRACTION) == pytest.approx(
-        (normal + 0.5 * shear) * measure, rel=1e-12)
+    norm_sig, norm_eps = global_norms(mesh, grid, field, field)
+    assert norm_sig == pytest.approx((normal + 2.0 * shear) * measure, rel=1e-12)
+    assert norm_eps == pytest.approx((normal + 0.5 * shear) * measure, rel=1e-12)
 
 
 def random_mode(setup, seed):
@@ -76,8 +74,8 @@ def dense_xi(mesh, grid, sig, sig_hat, eps, eps_hat):
 
 
 def global_norms(mesh, grid, sig, eps):
-    return (_st_norm2(mesh, grid, sig, STRESS_CONTRACTION),
-            _st_norm2(mesh, grid, eps, STRAIN_CONTRACTION))
+    """(|sig|^2, |eps|^2), as `run_latin` forms them (`PgdSolution.norms`)."""
+    return PgdSolution(grid, None, eps, sig).norms(mesh)
 
 
 def gap_norm2(delta, mesh, grid):
@@ -417,7 +415,7 @@ def test_elastic_start_is_the_resampled_elastic_march():
     res = newmark_quasi_newton(system, params, load,
                                np.linspace(0.0, grid.T, 2 * grid.n_elements + 1),
                                damage=False)
-    assert np.array_equal(el["u"], quad_resample_to_gauss(grid, res["u"]))
+    assert np.array_equal(el["u"], quad_resample_blocks(grid, res["u"][:, :, None])[:, :, 0])
     # strain of the resampled displacement == resampled strain of the march,
     # stored by a damaging march that stays below the threshold
     on = newmark_quasi_newton(system, params, load, res["times"], damage=True)

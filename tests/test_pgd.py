@@ -8,7 +8,6 @@ from latinpgd import pgd
 from latinpgd.assembly import (SpatialSystem, assemble_mass,
                                assemble_stiffness, internal_force,
                                strain_at_gauss)
-from latinpgd.latin import _st_norm2
 from latinpgd.material import reference_concrete
 from latinpgd.mesh import generate_box_mesh
 from latinpgd.pgd import (PgdMode, PgdSolution, compute_delta,
@@ -16,7 +15,6 @@ from latinpgd.pgd import (PgdMode, PgdSolution, compute_delta,
                           mode_products, normalize_mode, relax_mode,
                           space_problem, stagnation, strain_norm,
                           stress_spatial, time_lambda, time_mu)
-from latinpgd.tensors import STRAIN_CONTRACTION, STRESS_CONTRACTION
 from latinpgd.timegrid import TimeFunction, TimeGrid, tdgm_march
 
 P = reference_concrete()
@@ -665,8 +663,7 @@ class TestSolutionReconstruct:
                 TimeFunction(grid, rng.normal(size=(grid.n_elements, 4)))), mesh)
         u_f, eps_f, sig_f = sol.fields()
         # the norms formed while adding equal the ones read back, bit for bit
-        assert norms == (_st_norm2(mesh, grid, sig_f, STRESS_CONTRACTION),
-                         _st_norm2(mesh, grid, eps_f, STRAIN_CONTRACTION))
+        assert norms == sol.norms(mesh)
         eps_dense = eps_el.copy()
         sig_dense = sig_el.copy()
         u_dense = u_el.copy()

@@ -6,8 +6,7 @@ import pytest
 from scipy.linalg import lu_factor, lu_solve
 
 from latinpgd.timegrid import (TimeFunction, TimeGrid, _basis, l2_fit,
-                               quad_resample_blocks, quad_resample_to_gauss,
-                               tdgm_march)
+                               quad_resample_blocks, tdgm_march)
 
 
 class TestTimeGrid:
@@ -300,10 +299,10 @@ class TestQuadResample:
         out = quad_resample_blocks(g, fields)
         assert out.shape == (5, g.n_gauss, 6)
         np.testing.assert_allclose(out, ref, rtol=0.0, atol=1e-14 * np.abs(ref).max())
-        hist = rng.normal(size=(3, 4, 2 * 7 + 1))            # time axis last
+        hist = rng.normal(size=(12, 2 * 7 + 1))              # time axis last
         ref = per_element_quadratic(g, hist)
-        out = quad_resample_to_gauss(g, hist)
-        assert out.shape == (3, 4, g.n_gauss)
+        out = quad_resample_blocks(g, hist[:, :, None])[:, :, 0]
+        assert out.shape == (12, g.n_gauss)
         np.testing.assert_allclose(out, ref, rtol=0.0, atol=1e-14 * np.abs(ref).max())
 
     def test_kernel_reproduces_piecewise_quadratics(self):
@@ -323,8 +322,6 @@ class TestQuadResample:
         exact = history(g.all_gauss_times)
         out = quad_resample_blocks(g, history(steps)[:, :, None])[:, :, 0]
         np.testing.assert_allclose(out, exact, rtol=0.0, atol=1e-13 * np.abs(exact).max())
-        np.testing.assert_allclose(quad_resample_to_gauss(g, history(steps)), exact,
-                                   rtol=0.0, atol=1e-13 * np.abs(exact).max())
 
     def test_kernel_rejects_wrong_layout(self):
         g = TimeGrid(1.0, 4)
@@ -337,7 +334,7 @@ class TestQuadResample:
         g = TimeGrid(2.0, 10)
         steps = np.linspace(0.0, 2.0, 2 * 10 + 1)
         vals = 3.0 * steps ** 2 - steps + 0.5
-        out = quad_resample_to_gauss(g, vals)
+        out = quad_resample_blocks(g, vals[None, :, None])[0, :, 0]
         t = g.all_gauss_times
         assert np.allclose(out, 3.0 * t ** 2 - t + 0.5, atol=1e-12)
 
@@ -345,10 +342,10 @@ class TestQuadResample:
         rng = np.random.default_rng(17)
         g = TimeGrid(1.0, 4)
         vals = rng.normal(size=(3, 2 * 4 + 1))
-        out = quad_resample_to_gauss(g, vals)
+        out = quad_resample_blocks(g, vals[:, :, None])[:, :, 0]
         assert out.shape == (3, g.n_gauss)
 
     def test_wrong_sample_count_rejected(self):
         g = TimeGrid(1.0, 4)
         with pytest.raises(ValueError):
-            quad_resample_to_gauss(g, np.zeros(8))
+            quad_resample_blocks(g, np.zeros((1, 8, 1)))
