@@ -1,14 +1,31 @@
 """Command-line front end: configure, run, and dump the two solvers.
 
-Subcommands
-    run-latin    non-incremental solve; convergence log, damage series,
-                 mode dump, optional VTK snapshots.
-    run-newmark  incremental reference solve; same output layout.
-    compare      both solvers back to back plus the space-time error metric.
-    matpoint     single-material-point driver on a strain-signal CSV.
-    modal        natural-frequency table of the configured mesh.
-    calibrate    sweep the load amplitude until the reference solver peaks
-                 at a target maximum damage.
+Each subcommand writes into its output directory.  Every table is a CSV
+with one header line, floats in %.17g and counts as integers.
+
+run-latin    non-incremental solve.
+    convergence_log.csv       iteration,modes,xi,cre,seconds (%.6f since start)
+    damage_monitored.csv      t,d of the Gauss point whose damage history peaks
+    modes/mode_###_space.csv  node,ux,uy,uz
+    modes/mode_###_time.csv   element,local_node,t,lam,mu at the time nodes
+    field_t<t>.vtk            vtk = on: nodal u, element damage and stress_mag
+    manifest.json             config hash, seed, versions, threads, work done
+run-newmark  incremental reference solve.
+    step_log.csv              step,t,iterations,passes
+    damage_monitored.csv, field_t<t>.vtk, manifest.json  as for run-latin
+compare      both solvers back to back plus the space-time error metric.
+    latin/, newmark/          the two runs' files, without their manifests
+    comparison.csv            eps_percent,latin_modes,latin_xi,latin_converged,
+                              d_latin,d_newmark,d_gap_percent
+    manifest.json
+matpoint     single-material-point driver on a strain-signal CSV.
+    matpoint.csv              t,eps_x,sig_x,d,dbar,Y (default directory: .)
+modal        natural-frequency table of the configured mesh.
+    modal.csv                 mode,frequency_hz
+    mesh.vtk, manifest.json   the bare mesh with vtk = on
+calibrate    sweep the load amplitude until the reference solver peaks at a
+             target maximum damage.
+    calibration.csv           scale,amplitudes,d_max (amplitudes ';'-separated)
 
 Exit codes: 0 success / converged; 2 invalid input or configuration;
 3 solver finished without reaching its convergence threshold (partial
@@ -131,57 +148,110 @@ def _write_manifest(path, body):
         fh.write("\n")
 
 
-def _write_convergence_log(path, rows):
-    with open(path, "w") as fh:
-        fh.write("iteration,modes,xi,cre,seconds\n")
-        for row in rows:
-            fh.write("%d,%d,%.17g,%.17g,%.6f\n"
-                     % (row["iteration"], row["modes"], row["xi"],
-                        row["cre"], row["seconds"]))
+def _write_table(path, header, fmt, columns):
+    """Write equal-length columns under `header` to a file name or open file.
 
-
-def _write_damage_series(path, t, d):
-    with open(path, "w") as fh:
-        fh.write("t,d\n")
-        for k in range(t.size):
-            fh.write("%.17g,%.17g\n" % (t[k], d[k]))
-
-
-def _stress_magnitude(sig):
-    """Frobenius norm of engineering-Voigt stresses (..., 6)."""
+    `fmt` formats a row, one %-field per column ("%d,%.17g"); a single field
+    repeats over every column, space-separated.
+    """
     import numpy as np
 
-    from .tensors import STRESS_CONTRACTION
+    np.savetxt(path, np.column_stack(columns), fmt=fmt, header=header, comments="")
 
-    return np.sqrt(sig ** 2 @ STRESS_CONTRACTION)
+
+def _write_damage_series(out, times, d):
+    """Write damage_monitored.csv for the monitored point of either solver,
+    the row of d (n_gauss, n_t) whose damage history peaks; return its index."""
+    gp = int(d.max(axis=1).argmax())
+    _write_table(os.path.join(out, "damage_monitored.csv"), "t,d", "%.17g,%.17g",
+                 [times, d[gp]])
+    return gp
+
+
+def _write_vtk(mesh, path, point_data=None, cell_data=None):
+    """Dump the mesh as a legacy ASCII VTK unstructured grid (cell type 12).
+
+    point_data / cell_data: dicts mapping names to scalar arrays (n_nodes,) /
+    (n_elements,) or vector arrays (n_nodes, 3).
+    """
+    import numpy as np
+
+    n_el = mesh.n_elements
+    with open(path, "w") as fh:
+        fh.write("# vtk DataFile Version 2.0\nhexahedral box mesh\nASCII\n"
+                 "DATASET UNSTRUCTURED_GRID\n")
+        _write_table(fh, "POINTS %d double" % mesh.n_nodes, "%.17g", mesh.nodes.T)
+        _write_table(fh, "CELLS %d %d" % (n_el, 9 * n_el), "%d",
+                     [np.full(n_el, 8), *mesh.conn.T])
+        _write_table(fh, "CELL_TYPES %d" % n_el, "%d", [np.full(n_el, 12)])
+        for tag, n, data in (("POINT_DATA", mesh.n_nodes, point_data),
+                             ("CELL_DATA", n_el, cell_data)):
+            if not data:
+                continue
+            fh.write("%s %d\n" % (tag, n))
+            for name, arr in data.items():
+                arr = np.asarray(arr, dtype=float)
+                if arr.shape == (n, 3):
+                    _write_table(fh, "VECTORS %s double" % name, "%.17g", arr.T)
+                elif arr.shape == (n,):
+                    _write_table(fh, "SCALARS %s double 1\nLOOKUP_TABLE default" % name,
+                                 "%.17g", [arr])
+                else:
+                    raise ValueError("field %r has shape %s, expected (%d,) "
+                                     "or (%d, 3)" % (name, arr.shape, n, n))
+
+
+def _dump_modes(solution, directory):
+    """Write per-mode CSV pairs (spatial nodal vector; temporal nodal values).
+
+    Returns the list of file paths written (mode_###_space.csv with columns
+    node,ux,uy,uz and mode_###_time.csv with element,local_node,t,lam,mu).
+    """
+    import numpy as np
+
+    g = solution.grid
+    element = np.repeat(np.arange(g.n_elements), 4)
+    local_node = np.tile(np.arange(4), g.n_elements)
+    paths = []
+    for i, mode in enumerate(solution.modes):
+        spath = os.path.join(directory, "mode_%03d_space.csv" % i)
+        u3 = mode.u_bar.reshape(-1, 3)
+        _write_table(spath, "node,ux,uy,uz", "%d,%.17g,%.17g,%.17g",
+                     [np.arange(u3.shape[0]), *u3.T])
+        tpath = os.path.join(directory, "mode_%03d_time.csv" % i)
+        _write_table(tpath, "element,local_node,t,lam,mu", "%d,%d,%.17g,%.17g,%.17g",
+                     [element, local_node, g.node_times.ravel(),
+                      mode.lam.coeffs.ravel(), mode.mu.coeffs.ravel()])
+        paths.extend([spath, tpath])
+    return paths
 
 
 def _write_snapshots(conf, out, mesh, times, u, d, sig):
     """VTK fields at the configured instants (default: the end of the load).
 
     Each instant takes the nearest sample of `times`, the last axis of the
-    nodal u and of the Gauss-point d and sig; damage and stress magnitude
-    are averaged over each element's Gauss points.
+    nodal u and of the Gauss-point d and sig; damage and the stress
+    magnitude (Frobenius norm) are averaged over each element's Gauss points.
     """
     if not conf.output.vtk:
         return
     import numpy as np
 
-    from .mesh import write_vtk
+    from .tensors import STRESS_CONTRACTION
 
     n_el = mesh.n_elements
     for t_star in conf.output.snapshots or (conf.load.T,):
         k = int(np.argmin(np.abs(times - t_star)))
         point = {"u": u[:, k].reshape(-1, 3)}
+        mag = np.sqrt(sig[:, k] ** 2 @ STRESS_CONTRACTION)
         cell = {"damage": d[:, k].reshape(n_el, 8).mean(axis=1),
-                "stress_mag": _stress_magnitude(sig[:, k]).reshape(n_el, 8).mean(axis=1)}
-        write_vtk(mesh, os.path.join(out, "field_t%g.vtk" % t_star),
-                  point_data=point, cell_data=cell)
+                "stress_mag": mag.reshape(n_el, 8).mean(axis=1)}
+        _write_vtk(mesh, os.path.join(out, "field_t%g.vtk" % t_star),
+                   point_data=point, cell_data=cell)
 
 
 def _run_latin(conf, out, params, system, load):
     from .latin import run_latin
-    from .pgd import dump_modes
 
     grid = conf.solver.build_grid(conf.load.T)
     state = run_latin(system, params, load, grid,
@@ -191,16 +261,16 @@ def _run_latin(conf, out, params, system, load):
                       seed=conf.solver.seed,
                       enrich_zeta=conf.solver.zeta_stop)
 
-    _write_convergence_log(os.path.join(out, "convergence_log.csv"), state.log)
-    gp = state.monitored_point()
-    _write_damage_series(os.path.join(out, "damage_monitored.csv"),
-                         grid.all_gauss_times, state.damage[gp])
+    keys = ("iteration", "modes", "xi", "cre", "seconds")
+    _write_table(os.path.join(out, "convergence_log.csv"), ",".join(keys),
+                 "%d,%d,%.17g,%.17g,%.6f", [[row[k] for row in state.log] for k in keys])
+    gp = _write_damage_series(out, grid.all_gauss_times, state.damage)
     mode_dir = os.path.join(out, "modes")
     os.makedirs(mode_dir, exist_ok=True)
-    dump_modes(state.solution, mode_dir)
+    _dump_modes(state.solution, mode_dir)
     u, _, sig = state.solution.fields()
     _write_snapshots(conf, out, system.mesh, grid.all_gauss_times, u, state.damage, sig)
-    return state
+    return state, gp
 
 
 def _latin_work(state, system):
@@ -215,11 +285,11 @@ def cmd_run_latin(args):
     conf = _load_config(args)
     out = _out_dir(args, conf)
     _, params, system, load = _build_problem(conf)
-    state = _run_latin(conf, out, params, system, load)
+    state, gp = _run_latin(conf, out, params, system, load)
     body = _config_manifest(conf, "run-latin",
                             {"converged": state.converged,
                              "modes": state.n_modes, "xi": state.xi,
-                             "monitored_gauss_point": state.monitored_point(),
+                             "monitored_gauss_point": gp,
                              "elastic_seconds": state.elastic_seconds,
                              **_latin_work(state, system)})
     _write_manifest(os.path.join(out, "manifest.json"), body)
@@ -232,15 +302,11 @@ def _run_newmark(conf, out, params, system, load):
     times = conf.solver.newmark_times(conf.load.T)
     res = newmark_quasi_newton(system, params, load, times,
                                tol=conf.solver.newmark_tol)
-    d_final = res["d"][:, -1]
-    gp = int(d_final.argmax())
-    _write_damage_series(os.path.join(out, "damage_monitored.csv"),
-                         times, res["d"][gp])
-    with open(os.path.join(out, "step_log.csv"), "w") as fh:
-        fh.write("step,t,iterations,passes\n")
-        for k, (n, p) in enumerate(zip(res["info"]["iterations"],
-                                       res["info"]["passes"])):
-            fh.write("%d,%.17g,%d,%d\n" % (k + 1, times[k + 1], n, p))
+    gp = _write_damage_series(out, times, res["d"])
+    info = res["info"]
+    _write_table(os.path.join(out, "step_log.csv"), "step,t,iterations,passes",
+                 "%d,%.17g,%d,%d",
+                 [range(1, times.size), times[1:], info["iterations"], info["passes"]])
     _write_snapshots(conf, out, system.mesh, times, res["u"], res["d"], res["sig"])
     return res, gp
 
@@ -259,7 +325,7 @@ def cmd_run_newmark(args):
     res, gp = _run_newmark(conf, out, params, system, load)
     body = _config_manifest(conf, "run-newmark",
                             {"monitored_gauss_point": gp,
-                             "max_damage": float(res["d"][:, -1].max()),
+                             "max_damage": float(res["d"].max()),
                              **_newmark_work(res["info"])})
     _write_manifest(os.path.join(out, "manifest.json"), body)
     return EXIT_OK
@@ -279,7 +345,7 @@ def cmd_compare(args):
     # One mesh and one set of matrices; the reference gets its own system,
     # so each solver's factorizations are its own.
     _, params, system, load = _build_problem(conf)
-    state = _run_latin(conf, latin_dir, params, system, load)
+    state, _ = _run_latin(conf, latin_dir, params, system, load)
     reference = SpatialSystem(system.mesh, system.M, system.K, system.C)
     res, _ = _run_newmark(conf, newmark_dir, params, reference, load)
     ref_eps, ref_sig = resample_fields_to_gauss(state.solution.grid, res)
@@ -288,12 +354,12 @@ def cmd_compare(args):
     d_latin = float(state.damage.max())
     d_ref = float(res["d"].max())
     gap = abs(d_latin - d_ref) / d_ref * 100.0 if d_ref > 0 else 0.0
-    with open(os.path.join(out, "comparison.csv"), "w") as fh:
-        fh.write("eps_percent,latin_modes,latin_xi,latin_converged,"
-                 "d_latin,d_newmark,d_gap_percent\n")
-        fh.write("%.17g,%d,%.17g,%d,%.17g,%.17g,%.17g\n"
-                 % (eps_pc, state.n_modes, state.xi, int(state.converged),
-                    d_latin, d_ref, gap))
+    _write_table(os.path.join(out, "comparison.csv"),
+                 "eps_percent,latin_modes,latin_xi,latin_converged,"
+                 "d_latin,d_newmark,d_gap_percent",
+                 "%.17g,%d,%.17g,%d,%.17g,%.17g,%.17g",
+                 [eps_pc, state.n_modes, state.xi, int(state.converged),
+                  d_latin, d_ref, gap])
     body = _config_manifest(conf, "compare",
                             {"eps_percent": eps_pc, "converged": state.converged,
                              "modes": state.n_modes,
@@ -320,13 +386,9 @@ def cmd_matpoint(args):
     series = matpoint_drive(times, eps_x, params)
     out = args.out_dir if args.out_dir else "."
     os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, "matpoint.csv")
-    with open(path, "w") as fh:
-        fh.write("t,eps_x,sig_x,d,dbar,Y\n")
-        for k in range(times.size):
-            fh.write("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n"
-                     % (times[k], eps_x[k], series["sig_x"][k],
-                        series["d"][k], series["dbar"][k], series["Y"][k]))
+    _write_table(os.path.join(out, "matpoint.csv"), "t,eps_x,sig_x,d,dbar,Y",
+                 ",".join(["%.17g"] * 6),
+                 [times, eps_x, series["sig_x"], series["d"], series["dbar"], series["Y"]])
     return EXIT_OK
 
 
@@ -337,13 +399,10 @@ def cmd_modal(args):
     out = _out_dir(args, conf)
     mesh, params, system, _ = _build_problem(conf)
     freqs, _ = modal_analysis(system.Mff, system.Kff, args.count)
-    with open(os.path.join(out, "modal.csv"), "w") as fh:
-        fh.write("mode,frequency_hz\n")
-        for k, f in enumerate(freqs, start=1):
-            fh.write("%d,%.17g\n" % (k, f))
+    _write_table(os.path.join(out, "modal.csv"), "mode,frequency_hz", "%d,%.17g",
+                 [range(1, freqs.size + 1), freqs])
     if conf.output.vtk:
-        from .mesh import write_vtk
-        write_vtk(mesh, os.path.join(out, "mesh.vtk"))
+        _write_vtk(mesh, os.path.join(out, "mesh.vtk"))
     body = _config_manifest(conf, "modal",
                             {"frequencies_hz": [float(f) for f in freqs]})
     _write_manifest(os.path.join(out, "manifest.json"), body)
@@ -351,6 +410,8 @@ def cmd_modal(args):
 
 
 def cmd_calibrate(args):
+    import numpy as np
+
     from .newmark import LoadCase, newmark_quasi_newton
 
     conf = _load_config(args)
@@ -385,11 +446,10 @@ def cmd_calibrate(args):
         else:
             hi = row
     best = min(rows, key=lambda r: abs(r[1] - target))
-    with open(os.path.join(out, "calibration.csv"), "w") as fh:
-        fh.write("scale,amplitudes,d_max\n")
-        for scale, dm in rows:
-            amps = ";".join("%.17g" % (a * scale) for a in conf.load.amplitudes)
-            fh.write("%.17g,%s,%.17g\n" % (scale, amps, dm))
+    scales, peaks = zip(*rows)
+    _write_table(os.path.join(out, "calibration.csv"), "scale,amplitudes,d_max",
+                 "%.17g," + ";".join(["%.17g"] * load.amplitudes.size) + ",%.17g",
+                 [scales, *np.outer(load.amplitudes, scales), peaks])
     bracket = ("final bracket (lo, d_lo) = (%.6g, %.4f), (hi, d_hi) = (%.6g, %.4f)"
                % (lo + hi))
     if not straddled:

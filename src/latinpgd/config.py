@@ -135,6 +135,12 @@ class RunConfig:
     solver: SolverConfig
     output: OutputConfig
 
+    def __post_init__(self):
+        outside = [t for t in self.output.snapshots if not 0.0 <= t <= self.load.T]
+        if outside:
+            raise ValueError("snapshots must lie in [0, T] = [0, %g], got %s"
+                             % (self.load.T, ", ".join("%g" % t for t in outside)))
+
 
 # Section -> the RunConfig part it builds, in canonical order.
 _SECTION_CLASSES = {"mesh": MeshConfig, "material": MaterialParams,
@@ -261,11 +267,13 @@ def _section_fields(config, name):
 
 
 def _overlay(config, sections):
+    # One RunConfig build, so checks across sections see the merged whole.
+    parts = {}
     for name, body in sections.items():
         merged = _section_fields(config, name)
         merged.update(body)
-        config = replace(config, **{name: _SECTION_CLASSES[name](**merged)})
-    return config
+        parts[name] = _SECTION_CLASSES[name](**merged)
+    return replace(config, **parts)
 
 
 def parse_config(path, base=None):

@@ -120,12 +120,6 @@ class LatinState:
         """Damage history of the last local stage (n_gauss, n_gauss_t)."""
         return None if self.hat is None else self.hat["d"]
 
-    def monitored_point(self):
-        """Spatial Gauss index where the damage history peaks."""
-        if self.hat is None:
-            raise ValueError("no local stage has run yet")
-        return int(self.hat["d"].max(axis=1).argmax())
-
 
 def run_latin(system, params, load, grid, *, zeta_stop, max_modes, omega, seed,
               enrich_zeta):

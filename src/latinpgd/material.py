@@ -458,13 +458,21 @@ def matpoint_drive(times, eps_x, params):
     constitutive response in one evaluation.
 
     Returns a dict of time series: sig_x, d, dbar, Y (the released energy
-    itself, also below the threshold).
+    itself, also below the threshold).  The times must be finite,
+    non-negative and strictly increasing; the first row that is not raises.
     """
     times = np.asarray(times, dtype=float)
     eps_x = np.asarray(eps_x, dtype=float)
     n_t = times.size
     if eps_x.shape != (n_t,):
         raise ValueError("eps_x must have shape (%d,)" % n_t)
+    ok = np.isfinite(times) & (times >= 0.0)
+    ok[1:] &= times[1:] > times[:-1]
+    if not ok.all():
+        k = int(ok.argmin())
+        after = " after times[%d] = %g" % (k - 1, times[k - 1]) if k else ""
+        raise ValueError("signal times must be finite, non-negative and increasing: "
+                         "times[%d] = %g%s" % (k, times[k], after))
     eps = np.zeros((1, n_t, 6))
     eps[0, :, 0] = eps_x
     hooke = params.hooke()

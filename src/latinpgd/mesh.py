@@ -94,7 +94,6 @@ class Mesh:
         B[:, :, 5, :, 1] = dNx[..., 0]
         self.B = B.reshape(n_el, n_gpe, 6, 24)
         self.gp_weights = detJ                          # reference weights are 1
-        self.n_gauss_per_element = n_gpe
         self.n_gauss = n_el * n_gpe
 
 
@@ -132,44 +131,3 @@ def generate_box_mesh(d1, d2, d3, nx, ny, nz):
     end = np.isclose(nodes[:, 0], 0.0) | np.isclose(nodes[:, 0], d1)
     sel = end & np.isclose(nodes[:, 2], 0.5 * d3)
     return Mesh(nodes, conn, np.nonzero(sel)[0])
-
-
-def write_vtk(mesh, path, point_data=None, cell_data=None):
-    """Dump the mesh as a legacy ASCII VTK unstructured grid (cell type 12).
-
-    point_data / cell_data: dicts mapping names to scalar arrays (n_nodes,) /
-    (n_elements,) or vector arrays (n_nodes, 3).
-    """
-    with open(path, "w") as fh:
-        fh.write("# vtk DataFile Version 2.0\n")
-        fh.write("hexahedral box mesh\n")
-        fh.write("ASCII\n")
-        fh.write("DATASET UNSTRUCTURED_GRID\n")
-        fh.write("POINTS %d double\n" % mesh.n_nodes)
-        for p in mesh.nodes:
-            fh.write("%.17g %.17g %.17g\n" % tuple(p))
-        fh.write("CELLS %d %d\n" % (mesh.n_elements, 9 * mesh.n_elements))
-        for c in mesh.conn:
-            fh.write("8 " + " ".join(str(int(i)) for i in c) + "\n")
-        fh.write("CELL_TYPES %d\n" % mesh.n_elements)
-        for _ in range(mesh.n_elements):
-            fh.write("12\n")
-        for tag, n, data in (("POINT_DATA", mesh.n_nodes, point_data),
-                             ("CELL_DATA", mesh.n_elements, cell_data)):
-            if not data:
-                continue
-            fh.write("%s %d\n" % (tag, n))
-            for name, arr in data.items():
-                arr = np.asarray(arr, dtype=float)
-                if arr.ndim == 2 and arr.shape == (n, 3):
-                    fh.write("VECTORS %s double\n" % name)
-                    for v in arr:
-                        fh.write("%.17g %.17g %.17g\n" % tuple(v))
-                elif arr.shape == (n,):
-                    fh.write("SCALARS %s double 1\n" % name)
-                    fh.write("LOOKUP_TABLE default\n")
-                    for v in arr:
-                        fh.write("%.17g\n" % v)
-                else:
-                    raise ValueError("field %r has shape %s, expected (%d,) "
-                                     "or (%d, 3)" % (name, arr.shape, n, n))

@@ -216,8 +216,8 @@ def newmark_quasi_newton(system, params, load, times, damage=True, tol=1e-4):
     acceleration histories u, v, a (n_dofs, n_t) and an `info` block
     (`iterations`: per-step correction counts summed over staggered passes,
     each at least 1; `passes`: per-step stagger pass counts, each at least
-    1, and 1 on every step of an elastic march; factorization count;
-    residual reference).  With damage=True it also holds the Gauss
+    1, and 1 on every step of an elastic march; `factorizations`: the
+    march's factorization count).  With damage=True it also holds the Gauss
     strain/stress histories eps, sig (n_gauss, n_t, 6) and the damage
     history d (n_gauss, n_t).  With damage=False those three keys are
     absent: the elastic march evaluates nothing at the Gauss points (its
@@ -251,8 +251,7 @@ def newmark_quasi_newton(system, params, load, times, damage=True, tol=1e-4):
     # its load as a contiguous row.
     f_sup = system.Mfp @ a_p + system.Kfp @ u_p
     f_sup += system.Cfp @ v_p
-    ref = np.linalg.norm(f_sup, axis=0).max()
-    tol_abs = tol * ref
+    tol_abs = tol * np.linalg.norm(f_sup, axis=0).max()
     f_sup = f_sup.T.copy()
 
     u = np.zeros((mesh.n_dofs, n_t))
@@ -395,8 +394,7 @@ def newmark_quasi_newton(system, params, load, times, damage=True, tol=1e-4):
                 dmg[:, block] = d_rows[:j + 1].T
 
     info = {"iterations": iters, "passes": passes,
-            "factorizations": system.n_factorizations - n_fact0,
-            "residual_reference": ref}
+            "factorizations": system.n_factorizations - n_fact0}
     out = {"times": times, "u": u, "v": v, "a": acc, "info": info}
     if damage:
         out.update(eps=eps, sig=sig, d=dmg)

@@ -427,32 +427,3 @@ class PgdSolution:
     def fields(self):
         """Reconstructed (u, eps, sig); u is nodal, eps/sig on Gauss points."""
         return self._u, self._eps, self._sig
-
-
-def dump_modes(solution, directory):
-    """Write per-mode CSV pairs (spatial nodal vector; temporal nodal values).
-
-    Returns the list of file paths written (mode_###_space.csv with columns
-    node,ux,uy,uz and mode_###_time.csv with element,local_node,t,lam,mu).
-    """
-    import os
-
-    paths = []
-    for i, mode in enumerate(solution.modes):
-        spath = os.path.join(directory, "mode_%03d_space.csv" % i)
-        with open(spath, "w") as fh:
-            fh.write("node,ux,uy,uz\n")
-            u3 = mode.u_bar.reshape(-1, 3)
-            for n in range(u3.shape[0]):
-                fh.write("%d,%.17g,%.17g,%.17g\n" % (n, u3[n, 0], u3[n, 1], u3[n, 2]))
-        tpath = os.path.join(directory, "mode_%03d_time.csv" % i)
-        g = solution.grid
-        with open(tpath, "w") as fh:
-            fh.write("element,local_node,t,lam,mu\n")
-            for k in range(g.n_elements):
-                for j in range(4):
-                    fh.write("%d,%d,%.17g,%.17g,%.17g\n"
-                             % (k, j, g.node_times[k, j],
-                                mode.lam.coeffs[k, j], mode.mu.coeffs[k, j]))
-        paths.extend([spath, tpath])
-    return paths

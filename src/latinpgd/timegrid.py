@@ -89,7 +89,6 @@ class TimeGrid:
         self.step_times = np.linspace(0.0, self.T, 2 * self.n_elements + 1)
         self.node_times = self.t_bounds[:-1, None] + self.h * _NODES[None, :]
         self.gauss_local = _GX
-        self.gauss_weights_local = _GW
         self.gauss_times = self.t_bounds[:-1, None] + self.h * _GX[None, :]
         # flattened views over all elements
         self.all_gauss_times = self.gauss_times.ravel()

@@ -1,6 +1,10 @@
-"""Command-line checks: exit codes 0 (success), 2 (bad input) and 3 (not converged)."""
+"""Command-line checks: exit codes 0 (success), 2 (bad input) and 3 (not
+converged), the table writer and the import-time footprint."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -46,6 +50,56 @@ def test_signal_with_wrong_column_count_exits_2(tmp_path, capsys):
     code = cli.main(["matpoint", "--signal", signal, "--out-dir", str(tmp_path / "out")])
     assert code == cli.EXIT_INPUT
     assert "two columns" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("times, words", [
+    ("0, 0.3, 0.2, 0.1, 0.4", "times[2] = 0.2 after times[1] = 0.3"),
+    ("-0.1, 0.1, 0.2, 0.3, 0.4", "times[0] = -0.1"),
+    ("0, 0.1, nan, 0.3, 0.4", "times[2] = nan"),
+])
+def test_signal_with_a_broken_time_axis_exits_2(tmp_path, capsys, times, words):
+    rows = "".join("%s,1e-4\n" % t for t in times.split(", "))
+    signal = write(tmp_path / "signal.csv", "t,eps_x\n" + rows)
+    out = tmp_path / "out"
+    code = cli.main(["matpoint", "--signal", signal, "--out-dir", str(out)])
+    assert code == cli.EXIT_INPUT
+    assert words in capsys.readouterr().err
+    assert not (out / "matpoint.csv").exists()
+
+
+def test_snapshot_after_the_horizon_exits_2(tmp_path, capsys):
+    overlay = write(tmp_path / "late.cfg", "[load]\nT = 0.5\n"
+                                           "[output]\nvtk = on\nsnapshots = 3.0\n")
+    out = tmp_path / "out"
+    code = cli.main(["run-latin", "--preset", "mono_sine", "--config", overlay,
+                     "--out-dir", str(out)])
+    assert code == cli.EXIT_INPUT
+    assert "snapshots must lie in [0, T] = [0, 0.5], got 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_write_table_round_trips_floats_and_prints_integers_bare(tmp_path):
+    rng = np.random.default_rng(7)
+    floats = rng.normal(size=(3, 50)) * 10.0 ** rng.integers(-300, 300, size=(3, 50))
+    path = tmp_path / "table.csv"
+    cli._write_table(path, "k,a,b,c", "%d,%.17g,%.17g,%.17g",
+                     [np.arange(50), *floats])
+    lines = path.read_text().splitlines()
+    assert lines[0] == "k,a,b,c" and len(lines) == 51
+    assert [line.split(",")[0] for line in lines[1:]] == [str(k) for k in range(50)]
+    back = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert np.array_equal(back[:, 1:].T, floats)
+
+
+def test_importing_the_cli_loads_no_numeric_library():
+    # --threads only reaches BLAS if numpy is first imported after it is set
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    probe = ("import sys, latinpgd.cli; "
+             "print(sorted({'numpy', 'scipy'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def tiny_overlay(tmp_path):

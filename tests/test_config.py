@@ -71,6 +71,19 @@ def test_canonical_round_trip(tmp_path, name):
     assert canonical(back) == canonical(conf)
 
 
+def test_snapshot_outside_the_horizon_is_rejected(tmp_path):
+    with pytest.raises(ValueError, match=r"snapshots must lie in \[0, T\] = \[0, 0.5\]"):
+        parse_config(write(tmp_path, "[load]\nT = 0.5\n[output]\nsnapshots = 0.25, 3.0\n"),
+                     base=preset("mono_sine"))
+    with pytest.raises(ValueError, match="snapshots .* got -1"):
+        parse_config(write(tmp_path, "[output]\nsnapshots = -1.0\n"),
+                     base=preset("mono_sine"))
+    # the overlay is checked once merged, whatever the section order
+    conf = parse_config(write(tmp_path, "[output]\nsnapshots = 2.5\n[load]\nT = 3.0\n"),
+                        base=preset("mono_sine"))
+    assert conf.output.snapshots == (2.5,) and conf.load.T == 3.0
+
+
 def test_empty_snapshot_list_is_the_empty_tuple(tmp_path):
     # a tuple key may be empty exactly when its default is ()
     sections = read_sections(write(tmp_path, "[output]\nsnapshots =\n"))

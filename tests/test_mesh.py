@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from latinpgd.mesh import Mesh, generate_box_mesh, write_vtk
+from latinpgd.cli import _write_vtk
+from latinpgd.mesh import Mesh, generate_box_mesh
 
 
 class TestGeneration:
@@ -68,10 +69,10 @@ class TestVtkDump:
     def test_legacy_ascii_layout(self, tmp_path):
         mesh = generate_box_mesh(2.0, 1.0, 1.0, 2, 1, 2)
         path = tmp_path / "mesh.vtk"
-        write_vtk(mesh, path,
-                  point_data={"u": np.zeros((mesh.n_nodes, 3)),
-                              "z_coord": mesh.nodes[:, 2]},
-                  cell_data={"damage": np.linspace(0.0, 1.0, mesh.n_elements)})
+        _write_vtk(mesh, path,
+                   point_data={"u": np.zeros((mesh.n_nodes, 3)),
+                               "z_coord": mesh.nodes[:, 2]},
+                   cell_data={"damage": np.linspace(0.0, 1.0, mesh.n_elements)})
         lines = path.read_text().splitlines()
         assert lines[0].startswith("# vtk DataFile")
         assert lines[2] == "ASCII"
@@ -91,7 +92,7 @@ class TestVtkDump:
     def test_points_roundtrip(self, tmp_path):
         mesh = generate_box_mesh(1.0, 2.0, 3.0, 2, 2, 2)
         path = tmp_path / "mesh.vtk"
-        write_vtk(mesh, path)
+        _write_vtk(mesh, path)
         lines = path.read_text().splitlines()
         pts = np.array([[float(x) for x in lines[5 + i].split()]
                         for i in range(mesh.n_nodes)])
@@ -100,4 +101,4 @@ class TestVtkDump:
     def test_bad_field_shape_rejected(self, tmp_path):
         mesh = generate_box_mesh(1.0, 1.0, 1.0, 1, 1, 2)
         with pytest.raises(ValueError):
-            write_vtk(mesh, tmp_path / "m.vtk", point_data={"bad": np.zeros(5)})
+            _write_vtk(mesh, tmp_path / "m.vtk", point_data={"bad": np.zeros(5)})

@@ -399,7 +399,7 @@ class TestSplitForce:
         Half of the elements carry damage; inside them d mixes 0 and (0, 1].
         """
         full = rng.normal(size=mesh.n_dofs) * 1e-5
-        d = rng.uniform(0.0, 1.0, (mesh.n_elements, mesh.n_gauss_per_element))
+        d = rng.uniform(0.0, 1.0, mesh.gp_weights.shape)
         d[rng.random(d.shape) < 0.5] = 0.0
         d[rng.permutation(mesh.n_elements)[: mesh.n_elements // 2]] = 0.0
         d = d.ravel()

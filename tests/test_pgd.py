@@ -10,12 +10,13 @@ from latinpgd.assembly import (SpatialSystem, assemble_mass,
                                strain_at_gauss)
 from latinpgd.material import reference_concrete
 from latinpgd.mesh import generate_box_mesh
+from latinpgd.cli import _dump_modes
 from latinpgd.pgd import (PgdMode, PgdSolution, compute_delta,
-                          cre_functional, dump_modes, enrich,
+                          cre_functional, enrich,
                           mode_products, normalize_mode, relax_mode,
                           space_problem, stagnation, strain_norm,
                           stress_spatial, time_lambda, time_mu)
-from latinpgd.timegrid import TimeFunction, TimeGrid, tdgm_march
+from latinpgd.timegrid import _GW, TimeFunction, TimeGrid, tdgm_march
 
 P = reference_concrete()
 HOOKE = P.hooke()
@@ -294,7 +295,7 @@ class TestTimeMu:
         se = wg @ np.einsum("gv,gv->g", sig_b, eps_b)
         sd = np.einsum("gv,gtv,g->t", HOOKE.apply_inverse(sig_b), delta, wg)
         num = se * lam.values_at_gauss() - sd
-        wloc = grid.gauss_weights_local * grid.h
+        wloc = _GW * grid.h
         block = den * (grid.N * wloc[:, None]).T @ grid.N
         dense = np.empty((grid.n_elements, 4))
         for k in range(grid.n_elements):
@@ -700,7 +701,7 @@ class TestDumpModes:
     def test_csv_pair_layout(self, setup, tmp_path):
         mesh, system, grid = setup
         sol = normalized_solution(setup, n=2)
-        paths = dump_modes(sol, str(tmp_path))
+        paths = _dump_modes(sol, str(tmp_path))
         assert len(paths) == 4
         space = (tmp_path / "mode_000_space.csv").read_text().splitlines()
         assert space[0] == "node,ux,uy,uz"

@@ -5,7 +5,7 @@ import pytest
 
 from scipy.linalg import lu_factor, lu_solve
 
-from latinpgd.timegrid import (TimeFunction, TimeGrid, _basis, l2_fit,
+from latinpgd.timegrid import (_GW, TimeFunction, TimeGrid, _basis, l2_fit,
                                quad_resample_blocks, tdgm_march)
 
 
@@ -238,7 +238,7 @@ def per_element_march(grid, a, c, b, f, lam_init=0.0, vel_init=0.0):
     """
     g = grid
     f = np.asarray(f, dtype=float).reshape(g.n_elements, 4)
-    x, w = g.gauss_local, g.gauss_weights_local
+    x, w = g.gauss_local, _GW
     test = np.array([w * p * x ** (p - 1) for p in (1, 2, 3)])
     A = (test @ (a * g.d2N + c * g.dN + b * g.N))[:, 1:]
     A[0] += a / g.h * _basis(0.0, 1)[1:] / g.h
