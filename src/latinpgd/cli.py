@@ -168,18 +168,18 @@ def _write_damage_series(out, times, d):
     return gp
 
 
-def _write_vtk(mesh, path, point_data=None, cell_data=None):
+def _write_vtk(mesh, path, point_data=None, cell_data=None, t=None):
     """Dump the mesh as a legacy ASCII VTK unstructured grid (cell type 12).
 
     point_data / cell_data: dicts mapping names to scalar arrays (n_nodes,) /
-    (n_elements,) or vector arrays (n_nodes, 3).
+    (n_elements,) or vector arrays (n_nodes, 3).  t: the time they hold.
     """
     import numpy as np
 
     n_el = mesh.n_elements
     with open(path, "w") as fh:
-        fh.write("# vtk DataFile Version 2.0\nhexahedral box mesh\nASCII\n"
-                 "DATASET UNSTRUCTURED_GRID\n")
+        fh.write("# vtk DataFile Version 2.0\nhexahedral box mesh%s\nASCII\nDATASET "
+                 "UNSTRUCTURED_GRID\n" % ("" if t is None else " at t = %.17g s" % t))
         _write_table(fh, "POINTS %d double" % mesh.n_nodes, "%.17g", mesh.nodes.T)
         _write_table(fh, "CELLS %d %d" % (n_el, 9 * n_el), "%d",
                      [np.full(n_el, 8), *mesh.conn.T])
@@ -230,8 +230,9 @@ def _write_snapshots(conf, out, mesh, times, u, d, sig):
     """VTK fields at the configured instants (default: the end of the load).
 
     Each instant takes the nearest sample of `times`, the last axis of the
-    nodal u and of the Gauss-point d and sig; damage and the stress
-    magnitude (Frobenius norm) are averaged over each element's Gauss points.
+    nodal u and of the Gauss-point d and sig, whose time the title states;
+    damage and the stress magnitude (Frobenius norm) are averaged over each
+    element's Gauss points.
     """
     if not conf.output.vtk:
         return
@@ -247,7 +248,7 @@ def _write_snapshots(conf, out, mesh, times, u, d, sig):
         cell = {"damage": d[:, k].reshape(n_el, 8).mean(axis=1),
                 "stress_mag": mag.reshape(n_el, 8).mean(axis=1)}
         _write_vtk(mesh, os.path.join(out, "field_t%g.vtk" % t_star),
-                   point_data=point, cell_data=cell)
+                   point_data=point, cell_data=cell, t=times[k])
 
 
 def _run_latin(conf, out, params, system, load):

@@ -15,8 +15,8 @@ opens a section and ``key = value`` lines fill it:
 
 Sections and keys are a closed set: anything unknown raises immediately
 with the offending line number, so typos cannot silently fall back to a
-default.  Values are typed per key (float, int, boolean ``on``/``off``,
-string, or a comma-separated float list).
+default.  Values are typed per key (finite float, 64-bit int, boolean
+``on``/``off``, string, or a comma-separated list of finite floats).
 
 A preset is a complete, runnable configuration; a config file may either
 stand alone (every mandatory section present) or overlay a preset,
@@ -153,13 +153,16 @@ _MANDATORY_SECTIONS = ("mesh", "material", "load", "solver")
 # Value readers by field annotation; they document the value grammar.
 
 def _read_float(text):
-    return float(text)
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError("expected a finite number, got %r" % text)
+    return value
 
 
 def _read_int(text):
-    value = float(text)
-    if value != int(value):
-        raise ValueError("expected an integer, got %r" % text)
+    value = _read_float(text)
+    if value != int(value) or abs(value) >= 2.0 ** 63:
+        raise ValueError("expected a 64-bit integer, got %r" % text)
     return int(value)
 
 
@@ -180,7 +183,7 @@ def _read_float_list(text):
     items = [piece.strip() for piece in text.split(",") if piece.strip()]
     if not items:
         raise ValueError("expected a comma-separated list of numbers")
-    return tuple(float(piece) for piece in items)
+    return tuple(_read_float(piece) for piece in items)
 
 
 def _read_optional_float_list(text):

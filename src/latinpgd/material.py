@@ -11,7 +11,7 @@ The constitutive state at a point is (eps, sigma, d, Y):
   the delay law alone, whose rate is clamped at zero.
 * The effective damage d follows d_bar through the delay law
   d_dot = (1/tau_c)(1 - exp(-a <d_bar - d>+)), which caps the damage rate at
-  1/tau_c and regularizes the softening.
+  1/tau_c and regularizes the softening; it is integrated exactly.
 * Stress combines the damaged elastic part with a progressive crack
   re-closure term:  sigma = (1-d) E:eps + d E:F(eps), where
   F(eps) = eps - s eps_max with s = softplus(a_c tr eps / tr eps_max) / a_c
@@ -39,9 +39,9 @@ happen, with results bit-identical to evaluating it everywhere:
 * delay: with zero target and zero start the rate is exactly 0, so the
   update stage integrates only the spatial points whose target damage is
   nonzero somewhere on the time axis (the active rows).  Along the time
-  axis, a step whose stage targets are all <= d on every row leaves d
-  bit-identical, and the delay law skips it (`integrate_delay`): on a
-  damaging run most steps are frozen;
+  axis, a row whose targets at both ends of a step are <= d keeps every bit
+  of d, and a step frozen on every row is skipped (`integrate_delay`): on
+  a damaging run most steps are frozen;
 * tension peak: the stress reads it only where d != 0, so its running
   index and trace are built on the active rows only, a chunk of rows at a
   time;
@@ -67,8 +67,6 @@ CLOSURE_TRACE_GUARD = 1e-12
 # the eigenvalue route, so a screened point never has a computed Y above
 # the floor.
 _BOUND_SLACK = 1e-10
-# Relative round-off allowance of the delay law's substep count.
-_SUBSTEP_SLACK = 1e-9
 # Steps the delay law tests for a frozen state at a time.
 _WINDOW = 64
 # Points per chunk of the pointwise kernels that gather a subset of a field:
@@ -150,7 +148,7 @@ def released_energy(eps_v, hooke, floor=0.0):
     for s in _chunks(live.size):
         points = live[s]
         pos = np.maximum(np.linalg.eigvalsh(
-            voigt_to_matrix(flat_eps.take(points, axis=0), "strain")), 0.0)
+            voigt_to_matrix(flat_eps.take(points, axis=0))), 0.0)
         tr = pos.sum(axis=-1)
         flat_Y[points] = np.maximum(
             0.5 * (hooke.lam * tr ** 2 + 2.0 * hooke.mu * (pos ** 2).sum(axis=-1)), floor)
@@ -164,10 +162,6 @@ def static_damage(Y, params):
     return 1.0 - 1.0 / (1.0 + params.A_d * over)
 
 
-def _delay_rate(gap, params):
-    return (1.0 - np.exp(-params.a * np.maximum(gap, 0.0))) / params.tau_c
-
-
 def integrate_delay(times, dbar, d_init, params):
     """Integrate d_dot = (1/tau_c)(1 - exp(-a <d_bar - d>+)) along the time axis.
 
@@ -176,26 +170,15 @@ def integrate_delay(times, dbar, d_init, params):
     dbar : target damage samples (..., n_t); linear interpolation in between,
         constant extrapolation on the leading [0, times[0]] gap.  That gap
         is empty when times[0] = 0 (the Newmark step calls with [0, dt]),
-        and an empty span takes no substep: d[..., 0] is then d_init.
+        and an empty span leaves d as it is: d[..., 0] is then d_init.
     d_init : initial damage at t = 0 (scalar or shape (...)).
 
-    Classic one-step 4-stage integration on substeps no longer than tau_c/20;
-    the right-hand side is bounded by 1/tau_c and Lipschitz, so the explicit
-    scheme is stable at that step.  A span within a relative 1e-9 of a
-    whole number of substeps takes that number, so round-off in the sample
-    instants never adds a substep: a span of exactly tau_c/20, however it
-    was computed, takes one.  Returns d at the sample instants.
-
-    A substep whose three stage targets (start, middle, end) are all <= d
-    on every row is frozen: <.>+ clamps each of its four rates to exactly
-    0, so d does not change by a single bit, and the substep is skipped.
-    Within a step the target is fl(db0 + fl((db1 - db0) c)), monotone in the
-    stage coefficient c in [0, 1], so every stage target of a step lies
-    between its first (c = 0) and its last (c = 1).  Those two are formed
-    for the whole axis up front, with the loop's own expressions, and a
-    step whose larger one is <= d on every row is skipped whole: finding
-    the next step that can move d is one comparison per step, made a
-    window of steps at a time.  A non-finite target never counts as frozen.
+    Each sample interval is one exact step (`_delay_step`).  A row whose
+    targets at both ends of a step are <= d keeps every bit of d.  The
+    larger end target of every step is formed up front, and a step frozen
+    on every row is skipped whole: the next step that can move d is found
+    by one comparison per step, a window of steps at a time.  A NaN target
+    is never frozen, so it propagates.  Returns d at the sample instants.
     """
     times = np.asarray(times, dtype=float)
     dbar = np.asarray(dbar, dtype=float)
@@ -204,19 +187,13 @@ def integrate_delay(times, dbar, d_init, params):
         raise ValueError("dbar last axis must match times")
     rows = dbar.reshape(math.prod(dbar.shape[:-1]), n_t)
     d = np.empty_like(rows)
-    cur = np.broadcast_to(np.asarray(d_init, dtype=float), dbar.shape[:-1]).ravel()
+    cur = np.broadcast_to(np.asarray(d_init, dtype=float), dbar.shape[:-1]).flatten()
 
     # Step k spans [times[k-1], times[k]] ([0, times[0]] for k = 0, with the
-    # target extrapolated flat) and takes n_sub[k] substeps.
+    # target extrapolated flat); top holds its larger end target.
     span = np.diff(times, prepend=0.0)
-    n_sub = np.ceil(span / (params.tau_c / 20.0) * (1.0 - _SUBSTEP_SLACK)).astype(int)
-    db0 = np.concatenate((rows[:, :1], rows[:, :-1]), axis=1)
-    last = rows - db0
-    first = last * 0.0
-    first += db0                         # db0 + (db1 - db0) 0, the first target
-    last += db0                          # db0 + (db1 - db0) 1, the last one
-    top = np.maximum(first, last, out=last)
-    del db0, first
+    top = rows.copy()
+    np.maximum(top[:, 1:], rows[:, :-1], out=top[:, 1:])
 
     k = done = 0
     while True:
@@ -231,22 +208,42 @@ def integrate_delay(times, dbar, d_init, params):
         d[:, done:k] = cur[:, None]      # frozen steps end where they start
         if k == n_t:
             return d.reshape(dbar.shape)
-        n = int(n_sub[k])
-        h = span[k] / max(n, 1)
-        db0, db1 = rows[:, max(k - 1, 0)], rows[:, k]
-        for s in range(n):
-            f0 = db0 + (db1 - db0) * (s / n)
-            fh = db0 + (db1 - db0) * ((s + 0.5) / n)
-            f1 = db0 + (db1 - db0) * ((s + 1.0) / n)
-            if (np.maximum(np.maximum(f0, fh), f1) <= cur).all():
-                continue
-            k1 = _delay_rate(f0 - cur, params)
-            k2 = _delay_rate(fh - (cur + 0.5 * h * k1), params)
-            k3 = _delay_rate(fh - (cur + 0.5 * h * k2), params)
-            k4 = _delay_rate(f1 - (cur + h * k3), params)
-            cur = cur + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if span[k] > 0.0:
+            live = np.flatnonzero(~(top[:, k] <= cur))
+            cur[live] = _delay_step(cur[live], rows[live, max(k - 1, 0)], rows[live, k],
+                                    span[k], params)
         d[:, k] = cur
         done = k = k + 1
+
+
+def _delay_step(d0, b0, b1, h, params):
+    """d after an exact step h > 0 from d0, the target linear from b0 to b1.
+
+    With x = d_bar - d, r the target's slope and kappa = a (r - 1/tau_c),
+    z = e^(a x) - 1 obeys z' = kappa z + a r while x > 0, so
+    z(s) = z0 e^(kappa s) + a r s phi1(kappa s), phi1(u) = expm1(u)/u, and
+    d = d_bar - log1p(z)/a.  A frozen row enters at s0 = -x0/r with z0 = 0.
+    With v = a s/tau_c and E = a (b1 - d0) - v, 1 + z = e^E + v phi1(kappa s),
+    scaled here by e^-M, M = max(E, 0), so that no exponent is positive.
+    Under a falling target the gap closes at e^(kappa s) = a r/(kappa z0 + a r),
+    where z = 0, and d keeps the target of that instant; it never ends below d0.
+    """
+    a = params.a
+    start = np.maximum(b0, d0)
+    s = h * np.divide(b1 - start, b1 - b0, out=np.ones_like(b0), where=b0 < d0)
+    v = (a / params.tau_c) * s
+    u = a * (b1 - start) - v                       # kappa s
+    E = a * (b1 - d0) - v
+    M = np.maximum(E, 0.0)
+    y = -np.abs(u)
+    phi = np.divide(np.expm1(y), y, out=np.ones_like(y), where=y != 0.0)
+    z = np.expm1(E - M) + v * phi * np.exp(np.maximum(u, 0.0) - M)   # (1 + z) e^-M - 1
+    d = b1 - (M + np.log1p(np.maximum(z, 0.0))) / a
+    # Closing time, scaled: |kappa| s_x = a x0 + log1p((1 - e^(-a x0))/rho), rho = tau_c |r|.
+    exits = (z < 0.0) & (b1 < b0)
+    x0, rho = (b0 - d0)[exits], params.tau_c * (b0 - b1)[exits] / h
+    d[exits] = b0[exits] - rho / (rho + 1.0) * (x0 + np.log1p(-np.expm1(-a * x0) / rho) / a)
+    return np.maximum(d, d0)
 
 
 class DamageCorrection:

@@ -144,13 +144,12 @@ def _advance_damage(eps_k, state, dt, params, hooke):
     """Candidate damage state a step of length dt after `state`.
 
     The target dbar is the instantaneous quasi-static damage of the current
-    released energy -- it falls when the energy falls; irreversibility of d
-    comes from the clamped delay rate alone, exactly as in the update stage
-    of the material module.  Everything depends on the converged
-    start-of-step state and the trial end-of-step strain alone, so repeated
-    calls inside the equilibrium loop cannot ratchet the history.  While
-    both targets and d are zero everywhere the delay rate is zero, so d
-    stays exactly zero and the delay law is not integrated.
+    released energy and falls when the energy falls; d follows it through
+    the exact delay step of `integrate_delay`, as in the update stage, and
+    never decreases.  It depends on the converged start-of-step state and
+    the trial end-of-step strain alone, so repeated calls inside the
+    equilibrium loop cannot ratchet the history.  While both targets and d
+    are zero everywhere, d stays exactly zero without integrating the law.
 
     The candidate carries its damage-correction kernel (`_correction`), so
     the kernel is built once per candidate, that is once per stagger pass.

@@ -21,17 +21,16 @@ STRESS_CONTRACTION = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
 STRAIN_CONTRACTION = np.array([1.0, 1.0, 1.0, 0.5, 0.5, 0.5])
 
 
-def voigt_to_matrix(v, flavor):
-    """Voigt 6-vector(s) -> symmetric 3x3 matrix(es).  v may be (..., 6)."""
+def voigt_to_matrix(v):
+    """Strain-Voigt 6-vector(s) -> symmetric 3x3 matrix(es).  v may be (..., 6)."""
     v = np.asarray(v, dtype=float)
-    shear = 0.5 if flavor == "strain" else 1.0
     t = np.empty(v.shape[:-1] + (3, 3))
     t[..., 0, 0] = v[..., 0]
     t[..., 1, 1] = v[..., 1]
     t[..., 2, 2] = v[..., 2]
-    t[..., 1, 2] = t[..., 2, 1] = shear * v[..., 3]
-    t[..., 0, 2] = t[..., 2, 0] = shear * v[..., 4]
-    t[..., 0, 1] = t[..., 1, 0] = shear * v[..., 5]
+    t[..., 1, 2] = t[..., 2, 1] = 0.5 * v[..., 3]
+    t[..., 0, 2] = t[..., 2, 0] = 0.5 * v[..., 4]
+    t[..., 0, 1] = t[..., 1, 0] = 0.5 * v[..., 5]
     return t
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy
 
-from latinpgd import assembly, cli
+from latinpgd import assembly, cli, config
 from latinpgd.material import reference_concrete, released_energy
 
 
@@ -312,6 +312,13 @@ def test_vtk_snapshots_hold_displacement_damage_and_stress(tmp_path, subcommand)
     assert code in (cli.EXIT_OK, cli.EXIT_NONCONVERGED)
     paths = sorted(out.glob("field_t*.vtk"))
     assert [p.name for p in paths] == ["field_t0.25.vtk", "field_t0.5.vtk"]
+    # the title states the sample written: LATIN's nearest Gauss time,
+    # Newmark's node, which falls on the instant asked for
+    conf = config.parse_config(overlay, base=config.preset("mono_sine"))
+    gauss = conf.solver.build_grid(conf.load.T).all_gauss_times
+    for t_star, path in zip((0.25, 0.5), paths):
+        t = gauss[np.abs(gauss - t_star).argmin()] if subcommand == "run-latin" else t_star
+        assert path.read_text().splitlines()[1] == "hexahedral box mesh at t = %.17g s" % t
     n_nodes, n_elements = 5 * 3 * 3, 4 * 2 * 2
     for path in paths:
         counts, arrays = read_vtk_data(path)

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from latinpgd import cli
 from latinpgd.config import canonical, parse_config, preset, read_sections
 
 
@@ -23,6 +24,14 @@ MALFORMED = {
     "key_outside_section": ("\nd1 = 8.0\n[mesh]\n", 2, "outside of any [section]"),
     "empty_amplitudes": ("[load]\nT = 2.0\namplitudes =\n", 3,
                          "bad value for amplitudes"),
+    "overflowing_int": ("[mesh]\nnx = 1e400\n", 2, "bad value for nx"),
+    "int_beyond_64_bits": ("[solver]\nseed = 1e19\n", 2, "expected a 64-bit integer"),
+    "infinite_float": ("[material]\nE = inf\n", 2, "bad value for E: expected a finite"),
+    "negative_infinity": ("[material]\nY0 = -inf\n", 2, "bad value for Y0"),
+    "nan_float": ("[solver]\nxi_stop = nan\n", 2, "bad value for xi_stop"),
+    "nan_horizon": ("[load]\n\nT = NaN\n", 3, "bad value for T"),
+    "nan_in_a_list": ("[load]\namplitudes = 0.01, nan\n", 2,
+                      "bad value for amplitudes"),
 }
 
 
@@ -35,6 +44,16 @@ def test_read_error_names_file_and_line(tmp_path, case):
     message = str(info.value)
     assert message.startswith("%s:%d:" % (path, line))
     assert words in message
+
+
+def test_non_finite_value_exits_2_through_the_cli(tmp_path, capsys):
+    path = write(tmp_path, "[load]\nT = nan\n")
+    out = tmp_path / "out"
+    code = cli.main(["run-newmark", "--preset", "elastic", "--config", path,
+                     "--out-dir", str(out)])
+    assert code == cli.EXIT_INPUT
+    assert "%s:2: bad value for T: expected a finite number" % path in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_mandatory_section_is_named(tmp_path):

@@ -344,9 +344,10 @@ def test_every_local_stage_is_a_pure_map_of_its_strain(monkeypatch):
 def test_local_stage_replays_the_newmark_march(n_t):
     # One damage law on both sides: the update stage run over the strain
     # history a Newmark march stored, on its node times, gives back the
-    # march's damage and stress.  N_T = 12 makes the node spacing 8.33
-    # delay substeps of tau_c/20; at N_T = 10 it is a whole 10 substeps,
-    # which the node differences reach only up to round-off.
+    # march's damage and stress.  The march steps by times[1] - times[0],
+    # the stage by the node differences, which match it up to round-off.
+    # N_T = 10 and 12 are two node spacings; the exact delay step takes no
+    # substeps, so neither spacing is a special case of the law.
     conf, _, params, system, load, _ = tiny_damaging_problem()
     times = replace(conf.solver, N_T=n_t).newmark_times(conf.load.T)
     res = newmark_quasi_newton(system, params, load, times)

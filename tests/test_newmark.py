@@ -353,7 +353,7 @@ class TestDamageCommitment:
         # on the preset's Newmark time nodes: the largest damage on the desk
         # mesh must sit in the 0.40-0.45 band.  The pinned value is the one
         # `latinpgd calibrate --preset mono_sine` reports at scale 1
-        # (calibration.csv: d_max = 0.42118839269880393).
+        # (calibration.csv: d_max = 0.42336609776512463).
         conf = preset("mono_sine")
         times = conf.solver.newmark_times(conf.load.T)
         load = LoadCase(np.array([MONO_SINE_AMPLITUDE]),
@@ -361,7 +361,7 @@ class TestDamageCommitment:
         res = newmark_quasi_newton(desk_system(), PARAMS, load, times,
                                    tol=conf.solver.newmark_tol)
         d = res["d"]
-        assert d.max() == pytest.approx(0.421188, abs=1e-4)
+        assert d.max() == pytest.approx(0.423366, abs=1e-4)
         assert 0.40 <= d.max() <= 0.45
         assert res["info"]["factorizations"] == 1
         # damage is a non-decreasing, bounded history at every point
