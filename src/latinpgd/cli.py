@@ -313,10 +313,12 @@ def _run_newmark(conf, out, params, system, load):
 
 
 def _newmark_work(info):
-    """Manifest keys of the work of a Newmark march (totals of its step log)."""
+    """Manifest keys of the work of a Newmark march: totals of its step log,
+    and the steps it committed in blocks of undamaged steps."""
     return {"factorizations": info["factorizations"],
             "corrections": int(info["iterations"].sum()),
-            "passes": int(info["passes"].sum())}
+            "passes": int(info["passes"].sum()),
+            "undamaged_steps": info["undamaged_steps"]}
 
 
 def cmd_run_newmark(args):
@@ -415,9 +417,14 @@ def cmd_calibrate(args):
 
     from .newmark import LoadCase, newmark_quasi_newton
 
+    target = args.target
+    # A peak damage lies in [0, 1); 0 is no target.  NaN fails the test too.
+    if not 0.0 < target < 1.0:
+        raise ValueError("--target must be a damage in (0, 1), got %r" % target)
+    if args.bisections < 0:
+        raise ValueError("--bisections must be >= 0, got %d" % args.bisections)
     conf = _load_config(args)
     out = _out_dir(args, conf)
-    target = args.target
     # The load amplitude enters only the load case: mesh, matrices and the
     # system's factorization serve every scale tried.
     _, params, system, load = _build_problem(conf)
@@ -500,9 +507,9 @@ def build_parser():
                            help="number of natural frequencies")
         if name == "calibrate":
             p.add_argument("--target", type=float, default=0.42,
-                           help="target maximum damage")
+                           help="target maximum damage, in (0, 1)")
             p.add_argument("--bisections", type=int, default=6,
-                           help="bisection steps after bracketing")
+                           help="bisection steps after bracketing (>= 0)")
 
     p = sub.add_parser("matpoint")
     common(p)

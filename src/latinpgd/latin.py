@@ -93,7 +93,9 @@ def latin_error(gap2, norms, mesh, grid, mode=None, products=None):
 class LatinState:
     """Driver state: global solution, last local fields, error and log.
 
-    hat is the last local stage's result (keys sig and d).  No constitutive
+    hat is the last local stage's result (keys sig and d).  Its sig may be
+    the running global stress itself: the first local stage hands the
+    elastic start's stress back when no sample can damage.  No constitutive
     state passes from one iteration to the next: the local stage is a pure
     map of the global strain.  Log rows are dicts with keys iteration,
     modes, xi, cre, seconds (since the start of the run); enrich_log keeps
@@ -146,9 +148,14 @@ def run_latin(system, params, load, grid, *, zeta_stop, max_modes, omega, seed,
     swept, block by block, this many times:
 
     * the local stage reads eps once, writing sig_hat (it then gathers only
-      the samples and rows where damage can happen);
+      the samples and rows where damage can happen).  Before any mode the
+      running sig is the elastic start's E:eps, and the stage is handed it:
+      it writes nothing then, and when no sample can damage sig_hat is sig
+      itself;
     * one pass reads sig and sig_hat, writes Delta and forms |Delta|^2 and
-      J(Delta) (`pgd.compute_delta`);
+      J(Delta) (`pgd.compute_delta`).  It is skipped when sig_hat is sig:
+      Delta = 0, so xi and the CRE are exactly 0 and the run stops, the
+      two held buffers never touched;
     * each enrichment sweep reads Delta twice;
     * adding the mode updates eps and sig in place and forms the squared
       global norms |sig|^2 and |eps|^2 in the same pass
@@ -178,15 +185,22 @@ def run_latin(system, params, load, grid, *, zeta_stop, max_modes, omega, seed,
 
     while True:
         state.iteration += 1
+        # Before any mode, sig is the elastic start's E:eps, bit for bit.
         state.hat = local_stage(eps, grid.all_gauss_times, params, hooke,
-                                out=sig_hat)
+                                out=sig_hat,
+                                elastic=sig if solution.n_modes == 0 else None)
 
         # Distance of the current global iterate from the manifold.  When it
-        # is already below the threshold (elastic loads: the constitutive
-        # relation returns the elastic stress bit-for-bit and the distance is
-        # exactly zero) the iteration ends without spending a mode.  The pass
-        # that forms |Delta|^2 also gives the CRE of the gap, 0 when xi is.
-        _, gap2, cre = compute_delta(sig, sig_hat, mesh, grid, hooke, out=delta)
+        # is already below the threshold the iteration ends without spending
+        # a mode.  Under elastic loads the local stage hands sig back as
+        # sig_hat, so Delta = 0 and xi and the CRE are exactly zero without
+        # forming it; otherwise the pass that forms |Delta|^2 also gives the
+        # CRE of the gap, 0 when xi is.
+        if state.hat["sig"] is sig:
+            gap2 = cre = 0.0
+        else:
+            _, gap2, cre = compute_delta(sig, sig_hat, mesh, grid, hooke,
+                                         out=delta)
         xi = latin_error(gap2, norms, mesh, grid)
         if xi <= zeta_stop:
             state.xi = xi

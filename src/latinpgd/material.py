@@ -353,7 +353,7 @@ def tension_peak_history(tr):
     return idx, np.take_along_axis(tr, idx, axis=-1)
 
 
-def local_stage(eps, times, params, hooke, out=None):
+def local_stage(eps, times, params, hooke, out=None, elastic=None):
     """Nonlinear update stage: constitutive relations at every Gauss point.
 
     All fields live on the (spatial Gauss x temporal Gauss) grid: eps has
@@ -369,10 +369,10 @@ def local_stage(eps, times, params, hooke, out=None):
     the stress there is E:eps and never reads the peak.
 
     One sweep over spatial blocks reads the strain: it writes E:eps into
-    `out`, screens the block for non-finite strains and bounds its released
-    energy by |eps|^2.  `released_energy` then runs once, on the samples
-    whose bound can exceed Y0, and the target damage is formed only where
-    Y > Y0.  The stress is E:eps plus the damage correction at the
+    `out` (unless `elastic` holds it already), screens the block for
+    non-finite strains and bounds its released energy by |eps|^2.
+    `released_energy` then runs once, on the samples whose bound can exceed
+    Y0, and the target damage is formed only where Y > Y0.  The stress is E:eps plus the damage correction at the
     damaged points (`DamageCorrection`).  The correction's E:eps_max is read
     off that E:eps at the running tension-peak index, before the correction
     is added, so no tension-peak strain field is formed.  Besides d, no
@@ -382,6 +382,12 @@ def local_stage(eps, times, params, hooke, out=None):
 
     out : array (n_sp, n_t, 6) to write the stress into (the driver's held
         buffer); a new array by default.
+    elastic : array that already holds E:eps, bit for bit (`run_latin`'s
+        elastic start), or None.  The sweep then forms no E:eps.  When no
+        sample can damage, the stress returned is `elastic` itself and
+        `out` is never touched; otherwise `elastic` is copied into the
+        stress and the correction added there, so the stress is bit for
+        bit the one formed without it, and `elastic` is left as it is.
 
     Returns a dict with exactly the keys its callers read: sig and d.  The
     local strain is the input strain itself and is not echoed; the target
@@ -405,7 +411,8 @@ def local_stage(eps, times, params, hooke, out=None):
             if bad.size:
                 raise ValueError("non-finite strain input at spatial Gauss point %d"
                                  % (s.start + bad[0]))
-        hooke.apply(block, out=sig[s])       # exact wherever d = 0
+        if elastic is None:
+            hooke.apply(block, out=sig[s])   # exact wherever d = 0
         norm2 *= loose
         live.append(np.flatnonzero(~(norm2 <= params.Y0)) + s.start * n_t)
     live = np.concatenate(live)
@@ -414,7 +421,9 @@ def local_stage(eps, times, params, hooke, out=None):
     points = live[hit]
     d = np.zeros((n_sp, n_t))
     if not points.size:
-        return {"sig": sig, "d": d}
+        return {"sig": sig if elastic is None else elastic, "d": d}
+    if elastic is not None:
+        np.copyto(sig, elastic)
 
     # The active rows, in increasing order, and their target damage.
     hit_rows = points // n_t

@@ -134,6 +134,22 @@ def test_run_newmark_exits_0_with_a_step_log(tmp_path):
     assert manifest["passes"] == rows[:, 3].sum()
 
 
+def test_manifest_counts_the_steps_committed_undamaged(tmp_path):
+    # The tiny overlay damages from step 1 on; the elastic preset on the
+    # same mesh stays below the threshold, so every step is undamaged.
+    counts = {}
+    for preset in ("mono_sine", "elastic"):
+        out = tmp_path / preset
+        code = cli.main(["run-newmark", "--preset", preset,
+                         "--config", tiny_overlay(tmp_path), "--out-dir", str(out)])
+        assert code == cli.EXIT_OK
+        assert_step_log_corrects_every_step(out / "step_log.csv")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["max_damage"] > 0.0) == (preset == "mono_sine")
+        counts[preset] = manifest["undamaged_steps"]
+    assert counts == {"mono_sine": 0, "elastic": 20}
+
+
 def test_step_log_counts_every_stagger_pass(tmp_path, monkeypatch):
     # each stagger pass of a damaging march ends in one damage update
     from latinpgd import newmark
@@ -185,9 +201,11 @@ def test_compare_writes_one_finite_comparison_row(tmp_path, monkeypatch):
     assert_enrichment_histories(manifest["latin"], row[1])
     assert (out / "latin" / "modes").is_dir()
     assert not (out / "latin" / "modes" / "manifest.json").exists()
+    # damage starts at step 1, so no step is committed in a block
     assert manifest["newmark"] == {"factorizations": 1,
                                    "corrections": steps[:, 2].sum(),
-                                   "passes": steps[:, 3].sum()}
+                                   "passes": steps[:, 3].sum(),
+                                   "undamaged_steps": 0}
 
 
 def assert_enrichment_histories(record, modes):
@@ -264,6 +282,25 @@ def test_calibrate_that_misses_the_target_names_its_bracket(tmp_path, capsys):
     assert "missed the target d_max 0.4200" in err
     assert "d_max=0.0000" in err
     assert "final bracket (lo, d_lo) = (0.510204, 0.0000), (hi, d_hi) = (0.612245, " in err
+
+
+@pytest.mark.parametrize("flag, value", [("--target", "nan"), ("--target", "-0.2"),
+                                         ("--target", "0"), ("--target", "1.5"),
+                                         ("--target", "inf"), ("--bisections", "-3")])
+def test_calibrate_rejects_an_impossible_request_before_any_march(
+        tmp_path, capsys, monkeypatch, flag, value):
+    from latinpgd import newmark
+
+    marches = []
+    monkeypatch.setattr(newmark, "newmark_quasi_newton",
+                        lambda *args, **kwargs: marches.append(1))
+    code = cli.main(["calibrate", "--preset", "mono_sine",
+                     "--config", tiny_overlay(tmp_path), flag, value,
+                     "--out-dir", str(tmp_path / "out")])
+    assert code == cli.EXIT_INPUT
+    assert flag in capsys.readouterr().err
+    assert marches == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_seed_comes_from_the_config_alone(tmp_path, capsys):

@@ -289,15 +289,44 @@ def test_converged_row_logs_the_cre_of_the_current_gap(damaging_run):
     assert state.log[-1]["cre"] == pytest.approx(cre, rel=1e-12)
 
 
+def elastic_desk_run(monkeypatch=None):
+    """The damped desk beam far below the damage threshold, over 0.1 s.
+
+    With `monkeypatch`, a spy on `latin.compute_delta` records its calls;
+    returns (mesh, grid, state, calls).
+    """
+    system = desk_system()
+    grid = TimeGrid(0.1, 10)
+    load = LoadCase(np.array([2e-3]), np.array([3.0]))
+    calls = []
+    if monkeypatch is not None:
+        delta = latin.compute_delta
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return delta(*args, **kwargs)
+
+        monkeypatch.setattr(latin, "compute_delta", spy)
+    state = run_latin(system, reference_concrete(), load, grid,
+                      **controls(config.preset("mono_sine").solver))
+    return system.mesh, grid, state, calls
+
+
 def test_state_holds_each_space_time_field_once(damaging_run):
-    mesh, grid, _, state = damaging_run
-    n_t = grid.n_gauss
-    scalar = mesh.n_gauss * n_t * 8
-    # u + eps + sig + sig_hat + d
-    budget = mesh.n_dofs * n_t * 8 + 3 * 6 * scalar + scalar
-    held = [v for v in vars(state.solution).values() if isinstance(v, np.ndarray)]
-    held += [v for v in state.hat.values() if isinstance(v, np.ndarray)]
-    assert sum(a.nbytes for a in held) <= budget
+    # A damaging run holds u, eps, sig, sig_hat and d; an elastic one holds
+    # no sig_hat: its local stage hands the running sig back.
+    mesh, grid, _, damaging = damaging_run
+    elastic_mesh, elastic_grid, elastic, _ = elastic_desk_run()
+    assert elastic.n_modes == 0 and not elastic.damage.any()
+    for mesh, grid, state, stress_fields in ((mesh, grid, damaging, 3),
+                                             (elastic_mesh, elastic_grid, elastic, 2)):
+        n_t = grid.n_gauss
+        scalar = mesh.n_gauss * n_t * 8
+        budget = mesh.n_dofs * n_t * 8 + stress_fields * 6 * scalar + scalar
+        held = [v for v in vars(state.solution).values() if isinstance(v, np.ndarray)]
+        held += [v for v in state.hat.values() if isinstance(v, np.ndarray)]
+        held = {id(a): a for a in held}.values()
+        assert sum(a.nbytes for a in held) <= budget
 
 
 def virgin_stage(eps, times, params):
@@ -323,8 +352,8 @@ def test_every_local_stage_is_a_pure_map_of_its_strain(monkeypatch):
     stage = latin.local_stage
     calls = []
 
-    def record(eps, times, params, hooke, out=None):
-        got = stage(eps, times, params, hooke, out=out)
+    def record(eps, times, params, hooke, out=None, elastic=None):
+        got = stage(eps, times, params, hooke, out=out, elastic=elastic)
         calls.append((eps.copy(), times, {k: v.copy() for k, v in got.items()}))
         return got
 
@@ -371,7 +400,7 @@ def test_linear_softening_lands_on_the_modal_oracle(monkeypatch):
     # own time discretisation error (3.66 % on this case).
     s = 0.02
 
-    def softened(eps, times, params, hooke, out=None):
+    def softened(eps, times, params, hooke, out=None, elastic=None):
         sig = hooke.apply(eps, out=out)
         sig *= 1.0 - s
         return {"sig": sig, "d": np.zeros(eps.shape[:2])}
@@ -406,7 +435,7 @@ def test_run_latin_rejects_nonpositive_threshold(zeta_stop):
                   **controls(config.preset("mono_sine").solver, zeta_stop=zeta_stop))
 
 
-def test_elastic_start_is_the_resampled_elastic_march():
+def test_elastic_start_is_the_resampled_elastic_march(monkeypatch):
     # Damped desk beam, short window, load far below the damage threshold.
     system = desk_system()
     params = reference_concrete()
@@ -426,9 +455,12 @@ def test_elastic_start_is_the_resampled_elastic_march():
     np.testing.assert_allclose(el["eps"], eps_ref, rtol=1e-12,
                                atol=1e-12 * np.abs(eps_ref).max())
     assert np.array_equal(el["sig"], params.hooke().apply(el["eps"]))
-    # so the local stage returns the elastic stress bit for bit
-    state = run_latin(system, params, load, grid,
-                      **controls(config.preset("mono_sine").solver))
+    # so the local stage hands the elastic stress back as sig_hat, and the
+    # stress gap, zero, is never formed
+    _, _, state, delta_calls = elastic_desk_run(monkeypatch)
     assert state.converged and state.n_modes == 0 and state.xi == 0.0
+    assert state.hat["sig"] is state.solution.fields()[2]
+    assert delta_calls == []
+    assert state.log[-1]["cre"] == 0.0
     assert not state.damage.any()
     assert state.elastic_seconds > 0.0

@@ -420,6 +420,29 @@ class TestLocalStage:
         assert not out["d"].any()
         assert np.array_equal(out["sig"], HOOKE.apply(eps))
 
+    def test_given_elastic_stress_is_handed_back_or_corrected_bitwise(self):
+        # Below the threshold the stage returns the array it was given; on
+        # a damaging strain its stress and damage are the plain call's, and
+        # the given array is left as it is.
+        t = self.grid()
+        rng = np.random.default_rng(7)
+        eps = np.zeros((3, t.size, 6))
+        eps[:, :, 0] = 0.5 * THRESHOLD_STRAIN * np.sin(2 * np.pi * t)[None, :]
+        elastic = HOOKE.apply(eps)
+        out = np.full_like(eps, 7.0)
+        got = local_stage(eps, t, P, HOOKE, out=out, elastic=elastic)
+        assert got["sig"] is elastic and not got["d"].any()
+        assert np.all(out == 7.0)
+        eps = rng.normal(size=(4, t.size, 6)) * 3e-4
+        elastic = HOOKE.apply(eps)
+        before = elastic.copy()
+        plain = local_stage(eps, t, P, HOOKE)
+        got = local_stage(eps, t, P, HOOKE, elastic=elastic)
+        assert plain["d"].any() and got["sig"] is not elastic
+        assert_bitwise(got["sig"], plain["sig"])
+        assert_bitwise(got["d"], plain["d"])
+        assert_bitwise(elastic, before)
+
     def test_consistency_at_damaging_instants(self, monkeypatch):
         # The delay law chases the instantaneous target static_damage(Y),
         # which falls back to zero wherever Y drops under the threshold.

@@ -317,8 +317,11 @@ class TestDamageCommitment:
 
     def test_one_strain_per_pass(self, monkeypatch):
         # At a damaged state every residual samples the strain of its trial
-        # displacement, and the pass's last one is its converged strain; at
-        # an undamaged state the pass samples it once after converging.
+        # displacement, and the pass's last one is its converged strain; a
+        # staggered pass at an undamaged state samples it once after
+        # converging.  A block of undamaged steps is sampled once, batched:
+        # here the first block gives way at step 1, where damage starts, and
+        # commits no step.
         conf = replace(preset("mono_sine"),
                        mesh=replace(preset("mono_sine").mesh, nx=4, ny=2, nz=2))
         conf = replace(conf, load=replace(conf.load, T=0.5),
@@ -332,7 +335,8 @@ class TestDamageCommitment:
                 return fn(*args)
             monkeypatch.setattr(newmark, name, wrapped)
 
-        spy("strain_at_gauss", newmark.strain_at_gauss, lambda *a: "strain")
+        spy("strain_at_gauss", newmark.strain_at_gauss,
+            lambda mesh, u: "strain" if u.ndim == 1 else "block")
         spy("_free_force", newmark._free_force,
             lambda system, f_p, eps, correction:
             "residual" if correction is None else "damaged residual")
@@ -346,7 +350,41 @@ class TestDamageCommitment:
         damaged = events.count("damaged residual")
         assert len(passes) == res["info"]["passes"].sum()
         assert undamaged > 0 and damaged > 0
+        assert res["info"]["undamaged_steps"] == 0
+        assert events.count("block") == 1
+        # the pass residuals, plus the t = 0 sample
         assert events.count("strain") == damaged + undamaged + 1
+
+    def test_block_that_gives_way_redoes_its_onset_step(self, monkeypatch):
+        # A support sine at the desk beam's first natural frequency builds
+        # up until damage starts inside the second block of undamaged steps
+        # (step 50 of 33-64).  The block is sampled in one batch, rolled
+        # back, and its onset step redone staggered: through that step the
+        # march is the one whose blocks hold a single step each.
+        system = desk_system()
+        f1 = modal_analysis(system.Mff, system.Kff, 1)[0][0]
+        times = np.linspace(0.0, 0.3, 61)
+        load = LoadCase(np.array([4e-4]), np.array([f1]))
+        block = newmark._HISTORY_BLOCK
+        blocks = newmark_quasi_newton(system, PARAMS, load, times)
+        monkeypatch.setattr(newmark, "_HISTORY_BLOCK", 1)
+        steps = newmark_quasi_newton(system, PARAMS, load, times)
+        onset = int(np.flatnonzero(blocks["d"].any(axis=0))[0])
+        assert onset > block + 1 and (onset - 1) % block != 0
+        assert blocks["info"]["undamaged_steps"] == onset - 1
+        assert steps["info"]["undamaged_steps"] == onset - 1
+        # the onset is the first step whose per-step target damage is nonzero
+        targets = [static_damage(released_energy(
+            strain_at_gauss(system.mesh, blocks["u"][:, k]), HOOKE, PARAMS.Y0),
+            PARAMS).any() for k in range(onset + 1)]
+        assert targets.index(True) == onset
+        assert blocks["info"]["passes"][onset - 1] > 1
+        for field in "uva":
+            assert np.array_equal(blocks[field][:, :onset + 1],
+                                  steps[field][:, :onset + 1]), field
+        for key in ("iterations", "passes"):
+            assert np.array_equal(blocks["info"][key][:onset],
+                                  steps["info"][key][:onset]), key
 
     def test_calibrated_run_lands_in_damage_band(self):
         # 3 Hz support sine at the preset amplitude config.MONO_SINE_AMPLITUDE
