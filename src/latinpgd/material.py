@@ -321,14 +321,15 @@ class DamageCorrection:
             flat_sig[points] = at + self.neg_d[s] * at
 
 
-def total_stress(eps_v, hooke, correction):
+def total_stress(eps_v, hooke, correction, out=None):
     """sigma = E:eps + the closed-form damage correction of a frozen state.
 
     eps_v: strain-Voigt (..., 6).  correction: the state's DamageCorrection,
     or None when no point is damaged, in which case sigma is E:eps itself.
+    out: array to write the stress into; a new array by default.
     Returns stress Voigt.
     """
-    sig = hooke.apply(eps_v)
+    sig = hooke.apply(eps_v, out=out)
     if correction is not None:
         correction.add_to(sig, eps_v)
     return sig

@@ -53,18 +53,22 @@ any point): a single equilibrium pass with no damage correction, which
 does no Gauss-point work.  Such steps run in blocks of `_HISTORY_BLOCK`.
 The elastic march samples nothing.  A damaging march samples each block
 once, batched: one `strain_at_gauss` of the block's displacement history,
-one `released_energy` and one `total_stress` (E : eps) over it.  That
-batched product is within 1e-12 relative of the per-step one (its
-largest gap is 3.6e-13 of the largest strain on a 32x4x4 beam).  The steps a block keeps have the u, v, a, d, corrections and
-passes of sampling each step on its own, bit for bit: both solve them by
-the same pass.  The first step whose batched energy exceeds Y0, less a
-margin far above the batch's round-off (`_ONSET_SLACK`), at any point is
-rolled back with every step after it and redone on the staggered path,
-which makes the damage decision per step as before; the block keeps the
-steps before it and raises their tension peaks from the batched strain.
-Once a step commits damage the march stays staggered, so a run redoes at
-most one block of elastic steps, plus one per flagged step that its
-staggered redo finds undamaged after all.
+written straight into the block's steps of the strain history, one
+`released_energy` over them and one `total_stress` (E : eps) of the kept
+steps, written straight into the stress history, so no temporary has the
+size of the block's fields.  That batched product is within 1e-12
+relative of the per-step one (its largest gap is 3.6e-13 of the largest
+strain on a 32x4x4 beam).  The steps a block keeps have the u, v, a, d,
+corrections and passes of sampling each step on its own, bit for bit:
+both solve them by the same pass.  The first step whose batched energy
+exceeds Y0, less a margin far above the batch's round-off
+(`_ONSET_SLACK`), at any point is rolled back with every step after it
+and redone on the staggered path, which makes the damage decision per step
+as before and overwrites the history from that step on; the block keeps
+the steps before it and raises their tension peaks from their strain in
+the history.  Once a step commits damage the march stays staggered, so a
+run redoes at most one block of elastic steps, plus one per flagged step
+that its staggered redo finds undamaged after all.
 
 The first equilibrium pass of a step always applies that first correction
 before it tests the residual: the trial point (the previous step's
@@ -87,6 +91,12 @@ and lands on the lowest, trajectory-connected fixed point.
 `compare_error` measures the relative space-time distance between two
 strain/stress field pairs on a shared quadrature grid; it is the metric used
 to hold the separated-representation solver against this incremental one.
+The reference pair is never formed whole on that grid:
+`resample_fields_to_gauss` checks a run against the grid and returns two
+views of its strain and stress histories (`GaussResample`), and
+`compare_error` resamples them one spatial block at a time, in the block
+order of the LATIN field, so no temporary is larger than a block and the
+distance is bit for bit the one over the whole resampled pair.
 """
 
 import numpy as np
@@ -432,16 +442,18 @@ def newmark_quasi_newton(system, params, load, times, damage=True, tol=1e-4):
                 acc[free, j] = a_f
             onset = stop
             if damage and stop > k:
-                eps_b = strain_at_gauss(mesh, u[:, k:stop])
-                flagged = (released_energy(eps_b, hooke, onset_floor)
+                # The batched strain goes straight into the history; the
+                # staggered redo from the onset on overwrites what it rolls
+                # back.
+                strain_at_gauss(mesh, u[:, k:stop], eps[:, k:stop])
+                flagged = (released_energy(eps[:, k:stop], hooke, onset_floor)
                            > onset_floor).any(axis=0)
                 if flagged.any():
                     onset = k + int(flagged.argmax())
                 if onset > k:
-                    kept = eps_b[:, :onset - k]
-                    eps[:, k:onset] = kept
-                    sig[:, k:onset] = total_stress(kept, hooke, None)
-                    state = _raise_peaks(state, kept)
+                    total_stress(eps[:, k:onset], hooke, None,
+                                 out=sig[:, k:onset])
+                    state = _raise_peaks(state, eps[:, k:onset])
             if onset == stop and failure is not None:
                 raise failure
             undamaged += onset - k
@@ -522,14 +534,53 @@ def newmark_quasi_newton(system, params, load, times, damage=True, tol=1e-4):
     return out
 
 
+class GaussResample:
+    """A step history of an incremental run, read on the space-time Gauss grid.
+
+    Holds the grid and one (n_gauss, n_steps, 6) history; it has the shape
+    (n_gauss, n_gauss_time, 6) of the field it stands for and the length
+    n_gauss.  Indexing it with a slice of the spatial axis resamples those
+    rows alone (`timegrid.quad_resample_blocks`), bit for bit the same rows
+    as resampling the whole history; `view[:]` gives the whole field.  Any
+    other key, and an implicit whole-array conversion (np.asarray), raise
+    TypeError: the field is meant to be read a block at a time.
+    """
+
+    __slots__ = ("grid", "history")
+
+    def __init__(self, grid, history):
+        self.grid = grid
+        self.history = history
+
+    @property
+    def shape(self):
+        n_b, _, n_c = self.history.shape
+        return (n_b, self.grid.n_gauss, n_c)
+
+    def __len__(self):
+        return self.history.shape[0]
+
+    def __getitem__(self, key):
+        if not isinstance(key, slice):
+            raise TypeError("a resampled field is read by spatial slices, "
+                            "got a key of type %s" % type(key).__name__)
+        return quad_resample_blocks(self.grid, self.history[key])
+
+    def __array__(self, dtype=None, copy=None):
+        raise TypeError("a resampled field is not formed whole; "
+                        "read it by spatial slices (view[s], view[:])")
+
+
 def resample_fields_to_gauss(grid, result):
-    """Map an incremental run's strain/stress pair onto grid Gauss points.
+    """Views of an incremental run's strain/stress pair on the grid's Gauss points.
 
     `result` must come from a damaging run (damage=True: the elastic march
     stores no Gauss-point fields) over the step nodes `grid.step_times`
-    (each time element spans two steps).  Both fields go through
-    `timegrid.quad_resample_blocks` in their own (n_gauss, n_t, 6) layout.
-    Returns (eps, sig), both shaped (n_gauss_space, n_gauss_time, 6).
+    (each time element spans two steps); both are checked here.  Returns
+    (eps, sig), two `GaussResample` views of shape
+    (n_gauss_space, n_gauss_time, 6) over the run's own histories: nothing
+    is resampled until a spatial slice of a view is read, so
+    `compare_error` forms the pair one block at a time.
     """
     times = result["times"]
     if (times.shape != grid.step_times.shape
@@ -538,33 +589,39 @@ def resample_fields_to_gauss(grid, result):
     if "eps" not in result:
         raise ValueError("run holds no Gauss-point fields (an elastic march); "
                          "resample strain_at_gauss of its u instead")
-    return (quad_resample_blocks(grid, result["eps"]),
-            quad_resample_blocks(grid, result["sig"]))
+    return GaussResample(grid, result["eps"]), GaussResample(grid, result["sig"])
 
 
 def compare_error(eps_ref, sig_ref, eps, sig):
     """Relative space-time distance (percent) between two field pairs.
 
-    All four arrays share one quadrature layout (n_gauss, n_t, 6); the
+    All four fields share one quadrature layout (n_gauss, n_t, 6); each is
+    an array or a `GaussResample` view (`resample_fields_to_gauss`).  The
     reference pair supplies the denominators:
 
         100 * sqrt(|sig - sig_ref|^2 / |sig_ref|^2
                    + |eps - eps_ref|^2 / |eps_ref|^2)
 
     with plain (unweighted) sums of squares over every sample and component,
-    accumulated block by block along the first axis, so no temporary is
-    larger than a block.
+    accumulated over the blocks of `timegrid.spatial_blocks` of a float
+    field of that shape, in order.  A view is resampled one block at a
+    time, so no temporary is larger than a block, and the result is bit for
+    bit the one over the whole resampled fields.
     """
-    eps_ref, sig_ref, eps, sig = (np.asarray(f, dtype=float)
-                                  for f in (eps_ref, sig_ref, eps, sig))
-    if not (eps_ref.shape == sig_ref.shape == eps.shape == sig.shape):
+    fields = [f if isinstance(f, GaussResample) else np.asarray(f, dtype=float)
+              for f in (eps_ref, sig_ref, eps, sig)]
+    shape = fields[0].shape
+    if any(f.shape != shape for f in fields):
         raise ValueError("field shapes do not match")
     den_e = den_s = num_e = num_s = 0.0
-    for s in spatial_blocks(eps_ref):
-        gap_e = eps[s] - eps_ref[s]
-        gap_s = sig[s] - sig_ref[s]
-        den_e += np.vdot(eps_ref[s], eps_ref[s])
-        den_s += np.vdot(sig_ref[s], sig_ref[s])
+    # The blocks of a float field of this shape, read off a zero-stride
+    # stand-in that allocates no field.
+    for s in spatial_blocks(np.broadcast_to(0.0, shape)):
+        e_ref, s_ref, e, sg = (f[s] for f in fields)
+        gap_e = e - e_ref
+        gap_s = sg - s_ref
+        den_e += np.vdot(e_ref, e_ref)
+        den_s += np.vdot(s_ref, s_ref)
         num_e += np.vdot(gap_e, gap_e)
         num_s += np.vdot(gap_s, gap_s)
     if den_e <= 0.0 or den_s <= 0.0:

@@ -31,6 +31,8 @@ Quadrature is 4-point Gauss-Legendre per element (exact through degree 7),
 the same points at which all space-time fields are sampled.
 """
 
+import functools
+
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
@@ -218,16 +220,32 @@ def tdgm_march(grid, a, c, b, f_samples, lam_init=0.0, vel_init=0.0):
     return TimeFunction(g, coeffs)
 
 
+# Quadratic Lagrange basis on the local nodes {0, 1/2, 1} of an element's
+# two steps, at its Gauss points: (4, 3).
+_QUAD = np.stack([2.0 * (_GX - 0.5) * (_GX - 1.0),
+                  -4.0 * _GX * (_GX - 1.0),
+                  2.0 * _GX * (_GX - 0.5)], axis=1)
+
+
+@functools.lru_cache(maxsize=None)
+def _quad_kron(n_c):
+    """kron(_QUAD, I_C)^T (3C, 4C), built once per component count C."""
+    W = np.kron(_QUAD, np.eye(n_c)).T
+    W.flags.writeable = False
+    return W
+
+
 def quad_resample_blocks(grid, values):
     """Resample step histories (B, n_steps, C) onto the Gauss points (B, n_gauss, C).
 
     Each time element covers two steps (three samples); the quadratic through
     them is evaluated at the element's 4 Gauss points.  With P the (4, 3)
-    quadratic Lagrange table, element k of a history maps as
+    quadratic Lagrange table (`_QUAD`), element k of a history maps as
 
         out[:, 4k:4k+4, :] = sum_j P[:, j] values[:, 2k+j, :],
 
-    done as two matrix products against kron(P, I_C)^T: the samples
+    done as two matrix products against kron(P, I_C)^T, which is built once
+    per component count and shared by every call: the samples
     (2k, 2k+1) of every element are one contiguous row of values[:, :-1]
     viewed as (B, N_T, 2C), and the samples 2k+2 are values[:, 2::2].  The
     products run block by block over B, written straight into the result.
@@ -240,12 +258,7 @@ def quad_resample_blocks(grid, values):
         raise ValueError("expected %d time samples, got shape %s"
                          % (grid.step_times.size, v.shape))
     n_b, _, n_c = v.shape
-    # quadratic Lagrange basis on local nodes {0, 1/2, 1} at the Gauss points
-    x = grid.gauss_local
-    P = np.stack([2.0 * (x - 0.5) * (x - 1.0),
-                  -4.0 * x * (x - 1.0),
-                  2.0 * x * (x - 0.5)], axis=1)  # (4, 3)
-    W = np.kron(P, np.eye(n_c)).T                 # (3C, 4C)
+    W = _quad_kron(n_c)
     pairs = v[:, :-1].reshape(n_b, n_el, 2 * n_c)
     out = np.empty((n_b, n_el, 4 * n_c))
     for s in spatial_blocks(out):   # the second product's temporary stays a block
