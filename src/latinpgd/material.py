@@ -144,11 +144,13 @@ def released_energy(eps_v, hooke, floor=0.0):
     # Negated test, so a non-finite strain still reaches the solver.
     live = np.flatnonzero(~(bound <= floor))
     Y = np.full(bound.shape, float(floor))
-    flat_eps, flat_Y = eps_v.reshape(-1, 6), Y.reshape(-1)
+    # The live samples are gathered through their indices, so a strided
+    # field is not copied whole; a single strain is a view of one row.
+    samples, flat_Y = np.atleast_2d(eps_v), Y.reshape(-1)
     for s in _chunks(live.size):
         points = live[s]
-        pos = np.maximum(np.linalg.eigvalsh(
-            voigt_to_matrix(flat_eps.take(points, axis=0))), 0.0)
+        pos = np.maximum(np.linalg.eigvalsh(voigt_to_matrix(
+            samples[np.unravel_index(points, samples.shape[:-1])])), 0.0)
         tr = pos.sum(axis=-1)
         flat_Y[points] = np.maximum(
             0.5 * (hooke.lam * tr ** 2 + 2.0 * hooke.mu * (pos ** 2).sum(axis=-1)), floor)

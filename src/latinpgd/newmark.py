@@ -47,28 +47,36 @@ converged displacement, for the damage update and the stored history: at
 a damaged state the pass's last residual has sampled it already and it is
 reused, at an undamaged state it is sampled once after the pass.
 
-One elastic step serves the elastic march (`damage=False`) and every step
-that starts from an undamaged state (no damage and no target damage at
-any point): a single equilibrium pass with no damage correction, which
-does no Gauss-point work.  Such steps run in blocks of `_HISTORY_BLOCK`.
-The elastic march samples nothing.  A damaging march samples each block
-once, batched: one `strain_at_gauss` of the block's displacement history,
-written straight into the block's steps of the strain history, one
-`released_energy` over them and one `total_stress` (E : eps) of the kept
-steps, written straight into the stress history, so no temporary has the
-size of the block's fields.  That batched product is within 1e-12
+Every step takes one path: it opens with one first pass (the predictor,
+h, the first correction and an equilibrium pass at the committed state)
+and closes with one commit (a and v from the converged u, and u, v and a
+written into the histories).  A step of the elastic march
+(`damage=False`), and every step that starts from an undamaged state (no
+damage and no target damage at any point), is that first pass alone,
+without damage correction or Gauss-point work.  Such steps run in blocks
+of 1, 2, 4, ... steps, up to `_HISTORY_BLOCK`: the length doubles after a
+block that keeps all its steps and starts again at one step after a block
+gives way, so damage at the first step (the start shock) rolls back one
+solve.  The elastic march samples nothing.  A damaging march samples each
+block once, batched: one `strain_at_gauss` of the block's displacement
+history, written straight into the block's steps of the strain history,
+one `released_energy` over them and one `total_stress` (E : eps) of the
+kept steps, written straight into the stress history, so no temporary has
+the size of the block's fields.  That batched product is within 1e-12
 relative of the per-step one (its largest gap is 3.6e-13 of the largest
-strain on a 32x4x4 beam).  The steps a block keeps have the u, v, a, d,
-corrections and passes of sampling each step on its own, bit for bit:
-both solve them by the same pass.  The first step whose batched energy
-exceeds Y0, less a margin far above the batch's round-off
-(`_ONSET_SLACK`), at any point is rolled back with every step after it
-and redone on the staggered path, which makes the damage decision per step
-as before and overwrites the history from that step on; the block keeps
-the steps before it and raises their tension peaks from their strain in
-the history.  Once a step commits damage the march stays staggered, so a
-run redoes at most one block of elastic steps, plus one per flagged step
-that its staggered redo finds undamaged after all.
+strain on a 32x4x4 beam); a block that keeps one step takes the 2-D
+product of a staggered step, E : eps of its stored strain bit for bit.
+The steps a block keeps have the u, v, a, d, corrections and passes of
+sampling each step on its own, bit for bit: both solve them by the same
+pass.  The first step whose batched energy exceeds Y0, less a margin far
+above the batch's round-off (`_ONSET_SLACK`), at any point is rolled back
+with every step after it and redone on the staggered path, which makes
+the damage decision per step as before; the block keeps the steps before
+it and raises their tension peaks from their strain in the history.  A
+staggered step writes its strain, stress and damage straight into its
+columns of the histories.  Once a step commits damage the march stays
+staggered, so a run redoes at most one block of elastic steps, plus one
+per flagged step that its staggered redo finds undamaged after all.
 
 The first equilibrium pass of a step always applies that first correction
 before it tests the residual: the trial point (the previous step's
@@ -116,10 +124,8 @@ _STAGGER_TOL = 1e-6
 _MAX_STAGGER = 100
 # Corrections allowed in one equilibrium pass before the march gives up.
 _MAX_ITER = 100
-# Steps per block of undamaged steps (module docstring), and steps of
-# staggered Gauss-point history gathered in step-major rows before they are
-# written to the (n_gauss, n_t, ...) histories: one step's column of those
-# strides over the whole array.
+# The longest block of undamaged steps; blocks grow from one step up to it
+# (module docstring).
 _HISTORY_BLOCK = 32
 # A block of undamaged steps gives way at the first step where the batched
 # sample's released energy exceeds Y0 (1 - _ONSET_SLACK) anywhere: the slack
@@ -273,9 +279,10 @@ def newmark_quasi_newton(system, params, load, times, damage=True, tol=1e-4):
     histories eps, sig (n_gauss, n_t, 6) and the damage history
     d (n_gauss, n_t).  With damage=False those three keys are
     absent: the elastic march evaluates nothing at the Gauss points (its
-    strain is strain_at_gauss(mesh, u), its stress E : eps).  The strain
-    and stress of steps committed undamaged come from the batched sample of
-    their block.
+    strain is strain_at_gauss(mesh, u), its stress E : eps).  Steps from
+    an undamaged state run in blocks that grow from one step, and the
+    strain and stress of the steps a block keeps come from its batched
+    sample (module docstring).
 
     Raises RuntimeError naming the step index if an equilibrium loop fails;
     every step, undamaged or not, is held to the same residual test.
@@ -333,9 +340,6 @@ def newmark_quasi_newton(system, params, load, times, damage=True, tol=1e-4):
         eps = np.zeros((mesh.n_gauss, n_t, 6))
         sig = np.zeros((mesh.n_gauss, n_t, 6))
         dmg = np.zeros((mesh.n_gauss, n_t))
-        eps_rows = np.empty((_HISTORY_BLOCK, mesh.n_gauss, 6))
-        sig_rows = np.empty_like(eps_rows)
-        d_rows = np.empty((_HISTORY_BLOCK, mesh.n_gauss))
         full[presc] = u_p[:, 0]
         eps[:, 0] = strain_at_gauss(mesh, full)
         sig[:, 0] = hooke.apply(eps[:, 0])
@@ -350,14 +354,6 @@ def newmark_quasi_newton(system, params, load, times, damage=True, tol=1e-4):
     iters = np.zeros(n_t - 1, dtype=int)
     passes = np.ones(n_t - 1, dtype=int)
     onset_floor = params.Y0 * (1.0 - _ONSET_SLACK)
-
-    def predict(k, u_f, v_f, a_f):
-        """Predicted displacement and velocity of step k, and its h."""
-        pred_u = u_f + dt * v_f + dt * dt * (0.5 - NEWMARK_BETA) * a_f
-        pred_v = v_f + dt * (1.0 - NEWMARK_GAMMA) * a_f
-        h = Kff @ pred_u + f_sup[k]
-        h += Cff @ pred_v
-        return pred_u, pred_v, h
 
     def equilibrium(k, u_trial, pred_u, h, correction, r0=None):
         """Equilibrium pass of step k at the frozen state of `correction`.
@@ -400,46 +396,60 @@ def newmark_quasi_newton(system, params, load, times, damage=True, tol=1e-4):
             u_trial = u_trial + omega * system.solve_free(ca, cc, 1.0, r)
         return u_trial, it, eps_k
 
-    def elastic_step(k, u_f, v_f, a_f):
-        """Step k from an undamaged state: (u, v, a, corrections)."""
-        pred_u, pred_v, h = predict(k, u_f, v_f, a_f)
-        u_new, spent, _ = equilibrium(
-            k, pred_u - system.solve_free(ca, cc, 1.0, h), pred_u, h, None,
-            lambda: -(K_eff @ (u_f - pred_u) + h))
-        a_new = (u_new - pred_u) * ca
-        return u_new, pred_v + NEWMARK_GAMMA * dt * a_new, a_new, spent
+    def first_pass(k, u_f, v_f, a_f, correction):
+        """Predictor of step k and its first pass at the frozen `correction`.
 
-    def flush(end, n):
-        """Write the n buffered history rows of the steps before `end`."""
-        block = slice(end - n, end)
-        eps[:, block] = eps_rows[:n].transpose(1, 0, 2)
-        sig[:, block] = sig_rows[:n].transpose(1, 0, 2)
-        dmg[:, block] = d_rows[:n].T
+        Returns (pred_u, pred_v, h, u, corrections, eps) as `equilibrium`.
+        """
+        pred_u = u_f + dt * v_f + dt * dt * (0.5 - NEWMARK_BETA) * a_f
+        pred_v = v_f + dt * (1.0 - NEWMARK_GAMMA) * a_f
+        h = Kff @ pred_u + f_sup[k]
+        h += Cff @ pred_v
+        full[presc] = u_p[:, k]
+        # The iteration starts from the previous converged displacement, not
+        # from the extrapolated predictor: extrapolation can overshoot the
+        # damage threshold near the supports and feed the staggered loop
+        # spurious candidate states.  The converged step is the same either
+        # way.  Its first correction comes from the predictor (module
+        # docstring); f_0 = F(u_f) is kept for the lazy r0.
+        eps_k = None
+        if correction is not None:
+            full[free] = u_f
+            eps_k = strain_at_gauss(mesh, full)
+        f_0 = _free_force(system, h, eps_k, correction)
+        return (pred_u, pred_v, h) + equilibrium(
+            k, pred_u - system.solve_free(ca, cc, 1.0, f_0), pred_u, h,
+            correction, lambda: -(K_eff @ (u_f - pred_u) + f_0))
+
+    def commit(k, u_new, pred_u, pred_v):
+        """Write step k's converged u and its v and a; return the three."""
+        a_new = (u_new - pred_u) * ca
+        v_new = pred_v + NEWMARK_GAMMA * dt * a_new
+        u[free, k] = u_new
+        v[free, k] = v_new
+        acc[free, k] = a_new
+        return u_new, v_new, a_new
 
     undamaged = 0      # steps committed on the block path
-    n_rows = 0         # staggered steps buffered in the history rows
     redo = 0           # the step a block sample flagged, redone staggered
+    length = 1         # steps of the next block
     k = 1
     while k < n_t:
         if k != redo and state["correction"] is None and not state["dbar"].any():
             # A block of elastic steps from an undamaged state.  A step that
             # fails to converge ends the block; its error stands unless the
             # sample flags an earlier step, whose staggered redo supersedes it.
-            if n_rows:
-                flush(k, n_rows)
-                n_rows = 0
             start = (u_f, v_f, a_f)
-            stop = min(k + _HISTORY_BLOCK, n_t)
+            stop = min(k + length, n_t)
             failure = None
             for j in range(k, stop):
                 try:
-                    u_f, v_f, a_f, iters[j - 1] = elastic_step(j, u_f, v_f, a_f)
+                    pred_u, pred_v, _, u_new, iters[j - 1], _ = first_pass(
+                        j, u_f, v_f, a_f, None)
                 except RuntimeError as exc:
                     failure, stop = exc, j
                     break
-                u[free, j] = u_f
-                v[free, j] = v_f
-                acc[free, j] = a_f
+                u_f, v_f, a_f = commit(j, u_new, pred_u, pred_v)
             onset = stop
             if damage and stop > k:
                 # The batched strain goes straight into the history; the
@@ -451,8 +461,11 @@ def newmark_quasi_newton(system, params, load, times, damage=True, tol=1e-4):
                 if flagged.any():
                     onset = k + int(flagged.argmax())
                 if onset > k:
-                    total_stress(eps[:, k:onset], hooke, None,
-                                 out=sig[:, k:onset])
+                    # A lone step takes the 2-D product, as a staggered step
+                    # does: numpy multiplies an (n, 1, 6) stack by another
+                    # kernel, which can differ in the last bit.
+                    kept = slice(k, onset) if onset > k + 1 else k
+                    total_stress(eps[:, kept], hooke, None, out=sig[:, kept])
                     state = _raise_peaks(state, eps[:, k:onset])
             if onset == stop and failure is not None:
                 raise failure
@@ -462,68 +475,43 @@ def newmark_quasi_newton(system, params, load, times, damage=True, tol=1e-4):
                 u_f, v_f, a_f = start if onset == k else (
                     u[free, onset - 1], v[free, onset - 1], acc[free, onset - 1])
                 redo = onset
+                length = 1
+            else:
+                length = min(2 * length, _HISTORY_BLOCK)
             k = onset
             continue
 
-        pred_u, pred_v, h = predict(k, u_f, v_f, a_f)
-        full[presc] = u_p[:, k]
-        # The iteration starts from the previous converged displacement, not
-        # from the extrapolated predictor: extrapolation can overshoot the
-        # damage threshold near the supports and feed the staggered loop
-        # spurious candidate states.  The converged step is the same either
-        # way.  Its first correction comes from the predictor (module
-        # docstring); f_0 = F(u_f) is kept for the first pass's r0.
-        correction = state["correction"]
-        eps_k = None
-        if correction is not None:
-            full[free] = u_f
-            eps_k = strain_at_gauss(mesh, full)
-        f_0 = _free_force(system, h, eps_k, correction)
-        u_trial = pred_u - system.solve_free(ca, cc, 1.0, f_0)
-
-        def r0():
-            return -(K_eff @ (u_f - pred_u) + f_0)
-
+        pred_u, pred_v, h, u_trial, spent, eps_k = first_pass(
+            k, u_f, v_f, a_f, state["correction"])
         state_new = state
-        spent = 0
-        for stagger in range(_MAX_STAGGER + 1):
-            # Equilibrium pass at frozen constitutive state `state_new`.
-            u_trial, it, eps_k = equilibrium(k, u_trial, pred_u, h,
-                                             state_new["correction"],
-                                             r0 if stagger == 0 else None)
-            spent += it
+        for stagger in range(1, _MAX_STAGGER + 2):
             # The pass ends on a residual at the converged displacement; at
             # a damaged state that residual has already sampled its strain.
             if eps_k is None:
                 full[free] = u_trial
                 eps_k = strain_at_gauss(mesh, full)
             advanced = _advance_damage(eps_k, state, dt, params, hooke)
-            if np.abs(advanced["d"] - state_new["d"]).max() <= _STAGGER_TOL:
-                state_new = advanced
+            settled = np.abs(advanced["d"] - state_new["d"]).max() <= _STAGGER_TOL
+            state_new = advanced
+            if settled:
                 break
-            if stagger == _MAX_STAGGER:
+            if stagger > _MAX_STAGGER:
                 raise RuntimeError(
                     "damage staggering failed to settle at step %d (t = %g)"
                     % (k, times[k]))
-            state_new = advanced
+            # Next equilibrium pass at frozen constitutive state `state_new`.
+            u_trial, it, eps_k = equilibrium(k, u_trial, pred_u, h,
+                                             state_new["correction"])
+            spent += it
         iters[k - 1] = spent
-        passes[k - 1] = stagger + 1
-        a_f = (u_trial - pred_u) * ca
-        v_f = pred_v + NEWMARK_GAMMA * dt * a_f
-        u_f = u_trial
+        passes[k - 1] = stagger
+        u_f, v_f, a_f = commit(k, u_trial, pred_u, pred_v)
         state = state_new
-        u[free, k] = u_f
-        v[free, k] = v_f
-        acc[free, k] = a_f
         # Keep the stored stress consistent with the committed state (it can
         # differ from the last pass state by up to the stagger tolerance).
-        eps_rows[n_rows] = eps_k
-        sig_rows[n_rows] = total_stress(eps_k, hooke, state["correction"])
-        d_rows[n_rows] = state["d"]
-        n_rows += 1
-        if n_rows == _HISTORY_BLOCK or k == n_t - 1:
-            flush(k + 1, n_rows)
-            n_rows = 0
+        eps[:, k] = eps_k
+        sig[:, k] = total_stress(eps_k, hooke, state["correction"])
+        dmg[:, k] = state["d"]
         k += 1
 
     info = {"iterations": iters, "passes": passes, "undamaged_steps": undamaged,
