@@ -50,7 +50,8 @@ happen, with results bit-identical to evaluating it everywhere:
 
 The kernels that gather a subset of points (eigenvalue solve, correction)
 work through it in chunks, so their temporaries stay small however many
-points qualify.
+points qualify; the released-energy bound is formed a chunk of rows at a
+time for the same reason.
 """
 
 import math
@@ -137,16 +138,22 @@ def released_energy(eps_v, hooke, floor=0.0):
     solver, which stays accurate at repeated eigenvalues (uniaxial strain).
     It only runs where the bound of `_energy_bound` can exceed `floor`;
     everywhere else Y <= floor and the result is `floor`.  The default
-    floor 0 sends every nonzero strain through the solver.
+    floor 0 sends every nonzero strain through the solver.  The bound is
+    formed _CHUNK samples of leading rows at a time: it only screens
+    samples, and the exact Y decides, so Y does not depend on the chunks.
     """
     eps_v = np.asarray(eps_v, dtype=float)
-    bound = _energy_bound(eps_v, hooke)
-    # Negated test, so a non-finite strain still reaches the solver.
-    live = np.flatnonzero(~(bound <= floor))
-    Y = np.full(bound.shape, float(floor))
     # The live samples are gathered through their indices, so a strided
     # field is not copied whole; a single strain is a view of one row.
-    samples, flat_Y = np.atleast_2d(eps_v), Y.reshape(-1)
+    samples = np.atleast_2d(eps_v)
+    bound = np.empty(samples.shape[:-1])
+    step = max(1, _CHUNK // max(1, math.prod(samples.shape[1:-1])))
+    for i in range(0, samples.shape[0], step):
+        bound[i:i + step] = _energy_bound(samples[i:i + step], hooke)
+    # Negated test, so a non-finite strain still reaches the solver.
+    live = np.flatnonzero(~(bound <= floor))
+    Y = np.full(eps_v.shape[:-1], float(floor))
+    flat_Y = Y.reshape(-1)
     for s in _chunks(live.size):
         points = live[s]
         pos = np.maximum(np.linalg.eigvalsh(voigt_to_matrix(
@@ -167,8 +174,8 @@ def static_damage(Y, params):
 def integrate_delay(times, dbar, d_init, params):
     """Integrate d_dot = (1/tau_c)(1 - exp(-a <d_bar - d>+)) along the time axis.
 
-    times : sample instants (n_t,), strictly increasing, starting at or
-        after 0.
+    times : sample instants (n_t,), finite, strictly increasing, starting
+        at or after 0; the first that is not raises ValueError naming it.
     dbar : target damage samples (..., n_t); linear interpolation in between,
         constant extrapolation on the leading [0, times[0]] gap.  That gap
         is empty when times[0] = 0 (the Newmark step calls with [0, dt]),
@@ -189,11 +196,19 @@ def integrate_delay(times, dbar, d_init, params):
         raise ValueError("dbar last axis must match times")
     rows = dbar.reshape(math.prod(dbar.shape[:-1]), n_t)
     d = np.empty_like(rows)
-    cur = np.broadcast_to(np.asarray(d_init, dtype=float), dbar.shape[:-1]).flatten()
+    d_init = np.asarray(d_init, dtype=float)
+    cur = (d_init if d_init.shape == dbar.shape[:-1]
+           else np.broadcast_to(d_init, dbar.shape[:-1])).flatten()
 
     # Step k spans [times[k-1], times[k]] ([0, times[0]] for k = 0, with the
-    # target extrapolated flat); top holds its larger end target.
-    span = np.diff(times, prepend=0.0)
+    # target extrapolated flat); top holds its larger end target.  A first
+    # span >= 0, later spans > 0 and a finite last time make a valid axis;
+    # the negated tests catch a NaN.
+    span = times.copy()
+    span[1:] -= times[:-1]
+    if n_t and not (span[0] >= 0.0 and span[1:].min(initial=1.0) > 0.0
+                    and times[-1] < np.inf):
+        _check_times(times, "delay-law times")
     top = rows.copy()
     np.maximum(top[:, 1:], rows[:, :-1], out=top[:, 1:])
 
@@ -216,6 +231,18 @@ def integrate_delay(times, dbar, d_init, params):
                                     span[k], params)
         d[:, k] = cur
         done = k = k + 1
+
+
+def _check_times(times, what):
+    """Raise ValueError naming the first of `times` that is not finite,
+    non-negative and after the one before it."""
+    ok = np.isfinite(times) & (times >= 0.0)
+    ok[1:] &= times[1:] > times[:-1]
+    if not ok.all():
+        k = int(ok.argmin())
+        after = " after times[%d] = %g" % (k - 1, times[k - 1]) if k else ""
+        raise ValueError("%s must be finite, non-negative and increasing: "
+                         "times[%d] = %g%s" % (what, k, times[k], after))
 
 
 def _delay_step(d0, b0, b1, h, params):
@@ -301,9 +328,10 @@ class DamageCorrection:
         """The correction of a strain field (shape of the state, 6)."""
         eps_v = np.asarray(eps_v, dtype=float)
         flat = eps_v.reshape(-1, 6)
-        out = np.zeros_like(flat)
+        out = np.zeros(flat.shape)
         out[self.peak] = self._at_peak(flat)
-        out[self.no_peak] = self.neg_d * self.hooke.apply(flat[self.no_peak])
+        if self.no_peak.size:
+            out[self.no_peak] = self.neg_d * self.hooke.apply(flat[self.no_peak])
         return out.reshape(eps_v.shape)
 
     def add_to(self, sig, eps_v):
@@ -475,13 +503,7 @@ def matpoint_drive(times, eps_x, params):
     n_t = times.size
     if eps_x.shape != (n_t,):
         raise ValueError("eps_x must have shape (%d,)" % n_t)
-    ok = np.isfinite(times) & (times >= 0.0)
-    ok[1:] &= times[1:] > times[:-1]
-    if not ok.all():
-        k = int(ok.argmin())
-        after = " after times[%d] = %g" % (k - 1, times[k - 1]) if k else ""
-        raise ValueError("signal times must be finite, non-negative and increasing: "
-                         "times[%d] = %g%s" % (k, times[k], after))
+    _check_times(times, "signal times")
     eps = np.zeros((1, n_t, 6))
     eps[0, :, 0] = eps_x
     hooke = params.hooke()

@@ -24,14 +24,17 @@ ca = 1 / (beta dt^2) and cc = gamma / (beta dt), so on the free DOFs
 
 where K_eff is the operator the solves factorize and h is built once per
 step (f_sup, the support-motion load, is built once for the whole run and
-stored one step to a row).  K_eff, K and C are multiplied in CSR copies
-made once per march.  The first correction of a step starts from the
-previous converged displacement u_f and comes straight from the
-predictor: u_f + K_eff^-1 r0 with r0 = -(K_eff (u_f - pred_u) + F(u_f))
-is u = pred_u - K_eff^-1 F(u_f), where F(u) is h plus the damage
-correction below at the strain of u.  So the first correction needs no
-product with K_eff, and r0 itself is formed only when the first pass needs
-a second correction, as the previous residual of the Aitken relaxation.
+stored one step to a row).  K_eff, K and C are multiplied through the
+transposes of their CSC blocks: the blocks are exactly symmetric
+(`assembly._scatter`), so each transpose is a CSR matrix with the arrays
+of its `.tocsr()` copy, and the march copies no operator.  The first
+correction of a step starts from the previous converged displacement u_f
+and comes straight from the predictor: u_f + K_eff^-1 r0 with
+r0 = -(K_eff (u_f - pred_u) + F(u_f)) is u = pred_u - K_eff^-1 F(u_f),
+where F(u) is h plus the damage correction below at the strain of u.  So
+the first correction needs no product with K_eff, and r0 itself is formed
+only when the first pass needs a second correction, as the previous
+residual of the Aitken relaxation.
 Once any point is damaged the correction B^T W (sigma - E : eps) is
 added, integrated over the whole mesh; at an undamaged point
 sigma = E : eps exactly, so the correction is zero there, and a pass at a
@@ -45,7 +48,11 @@ per stagger pass.  The committed state's kernel sets the stored stress
 step's first pass.  A staggered step needs the strain of each pass's
 converged displacement, for the damage update and the stored history: at
 a damaged state the pass's last residual has sampled it already and it is
-reused, at an undamaged state it is sampled once after the pass.
+reused, at an undamaged state it is sampled once after the pass.  The
+damage update of every pass calls `integrate_delay` once, over the step
+[0, dt], through this module's name, so a wrapper of `newmark.integrate_delay`
+counts the stagger passes; only a pass from a state with no damage and no
+target anywhere skips it, since d stays exactly zero there.
 
 Every step takes one path: it opens with one first pass (the predictor,
 h, the first correction and an equilibrium pass at the committed state)
@@ -77,6 +84,10 @@ staggered step writes its strain, stress and damage straight into its
 columns of the histories.  Once a step commits damage the march stays
 staggered, so a run redoes at most one block of elastic steps, plus one
 per flagged step that its staggered redo finds undamaged after all.
+
+The displacement, velocity and acceleration histories are held step-major,
+(n_t, n_dofs), so a commit writes three contiguous rows; the march returns
+their (n_dofs, n_t) transposes, views with the same values.
 
 The first equilibrium pass of a step always applies that first correction
 before it tests the residual: the trial point (the previous step's
@@ -195,8 +206,9 @@ def _advance_damage(eps_k, state, dt, params, hooke):
     """
     dbar = static_damage(released_energy(eps_k, hooke, params.Y0), params)
     if dbar.any() or state["dbar"].any() or state["d"].any():
-        targets = np.stack([state["dbar"], dbar], axis=-1)
-        d = integrate_delay(np.array([0.0, dt]), targets, state["d"], params)[..., 1]
+        targets = np.empty(dbar.shape + (2,))
+        targets[:, 0], targets[:, 1] = state["dbar"], dbar
+        d = integrate_delay(np.array([0.0, dt]), targets, state["d"], params)[:, 1]
     else:
         d = np.zeros_like(dbar)
     tr = eps_k[:, :3].sum(axis=1)
@@ -269,7 +281,8 @@ def newmark_quasi_newton(system, params, load, times, damage=True, tol=1e-4):
         a finite positive number.
 
     Returns a dict with the node times, full displacement/velocity/
-    acceleration histories u, v, a (n_dofs, n_t) and an `info` block
+    acceleration histories u, v, a (n_dofs, n_t), each the transposed view
+    of a step-major buffer (module docstring), and an `info` block
     (`iterations`: per-step correction counts summed over staggered passes,
     each at least 1; `passes`: per-step stagger pass counts, each at least
     1, and 1 on every undamaged step; `undamaged_steps`: the steps
@@ -316,9 +329,9 @@ def newmark_quasi_newton(system, params, load, times, damage=True, tol=1e-4):
     tol_abs = tol * np.linalg.norm(f_sup, axis=0).max()
     f_sup = f_sup.T.copy()
 
-    u = np.zeros((mesh.n_dofs, n_t))
-    v = np.zeros((mesh.n_dofs, n_t))
-    acc = np.zeros((mesh.n_dofs, n_t))
+    # Step-major histories, returned as their transposes (module docstring).
+    u_rows, v_rows, a_rows = (np.zeros((n_t, mesh.n_dofs)) for _ in range(3))
+    u, v, acc = u_rows.T, v_rows.T, a_rows.T
     u[presc] = u_p
     v[presc] = v_p
     acc[presc] = a_p
@@ -349,8 +362,9 @@ def newmark_quasi_newton(system, params, load, times, damage=True, tol=1e-4):
 
     ca = 1.0 / (NEWMARK_BETA * dt * dt)
     cc = NEWMARK_GAMMA / (NEWMARK_BETA * dt)
-    K_eff = system.operator(ca, cc, 1.0).tocsr()
-    Kff, Cff = system.Kff.tocsr(), system.Cff.tocsr()
+    # CSR views: the transposes of the exactly symmetric CSC blocks.
+    K_eff = system.operator(ca, cc, 1.0).T
+    Kff, Cff = system.Kff.T, system.Cff.T
     iters = np.zeros(n_t - 1, dtype=int)
     passes = np.ones(n_t - 1, dtype=int)
     onset_floor = params.Y0 * (1.0 - _ONSET_SLACK)
@@ -372,13 +386,14 @@ def newmark_quasi_newton(system, params, load, times, damage=True, tol=1e-4):
                 eps_k = strain_at_gauss(mesh, full)
             r = -(K_eff @ (u_trial - pred_u)
                   + _free_force(system, h, eps_k, correction))
-            if np.linalg.norm(r) <= tol_abs:
+            norm = np.sqrt(r @ r)     # the dot product of np.linalg.norm
+            if norm <= tol_abs:
                 break
             if it == _MAX_ITER:
                 raise RuntimeError(
                     "equilibrium loop failed to converge at step %d "
                     "(t = %g): residual %g > %g"
-                    % (k, times[k], np.linalg.norm(r), tol_abs))
+                    % (k, times[k], norm, tol_abs))
             # Aitken relaxation stabilizes the constant-operator iteration on
             # strongly softened steps (it never engages on elastic ones: they
             # converge on the first correction, before a second residual
@@ -425,9 +440,9 @@ def newmark_quasi_newton(system, params, load, times, damage=True, tol=1e-4):
         """Write step k's converged u and its v and a; return the three."""
         a_new = (u_new - pred_u) * ca
         v_new = pred_v + NEWMARK_GAMMA * dt * a_new
-        u[free, k] = u_new
-        v[free, k] = v_new
-        acc[free, k] = a_new
+        u_rows[k, free] = u_new
+        v_rows[k, free] = v_new
+        a_rows[k, free] = a_new
         return u_new, v_new, a_new
 
     undamaged = 0      # steps committed on the block path
@@ -473,7 +488,8 @@ def newmark_quasi_newton(system, params, load, times, damage=True, tol=1e-4):
             if onset < stop:
                 # Roll back to the end of the last undamaged step.
                 u_f, v_f, a_f = start if onset == k else (
-                    u[free, onset - 1], v[free, onset - 1], acc[free, onset - 1])
+                    u_rows[onset - 1, free], v_rows[onset - 1, free],
+                    a_rows[onset - 1, free])
                 redo = onset
                 length = 1
             else:

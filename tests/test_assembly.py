@@ -306,3 +306,23 @@ class TestSpatialSystem:
         A = damped.operator(0.0, 1.0, 0.0)
         ref = alpha * damped.Mff + beta * damped.Kff
         assert abs((A - ref)).max() <= 1e-12 * abs(ref).max()
+
+    @pytest.mark.parametrize("damped", [False, True])
+    def test_transposed_blocks_are_their_csr_form(self, damped):
+        # The blocks are exactly symmetric, so the transpose of each CSC
+        # block is a CSR matrix with the arrays of its .tocsr() copy: the
+        # Newmark march multiplies with the transposes and copies nothing.
+        mesh = beam_mesh((4, 2, 2))
+        M = assemble_mass(mesh, 2550.0)
+        K = assemble_stiffness(mesh, CONCRETE)
+        alpha, beta = rayleigh_coeffs(0.02, 8.99, 45.8)
+        sysm = SpatialSystem(mesh, M, K, C=alpha * M + beta * K if damped else None)
+        dt = 2.5e-3
+        ca, cc = 1.0 / (0.25 * dt * dt), 0.5 / (0.25 * dt)
+        for A in (sysm.operator(ca, cc, 1.0), sysm.Kff, sysm.Cff):
+            t, c = A.T, A.tocsr()
+            assert t.format == c.format == "csr"
+            for name in ("indptr", "indices", "data"):
+                got, want = getattr(t, name), getattr(c, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert (sysm.Cff.nnz > 0) == damped

@@ -8,7 +8,7 @@ import pytest
 
 from scipy.linalg import eigh
 
-from latinpgd import cli, config, latin, material
+from latinpgd import cli, config, latin, material, newmark
 from latinpgd.assembly import strain_at_gauss
 from latinpgd.latin import elastic_solution, latin_error, run_latin
 from latinpgd.material import (integrate_delay, reference_concrete,
@@ -385,6 +385,28 @@ def test_local_stage_replays_the_newmark_march(n_t):
     np.testing.assert_allclose(got["d"], res["d"], rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(got["sig"], res["sig"], rtol=0.0,
                                atol=1e-12 * np.abs(res["sig"]).max())
+
+
+def test_one_delay_law_call_per_stagger_pass(monkeypatch):
+    # Every staggered pass of the reference march here starts from a
+    # damaged state and advances the damage through one `integrate_delay`
+    # call over the step [0, dt]; the benchmark counts the passes off
+    # these calls.
+    conf, _, params, system, load, _ = tiny_damaging_problem()
+    times = conf.solver.newmark_times(conf.load.T)
+    spans = []
+
+    def spy(t, dbar, d_init, params):
+        spans.append(t)
+        return integrate_delay(t, dbar, d_init, params)
+
+    monkeypatch.setattr(newmark, "integrate_delay", spy)
+    res = newmark_quasi_newton(system, params, load, times,
+                               tol=conf.solver.newmark_tol)
+    assert res["info"]["undamaged_steps"] == 0
+    assert len(spans) == res["info"]["passes"].sum() > times.size - 1
+    for t in spans:
+        assert_bitwise(t, np.array([0.0, times[1] - times[0]]))
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

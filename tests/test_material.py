@@ -1,5 +1,6 @@
 """Damage model checks: energy, static damage law, delay ODE, closure, update stage."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from latinpgd.material import (CLOSURE_TRACE_GUARD, DamageCorrection,
                                released_energy, static_damage,
                                tension_peak_history, total_stress)
 from latinpgd.tensors import HookeTensor
+from latinpgd.timegrid import TimeGrid
 
 from test_tensors import STRAINS, matrix_to_voigt
 
@@ -73,15 +75,22 @@ def closed_form_stress(eps, eps_max, d):
     The closed form of `blend_stress`, with the operations of the kernel in
     their order, so the screened kernel must match it bit for bit.
     """
+    sig = HOOKE.apply(eps)
+    return sig + closed_form_correction(eps, eps_max, d, sig)
+
+
+def closed_form_correction(eps, eps_max, d, sig=None):
+    """The correction of `closed_form_stress`, sigma - E:eps, in its
+    operations; sig is E:eps (formed here by default)."""
     d = np.broadcast_to(np.asarray(d, dtype=float), eps.shape[:-1])
     eps_max = np.broadcast_to(eps_max, eps.shape)
-    sig = HOOKE.apply(eps)
+    sig = HOOKE.apply(eps) if sig is None else sig
     tr_max = eps_max[..., :3].sum(axis=-1)
     peak = tr_max > CLOSURE_TRACE_GUARD
     scale = P.a_c / np.where(peak, tr_max, 1.0)
     s = np.logaddexp(0.0, scale * (eps[..., 0] + eps[..., 1] + eps[..., 2]))
     at_peak = ((-d / P.a_c) * s)[..., None] * HOOKE.apply(eps_max)
-    return sig + np.where(peak[..., None], at_peak, -d[..., None] * sig)
+    return np.where(peak[..., None], at_peak, -d[..., None] * sig)
 
 
 def plain_delay_loop(times, dbar, d_init, params, refine=512):
@@ -348,6 +357,62 @@ class TestDelayIntegration:
         if shape == "sine":
             # the target falls under d after each rise: most steps are frozen
             assert 0 < len(calls) < t.size / 2
+
+    def test_two_samples_are_one_exact_step_on_the_rows_that_move(self):
+        # The Newmark step's call: every row whose larger end target
+        # exceeds d takes `_delay_step` over [0, dt] bit for bit, every
+        # other row keeps each bit of d, and d[:, 0] is d_init.
+        rng = np.random.default_rng(12)
+        dt = 0.0025
+        d0 = rng.uniform(0.0, 0.5, 40)
+        dbar = rng.uniform(0.0, 0.7, (40, 2))
+        dbar[::4] = 0.5 * d0[::4, None]                 # frozen rows
+        d = integrate_delay(np.array([0.0, dt]), dbar, d0, P)
+        moves = dbar.max(axis=1) > d0
+        assert 0 < moves.sum() < moves.size
+        assert_bitwise(d[:, 0], d0)
+        assert_bitwise(d[moves, 1], material._delay_step(
+            d0[moves], dbar[moves, 0], dbar[moves, 1], dt, P))
+        assert_bitwise(d[~moves, 1], d0[~moves])
+
+    def test_scalar_and_array_start_give_the_same_damage(self):
+        t = np.array([0.0, 0.003, 0.007])
+        dbar = np.random.default_rng(13).uniform(0.0, 0.8, (3, 4, t.size))
+        start = np.full((3, 4), 0.25)
+        held = start.copy()
+        d = integrate_delay(t, dbar, start, P)
+        assert_bitwise(d, integrate_delay(t, dbar, 0.25, P))
+        assert_bitwise(d, integrate_delay(t, dbar, start[:, :1], P))
+        assert_bitwise(d, integrate_delay(t, dbar, start[:, ::-1], P))
+        assert_bitwise(start, held)                      # d_init is not written
+        assert d.max() > 0.25
+
+    def test_nan_target_of_a_step_propagates(self):
+        dbar = np.array([[0.1, np.nan], [0.1, 0.3], [0.0, 0.0]])
+        d = integrate_delay(np.array([0.0, 0.002]), dbar, 0.2, P)
+        assert np.isnan(d[0, 1]) and np.isfinite(d[1:]).all()
+        assert d[2, 1] == 0.2
+
+    @pytest.mark.parametrize("times, bad", [
+        ([0.0, 0.1, 0.05, 0.3], 2),                     # a backward step
+        ([0.0, 0.1, 0.1, 0.3], 2),                      # a repeated time
+        ([0.0, 0.1, np.nan, 0.3], 2),
+        ([np.nan, 0.1], 0),
+        ([-0.01, 0.1, 0.2], 0),                         # a negative start
+        ([0.0, 0.1, np.inf], 2),
+        ([0.0, np.inf, 0.3], 1),
+    ])
+    def test_malformed_time_axis_is_rejected_at_its_first_bad_index(self, times, bad):
+        times = np.array(times)
+        dbar = np.full((2, times.size), 0.5)
+        with pytest.raises(ValueError, match=r"times\[%d\] = " % bad):
+            integrate_delay(times, dbar, 0.0, P)
+
+    def test_newmark_and_grid_axes_are_accepted(self):
+        grid = TimeGrid(0.5, 10)
+        for t in (np.array([0.0, 0.0025]), grid.all_gauss_times):
+            d = integrate_delay(t, np.full((2, t.size), 0.5), 0.0, P)
+            assert np.all(np.diff(d, axis=1) >= 0.0) and d[:, -1].min() > 0.0
 
 
 class TestCrackClosure:
@@ -730,6 +795,44 @@ class TestScreens:
                            np.abs(want).max(axis=-1))
         gap = np.abs(got - want).max(axis=-1)
         assert np.all(gap <= 8.0 * np.finfo(float).eps * scale)
+
+    def test_correction_field_without_a_point_lacking_history(self):
+        # Every damaged point has a tension history, so the kernel has no
+        # point without one: its field is the closed form's correction at
+        # the damaged points, bit for bit, and +0 at the others.
+        rng = np.random.default_rng(6)
+        shape = (500,)
+        eps = rng.normal(size=shape + (6,)) * 1e-4
+        eps_max = rng.normal(size=shape + (6,)) * 1e-4
+        eps_max[..., :3] = np.abs(eps_max[..., :3]) + 5e-5
+        d = np.where(rng.random(shape) < 0.6, rng.uniform(0.0, 1.0, shape), 0.0)
+        correction = kernel(eps_max, d)
+        assert correction.no_peak.size == 0 and correction.peak.size > 0
+        field = correction.field(eps)
+        damaged = d != 0.0
+        assert_bitwise(field[damaged], closed_form_correction(eps, eps_max, d)[damaged])
+        assert_bitwise(field[~damaged], np.zeros((np.sum(~damaged), 6)))
+
+    def test_released_energy_of_a_strided_history_slice(self, monkeypatch):
+        # A block of steps of a (points, steps, 6) history, as the Newmark
+        # march passes it: Y equals the whole-field call's bit for bit, and
+        # the bound is formed a chunk of rows at a time, so the call holds
+        # the bound and Y (1/6 of the slice each) and no copy of the slice.
+        rng = np.random.default_rng(8)
+        eps = rng.normal(size=(600, 48, 6)) * 3e-5
+        whole = released_energy(eps, HOOKE, P.Y0)
+        part = eps[:, 5:37]
+        assert not part.flags.c_contiguous
+        monkeypatch.setattr(material, "_CHUNK", 256)
+        tracemalloc.start()
+        try:
+            got = released_energy(part, HOOKE, P.Y0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_bitwise(got, whole[:, 5:37])
+        assert 0.0 < np.mean(got > P.Y0) < 0.5
+        assert peak < 0.5 * part.nbytes
 
     def test_local_stage_matches_unscreened_composition(self):
         t = np.linspace(1.0 / 60, 1.0, 60)

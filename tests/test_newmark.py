@@ -155,6 +155,18 @@ class TestElasticLimits:
         assert res["info"]["iterations"].max() == 1
         assert res["info"]["factorizations"] == 1
 
+    def test_histories_are_step_major_views(self):
+        # u, v and a of a step are contiguous rows of the march's buffers;
+        # the results are their (n_dofs, n_t) transposes.
+        system = cube_system()
+        times = np.linspace(0.0, 0.01, 41)
+        load = LoadCase(np.array([1e-7]), np.array([100.0]))
+        for damage in (True, False):
+            res = newmark_quasi_newton(system, PARAMS, load, times, damage=damage)
+            for field in "uva":
+                assert res[field].shape == (system.mesh.n_dofs, times.size)
+                assert res[field].T.flags.c_contiguous
+
     def test_initial_fields_match_initial_support_position(self):
         system = cube_system()
         times = np.linspace(0.0, 0.01, 11)
