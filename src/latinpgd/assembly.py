@@ -82,16 +82,12 @@ def assemble_stiffness(mesh, hooke):
     return _scatter(mesh, ke)
 
 
-def strain_at_gauss(mesh, u, out=None):
+def strain_at_gauss(mesh, u):
     """Engineering-strain Voigt samples of a nodal field or history.
 
     u (n_dofs,) gives (n_gauss, 6); a history u (n_dofs, n_t) gives
     (n_gauss, n_t, 6), written block by block of elements, so no
     temporary is larger than a block.
-
-    out : for a history, the (n_gauss, n_t, 6) array to write it into (a
-        slice of the time axis of a longer history will do); a new array by
-        default.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim not in (1, 2) or u.shape[0] != mesh.n_dofs:
@@ -101,8 +97,7 @@ def strain_at_gauss(mesh, u, out=None):
     if u.ndim == 1:
         return (B @ u[mesh.edofs][:, :, None]).reshape(-1, 6)
     n_t = u.shape[1]
-    if out is None:
-        out = np.empty((mesh.n_gauss, n_t, 6))
+    out = np.empty((mesh.n_gauss, n_t, 6))
     # (e, gp, n_t, 6), a view of out: only its leading axis is split
     per_element = out.reshape(mesh.n_elements, -1, n_t, 6, copy=False)
     for s in spatial_blocks(per_element):

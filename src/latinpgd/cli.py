@@ -314,7 +314,7 @@ def _run_newmark(conf, out, params, system, load):
 
 def _newmark_work(info):
     """Manifest keys of the work of a Newmark march: totals of its step log,
-    and the steps it committed in blocks of undamaged steps."""
+    and its quiet steps, those that started undamaged and set no target."""
     return {"factorizations": info["factorizations"],
             "corrections": int(info["iterations"].sum()),
             "passes": int(info["passes"].sum()),

@@ -24,6 +24,7 @@ overriding only the keys it names.  `canonical` serializes a configuration
 in a fixed order so that runs can be identified by a stable hash.
 """
 
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -47,11 +48,13 @@ class MeshConfig:
 
     def __post_init__(self):
         for name in ("d1", "d2", "d3"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError("%s must be positive, got %g" % (name, getattr(self, name)))
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError("%s must be finite and positive, got %g"
+                                 % (name, getattr(self, name)))
         for name in ("nx", "ny", "nz"):
-            if getattr(self, name) < 1:
-                raise ValueError("%s must be at least 1, got %d" % (name, getattr(self, name)))
+            if not 1 <= getattr(self, name) < math.inf:
+                raise ValueError("%s must be a finite count of at least 1, got %g"
+                                 % (name, getattr(self, name)))
 
     def build(self):
         return generate_box_mesh(self.d1, self.d2, self.d3, self.nx, self.ny, self.nz)
@@ -68,8 +71,8 @@ class LoadConfig:
     def __post_init__(self):
         if len(self.amplitudes) != len(self.frequencies) or not self.amplitudes:
             raise ValueError("amplitudes and frequencies must be non-empty matching lists")
-        if self.T <= 0.0:
-            raise ValueError("time horizon T must be positive, got %g" % self.T)
+        if not 0.0 < self.T < math.inf:
+            raise ValueError("time horizon T must be finite and positive, got %g" % self.T)
 
     def build(self):
         return LoadCase(np.array(self.amplitudes), np.array(self.frequencies))
@@ -99,15 +102,17 @@ class SolverConfig:
     newmark_tol: float = 1e-4
 
     def __post_init__(self):
-        if self.N_T < 1:
-            raise ValueError("N_T must be at least 1, got %d" % self.N_T)
+        if not 1 <= self.N_T < math.inf:
+            raise ValueError("N_T must be a finite count of at least 1, got %g" % self.N_T)
         for name in ("xi_stop", "zeta_stop", "newmark_tol"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError("%s must be positive, got %g" % (name, getattr(self, name)))
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError("%s must be finite and positive, got %g"
+                                 % (name, getattr(self, name)))
         if not 0.0 < self.omega <= 1.0:
             raise ValueError("omega must lie in (0, 1], got %g" % self.omega)
-        if self.max_modes < 1:
-            raise ValueError("max_modes must be at least 1, got %d" % self.max_modes)
+        if not 1 <= self.max_modes < math.inf:
+            raise ValueError("max_modes must be a finite count of at least 1, got %g"
+                             % self.max_modes)
 
     def build_grid(self, T):
         return TimeGrid(T, self.N_T)

@@ -96,8 +96,9 @@ class MaterialParams:
 
     def __post_init__(self):
         for name in ("rho", "E", "Y0", "A_d", "tau_c", "a", "a_c"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError("%s must be positive, got %g" % (name, getattr(self, name)))
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError("%s must be finite and positive, got %g"
+                                 % (name, getattr(self, name)))
         if not -1.0 < self.nu < 0.5:
             raise ValueError("Poisson ratio must lie in (-1, 0.5)")
         if not 0.0 <= self.xi < 1.0:

@@ -15,6 +15,8 @@ the measured 1:4:9 vertical bending frequency series.  A node row sits at
 mid-height only when nz is even.
 """
 
+import math
+
 import numpy as np
 
 # vertex signs of the reference brick [-1,1]^3, VTK hexahedron ordering
@@ -103,10 +105,12 @@ def generate_box_mesh(d1, d2, d3, nx, ny, nz):
     The mid-height node lines of the two end faces are the prescribed
     supports, so nz must be even.
     """
-    if min(d1, d2, d3) <= 0.0:
-        raise ValueError("box dimensions must be positive")
-    if min(nx, ny, nz) < 1:
-        raise ValueError("element counts must be at least 1")
+    for name, size in (("d1", d1), ("d2", d2), ("d3", d3)):
+        if not 0.0 < size < math.inf:
+            raise ValueError("box dimension %s must be finite and positive, got %g"
+                             % (name, size))
+    if not all(1 <= n < math.inf for n in (nx, ny, nz)):
+        raise ValueError("element counts must be finite and at least 1")
     if nz % 2 != 0:
         raise ValueError("the line supports need an even nz so a node row "
                          "sits at mid-height z = d3/2")

@@ -48,42 +48,32 @@ per stagger pass.  The committed state's kernel sets the stored stress
 step's first pass.  A staggered step needs the strain of each pass's
 converged displacement, for the damage update and the stored history: at
 a damaged state the pass's last residual has sampled it already and it is
-reused, at an undamaged state it is sampled once after the pass.  The
+reused, at an undamaged state it is sampled once after the pass (the
+onset test below samples it for a step's first pass).  The
 damage update of every pass calls `integrate_delay` once, over the step
 [0, dt], through this module's name, so a wrapper of `newmark.integrate_delay`
 counts the stagger passes; only a pass from a state with no damage and no
 target anywhere skips it, since d stays exactly zero there.
 
 Every step takes one path: it opens with one first pass (the predictor,
-h, the first correction and an equilibrium pass at the committed state)
-and closes with one commit (a and v from the converged u, and u, v and a
-written into the histories).  A step of the elastic march
-(`damage=False`), and every step that starts from an undamaged state (no
-damage and no target damage at any point), is that first pass alone,
-without damage correction or Gauss-point work.  Such steps run in blocks
-of 1, 2, 4, ... steps, up to `_HISTORY_BLOCK`: the length doubles after a
-block that keeps all its steps and starts again at one step after a block
-gives way, so damage at the first step (the start shock) rolls back one
-solve.  The elastic march samples nothing.  A damaging march samples each
-block once, batched: one `strain_at_gauss` of the block's displacement
-history, written straight into the block's steps of the strain history,
-one `released_energy` over them and one `total_stress` (E : eps) of the
-kept steps, written straight into the stress history, so no temporary has
-the size of the block's fields.  That batched product is within 1e-12
-relative of the per-step one (its largest gap is 3.6e-13 of the largest
-strain on a 32x4x4 beam); a block that keeps one step takes the 2-D
-product of a staggered step, E : eps of its stored strain bit for bit.
-The steps a block keeps have the u, v, a, d, corrections and passes of
-sampling each step on its own, bit for bit: both solve them by the same
-pass.  The first step whose batched energy exceeds Y0, less a margin far
-above the batch's round-off (`_ONSET_SLACK`), at any point is rolled back
-with every step after it and redone on the staggered path, which makes
-the damage decision per step as before; the block keeps the steps before
-it and raises their tension peaks from their strain in the history.  A
-staggered step writes its strain, stress and damage straight into its
-columns of the histories.  Once a step commits damage the march stays
-staggered, so a run redoes at most one block of elastic steps, plus one
-per flagged step that its staggered redo finds undamaged after all.
+h, the first correction and an equilibrium pass at the committed state),
+goes through the onset test or the stagger loop below (damaging march
+only), and closes with one commit (a and v from the converged u, and u, v
+and a written into the histories).  A step of the elastic march
+(`damage=False`) is that first pass alone, without damage correction or
+Gauss-point work, and samples nothing.  At a state with no damage and no
+target damage at any point, a damaging march samples the strain of the
+step's converged displacement once, writes it into the strain history and
+tests it: a step whose released energy exceeds Y0 at no point is quiet and
+commits as it is, and any other step goes on to the stagger loop with that
+strain.  The stress of a run of quiet steps, E : eps, is written in one
+batch when the run ends, before a staggered step or at the end of the
+march; a run of one step takes the 2-D product of a staggered step, E : eps
+of its stored strain bit for bit.  The tension peaks of a run are raised
+from its strains in the history only when a staggered step follows, and its
+d stays at its zeros.  A staggered step writes its strain, stress and
+damage straight into its columns of the histories.  Once a step commits
+damage the march stays staggered.
 
 The displacement, velocity and acceleration histories are held step-major,
 (n_t, n_dofs), so a commit writes three contiguous rows; the march returns
@@ -135,14 +125,6 @@ _STAGGER_TOL = 1e-6
 _MAX_STAGGER = 100
 # Corrections allowed in one equilibrium pass before the march gives up.
 _MAX_ITER = 100
-# The longest block of undamaged steps; blocks grow from one step up to it
-# (module docstring).
-_HISTORY_BLOCK = 32
-# A block of undamaged steps gives way at the first step where the batched
-# sample's released energy exceeds Y0 (1 - _ONSET_SLACK) anywhere: the slack
-# is far above the round-off between the batched and the per-step strain,
-# so a step kept in the block has no per-step target damage either.
-_ONSET_SLACK = 1e-10
 
 
 class LoadCase:
@@ -285,17 +267,16 @@ def newmark_quasi_newton(system, params, load, times, damage=True, tol=1e-4):
     of a step-major buffer (module docstring), and an `info` block
     (`iterations`: per-step correction counts summed over staggered passes,
     each at least 1; `passes`: per-step stagger pass counts, each at least
-    1, and 1 on every undamaged step; `undamaged_steps`: the steps
-    committed in blocks of undamaged steps, every step of an elastic march
-    (module docstring); `factorizations`: the march's factorization
-    count).  With damage=True it also holds the Gauss strain/stress
-    histories eps, sig (n_gauss, n_t, 6) and the damage history
-    d (n_gauss, n_t).  With damage=False those three keys are
-    absent: the elastic march evaluates nothing at the Gauss points (its
-    strain is strain_at_gauss(mesh, u), its stress E : eps).  Steps from
-    an undamaged state run in blocks that grow from one step, and the
-    strain and stress of the steps a block keeps come from its batched
-    sample (module docstring).
+    1, and 1 on every quiet step; `undamaged_steps`: the quiet steps,
+    those that start from an undamaged state and set no target, every step
+    of an elastic march (module docstring); `factorizations`: the march's
+    factorization count).  With damage=True it also holds the Gauss
+    strain/stress histories eps, sig (n_gauss, n_t, 6) and the damage
+    history d (n_gauss, n_t).  Every step's strain is sampled on its own;
+    the stress of a run of quiet steps is E : eps of those samples, formed
+    in one batch (module docstring).  With damage=False those three keys
+    are absent: the elastic march evaluates nothing at the Gauss points
+    (its strain is strain_at_gauss(mesh, u), its stress E : eps).
 
     Raises RuntimeError naming the step index if an equilibrium loop fails;
     every step, undamaged or not, is held to the same residual test.
@@ -367,7 +348,6 @@ def newmark_quasi_newton(system, params, load, times, damage=True, tol=1e-4):
     Kff, Cff = system.Kff.T, system.Cff.T
     iters = np.zeros(n_t - 1, dtype=int)
     passes = np.ones(n_t - 1, dtype=int)
-    onset_floor = params.Y0 * (1.0 - _ONSET_SLACK)
 
     def equilibrium(k, u_trial, pred_u, h, correction, r0=None):
         """Equilibrium pass of step k at the frozen state of `correction`.
@@ -445,60 +425,34 @@ def newmark_quasi_newton(system, params, load, times, damage=True, tol=1e-4):
         a_rows[k, free] = a_new
         return u_new, v_new, a_new
 
-    undamaged = 0      # steps committed on the block path
-    redo = 0           # the step a block sample flagged, redone staggered
-    length = 1         # steps of the next block
-    k = 1
-    while k < n_t:
-        if k != redo and state["correction"] is None and not state["dbar"].any():
-            # A block of elastic steps from an undamaged state.  A step that
-            # fails to converge ends the block; its error stands unless the
-            # sample flags an earlier step, whose staggered redo supersedes it.
-            start = (u_f, v_f, a_f)
-            stop = min(k + length, n_t)
-            failure = None
-            for j in range(k, stop):
-                try:
-                    pred_u, pred_v, _, u_new, iters[j - 1], _ = first_pass(
-                        j, u_f, v_f, a_f, None)
-                except RuntimeError as exc:
-                    failure, stop = exc, j
-                    break
-                u_f, v_f, a_f = commit(j, u_new, pred_u, pred_v)
-            onset = stop
-            if damage and stop > k:
-                # The batched strain goes straight into the history; the
-                # staggered redo from the onset on overwrites what it rolls
-                # back.
-                strain_at_gauss(mesh, u[:, k:stop], eps[:, k:stop])
-                flagged = (released_energy(eps[:, k:stop], hooke, onset_floor)
-                           > onset_floor).any(axis=0)
-                if flagged.any():
-                    onset = k + int(flagged.argmax())
-                if onset > k:
-                    # A lone step takes the 2-D product, as a staggered step
-                    # does: numpy multiplies an (n, 1, 6) stack by another
-                    # kernel, which can differ in the last bit.
-                    kept = slice(k, onset) if onset > k + 1 else k
-                    total_stress(eps[:, kept], hooke, None, out=sig[:, kept])
-                    state = _raise_peaks(state, eps[:, k:onset])
-            if onset == stop and failure is not None:
-                raise failure
-            undamaged += onset - k
-            if onset < stop:
-                # Roll back to the end of the last undamaged step.
-                u_f, v_f, a_f = start if onset == k else (
-                    u_rows[onset - 1, free], v_rows[onset - 1, free],
-                    a_rows[onset - 1, free])
-                redo = onset
-                length = 1
-            else:
-                length = min(2 * length, _HISTORY_BLOCK)
-            k = onset
-            continue
+    def quiet_stress(start, stop):
+        """sigma = E : eps of the quiet steps start, ..., stop - 1."""
+        # A lone step takes the 2-D product, as a staggered step does: numpy
+        # multiplies an (n, 1, 6) stack by another kernel, which can differ
+        # in the last bit.
+        kept = slice(start, stop) if stop > start + 1 else start
+        total_stress(eps[:, kept], hooke, None, out=sig[:, kept])
 
+    undamaged = 0      # quiet steps
+    run = 1            # the first step of the current run of quiet steps
+    for k in range(1, n_t):
         pred_u, pred_v, h, u_trial, spent, eps_k = first_pass(
             k, u_f, v_f, a_f, state["correction"])
+        if state["correction"] is None and not state["dbar"].any():
+            # No damage and no target: the step is quiet unless its own
+            # strain sets a target somewhere (the elastic march samples none).
+            if damage:
+                full[free] = u_trial
+                eps_k = eps[:, k] = strain_at_gauss(mesh, full)
+            if not damage or not (released_energy(eps_k, hooke, params.Y0)
+                                  > params.Y0).any():
+                iters[k - 1] = spent
+                u_f, v_f, a_f = commit(k, u_trial, pred_u, pred_v)
+                undamaged += 1
+                continue
+            if k > run:
+                quiet_stress(run, k)
+                state = _raise_peaks(state, eps[:, run:k])
         state_new = state
         for stagger in range(1, _MAX_STAGGER + 2):
             # The pass ends on a residual at the converged displacement; at
@@ -528,7 +482,9 @@ def newmark_quasi_newton(system, params, load, times, damage=True, tol=1e-4):
         eps[:, k] = eps_k
         sig[:, k] = total_stress(eps_k, hooke, state["correction"])
         dmg[:, k] = state["d"]
-        k += 1
+        run = k + 1
+    if damage and n_t > run:
+        quiet_stress(run, n_t)
 
     info = {"iterations": iters, "passes": passes, "undamaged_steps": undamaged,
             "factorizations": system.n_factorizations - n_fact0}

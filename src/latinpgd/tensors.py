@@ -12,6 +12,8 @@ Two flavors of Voigt vectors are used:
 * ``'stress'`` — plain tensor components, v[3:] = sig_ij.
 """
 
+import math
+
 import numpy as np
 
 # Tensor contractions of Voigt vectors as weighted sums of squares:
@@ -43,8 +45,8 @@ class HookeTensor:
     __slots__ = ("E", "nu", "lam", "mu", "matrix", "inverse")
 
     def __init__(self, E, nu):
-        if E <= 0.0:
-            raise ValueError("Young modulus must be positive, got %g" % E)
+        if not 0.0 < E < math.inf:
+            raise ValueError("Young modulus must be finite and positive, got %g" % E)
         if not -1.0 < nu < 0.5:
             raise ValueError("Poisson ratio must lie in (-1, 0.5), got %g" % nu)
         self.E = float(E)

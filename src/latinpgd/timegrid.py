@@ -32,6 +32,7 @@ the same points at which all space-time fields are sampled.
 """
 
 import functools
+import math
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -79,8 +80,11 @@ class TimeGrid:
     """Uniform time-DG grid: element boundaries, nodes, Gauss tables."""
 
     def __init__(self, T, n_elements):
-        if T <= 0.0 or n_elements < 1:
-            raise ValueError("need T > 0 and n_elements >= 1")
+        if not 0.0 < T < math.inf:
+            raise ValueError("T must be finite and positive, got %g" % T)
+        if not 1 <= n_elements < math.inf:
+            raise ValueError("n_elements must be a finite count of at least 1, got %g"
+                             % n_elements)
         self.T = float(T)
         self.n_elements = int(n_elements)
         self.h = self.T / self.n_elements

@@ -56,6 +56,24 @@ def test_non_finite_value_exits_2_through_the_cli(tmp_path, capsys):
     assert not out.exists()
 
 
+# (section, field, value): what code that builds or replaces the dataclasses
+# may pass, past the file readers' checks.  MaterialParams has its own test.
+NON_FINITE = [(section, field, value)
+              for section, field in [("mesh", "d1"), ("mesh", "d3"), ("mesh", "nx"),
+                                     ("load", "T"), ("solver", "N_T"),
+                                     ("solver", "xi_stop"), ("solver", "zeta_stop"),
+                                     ("solver", "omega"), ("solver", "max_modes"),
+                                     ("solver", "newmark_tol")]
+              for value in (float("nan"), float("inf"))]
+
+
+@pytest.mark.parametrize("section,field,value", NON_FINITE)
+def test_constructors_reject_non_finite_values(section, field, value):
+    part = getattr(preset("mono_sine"), section)
+    with pytest.raises(ValueError, match=field):
+        replace(part, **{field: value})
+
+
 def test_missing_mandatory_section_is_named(tmp_path):
     blocks = canonical(preset("elastic")).split("\n\n")
     text = "\n\n".join(b for b in blocks if not b.startswith("[solver]"))

@@ -160,7 +160,12 @@ class TestParams:
 
     @pytest.mark.parametrize("field,value", [("rho", -1.0), ("E", 0.0),
                                              ("nu", 0.5), ("Y0", -5.0),
-                                             ("tau_c", 0.0), ("xi", 1.0)])
+                                             ("tau_c", 0.0), ("xi", 1.0),
+                                             ("rho", np.nan), ("E", np.inf),
+                                             ("nu", np.nan), ("Y0", np.nan),
+                                             ("A_d", np.inf), ("A_d", np.nan),
+                                             ("tau_c", np.nan), ("a", np.nan),
+                                             ("a_c", np.inf), ("xi", np.nan)])
     def test_invalid_rejected(self, field, value):
         kw = dict(rho=2550.0, E=37.9e9, nu=0.2, Y0=150.0, A_d=8e-3,
                   tau_c=0.05, a=15.0, a_c=9.0, xi=0.02)

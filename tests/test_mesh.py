@@ -34,6 +34,11 @@ class TestGeneration:
         with pytest.raises(ValueError):
             generate_box_mesh(-1.0, 1.0, 1.0, 1, 1, 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_dimension_rejected(self, bad):
+        with pytest.raises(ValueError, match="box dimension d2"):
+            generate_box_mesh(1.0, bad, 1.0, 1, 1, 2)
+
     def test_connectivity_within_bounds_and_positive_jacobian(self):
         mesh = generate_box_mesh(2.0, 1.0, 0.5, 3, 2, 2)
         assert mesh.conn.min() >= 0 and mesh.conn.max() < mesh.n_nodes

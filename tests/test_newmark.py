@@ -275,12 +275,11 @@ class TestDamageCommitment:
         # trajectory, so the damage machinery must not alter a single bit --
         # in particular no equilibrium iterate may bootstrap a spurious
         # damaged solution branch (amplitude chosen just under the onset).
-        # Each run begins with a block of one step, whose stress must be
-        # E : eps of its strain bit for bit; 34 nodes would also end on one
-        # if blocks held a fixed 32 steps.
+        # Every step is quiet; a march of one step is a run of one quiet
+        # step, whose stress must also be E : eps of its strain bit for bit.
         system = desk_system()
         load = LoadCase(np.array([0.0070]), np.array([3.0]))
-        for n_t in (201, 34):
+        for n_t in (201, 2):
             times = np.linspace(0.0, 0.01 * (n_t - 1), n_t)
             on = newmark_quasi_newton(system, PARAMS, load, times, damage=True)
             off = newmark_quasi_newton(system, PARAMS, load, times, damage=False)
@@ -292,10 +291,10 @@ class TestDamageCommitment:
             assert_gauss_fields_of_elastic_march(on, system.mesh)
 
     def test_sub_threshold_bit_identity_on_cube(self):
-        # the node counts of the desk-beam test above
+        # a long run of quiet steps and a run of one
         system = cube_system()
         load = LoadCase(np.array([1e-7]), np.array([100.0]))
-        for n_t in (41, 34):
+        for n_t in (41, 2):
             times = np.linspace(0.0, 2.5e-4 * (n_t - 1), n_t)
             on = newmark_quasi_newton(system, PARAMS, load, times, damage=True)
             off = newmark_quasi_newton(system, PARAMS, load, times, damage=False)
@@ -339,10 +338,9 @@ class TestDamageCommitment:
         # At a damaged state every residual samples the strain of its trial
         # displacement, and the pass's last one is its converged strain; a
         # staggered pass at an undamaged state samples it once after
-        # converging.  A block of undamaged steps is sampled once, batched:
-        # here the first block, of one step, gives way at step 1, where
-        # damage starts, and commits no step; its one solve is the only one
-        # the march rolls back.
+        # converging, and a step's first pass there is sampled by the onset
+        # test.  Damage starts at step 1 here, so no step is quiet, and no
+        # solve is spent on a step the march does not keep.
         conf = replace(preset("mono_sine"),
                        mesh=replace(preset("mono_sine").mesh, nx=4, ny=2, nz=2))
         conf = replace(conf, load=replace(conf.load, T=0.5),
@@ -356,8 +354,7 @@ class TestDamageCommitment:
                 return fn(*args)
             monkeypatch.setattr(newmark, name, wrapped)
 
-        spy("strain_at_gauss", newmark.strain_at_gauss,
-            lambda mesh, u, out=None: "strain" if u.ndim == 1 else u.shape[1])
+        spy("strain_at_gauss", newmark.strain_at_gauss, lambda mesh, u: "strain")
         spy("_free_force", newmark._free_force,
             lambda system, f_p, eps, correction:
             "residual" if correction is None else "damaged residual")
@@ -374,93 +371,51 @@ class TestDamageCommitment:
                                    conf.solver.newmark_times(conf.load.T),
                                    tol=conf.solver.newmark_tol)
         assert res["d"].max() > 0.1
-        blocks = [e for e in events if isinstance(e, int)]
-        events = [e for e in events if not isinstance(e, int)]
         passes = " ".join(events).split("pass end")[:-1]
         undamaged = sum("damaged residual" not in p for p in passes)
         damaged = events.count("damaged residual")
         assert len(passes) == res["info"]["passes"].sum()
         assert undamaged > 0 and damaged > 0
         assert res["info"]["undamaged_steps"] == 0
-        assert blocks == [1]
-        assert len(solves) == res["info"]["iterations"].sum() + 1
+        assert len(solves) == res["info"]["iterations"].sum()
         # the pass residuals, plus the t = 0 sample
         assert events.count("strain") == damaged + undamaged + 1
 
-    def test_block_that_gives_way_redoes_its_onset_step(self, monkeypatch):
+    def test_damage_starts_at_the_first_step_whose_own_strain_sets_a_target(self):
         # A support sine at the desk beam's first natural frequency builds
-        # up until damage starts inside a block of undamaged steps: blocks
-        # grow from one step, 1, 2-3, 4-7, 8-15, 16-31, 32-63 (here 32-60,
-        # the last step), and step 50 lies inside the first one of the full
-        # length.  The block is sampled in one batch, rolled back, and its
-        # onset step redone staggered: through that step the march is the
-        # one whose blocks hold a single step each.
+        # up until damage starts after a long run of quiet steps.  The march
+        # tests each step's own strain, so the first damaged step is the
+        # first whose stored strain sets a target, and every step before it
+        # is quiet: elastic fields, stress written in one batch.
         system = desk_system()
         f1 = modal_analysis(system.Mff, system.Kff, 1)[0][0]
         times = np.linspace(0.0, 0.3, 61)
         load = LoadCase(np.array([4e-4]), np.array([f1]))
-        block = newmark._HISTORY_BLOCK
-        sampled = []
-        batched = newmark.strain_at_gauss
-
-        def spy(mesh, u, out=None):
-            if u.ndim == 2:
-                sampled.append(u.shape[1])
-            return batched(mesh, u, out)
-
-        monkeypatch.setattr(newmark, "strain_at_gauss", spy)
-        blocks = newmark_quasi_newton(system, PARAMS, load, times)
-        assert sampled == [1, 2, 4, 8, 16, times.size - block]
-        monkeypatch.setattr(newmark, "_HISTORY_BLOCK", 1)
-        steps = newmark_quasi_newton(system, PARAMS, load, times)
-        onset = int(np.flatnonzero(blocks["d"].any(axis=0))[0])
-        assert block < onset < 2 * block
-        assert blocks["info"]["undamaged_steps"] == onset - 1
-        assert steps["info"]["undamaged_steps"] == onset - 1
-        # the onset is the first step whose per-step target damage is nonzero
-        targets = [static_damage(released_energy(
-            strain_at_gauss(system.mesh, blocks["u"][:, k]), HOOKE, PARAMS.Y0),
-            PARAMS).any() for k in range(onset + 1)]
-        assert targets.index(True) == onset
-        assert blocks["info"]["passes"][onset - 1] > 1
-        for field in "uva":
-            assert np.array_equal(blocks[field][:, :onset + 1],
-                                  steps[field][:, :onset + 1]), field
-        for key in ("iterations", "passes"):
-            assert np.array_equal(blocks["info"][key][:onset],
-                                  steps["info"][key][:onset]), key
-
-    def test_a_step_redone_undamaged_restarts_the_blocks_at_one_step(
-            self, monkeypatch):
-        # A sample that flags a step whose staggered redo finds no damage (a
-        # false alarm, forced here in the block of steps 4-7) returns the
-        # march to blocks, which grow again from one step.  Every step is
-        # still solved by the same pass.
-        system = cube_system()
-        times = np.linspace(0.0, 0.01, 41)
-        load = LoadCase(np.array([1e-7]), np.array([100.0]))
-        plain = newmark_quasi_newton(system, PARAMS, load, times)
-        sampled = []
-        energy = newmark.released_energy
-
-        def flag_step_6(eps_v, hooke, floor=0.0):
-            Y = energy(eps_v, hooke, floor)
-            if np.ndim(eps_v) == 3:
-                sampled.append(eps_v.shape[1])
-                if len(sampled) == 3:
-                    Y[0, 2] = 2.0 * PARAMS.Y0
-            return Y
-
-        monkeypatch.setattr(newmark, "released_energy", flag_step_6)
         res = newmark_quasi_newton(system, PARAMS, load, times)
-        assert sampled == [1, 2, 4, 1, 2, 4, 8, 16, 3]
-        assert res["info"]["undamaged_steps"] == times.size - 2
-        assert res["d"].max() == 0.0
-        for field in ("u", "v", "a"):
-            assert np.array_equal(res[field], plain[field])
-        for key in ("iterations", "passes"):
-            assert np.array_equal(res["info"][key], plain["info"][key])
-        assert_gauss_fields_of_elastic_march(res, system.mesh)
+        onset = int(np.flatnonzero(res["d"].any(axis=0))[0])
+        assert 2 < onset < times.size - 1
+        assert res["info"]["undamaged_steps"] == onset - 1
+        targets = [static_damage(released_energy(res["eps"][:, k], HOOKE, PARAMS.Y0),
+                                 PARAMS).any() for k in range(onset + 1)]
+        assert targets.index(True) == onset
+        assert res["info"]["passes"][onset - 1] > 1
+        quiet = {key: res[key][:, :onset] for key in ("u", "eps", "sig")}
+        assert_gauss_fields_of_elastic_march(dict(quiet, times=times[:onset]),
+                                             system.mesh)
+        # The onset step's stress comes from its stored strain, its damage
+        # and the tension peaks replayed on the stored strains: the earliest
+        # strict maximum of tr eps since the start, where it is positive.
+        eps = res["eps"][:, 1:onset + 1]
+        tr = eps[..., :3].sum(axis=-1)
+        top = tr.argmax(axis=1)
+        points = np.arange(tr.shape[0])
+        tr_max = np.maximum(tr[points, top], 0.0)
+        eps_max = np.where((tr_max > 0.0)[:, None], eps[points, top], 0.0)
+        correction = DamageCorrection(res["d"][:, onset], tr_max,
+                                      lambda flat: HOOKE.apply(eps_max[flat]),
+                                      PARAMS, HOOKE)
+        assert np.array_equal(res["sig"][:, onset],
+                              total_stress(res["eps"][:, onset], HOOKE, correction))
 
     def test_calibrated_run_lands_in_damage_band(self):
         # 3 Hz support sine at the preset amplitude config.MONO_SINE_AMPLITUDE

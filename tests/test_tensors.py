@@ -50,6 +50,11 @@ class TestHooke:
         with pytest.raises(ValueError):
             HookeTensor(-1.0, 0.2)
 
+    @pytest.mark.parametrize("E", [np.nan, np.inf])
+    def test_non_finite_modulus_rejected(self, E):
+        with pytest.raises(ValueError, match="Young modulus"):
+            HookeTensor(E, 0.2)
+
     def test_spd_and_inverse(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
