@@ -31,6 +31,14 @@ Exit codes: 0 success / converged; 2 invalid input or configuration;
 3 solver finished without reaching its convergence threshold (partial
 outputs are still written).
 
+Each command but matpoint composes one run path with its writers.  It
+starts in `_setup` (the configuration, then the output directory, so a bad
+input leaves no directory), builds the problem in `_build_problem`, solves
+with `_solve_latin` and / or `_solve_newmark`, and `compare` measures the
+gap in `_compare`; these four write no file.  The writers (`_write_latin`,
+`_write_newmark`, the tables) then dump the results, and every command but
+calibrate ends in `_write_manifest`.
+
 Heavy imports happen inside the handlers, after --threads is applied, so
 the thread pinning reaches the numerical libraries before they start any
 worker pools.
@@ -102,14 +110,17 @@ def _load_config(args):
     return conf
 
 
-def _out_dir(args, conf):
-    path = args.out_dir if args.out_dir else conf.output.directory
-    os.makedirs(path, exist_ok=True)
-    return path
+def _setup(args):
+    """Configuration and output directory of a command, in that order, so a
+    bad configuration leaves no directory behind."""
+    conf = _load_config(args)
+    out = args.out_dir if args.out_dir else conf.output.directory
+    os.makedirs(out, exist_ok=True)
+    return conf, out
 
 
 def _build_problem(conf):
-    """Mesh, spatial system, load, and grids from a configuration."""
+    """(params, system, load, grid) of a configuration; the mesh is system.mesh."""
     from .assembly import (SpatialSystem, assemble_mass, assemble_stiffness,
                            rayleigh_coeffs)
 
@@ -122,28 +133,23 @@ def _build_problem(conf):
         alpha, beta = rayleigh_coeffs(params.xi, *RAYLEIGH_ANCHORS)
         C = alpha * M + beta * K
     system = SpatialSystem(mesh, M, K, C)
-    return mesh, params, system, conf.load.build()
+    return params, system, conf.load.build(), conf.solver.build_grid(conf.load.T)
 
 
-def _config_manifest(conf, subcommand, extra):
+def _write_manifest(out, conf, subcommand, extra):
+    """manifest.json: config hash, seed, versions, threads, peak RSS, `extra`."""
     import numpy
     import scipy
 
     from . import __version__
     from .config import canonical
 
-    text = canonical(conf)
-    body = {"config_sha256": hashlib.sha256(text.encode()).hexdigest(),
+    body = {"config_sha256": hashlib.sha256(canonical(conf).encode()).hexdigest(),
             "seed": conf.solver.seed, "version": __version__,
             "subcommand": subcommand, "threads": _numeric_threads(),
             "numpy_version": numpy.__version__, "scipy_version": scipy.__version__,
-            "peak_rss_mb": _peak_rss_mb()}
-    body.update(extra)
-    return body
-
-
-def _write_manifest(path, body):
-    with open(path, "w") as fh:
+            "peak_rss_mb": _peak_rss_mb(), **extra}
+    with open(os.path.join(out, "manifest.json"), "w") as fh:
         json.dump(body, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -251,17 +257,45 @@ def _write_snapshots(conf, out, mesh, times, u, d, sig):
                    point_data=point, cell_data=cell, t=times[k])
 
 
-def _run_latin(conf, out, params, system, load):
+def _solve_latin(conf, params, system, load, grid):
+    """The LATIN-PGD solve of a configuration; writes nothing."""
     from .latin import run_latin
 
-    grid = conf.solver.build_grid(conf.load.T)
-    state = run_latin(system, params, load, grid,
-                      zeta_stop=conf.solver.xi_stop,
-                      max_modes=conf.solver.max_modes,
-                      omega=conf.solver.omega,
-                      seed=conf.solver.seed,
-                      enrich_zeta=conf.solver.zeta_stop)
+    return run_latin(system, params, load, grid,
+                     zeta_stop=conf.solver.xi_stop,
+                     max_modes=conf.solver.max_modes,
+                     omega=conf.solver.omega,
+                     seed=conf.solver.seed,
+                     enrich_zeta=conf.solver.zeta_stop)
 
+
+def _solve_newmark(conf, params, system, load):
+    """The Newmark reference march of a configuration; writes nothing."""
+    from .newmark import newmark_quasi_newton
+
+    return newmark_quasi_newton(system, params, load,
+                                conf.solver.newmark_times(conf.load.T),
+                                tol=conf.solver.newmark_tol)
+
+
+def _compare(grid, state, res):
+    """The comparison row of a LATIN state and a reference run, by column."""
+    from .newmark import compare_error, resample_fields_to_gauss
+
+    ref_eps, ref_sig = resample_fields_to_gauss(grid, res)
+    _, eps, sig = state.solution.fields()
+    d_latin = float(state.damage.max())
+    d_ref = float(res["d"].max())
+    return {"eps_percent": compare_error(ref_eps, ref_sig, eps, sig),
+            "latin_modes": state.n_modes, "latin_xi": state.xi,
+            "latin_converged": int(state.converged),
+            "d_latin": d_latin, "d_newmark": d_ref,
+            "d_gap_percent": abs(d_latin - d_ref) / d_ref * 100.0 if d_ref > 0 else 0.0}
+
+
+def _write_latin(conf, out, mesh, state):
+    """A LATIN run's tables, modes and snapshots; returns the monitored point."""
+    grid = state.solution.grid
     keys = ("iteration", "modes", "xi", "cre", "seconds")
     _write_table(os.path.join(out, "convergence_log.csv"), ",".join(keys),
                  "%d,%d,%.17g,%.17g,%.6f", [[row[k] for row in state.log] for k in keys])
@@ -270,8 +304,20 @@ def _run_latin(conf, out, params, system, load):
     os.makedirs(mode_dir, exist_ok=True)
     _dump_modes(state.solution, mode_dir)
     u, _, sig = state.solution.fields()
-    _write_snapshots(conf, out, system.mesh, grid.all_gauss_times, u, state.damage, sig)
-    return state, gp
+    _write_snapshots(conf, out, mesh, grid.all_gauss_times, u, state.damage, sig)
+    return gp
+
+
+def _write_newmark(conf, out, mesh, res):
+    """A reference run's step log and snapshots; returns the monitored point."""
+    times = res["times"]
+    gp = _write_damage_series(out, times, res["d"])
+    info = res["info"]
+    _write_table(os.path.join(out, "step_log.csv"), "step,t,iterations,passes",
+                 "%d,%.17g,%d,%d",
+                 [range(1, times.size), times[1:], info["iterations"], info["passes"]])
+    _write_snapshots(conf, out, mesh, times, res["u"], res["d"], res["sig"])
+    return gp
 
 
 def _latin_work(state, system):
@@ -280,36 +326,6 @@ def _latin_work(state, system):
     return {"factorizations": system.n_factorizations,
             "c_c_history": [info["c_c"] for info in state.enrich_log],
             "zeta_history": [info["zeta"] for info in state.enrich_log]}
-
-
-def cmd_run_latin(args):
-    conf = _load_config(args)
-    out = _out_dir(args, conf)
-    _, params, system, load = _build_problem(conf)
-    state, gp = _run_latin(conf, out, params, system, load)
-    body = _config_manifest(conf, "run-latin",
-                            {"converged": state.converged,
-                             "modes": state.n_modes, "xi": state.xi,
-                             "monitored_gauss_point": gp,
-                             "elastic_seconds": state.elastic_seconds,
-                             **_latin_work(state, system)})
-    _write_manifest(os.path.join(out, "manifest.json"), body)
-    return EXIT_OK if state.converged else EXIT_NONCONVERGED
-
-
-def _run_newmark(conf, out, params, system, load):
-    from .newmark import newmark_quasi_newton
-
-    times = conf.solver.newmark_times(conf.load.T)
-    res = newmark_quasi_newton(system, params, load, times,
-                               tol=conf.solver.newmark_tol)
-    gp = _write_damage_series(out, times, res["d"])
-    info = res["info"]
-    _write_table(os.path.join(out, "step_log.csv"), "step,t,iterations,passes",
-                 "%d,%.17g,%d,%d",
-                 [range(1, times.size), times[1:], info["iterations"], info["passes"]])
-    _write_snapshots(conf, out, system.mesh, times, res["u"], res["d"], res["sig"])
-    return res, gp
 
 
 def _newmark_work(info):
@@ -321,55 +337,58 @@ def _newmark_work(info):
             "undamaged_steps": info["undamaged_steps"]}
 
 
+def cmd_run_latin(args):
+    conf, out = _setup(args)
+    params, system, load, grid = _build_problem(conf)
+    state = _solve_latin(conf, params, system, load, grid)
+    gp = _write_latin(conf, out, system.mesh, state)
+    _write_manifest(out, conf, "run-latin",
+                    {"converged": state.converged,
+                     "modes": state.n_modes, "xi": state.xi,
+                     "monitored_gauss_point": gp,
+                     "elastic_seconds": state.elastic_seconds,
+                     **_latin_work(state, system)})
+    return EXIT_OK if state.converged else EXIT_NONCONVERGED
+
+
 def cmd_run_newmark(args):
-    conf = _load_config(args)
-    out = _out_dir(args, conf)
-    _, params, system, load = _build_problem(conf)
-    res, gp = _run_newmark(conf, out, params, system, load)
-    body = _config_manifest(conf, "run-newmark",
-                            {"monitored_gauss_point": gp,
-                             "max_damage": float(res["d"].max()),
-                             **_newmark_work(res["info"])})
-    _write_manifest(os.path.join(out, "manifest.json"), body)
+    conf, out = _setup(args)
+    params, system, load, _ = _build_problem(conf)
+    res = _solve_newmark(conf, params, system, load)
+    gp = _write_newmark(conf, out, system.mesh, res)
+    _write_manifest(out, conf, "run-newmark",
+                    {"monitored_gauss_point": gp,
+                     "max_damage": float(res["d"].max()),
+                     **_newmark_work(res["info"])})
     return EXIT_OK
 
 
 def cmd_compare(args):
-    conf = _load_config(args)
-    out = _out_dir(args, conf)
+    conf, out = _setup(args)
     latin_dir = os.path.join(out, "latin")
     newmark_dir = os.path.join(out, "newmark")
     os.makedirs(latin_dir, exist_ok=True)
     os.makedirs(newmark_dir, exist_ok=True)
 
     from .assembly import SpatialSystem
-    from .newmark import compare_error, resample_fields_to_gauss
 
     # One mesh and one set of matrices; the reference gets its own system,
     # so each solver's factorizations are its own.
-    _, params, system, load = _build_problem(conf)
-    state, _ = _run_latin(conf, latin_dir, params, system, load)
+    params, system, load, grid = _build_problem(conf)
+    state = _solve_latin(conf, params, system, load, grid)
+    _write_latin(conf, latin_dir, system.mesh, state)
     reference = SpatialSystem(system.mesh, system.M, system.K, system.C)
-    res, _ = _run_newmark(conf, newmark_dir, params, reference, load)
-    ref_eps, ref_sig = resample_fields_to_gauss(state.solution.grid, res)
-    _, eps, sig = state.solution.fields()
-    eps_pc = compare_error(ref_eps, ref_sig, eps, sig)
-    d_latin = float(state.damage.max())
-    d_ref = float(res["d"].max())
-    gap = abs(d_latin - d_ref) / d_ref * 100.0 if d_ref > 0 else 0.0
-    _write_table(os.path.join(out, "comparison.csv"),
-                 "eps_percent,latin_modes,latin_xi,latin_converged,"
-                 "d_latin,d_newmark,d_gap_percent",
-                 "%.17g,%d,%.17g,%d,%.17g,%.17g,%.17g",
-                 [eps_pc, state.n_modes, state.xi, int(state.converged),
-                  d_latin, d_ref, gap])
-    body = _config_manifest(conf, "compare",
-                            {"eps_percent": eps_pc, "converged": state.converged,
-                             "modes": state.n_modes,
-                             "d_latin": d_latin, "d_newmark": d_ref,
-                             "latin": _latin_work(state, system),
-                             "newmark": _newmark_work(res["info"])})
-    _write_manifest(os.path.join(out, "manifest.json"), body)
+    res = _solve_newmark(conf, params, reference, load)
+    _write_newmark(conf, newmark_dir, system.mesh, res)
+    row = _compare(grid, state, res)
+    _write_table(os.path.join(out, "comparison.csv"), ",".join(row),
+                 "%.17g,%d,%.17g,%d,%.17g,%.17g,%.17g", list(row.values()))
+    _write_manifest(out, conf, "compare",
+                    {"eps_percent": row["eps_percent"], "converged": state.converged,
+                     "modes": state.n_modes,
+                     "d_latin": row["d_latin"], "d_newmark": row["d_newmark"],
+                     "latin": _latin_work(state, system),
+                     "newmark": _newmark_work(res["info"])})
     return EXIT_OK if state.converged else EXIT_NONCONVERGED
 
 
@@ -398,24 +417,21 @@ def cmd_matpoint(args):
 def cmd_modal(args):
     from .assembly import modal_analysis
 
-    conf = _load_config(args)
-    out = _out_dir(args, conf)
-    mesh, params, system, _ = _build_problem(conf)
+    conf, out = _setup(args)
+    _, system, _, _ = _build_problem(conf)
     freqs, _ = modal_analysis(system.Mff, system.Kff, args.count)
     _write_table(os.path.join(out, "modal.csv"), "mode,frequency_hz", "%d,%.17g",
                  [range(1, freqs.size + 1), freqs])
     if conf.output.vtk:
-        _write_vtk(mesh, os.path.join(out, "mesh.vtk"))
-    body = _config_manifest(conf, "modal",
-                            {"frequencies_hz": [float(f) for f in freqs]})
-    _write_manifest(os.path.join(out, "manifest.json"), body)
+        _write_vtk(system.mesh, os.path.join(out, "mesh.vtk"))
+    _write_manifest(out, conf, "modal", {"frequencies_hz": [float(f) for f in freqs]})
     return EXIT_OK
 
 
 def cmd_calibrate(args):
     import numpy as np
 
-    from .newmark import LoadCase, newmark_quasi_newton
+    from .newmark import LoadCase
 
     target = args.target
     # A peak damage lies in [0, 1); 0 is no target.  NaN fails the test too.
@@ -423,18 +439,14 @@ def cmd_calibrate(args):
         raise ValueError("--target must be a damage in (0, 1), got %r" % target)
     if args.bisections < 0:
         raise ValueError("--bisections must be >= 0, got %d" % args.bisections)
-    conf = _load_config(args)
-    out = _out_dir(args, conf)
+    conf, out = _setup(args)
     # The load amplitude enters only the load case: mesh, matrices and the
     # system's factorization serve every scale tried.
-    _, params, system, load = _build_problem(conf)
-    times = conf.solver.newmark_times(conf.load.T)
+    params, system, load, _ = _build_problem(conf)
 
     def peak_damage(scale):
         scaled = LoadCase(load.amplitudes * scale, load.frequencies)
-        res = newmark_quasi_newton(system, params, scaled, times,
-                                   tol=conf.solver.newmark_tol)
-        return float(res["d"].max())
+        return float(_solve_newmark(conf, params, system, scaled)["d"].max())
 
     # Expand the scale by 1.4 per row until d_max crosses the target; the
     # last two rows are the bracket (lo, d_lo), (hi, d_hi) that is bisected.

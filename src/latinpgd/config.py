@@ -69,8 +69,7 @@ class LoadConfig:
     T: float
 
     def __post_init__(self):
-        if len(self.amplitudes) != len(self.frequencies) or not self.amplitudes:
-            raise ValueError("amplitudes and frequencies must be non-empty matching lists")
+        self.build()    # the load rule of `LoadCase`, which names a bad entry
         if not 0.0 < self.T < math.inf:
             raise ValueError("time horizon T must be finite and positive, got %g" % self.T)
 
@@ -321,43 +320,31 @@ def canonical(config):
 # at the monitored point on the preset mesh) because the source experiments
 # report signal shapes without magnitudes.
 
-_BEAM = dict(d1=8.0, d2=0.3, d3=0.3)
-
 # Amplitude of the elastic preset sits below the damage-activation strain
 # (8.44e-5 in the weakest direction), so the response stays linear.
 ELASTIC_AMPLITUDE = 7.0e-5
 
 # Calibrated mono-sine amplitude: see the calibrate subcommand.
 MONO_SINE_AMPLITUDE = 0.0138
-MONO_SINE_MESH = dict(nx=16, ny=2, nz=2)
-MONO_SINE_NT = 400
 
 # Calibrated multi-sine amplitude, equal across the four components.
 MULTI_SINE_AMPLITUDE = 0.0060
 
+# What sets the presets apart: (amplitudes, frequencies (Hz), N_T, xi_stop).
+_PRESETS = {
+    "elastic": ((ELASTIC_AMPLITUDE,), (3.0,), 100, 5e-4),
+    "mono_sine": ((MONO_SINE_AMPLITUDE,), (3.0,), 400, 5e-4),
+    "multi_sine": ((MULTI_SINE_AMPLITUDE,) * 4, (1.0, 2.3, 3.6, 5.0), 400, 4e-3),
+}
+
 
 def preset(name):
     """Return the named scenario preset as a complete RunConfig."""
-    if name == "elastic":
-        return RunConfig(
-            MeshConfig(nx=16, ny=2, nz=2, **_BEAM),
-            reference_concrete(),
-            LoadConfig((ELASTIC_AMPLITUDE,), (3.0,), 2.0),
-            SolverConfig(N_T=100, xi_stop=5e-4, zeta_stop=1e-3),
-            OutputConfig())
-    if name == "mono_sine":
-        return RunConfig(
-            MeshConfig(**MONO_SINE_MESH, **_BEAM),
-            reference_concrete(),
-            LoadConfig((MONO_SINE_AMPLITUDE,), (3.0,), 2.0),
-            SolverConfig(N_T=MONO_SINE_NT, xi_stop=5e-4, zeta_stop=1e-3),
-            OutputConfig())
-    if name == "multi_sine":
-        return RunConfig(
-            MeshConfig(**MONO_SINE_MESH, **_BEAM),
-            reference_concrete(),
-            LoadConfig((MULTI_SINE_AMPLITUDE,) * 4, (1.0, 2.3, 3.6, 5.0), 2.0),
-            SolverConfig(N_T=MONO_SINE_NT, xi_stop=4e-3, zeta_stop=1e-3),
-            OutputConfig())
-    raise ValueError("unknown preset %r; available: elastic, mono_sine, multi_sine"
-                     % name)
+    if name not in _PRESETS:
+        raise ValueError("unknown preset %r; available: %s" % (name, ", ".join(_PRESETS)))
+    amplitudes, frequencies, n_t, xi_stop = _PRESETS[name]
+    return RunConfig(MeshConfig(d1=8.0, d2=0.3, d3=0.3, nx=16, ny=2, nz=2),
+                     reference_concrete(),
+                     LoadConfig(amplitudes, frequencies, T=2.0),
+                     SolverConfig(N_T=n_t, xi_stop=xi_stop, zeta_stop=1e-3),
+                     OutputConfig())

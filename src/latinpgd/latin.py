@@ -183,6 +183,10 @@ def run_latin(system, params, load, grid, *, zeta_stop, max_modes, omega, seed,
     delta = np.empty_like(sig)
     norms = solution.norms(mesh)
 
+    def log(xi, cre):
+        state.log.append({"iteration": state.iteration, "modes": solution.n_modes,
+                          "xi": xi, "cre": cre, "seconds": time.perf_counter() - t0})
+
     while True:
         state.iteration += 1
         # Before any mode, sig is the elastic start's E:eps, bit for bit.
@@ -205,10 +209,7 @@ def run_latin(system, params, load, grid, *, zeta_stop, max_modes, omega, seed,
         if xi <= zeta_stop:
             state.xi = xi
             state.converged = True
-            wall = time.perf_counter() - t0
-            state.log.append({"iteration": state.iteration,
-                              "modes": solution.n_modes, "xi": xi,
-                              "cre": cre, "seconds": wall})
+            log(xi, cre)
             return state
 
         mode, info = enrich(delta, system, grid, hooke, rng, zeta_stop=enrich_zeta)
@@ -226,12 +227,7 @@ def run_latin(system, params, load, grid, *, zeta_stop, max_modes, omega, seed,
         products = mode_products(delta, mode, mesh, hooke)
         xi = latin_error(gap2, norms, mesh, grid, mode, products)
         state.xi = xi
-        wall = time.perf_counter() - t0
-        state.log.append({"iteration": state.iteration,
-                          "modes": solution.n_modes, "xi": xi,
-                          "cre": cre_functional(cre, products, mode, mesh, grid,
-                                                hooke),
-                          "seconds": wall})
+        log(xi, cre_functional(cre, products, mode, mesh, grid, hooke))
         if xi <= zeta_stop:
             state.converged = True
             return state

@@ -139,30 +139,26 @@ def released_energy(eps_v, hooke, floor=0.0):
     solver, which stays accurate at repeated eigenvalues (uniaxial strain).
     It only runs where the bound of `_energy_bound` can exceed `floor`;
     everywhere else Y <= floor and the result is `floor`.  The default
-    floor 0 sends every nonzero strain through the solver.  The bound is
-    formed _CHUNK samples of leading rows at a time: it only screens
-    samples, and the exact Y decides, so Y does not depend on the chunks.
+    floor 0 sends every nonzero strain through the solver.  The field is
+    read as one flat (n, 6) view (a copy only if it is strided) and the
+    bound formed _CHUNK samples at a time: it only screens samples, and the
+    exact Y decides, so Y does not depend on the chunks.
     """
     eps_v = np.asarray(eps_v, dtype=float)
-    # The live samples are gathered through their indices, so a strided
-    # field is not copied whole; a single strain is a view of one row.
-    samples = np.atleast_2d(eps_v)
-    bound = np.empty(samples.shape[:-1])
-    step = max(1, _CHUNK // max(1, math.prod(samples.shape[1:-1])))
-    for i in range(0, samples.shape[0], step):
-        bound[i:i + step] = _energy_bound(samples[i:i + step], hooke)
+    samples = eps_v.reshape(-1, 6)
+    bound = np.empty(samples.shape[0])
+    for s in _chunks(bound.size):
+        bound[s] = _energy_bound(samples[s], hooke)
     # Negated test, so a non-finite strain still reaches the solver.
     live = np.flatnonzero(~(bound <= floor))
-    Y = np.full(eps_v.shape[:-1], float(floor))
-    flat_Y = Y.reshape(-1)
+    Y = np.full(bound.size, float(floor))
     for s in _chunks(live.size):
         points = live[s]
-        pos = np.maximum(np.linalg.eigvalsh(voigt_to_matrix(
-            samples[np.unravel_index(points, samples.shape[:-1])])), 0.0)
+        pos = np.maximum(np.linalg.eigvalsh(voigt_to_matrix(samples[points])), 0.0)
         tr = pos.sum(axis=-1)
-        flat_Y[points] = np.maximum(
+        Y[points] = np.maximum(
             0.5 * (hooke.lam * tr ** 2 + 2.0 * hooke.mu * (pos ** 2).sum(axis=-1)), floor)
-    return Y[()]   # a scalar for a single strain (6,), an array otherwise
+    return Y.reshape(eps_v.shape[:-1])[()]   # a scalar for a single strain (6,)
 
 
 def static_damage(Y, params):
@@ -497,7 +493,8 @@ def matpoint_drive(times, eps_x, params):
 
     Returns a dict of time series: sig_x, d, dbar, Y (the released energy
     itself, also below the threshold).  The times must be finite,
-    non-negative and strictly increasing; the first row that is not raises.
+    non-negative and strictly increasing and the strains finite; the first
+    row that is not raises.
     """
     times = np.asarray(times, dtype=float)
     eps_x = np.asarray(eps_x, dtype=float)
@@ -505,6 +502,11 @@ def matpoint_drive(times, eps_x, params):
     if eps_x.shape != (n_t,):
         raise ValueError("eps_x must have shape (%d,)" % n_t)
     _check_times(times, "signal times")
+    bad = np.flatnonzero(~np.isfinite(eps_x))
+    if bad.size:
+        k = bad[0]
+        raise ValueError("strain signal must be finite: eps_x[%d] = %g at t = %g"
+                         % (k, eps_x[k], times[k]))
     eps = np.zeros((1, n_t, 6))
     eps[0, :, 0] = eps_x
     hooke = params.hooke()

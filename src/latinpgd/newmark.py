@@ -139,12 +139,15 @@ class LoadCase:
     def __init__(self, amplitudes, frequencies):
         amp = np.atleast_1d(np.asarray(amplitudes, dtype=float))
         freq = np.atleast_1d(np.asarray(frequencies, dtype=float))
-        if amp.ndim != 1 or amp.shape != freq.shape:
-            raise ValueError("amplitudes and frequencies must be matching 1d lists")
-        if not (np.all(np.isfinite(amp)) and np.all(np.isfinite(freq))):
-            raise ValueError("amplitudes and frequencies must be finite")
-        if np.any(freq <= 0.0):
-            raise ValueError("frequencies must be positive")
+        if amp.ndim != 1 or amp.shape != freq.shape or not amp.size:
+            raise ValueError("amplitudes and frequencies must be non-empty matching "
+                             "1d lists, got shapes %s and %s" % (amp.shape, freq.shape))
+        for i, (a, f) in enumerate(zip(amp, freq)):
+            if not np.isfinite(a):
+                raise ValueError("amplitudes[%d] must be finite, got %g" % (i, a))
+            if not 0.0 < f < np.inf:
+                raise ValueError("frequencies[%d] must be finite and positive, got %g"
+                                 % (i, f))
         self.amplitudes = amp
         self.frequencies = freq
 

@@ -94,7 +94,6 @@ class TimeGrid:
         # `quad_resample_blocks` reads.
         self.step_times = np.linspace(0.0, self.T, 2 * self.n_elements + 1)
         self.node_times = self.t_bounds[:-1, None] + self.h * _NODES[None, :]
-        self.gauss_local = _GX
         self.gauss_times = self.t_bounds[:-1, None] + self.h * _GX[None, :]
         # flattened views over all elements
         self.all_gauss_times = self.gauss_times.ravel()
@@ -118,10 +117,8 @@ class TimeFunction:
 
     __slots__ = ("grid", "coeffs")
 
-    def __init__(self, grid, coeffs=None):
+    def __init__(self, grid, coeffs):
         self.grid = grid
-        if coeffs is None:
-            coeffs = np.zeros((grid.n_elements, 4))
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape != (grid.n_elements, 4):
             raise ValueError("coeffs must have shape (n_elements, 4)")

@@ -67,6 +67,17 @@ def test_signal_with_a_broken_time_axis_exits_2(tmp_path, capsys, times, words):
     assert not (out / "matpoint.csv").exists()
 
 
+@pytest.mark.parametrize("strain", ["nan", "inf", "-inf"])
+def test_signal_with_a_non_finite_strain_exits_2(tmp_path, capsys, strain):
+    rows = "0,1e-4\n0.01,2e-4\n0.02,%s\n0.03,1e-4\n" % strain
+    signal = write(tmp_path / "signal.csv", "t,eps_x\n" + rows)
+    out = tmp_path / "out"
+    code = cli.main(["matpoint", "--signal", signal, "--out-dir", str(out)])
+    assert code == cli.EXIT_INPUT
+    assert "eps_x[2] = %s at t = 0.02" % strain in capsys.readouterr().err
+    assert not (out / "matpoint.csv").exists()
+
+
 def test_snapshot_after_the_horizon_exits_2(tmp_path, capsys):
     overlay = write(tmp_path / "late.cfg", "[load]\nT = 0.5\n"
                                            "[output]\nvtk = on\nsnapshots = 3.0\n")
@@ -262,7 +273,7 @@ def test_calibrate_rows_match_direct_runs(tmp_path):
     rows = [line.split(",") for line in lines[1:]]
     assert len(rows) >= 3                   # start, bracket, one bisection
     for scale, amplitudes, d_max in rows:
-        _, params, system, load = cli._build_problem(conf)
+        params, system, load, _ = cli._build_problem(conf)
         amplitudes = np.array([float(a) for a in amplitudes.split(";")])
         assert np.array_equal(amplitudes, load.amplitudes * float(scale))
         res = newmark_quasi_newton(system, params,

@@ -74,6 +74,40 @@ def test_constructors_reject_non_finite_values(section, field, value):
         replace(part, **{field: value})
 
 
+# (field, value, words the message must carry): one load rule, `LoadCase`'s,
+# which names the bad entry.
+BAD_LOAD = {
+    "nan_amplitude": ("amplitudes", (float("nan"),), "amplitudes[0] must be finite, got nan"),
+    "inf_amplitude": ("amplitudes", (float("inf"),), "amplitudes[0] must be finite, got inf"),
+    "inf_frequency": ("frequencies", (float("inf"),),
+                      "frequencies[0] must be finite and positive, got inf"),
+    "zero_frequency": ("frequencies", (0.0,),
+                       "frequencies[0] must be finite and positive, got 0"),
+    "negative_frequency": ("frequencies", (-3.0,),
+                           "frequencies[0] must be finite and positive, got -3"),
+    "no_frequency": ("frequencies", (), "non-empty matching 1d lists"),
+    "extra_frequency": ("frequencies", (3.0, 4.0), "non-empty matching 1d lists"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_LOAD))
+def test_load_config_names_the_bad_entry(case):
+    field, value, words = BAD_LOAD[case]
+    with pytest.raises(ValueError) as info:
+        replace(preset("mono_sine").load, **{field: value})
+    assert words in str(info.value)
+
+
+def test_bad_frequency_exits_2_through_the_cli(tmp_path, capsys):
+    path = write(tmp_path, "[load]\nfrequencies = -3\n")
+    out = tmp_path / "out"
+    code = cli.main(["run-latin", "--preset", "mono_sine", "--config", path,
+                     "--out-dir", str(out)])
+    assert code == cli.EXIT_INPUT
+    assert "frequencies[0] must be finite and positive, got -3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_mandatory_section_is_named(tmp_path):
     blocks = canonical(preset("elastic")).split("\n\n")
     text = "\n\n".join(b for b in blocks if not b.startswith("[solver]"))

@@ -165,8 +165,8 @@ def tiny_damaging_problem():
     conf = replace(conf, mesh=replace(conf.mesh, nx=4, ny=2, nz=2),
                    load=replace(conf.load, T=0.5),
                    solver=replace(conf.solver, N_T=10))
-    mesh, params, system, load = cli._build_problem(conf)
-    return conf, mesh, params, system, load, conf.solver.build_grid(conf.load.T)
+    params, system, load, grid = cli._build_problem(conf)
+    return conf, system.mesh, params, system, load, grid
 
 
 def controls(solver, **override):
@@ -430,8 +430,8 @@ def test_linear_softening_lands_on_the_modal_oracle(monkeypatch):
     conf = config.preset("mono_sine")
     conf = replace(conf, load=replace(conf.load, T=0.5),
                    solver=replace(conf.solver, N_T=100))
-    mesh, params, system, load = cli._build_problem(conf)
-    grid = conf.solver.build_grid(conf.load.T)
+    params, system, load, grid = cli._build_problem(conf)
+    mesh = system.mesh
     monkeypatch.setattr(latin, "local_stage", softened)
     state = run_latin(system, params, load, grid, **controls(conf.solver))
     assert state.converged

@@ -89,12 +89,21 @@ class TestLoadCase:
         assert gdd[0] == 0.0
 
     def test_rejects_mismatched_components(self):
-        with pytest.raises(ValueError):
-            LoadCase(np.array([1.0, 2.0]), np.array([1.0]))
+        for amplitudes, frequencies in (([1.0, 2.0], [1.0]), ([1.0], []), ([], [])):
+            with pytest.raises(ValueError, match="non-empty matching 1d lists"):
+                LoadCase(np.array(amplitudes), np.array(frequencies))
 
     def test_rejects_nonpositive_frequency(self):
-        with pytest.raises(ValueError):
-            LoadCase(np.array([1.0]), np.array([0.0]))
+        for f in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match=r"frequencies\[1\] must be finite and "
+                                                 r"positive, got %g" % f):
+                LoadCase(np.array([1.0, 1.0]), np.array([2.0, f]))
+
+    def test_rejects_non_finite_amplitude(self):
+        for a in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError,
+                               match=r"amplitudes\[1\] must be finite, got %g" % a):
+                LoadCase(np.array([1.0, a]), np.array([2.0, 3.0]))
 
     def test_prescribed_motion_moves_vertical_rows_only(self):
         mesh = generate_box_mesh(1.0, 1.0, 1.0, 2, 2, 2)
@@ -244,7 +253,7 @@ def test_elastic_march_converges_at_second_order_in_dt():
     conf = preset("mono_sine")
     conf = replace(conf, mesh=replace(conf.mesh, nx=4, ny=2, nz=2),
                    load=replace(conf.load, T=0.5))
-    _, params, system, load = cli._build_problem(conf)
+    params, system, load, _ = cli._build_problem(conf)
     runs = [newmark_quasi_newton(system, params, load,
                                  np.linspace(0.0, conf.load.T, 2 * n + 1),
                                  damage=False, tol=1e-9)["u"]
@@ -345,7 +354,7 @@ class TestDamageCommitment:
                        mesh=replace(preset("mono_sine").mesh, nx=4, ny=2, nz=2))
         conf = replace(conf, load=replace(conf.load, T=0.5),
                        solver=replace(conf.solver, N_T=10))
-        mesh, params, system, load = cli._build_problem(conf)
+        params, system, load, _ = cli._build_problem(conf)
         events = []
 
         def spy(name, fn, record):
@@ -646,8 +655,7 @@ def tiny_reference():
                    mesh=replace(preset("mono_sine").mesh, nx=4, ny=2, nz=2))
     conf = replace(conf, load=replace(conf.load, T=0.5),
                    solver=replace(conf.solver, N_T=10))
-    _, params, system, load = cli._build_problem(conf)
-    grid = conf.solver.build_grid(conf.load.T)
+    params, system, load, grid = cli._build_problem(conf)
     res = newmark_quasi_newton(system, params, load,
                                conf.solver.newmark_times(conf.load.T),
                                tol=conf.solver.newmark_tol)

@@ -5,7 +5,7 @@ import pytest
 
 from scipy.linalg import lu_factor, lu_solve
 
-from latinpgd.timegrid import (_GW, TimeFunction, TimeGrid, _basis, l2_fit,
+from latinpgd.timegrid import (_GW, _GX, TimeFunction, TimeGrid, _basis, l2_fit,
                                quad_resample_blocks, tdgm_march)
 
 
@@ -60,8 +60,8 @@ class TestStInner:
     def test_grid_mismatch_rejected(self):
         # samples of two grids with different element counts do not pair up
         g1, g2 = TimeGrid(1.0, 4), TimeGrid(1.0, 5)
-        f = TimeFunction(g1)
-        h = TimeFunction(g2)
+        f = TimeFunction(g1, np.zeros((4, 4)))
+        h = TimeFunction(g2, np.zeros((5, 4)))
         with pytest.raises(ValueError):
             g1.inner(f.values_at_gauss(), h.values_at_gauss())
 
@@ -83,7 +83,7 @@ class TestL2Fit:
         g = TimeGrid(2.0, 20)
         f = l2_fit(g, np.sin(g.all_gauss_times))
         tau = np.linspace(0.0, 1.0, 2001)
-        w = np.abs(np.prod(tau[:, None] - g.gauss_local[None, :], axis=1)).max()
+        w = np.abs(np.prod(tau[:, None] - _GX[None, :], axis=1)).max()
         bound = g.h ** 4 * w / 24.0
         # exact at the Gauss samples it fits; within the bound at the nodal
         # values, which sit between them and at the element ends
@@ -239,7 +239,7 @@ def per_element_march(grid, a, c, b, f, lam_init=0.0, vel_init=0.0):
     """
     g = grid
     f = np.asarray(f, dtype=float).reshape(g.n_elements, 4)
-    x, w = g.gauss_local, _GW
+    x, w = _GX, _GW
     test = np.array([w * p * x ** (p - 1) for p in (1, 2, 3)])
     A = (test @ (a * g.d2N + c * g.dN + b * g.N))[:, 1:]
     A[0] += a / g.h * _basis(0.0, 1)[1:] / g.h
@@ -281,7 +281,7 @@ def per_element_quadratic(grid, hist):
     Element k holds the samples s0, s1, s2 at local x = 0, 1/2, 1; their
     quadratic is s0 (2x-1)(x-1) - 4 s1 x(x-1) + s2 x(2x-1) at the Gauss x.
     """
-    x = grid.gauss_local
+    x = _GX
     out = np.empty(hist.shape[:-1] + (grid.n_gauss,))
     for k in range(grid.n_elements):
         s0, s1, s2 = (hist[..., 2 * k + j, None] for j in range(3))
