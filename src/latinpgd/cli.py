@@ -26,6 +26,8 @@ modal        natural-frequency table of the configured mesh.
 calibrate    sweep the load amplitude until the reference solver peaks at a
              target maximum damage.
     calibration.csv           scale,amplitudes,d_max (amplitudes ';'-separated)
+    manifest.json             also the target, the rows marched, the closest
+                              row and whether it met the target
 
 Exit codes: 0 success / converged; 2 invalid input or configuration;
 3 solver finished without reaching its convergence threshold (partial
@@ -37,7 +39,8 @@ input leaves no directory), builds the problem in `_build_problem`, solves
 with `_solve_latin` and / or `_solve_newmark`, and `compare` measures the
 gap in `_compare`; these four write no file.  The writers (`_write_latin`,
 `_write_newmark`, the tables) then dump the results, and every command but
-calibrate ends in `_write_manifest`.
+matpoint ends in `_write_manifest`.  matpoint keeps no manifest: it can run
+with no configuration to hash.
 
 Heavy imports happen inside the handlers, after --threads is applied, so
 the thread pinning reaches the numerical libraries before they start any
@@ -478,6 +481,11 @@ def cmd_calibrate(args):
         missed = "no row came within %g%% of it" % (100.0 * _CALIBRATE_TOLERANCE)
     else:
         missed = None
+    _write_manifest(out, conf, "calibrate",
+                    {"target": target, "bisections": args.bisections,
+                     "rows": len(rows), "scale": best[0],
+                     "amplitudes": (load.amplitudes * best[0]).tolist(),
+                     "d_max": best[1], "met": missed is None})
     if missed:
         print("error: calibration missed the target d_max %.4f: %s; the closest "
               "row, scale %.6g, gives d_max=%.4f; %s"

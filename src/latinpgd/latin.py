@@ -138,7 +138,9 @@ def run_latin(system, params, load, grid, *, zeta_stop, max_modes, omega, seed,
     enrich_zeta : stagnation threshold of each enrichment's fixed point.
 
     Returns a LatinState; `state.converged` distinguishes a met threshold
-    from an exhausted budget.
+    from an exhausted budget.  A ValueError inside an iteration, a
+    non-finite xi after a mode among them, is raised again as
+    "LATIN iteration k (m modes): <message>", chained to the original.
 
     The driver carries no constitutive state between iterations: each local
     stage maps the current global strain alone.  After the elastic start no
@@ -187,50 +189,57 @@ def run_latin(system, params, load, grid, *, zeta_stop, max_modes, omega, seed,
         state.log.append({"iteration": state.iteration, "modes": solution.n_modes,
                           "xi": xi, "cre": cre, "seconds": time.perf_counter() - t0})
 
-    while True:
-        state.iteration += 1
-        # Before any mode, sig is the elastic start's E:eps, bit for bit.
-        state.hat = local_stage(eps, grid.all_gauss_times, params, hooke,
-                                out=sig_hat,
-                                elastic=sig if solution.n_modes == 0 else None)
+    try:
+        while True:
+            state.iteration += 1
+            # Before any mode, sig is the elastic start's E:eps, bit for bit.
+            state.hat = local_stage(eps, grid.all_gauss_times, params, hooke,
+                                    out=sig_hat,
+                                    elastic=sig if solution.n_modes == 0 else None)
 
-        # Distance of the current global iterate from the manifold.  When it
-        # is already below the threshold the iteration ends without spending
-        # a mode.  Under elastic loads the local stage hands sig back as
-        # sig_hat, so Delta = 0 and xi and the CRE are exactly zero without
-        # forming it; otherwise the pass that forms |Delta|^2 also gives the
-        # CRE of the gap, 0 when xi is.
-        if state.hat["sig"] is sig:
-            gap2 = cre = 0.0
-        else:
-            _, gap2, cre = compute_delta(sig, sig_hat, mesh, grid, hooke,
-                                         out=delta)
-        xi = latin_error(gap2, norms, mesh, grid)
-        if xi <= zeta_stop:
+            # Distance of the current global iterate from the manifold.  When it
+            # is already below the threshold the iteration ends without spending
+            # a mode.  Under elastic loads the local stage hands sig back as
+            # sig_hat, so Delta = 0 and xi and the CRE are exactly zero without
+            # forming it; otherwise the pass that forms |Delta|^2 also gives the
+            # CRE of the gap, 0 when xi is.
+            if state.hat["sig"] is sig:
+                gap2 = cre = 0.0
+            else:
+                _, gap2, cre = compute_delta(sig, sig_hat, mesh, grid, hooke,
+                                             out=delta)
+            xi = latin_error(gap2, norms, mesh, grid)
+            if xi <= zeta_stop:
+                state.xi = xi
+                state.converged = True
+                log(xi, cre)
+                return state
+
+            mode, info = enrich(delta, system, grid, hooke, rng, zeta_stop=enrich_zeta)
+            state.enrich_log.append(info)
+            if mode is None:
+                # Delta vanished identically although xi > threshold: strain and
+                # stress gaps cannot both be zero here, so the run is degenerate.
+                raise ValueError("stress gap vanished with xi = %g above the "
+                                 "threshold" % xi)
+            mode = relax_mode(mode, omega)
+            # The new global norms, formed as the mode is added, serve this test
+            # and the next iteration's; the gaps after the mode separate into one
+            # product of Delta.
+            norms = solution.add_mode(mode, mesh)
+            products = mode_products(delta, mode, mesh, hooke)
+            xi = latin_error(gap2, norms, mesh, grid, mode, products)
+            if not np.isfinite(xi):
+                raise ValueError("non-finite manifold distance xi = %g after the "
+                                 "mode" % xi)
             state.xi = xi
-            state.converged = True
-            log(xi, cre)
-            return state
-
-        mode, info = enrich(delta, system, grid, hooke, rng, zeta_stop=enrich_zeta)
-        state.enrich_log.append(info)
-        if mode is None:
-            # Delta vanished identically although xi > threshold: strain and
-            # stress gaps cannot both be zero here, so the run is degenerate.
-            raise ValueError("stress gap vanished with xi = %g above the "
-                             "threshold" % xi)
-        mode = relax_mode(mode, omega)
-        # The new global norms, formed as the mode is added, serve this test
-        # and the next iteration's; the gaps after the mode separate into one
-        # product of Delta.
-        norms = solution.add_mode(mode, mesh)
-        products = mode_products(delta, mode, mesh, hooke)
-        xi = latin_error(gap2, norms, mesh, grid, mode, products)
-        state.xi = xi
-        log(xi, cre_functional(cre, products, mode, mesh, grid, hooke))
-        if xi <= zeta_stop:
-            state.converged = True
-            return state
-        if solution.n_modes >= max_modes:
-            state.converged = False
-            return state
+            log(xi, cre_functional(cre, products, mode, mesh, grid, hooke))
+            if xi <= zeta_stop:
+                state.converged = True
+                return state
+            if solution.n_modes >= max_modes:
+                state.converged = False
+                return state
+    except ValueError as exc:
+        raise ValueError("LATIN iteration %d (%d modes): %s"
+                         % (state.iteration, solution.n_modes, exc)) from exc

@@ -210,7 +210,7 @@ def time_lambda(u_bar, eps_bar, forcing, system, grid, hooke):
     if not a > 0.0:
         raise ValueError("degenerate mode: mass coefficient a = %g" % a)
     c = float(u_bar @ (system.C @ u_bar))
-    return tdgm_march(grid, a, c, b, np.reshape(forcing, (grid.n_elements, 4)))
+    return tdgm_march(grid, a, c, b, grid.rows(forcing))
 
 
 def time_mu(sig_bar, eps_bar, lam, sd, hooke, grid, mesh):

@@ -27,6 +27,11 @@ most 1 + 6e-15 for every omega*h from 1e-2 to 1e6 without damping (0.65 at
 omega*h = 10, tending to 1 in the stiff limit) and below 1 with damping
 ratios of 1 and 6.5, so no temporal mode is amplified.
 
+The march reads its forcing as element rows, shape (n_elements, 3): row k
+holds int_0^1 w' f dtau of element k for w = tau, tau^2, tau^3.
+`TimeGrid.rows` forms them from Gauss samples of f; a source that is not a
+sampled field, such as a velocity jump on the w = tau row, adds to them.
+
 Quadrature is 4-point Gauss-Legendre per element (exact through degree 7),
 the same points at which all space-time fields are sampled.
 """
@@ -105,6 +110,14 @@ class TimeGrid:
         self.d2N = _basis(_GX, 2) / self.h ** 2
         self._N_inv = np.linalg.inv(self.N)
 
+    def rows(self, samples):
+        """Element rows (n_elements, 3) of a forcing from its Gauss samples.
+
+        Row k holds the Gauss rule of int_0^1 w' f dtau on element k for
+        w = tau, tau^2, tau^3, exact for forcings cubic in time.
+        """
+        return (_TEST @ np.reshape(samples, (self.n_elements, 4)).T).T
+
     def inner(self, a, b):
         """Time integral of a*b over [0, T] from Gauss samples (..., n_gauss)."""
         a = np.asarray(a, dtype=float)
@@ -143,7 +156,7 @@ def l2_fit(grid, samples):
     return TimeFunction(grid, s @ grid._N_inv.T)
 
 
-def tdgm_march(grid, a, c, b, f_samples, lam_init=0.0, vel_init=0.0):
+def tdgm_march(grid, a, c, b, rows, lam_init=0.0, vel_init=0.0):
     """March a*lam'' + c*lam' + b*lam = f forward in time, element by element.
 
     Each element solves the form of the module docstring.  The row of
@@ -157,9 +170,9 @@ def tdgm_march(grid, a, c, b, f_samples, lam_init=0.0, vel_init=0.0):
     sums vanish only to round-off, which nodal unknowns would turn into a
     stiffness error of order eps / (omega h)^2 (at omega h = 0.03 they drift
     2e-11 from an extended-precision march over 400 elements, the
-    increments 4e-13).  The forcing enters through Gauss-weighted sums of
-    its samples, exact for forcings cubic in time.  The equation must be of
-    second order: a > 0.
+    increments 4e-13).  The forcing enters as element rows, the forced
+    right-hand sides of w = tau, tau^2, tau^3 (`TimeGrid.rows`).  The
+    equation must be of second order: a > 0.
 
     The march runs by superposition.  Element k solves A x_k = r_k with one
     3x3 operator A, and r_k is linear in the pair carried from element
@@ -175,8 +188,7 @@ def tdgm_march(grid, a, c, b, f_samples, lam_init=0.0, vel_init=0.0):
 
     Parameters
     ----------
-    f_samples : forcing sampled at the Gauss points, shape (n_gauss,) or
-        (n_elements, 4).
+    rows : the forcing's element rows, shape (n_elements, 3).
     lam_init : initial value.
     vel_init : initial velocity.
 
@@ -186,7 +198,8 @@ def tdgm_march(grid, a, c, b, f_samples, lam_init=0.0, vel_init=0.0):
     if not a > 0.0:
         raise ValueError("time march needs a positive mass coefficient a, got %g" % a)
     g = grid
-    f = np.asarray(f_samples, dtype=float).reshape(g.n_elements, 4)
+    if np.shape(rows) != (g.n_elements, 3):
+        raise ValueError("rows must have shape (n_elements, 3), got %s" % (np.shape(rows),))
 
     dN0, dN1 = _basis(np.array([0.0, 1.0]), 1)[:, 1:] / g.h
     A = (_TEST @ (a * g.d2N + c * g.dN + b * g.N))[:, 1:]
@@ -198,7 +211,7 @@ def tdgm_march(grid, a, c, b, f_samples, lam_init=0.0, vel_init=0.0):
     # Forced increments of every element, then the responses to a unit
     # carried value (column 0) and a unit carried velocity (column 1).
     # Non-finite forcing is reported below, by element.
-    x = lu_solve(lu, _TEST @ f.T, check_finite=False).T
+    x = lu_solve(lu, np.transpose(rows), check_finite=False).T
     unit = lu_solve(lu, [[-b, a / g.h], [-b, 0.0], [-b, 0.0]])
     # Carried pair: end value and end velocity of each element.
     forced_end = x[:, 2].tolist()

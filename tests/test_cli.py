@@ -1,6 +1,7 @@
 """Command-line checks: exit codes 0 (success), 2 (bad input) and 3 (not
 converged), the table writer and the import-time footprint."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -258,7 +259,7 @@ def test_spent_mode_budget_exits_3_with_outputs(tmp_path):
 def test_calibrate_rows_match_direct_runs(tmp_path):
     # calibrate assembles once and scales only the load; each row must be
     # what a Newmark run on a freshly built problem gives at that scale
-    from latinpgd.config import parse_config, preset
+    from latinpgd.config import canonical, parse_config, preset
     from latinpgd.newmark import LoadCase, newmark_quasi_newton
 
     overlay = tiny_overlay(tmp_path)
@@ -280,6 +281,15 @@ def test_calibrate_rows_match_direct_runs(tmp_path):
                                    LoadCase(amplitudes, load.frequencies), times,
                                    tol=conf.solver.newmark_tol)
         assert float(d_max) == res["d"].max()
+    # the manifest traces the closest row to this configuration
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["subcommand"] == "calibrate"
+    assert manifest["config_sha256"] == hashlib.sha256(canonical(conf).encode()).hexdigest()
+    assert manifest["rows"] == len(rows) and manifest["bisections"] == 1
+    best = min(rows, key=lambda row: abs(float(row[2]) - manifest["target"]))
+    assert manifest["scale"] == float(best[0]) and manifest["d_max"] == float(best[2])
+    assert manifest["amplitudes"] == [float(a) for a in best[1].split(";")]
+    assert manifest["met"] is False
 
 
 def test_calibrate_that_misses_the_target_names_its_bracket(tmp_path, capsys):
@@ -293,6 +303,8 @@ def test_calibrate_that_misses_the_target_names_its_bracket(tmp_path, capsys):
     assert "missed the target d_max 0.4200" in err
     assert "d_max=0.0000" in err
     assert "final bracket (lo, d_lo) = (0.510204, 0.0000), (hi, d_hi) = (0.612245, " in err
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["target"] == 0.42 and manifest["met"] is False
 
 
 @pytest.mark.parametrize("flag, value", [("--target", "nan"), ("--target", "-0.2"),

@@ -441,7 +441,8 @@ def test_linear_softening_lands_on_the_modal_oracle(monkeypatch):
     w2, phi = eigh(system.Kff.toarray(), system.Mff.toarray())
     damping = np.einsum("ij,ij->j", phi, system.Cff @ phi)
     force = phi.T @ (s * (system.K @ u)[free])
-    q = np.array([tdgm_march(grid, 1.0, c, (1.0 - s) * k, f).values_at_gauss()
+    q = np.array([tdgm_march(grid, 1.0, c, (1.0 - s) * k,
+                             grid.rows(f)).values_at_gauss()
                   for k, c, f in zip(w2, damping, force)])
     u[free] += phi @ q
     eps_ref = strain_at_gauss(mesh, u)
@@ -455,6 +456,40 @@ def test_run_latin_rejects_nonpositive_threshold(zeta_stop):
     with pytest.raises(ValueError, match="zeta_stop"):
         run_latin(None, None, None, None,
                   **controls(config.preset("mono_sine").solver, zeta_stop=zeta_stop))
+
+
+def test_a_failing_iteration_names_itself(monkeypatch, tmp_path, capsys):
+    # The second mode carries a NaN strain at spatial Gauss point 3: its xi
+    # is NaN, and the run stops there, naming the iteration, not at the
+    # next local stage's strain check.
+    enrich = latin.enrich
+    modes = []
+
+    def poisoned(*args, **kwargs):
+        mode, info = enrich(*args, **kwargs)
+        modes.append(mode)
+        if len(modes) == 2:
+            eps_bar = mode.eps_bar.copy()
+            eps_bar[3] = np.nan
+            mode = PgdMode(mode.u_bar, eps_bar, mode.sig_bar, mode.lam, mode.mu)
+        return mode, info
+
+    monkeypatch.setattr(latin, "enrich", poisoned)
+    conf, mesh, params, system, load, grid = tiny_damaging_problem()
+    with pytest.raises(ValueError, match=r"^LATIN iteration 2 \(2 modes\): "
+                                         r"non-finite manifold distance xi = nan") as err:
+        run_latin(system, params, load, grid,
+                  **controls(conf.solver, zeta_stop=1e-6, max_modes=3))
+    assert isinstance(err.value.__cause__, ValueError) and len(modes) == 2
+
+    modes.clear()
+    overlay = tmp_path / "tiny.cfg"
+    overlay.write_text("[mesh]\nnx = 4\nny = 2\nnz = 2\n[load]\nT = 0.5\n"
+                       "[solver]\nN_T = 10\nxi_stop = 1e-6\nmax_modes = 3\n")
+    code = cli.main(["run-latin", "--preset", "mono_sine", "--config", str(overlay),
+                     "--out-dir", str(tmp_path / "out")])
+    assert code == cli.EXIT_INPUT
+    assert "error: LATIN iteration 2 (2 modes): " in capsys.readouterr().err
 
 
 def test_elastic_start_is_the_resampled_elastic_march(monkeypatch):

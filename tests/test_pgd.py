@@ -231,7 +231,7 @@ class TestTimeLambda:
         a = float(u @ (system.M @ u))
         b = float(wg @ np.einsum("gv,gv->g", eps, HOOKE.apply(eps)))
         f = np.einsum("gtv,gv->t", delta * wg[:, None, None], eps)
-        oracle = tdgm_march(grid, a, 0.0, b, f.reshape(grid.n_elements, 4))
+        oracle = tdgm_march(grid, a, 0.0, b, grid.rows(f))
         assert a > 0.0 and b > 0.0
         gap = np.abs(lam.coeffs - oracle.coeffs).max()
         assert gap <= 1e-9 * np.abs(oracle.coeffs).max()

@@ -105,7 +105,7 @@ class TestMarch:
         g = TimeGrid(1.0, 4)
         for a in (0.0, -1.0):
             with pytest.raises(ValueError, match="coefficient a"):
-                tdgm_march(g, a, 0.5, 2.0, np.ones(g.n_gauss))
+                tdgm_march(g, a, 0.5, 2.0, g.rows(np.ones(g.n_gauss)))
 
     def test_forced_oscillator_oracle(self):
         # a lam'' + omega^2 lam = sin(Omega t), lam(0) = lam'(0) = 0:
@@ -114,7 +114,7 @@ class TestMarch:
         Omega = 2.0 * np.pi * 1.0
         g = TimeGrid(2.0, 80)  # 40 elements per forcing period
         t = g.all_gauss_times
-        lam = tdgm_march(g, 1.0, 0.0, omega ** 2, np.sin(Omega * t))
+        lam = tdgm_march(g, 1.0, 0.0, omega ** 2, g.rows(np.sin(Omega * t)))
         exact = (np.sin(Omega * t) - (Omega / omega) * np.sin(omega * t)) / (omega ** 2 - Omega ** 2)
         w = g.all_gauss_weights
         err = np.sqrt(w @ (lam.values_at_gauss() - exact) ** 2 / (w @ exact ** 2))
@@ -125,7 +125,8 @@ class TestMarch:
         omega = 2.0 * np.pi * 0.7
         Omega = 2.0 * np.pi * 1.0
         g = TimeGrid(2.0, 80)
-        lam = tdgm_march(g, 1.0, 0.0, omega ** 2, np.sin(Omega * g.all_gauss_times))
+        lam = tdgm_march(g, 1.0, 0.0, omega ** 2,
+                         g.rows(np.sin(Omega * g.all_gauss_times)))
         # the value row makes lam(t_k+) = lam(t_k-) up to round-off
         jumps = np.abs(lam.coeffs[1:, 0] - lam.coeffs[:-1, 3])
         assert jumps.max() <= 1e-13 * np.abs(lam.coeffs).max()
@@ -137,7 +138,7 @@ class TestMarch:
         for n in (20, 40, 80):
             g = TimeGrid(2.0, n)
             t = g.all_gauss_times
-            lam = tdgm_march(g, 1.0, 0.0, omega ** 2, np.sin(Omega * t))
+            lam = tdgm_march(g, 1.0, 0.0, omega ** 2, g.rows(np.sin(Omega * t)))
             exact = (np.sin(Omega * t) - (Omega / omega) * np.sin(omega * t)) / (omega ** 2 - Omega ** 2)
             w = g.all_gauss_weights
             errs.append(np.sqrt(w @ (lam.values_at_gauss() - exact) ** 2 / (w @ exact ** 2)))
@@ -159,7 +160,7 @@ class TestMarch:
         for n in (20, 40, 80):
             g = TimeGrid(2.0, n)
             t = g.all_gauss_times
-            lam = tdgm_march(g, 1.0, 0.0, omega ** 2, np.sin(Omega * t))
+            lam = tdgm_march(g, 1.0, 0.0, omega ** 2, g.rows(np.sin(Omega * t)))
             w = g.all_gauss_weights
             l2.append(np.sqrt(w @ (lam.values_at_gauss() - exact(t)) ** 2
                               / (w @ exact(t) ** 2)))
@@ -177,7 +178,8 @@ class TestMarch:
         dN1 = _basis(1.0, 1)
         radii = []
         for wh in np.logspace(-2, 6, 81):
-            columns = [tdgm_march(g, 1.0, 2.0 * zeta * wh, wh ** 2, np.zeros(4),
+            columns = [tdgm_march(g, 1.0, 2.0 * zeta * wh, wh ** 2,
+                                  g.rows(np.zeros(4)),
                                   lam_init=init[0], vel_init=init[1]).coeffs[0]
                        for init in ((1.0, 0.0), (0.0, 1.0))]
             T = np.array([[col[3], col @ dN1] for col in columns]).T
@@ -194,14 +196,14 @@ class TestMarch:
         du = -2.0 + 6.0 * t - 1.5 * t ** 2
         d2u = 6.0 - 3.0 * t
         a, c, b = 2.0, 0.7, 3.0
-        lam = tdgm_march(g, a, c, b, a * d2u + c * du + b * u,
+        lam = tdgm_march(g, a, c, b, g.rows(a * d2u + c * du + b * u),
                          lam_init=1.0, vel_init=-2.0)
         assert np.abs(lam.values_at_gauss() - u).max() < 1e-10
 
     def test_stiff_mode_damped_not_amplified(self):
         # omega*h = 20: far above the grid resolution; the march must stay bounded
         g = TimeGrid(40.0, 40)
-        lam = tdgm_march(g, 1.0, 0.0, 400.0, np.zeros(g.n_gauss), lam_init=1.0)
+        lam = tdgm_march(g, 1.0, 0.0, 400.0, g.rows(np.zeros(g.n_gauss)), lam_init=1.0)
         assert np.all(np.isfinite(lam.coeffs))
         assert np.abs(lam.coeffs[-10:]).max() < 1.0
 
@@ -209,7 +211,7 @@ class TestMarch:
         # 40 elements per period over 25 periods: amplitude loss ~0.04%/period
         omega = 2.0 * np.pi
         g = TimeGrid(25.0, 1000)
-        lam = tdgm_march(g, 1.0, 0.0, omega ** 2, np.zeros(g.n_gauss),
+        lam = tdgm_march(g, 1.0, 0.0, omega ** 2, g.rows(np.zeros(g.n_gauss)),
                          lam_init=1.0, vel_init=0.0)
         amp = np.abs(lam.values_at_gauss()[-160:]).max()
         assert 0.98 < amp <= 1.0 + 1e-9
@@ -221,7 +223,7 @@ class TestMarch:
         g = TimeGrid(3.0, 120)
         t = g.all_gauss_times
         lam = tdgm_march(g, 1.0, 2.0 * xi * omega, omega ** 2,
-                         np.zeros(g.n_gauss), lam_init=1.0)
+                         g.rows(np.zeros(g.n_gauss)), lam_init=1.0)
         exact = np.exp(-xi * omega * t) * (np.cos(omd * t)
                                            + xi * omega / omd * np.sin(omd * t))
         assert np.abs(lam.values_at_gauss() - exact).max() < 2e-2
@@ -263,7 +265,7 @@ class TestMarchSuperposition:
     def test_matches_the_per_element_march(self, a, c, b, init):
         g = TimeGrid(2.0, 400)
         f = np.random.default_rng(41).normal(size=g.n_gauss)
-        lam = tdgm_march(g, a, c, b, f, lam_init=init[0], vel_init=init[1])
+        lam = tdgm_march(g, a, c, b, g.rows(f), lam_init=init[0], vel_init=init[1])
         want = per_element_march(g, a, c, b, f, *init)
         assert np.abs(lam.coeffs - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -272,7 +274,43 @@ class TestMarchSuperposition:
         f = np.ones(g.n_gauss)
         f[4 * 5 + 2] = np.nan
         with pytest.raises(ValueError, match="non-finite values in element 5$"):
-            tdgm_march(g, 1.0, 0.1, 40.0, f)
+            tdgm_march(g, 1.0, 0.1, 40.0, g.rows(f))
+
+
+class TestRows:
+    def test_rows_of_a_cubic_forcing_are_its_exact_integrals(self):
+        # row k, column p - 1 is int_0^1 p tau^(p-1) f(t_k + h tau) dtau
+        g = TimeGrid(1.5, 6)
+        f = np.polynomial.Polynomial([0.7, -2.0, 3.0, 1.3])
+        exact = np.empty((g.n_elements, 3))
+        for k, t_k in enumerate(g.t_bounds[:-1]):
+            local = f(np.polynomial.Polynomial([t_k, g.h]))
+            for p in (1, 2, 3):
+                w_prime = np.polynomial.Polynomial.basis(p - 1) * p
+                exact[k, p - 1] = (w_prime * local).integ()(1.0)
+        rows = g.rows(f(g.all_gauss_times))
+        assert rows.shape == (g.n_elements, 3)
+        # measured 2.2e-16
+        assert np.abs(rows - exact).max() <= 1e-14 * np.abs(exact).max()
+
+    def test_a_velocity_jump_is_a_row(self):
+        # The w = tau row carries a w'(t_0+) [lam'(t_0)] = (a / h)(lam'(0+) - v):
+        # a start at velocity v is a start from rest with (a / h) v added
+        # to element 0's first row.
+        g = TimeGrid(2.0, 50)
+        a, c, b, v = 2.3, 0.4, 80.0, -0.7
+        rows = g.rows(np.random.default_rng(5).normal(size=g.n_gauss))
+        want = tdgm_march(g, a, c, b, rows, vel_init=v).coeffs
+        jumped = rows.copy()
+        jumped[0, 0] += a / g.h * v
+        got = tdgm_march(g, a, c, b, jumped).coeffs
+        # measured 2.4e-16
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_march_rejects_gauss_samples(self):
+        g = TimeGrid(1.0, 4)
+        with pytest.raises(ValueError, match=r"\(n_elements, 3\), got \(16,\)"):
+            tdgm_march(g, 1.0, 0.1, 40.0, np.ones(g.n_gauss))
 
 
 def per_element_quadratic(grid, hist):
