@@ -29,29 +29,41 @@ calibrate    sweep the load amplitude until the reference solver peaks at a
     manifest.json             also the target, the rows marched, the closest
                               row and whether it met the target
 
-Exit codes: 0 success / converged; 2 invalid input or configuration;
+Exit codes: 0 success / converged; 2 invalid input or configuration, or
+a solve that cannot go on (an equilibrium loop or damage stagger that
+fails at a named step, an operator that is not positive definite);
 3 solver finished without reaching its convergence threshold (partial
 outputs are still written).
 
 Each command but matpoint composes one run path with its writers.  It
-starts in `_setup` (the configuration, then the output directory, so a bad
-input leaves no directory), builds the problem in `_build_problem`, solves
-with `_solve_latin` and / or `_solve_newmark`, and `compare` measures the
-gap in `_compare`; these four write no file.  The writers (`_write_latin`,
-`_write_newmark`, the tables) then dump the results, and every command but
-matpoint ends in `_write_manifest`.  matpoint keeps no manifest: it can run
-with no configuration to hash.
+starts in `_setup`: the configuration, then the problem (`_build_problem`),
+and only then the output directory, so an input that the configuration or
+the mesh rejects leaves no directory.  It solves with `_solve_latin` and /
+or `_solve_newmark`, and `compare` measures the gap in `_compare`; these
+write no file.  The writers (`_write_latin`, `_write_newmark`, the tables)
+then dump the results, and every command but matpoint ends in
+`_write_manifest`.  matpoint keeps no manifest: it can run with no
+configuration to hash.
 
-Heavy imports happen inside the handlers, after --threads is applied, so
-the thread pinning reaches the numerical libraries before they start any
-worker pools.
+The numeric libraries take their thread count from the environment
+variables of `_THREAD_VARS` (OPENBLAS_NUM_THREADS, MKL_NUM_THREADS,
+VECLIB_MAXIMUM_THREADS, OMP_NUM_THREADS, NUMEXPR_NUM_THREADS), read when
+numpy first loads; `OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 latinpgd ...`
+runs deterministically on one thread.  The manifest records the count.
 """
 
 import argparse
 import hashlib
 import json
 import os
+import resource
 import sys
+
+import numpy as np
+import scipy
+
+from . import __version__, assembly, config, latin, material, newmark
+from .tensors import STRESS_CONTRACTION
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -73,17 +85,9 @@ _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREA
                 "OMP_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
-def _pin_threads(n):
-    if n < 0:
-        raise ValueError("--threads must be >= 0, got %d" % n)
-    if n == 0:
-        return
-    for name in _THREAD_VARS:
-        os.environ[name] = str(n)
-
-
 def _numeric_threads():
-    """Threads the numeric libraries run with: the pinned count, else one per usable CPU."""
+    """Threads the numeric libraries run with: the count the environment
+    sets, else one per usable CPU."""
     for name in _THREAD_VARS:
         value = os.environ.get(name, "").strip()
         if value.isdigit() and int(value) > 0:
@@ -95,17 +99,13 @@ def _numeric_threads():
 
 def _peak_rss_mb():
     """Peak resident set size of this process so far, in MB (Linux reports kB)."""
-    import resource
-
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
 
 
 def _load_config(args):
-    from . import config as cfg
-
-    base = cfg.preset(args.preset) if args.preset else None
+    base = config.preset(args.preset) if args.preset else None
     if args.config:
-        conf = cfg.parse_config(args.config, base=base)
+        conf = config.parse_config(args.config, base=base)
     elif base is not None:
         conf = base
     else:
@@ -114,43 +114,36 @@ def _load_config(args):
 
 
 def _setup(args):
-    """Configuration and output directory of a command, in that order, so a
-    bad configuration leaves no directory behind."""
+    """(conf, out, problem) of a command: the configuration, the problem of
+    `_build_problem` and the output directory, in that order, so an input
+    that the configuration or the mesh rejects leaves no directory."""
     conf = _load_config(args)
+    problem = _build_problem(conf)
     out = args.out_dir if args.out_dir else conf.output.directory
     os.makedirs(out, exist_ok=True)
-    return conf, out
+    return conf, out, problem
 
 
 def _build_problem(conf):
     """(params, system, load, grid) of a configuration; the mesh is system.mesh."""
-    from .assembly import (SpatialSystem, assemble_mass, assemble_stiffness,
-                           rayleigh_coeffs)
-
     mesh = conf.mesh.build()
     params = conf.material
-    M = assemble_mass(mesh, params.rho)
-    K = assemble_stiffness(mesh, params.hooke())
+    M = assembly.assemble_mass(mesh, params.rho)
+    K = assembly.assemble_stiffness(mesh, params.hooke())
     C = None
     if conf.solver.damping and params.xi > 0.0:
-        alpha, beta = rayleigh_coeffs(params.xi, *RAYLEIGH_ANCHORS)
+        alpha, beta = assembly.rayleigh_coeffs(params.xi, *RAYLEIGH_ANCHORS)
         C = alpha * M + beta * K
-    system = SpatialSystem(mesh, M, K, C)
+    system = assembly.SpatialSystem(mesh, M, K, C)
     return params, system, conf.load.build(), conf.solver.build_grid(conf.load.T)
 
 
 def _write_manifest(out, conf, subcommand, extra):
     """manifest.json: config hash, seed, versions, threads, peak RSS, `extra`."""
-    import numpy
-    import scipy
-
-    from . import __version__
-    from .config import canonical
-
-    body = {"config_sha256": hashlib.sha256(canonical(conf).encode()).hexdigest(),
+    body = {"config_sha256": hashlib.sha256(config.canonical(conf).encode()).hexdigest(),
             "seed": conf.solver.seed, "version": __version__,
             "subcommand": subcommand, "threads": _numeric_threads(),
-            "numpy_version": numpy.__version__, "scipy_version": scipy.__version__,
+            "numpy_version": np.__version__, "scipy_version": scipy.__version__,
             "peak_rss_mb": _peak_rss_mb(), **extra}
     with open(os.path.join(out, "manifest.json"), "w") as fh:
         json.dump(body, fh, indent=2, sort_keys=True)
@@ -163,8 +156,6 @@ def _write_table(path, header, fmt, columns):
     `fmt` formats a row, one %-field per column ("%d,%.17g"); a single field
     repeats over every column, space-separated.
     """
-    import numpy as np
-
     np.savetxt(path, np.column_stack(columns), fmt=fmt, header=header, comments="")
 
 
@@ -183,8 +174,6 @@ def _write_vtk(mesh, path, point_data=None, cell_data=None, t=None):
     point_data / cell_data: dicts mapping names to scalar arrays (n_nodes,) /
     (n_elements,) or vector arrays (n_nodes, 3).  t: the time they hold.
     """
-    import numpy as np
-
     n_el = mesh.n_elements
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 2.0\nhexahedral box mesh%s\nASCII\nDATASET "
@@ -216,8 +205,6 @@ def _dump_modes(solution, directory):
     Returns the list of file paths written (mode_###_space.csv with columns
     node,ux,uy,uz and mode_###_time.csv with element,local_node,t,lam,mu).
     """
-    import numpy as np
-
     g = solution.grid
     element = np.repeat(np.arange(g.n_elements), 4)
     local_node = np.tile(np.arange(4), g.n_elements)
@@ -245,10 +232,6 @@ def _write_snapshots(conf, out, mesh, times, u, d, sig):
     """
     if not conf.output.vtk:
         return
-    import numpy as np
-
-    from .tensors import STRESS_CONTRACTION
-
     n_el = mesh.n_elements
     for t_star in conf.output.snapshots or (conf.load.T,):
         k = int(np.argmin(np.abs(times - t_star)))
@@ -262,34 +245,28 @@ def _write_snapshots(conf, out, mesh, times, u, d, sig):
 
 def _solve_latin(conf, params, system, load, grid):
     """The LATIN-PGD solve of a configuration; writes nothing."""
-    from .latin import run_latin
-
-    return run_latin(system, params, load, grid,
-                     zeta_stop=conf.solver.xi_stop,
-                     max_modes=conf.solver.max_modes,
-                     omega=conf.solver.omega,
-                     seed=conf.solver.seed,
-                     enrich_zeta=conf.solver.zeta_stop)
+    return latin.run_latin(system, params, load, grid,
+                           zeta_stop=conf.solver.xi_stop,
+                           max_modes=conf.solver.max_modes,
+                           omega=conf.solver.omega,
+                           seed=conf.solver.seed,
+                           enrich_zeta=conf.solver.zeta_stop)
 
 
 def _solve_newmark(conf, params, system, load):
     """The Newmark reference march of a configuration; writes nothing."""
-    from .newmark import newmark_quasi_newton
-
-    return newmark_quasi_newton(system, params, load,
-                                conf.solver.newmark_times(conf.load.T),
-                                tol=conf.solver.newmark_tol)
+    return newmark.newmark_quasi_newton(system, params, load,
+                                        conf.solver.newmark_times(conf.load.T),
+                                        tol=conf.solver.newmark_tol)
 
 
 def _compare(grid, state, res):
     """The comparison row of a LATIN state and a reference run, by column."""
-    from .newmark import compare_error, resample_fields_to_gauss
-
-    ref_eps, ref_sig = resample_fields_to_gauss(grid, res)
+    ref_eps, ref_sig = newmark.resample_fields_to_gauss(grid, res)
     _, eps, sig = state.solution.fields()
     d_latin = float(state.damage.max())
     d_ref = float(res["d"].max())
-    return {"eps_percent": compare_error(ref_eps, ref_sig, eps, sig),
+    return {"eps_percent": newmark.compare_error(ref_eps, ref_sig, eps, sig),
             "latin_modes": state.n_modes, "latin_xi": state.xi,
             "latin_converged": int(state.converged),
             "d_latin": d_latin, "d_newmark": d_ref,
@@ -341,8 +318,7 @@ def _newmark_work(info):
 
 
 def cmd_run_latin(args):
-    conf, out = _setup(args)
-    params, system, load, grid = _build_problem(conf)
+    conf, out, (params, system, load, grid) = _setup(args)
     state = _solve_latin(conf, params, system, load, grid)
     gp = _write_latin(conf, out, system.mesh, state)
     _write_manifest(out, conf, "run-latin",
@@ -355,8 +331,7 @@ def cmd_run_latin(args):
 
 
 def cmd_run_newmark(args):
-    conf, out = _setup(args)
-    params, system, load, _ = _build_problem(conf)
+    conf, out, (params, system, load, _) = _setup(args)
     res = _solve_newmark(conf, params, system, load)
     gp = _write_newmark(conf, out, system.mesh, res)
     _write_manifest(out, conf, "run-newmark",
@@ -367,20 +342,16 @@ def cmd_run_newmark(args):
 
 
 def cmd_compare(args):
-    conf, out = _setup(args)
+    # One mesh and one set of matrices; the reference gets its own system,
+    # so each solver's factorizations are its own.
+    conf, out, (params, system, load, grid) = _setup(args)
     latin_dir = os.path.join(out, "latin")
     newmark_dir = os.path.join(out, "newmark")
     os.makedirs(latin_dir, exist_ok=True)
     os.makedirs(newmark_dir, exist_ok=True)
-
-    from .assembly import SpatialSystem
-
-    # One mesh and one set of matrices; the reference gets its own system,
-    # so each solver's factorizations are its own.
-    params, system, load, grid = _build_problem(conf)
     state = _solve_latin(conf, params, system, load, grid)
     _write_latin(conf, latin_dir, system.mesh, state)
-    reference = SpatialSystem(system.mesh, system.M, system.K, system.C)
+    reference = assembly.SpatialSystem(system.mesh, system.M, system.K, system.C)
     res = _solve_newmark(conf, params, reference, load)
     _write_newmark(conf, newmark_dir, system.mesh, res)
     row = _compare(grid, state, res)
@@ -396,19 +367,15 @@ def cmd_compare(args):
 
 
 def cmd_matpoint(args):
-    import numpy as np
-
-    from .material import matpoint_drive, reference_concrete
-
     if args.preset or args.config:
         params = _load_config(args).material
     else:
-        params = reference_concrete()
+        params = material.reference_concrete()
     raw = np.loadtxt(args.signal, delimiter=",", skiprows=1, ndmin=2)
     if raw.shape[1] != 2:
         raise ValueError("strain signal CSV must have two columns t,eps_x")
     times, eps_x = raw[:, 0], raw[:, 1]
-    series = matpoint_drive(times, eps_x, params)
+    series = material.matpoint_drive(times, eps_x, params)
     out = args.out_dir if args.out_dir else "."
     os.makedirs(out, exist_ok=True)
     _write_table(os.path.join(out, "matpoint.csv"), "t,eps_x,sig_x,d,dbar,Y",
@@ -418,11 +385,10 @@ def cmd_matpoint(args):
 
 
 def cmd_modal(args):
-    from .assembly import modal_analysis
-
-    conf, out = _setup(args)
-    _, system, _, _ = _build_problem(conf)
-    freqs, _ = modal_analysis(system.Mff, system.Kff, args.count)
+    if args.count < 1:
+        raise ValueError("--count must be >= 1, got %d" % args.count)
+    conf, out, (_, system, _, _) = _setup(args)
+    freqs, _ = assembly.modal_analysis(system.Mff, system.Kff, args.count)
     _write_table(os.path.join(out, "modal.csv"), "mode,frequency_hz", "%d,%.17g",
                  [range(1, freqs.size + 1), freqs])
     if conf.output.vtk:
@@ -432,23 +398,18 @@ def cmd_modal(args):
 
 
 def cmd_calibrate(args):
-    import numpy as np
-
-    from .newmark import LoadCase
-
     target = args.target
     # A peak damage lies in [0, 1); 0 is no target.  NaN fails the test too.
     if not 0.0 < target < 1.0:
         raise ValueError("--target must be a damage in (0, 1), got %r" % target)
     if args.bisections < 0:
         raise ValueError("--bisections must be >= 0, got %d" % args.bisections)
-    conf, out = _setup(args)
     # The load amplitude enters only the load case: mesh, matrices and the
     # system's factorization serve every scale tried.
-    params, system, load, _ = _build_problem(conf)
+    conf, out, (params, system, load, _) = _setup(args)
 
     def peak_damage(scale):
-        scaled = LoadCase(load.amplitudes * scale, load.frequencies)
+        scaled = newmark.LoadCase(load.amplitudes * scale, load.frequencies)
         return float(_solve_newmark(conf, params, system, scaled)["d"].max())
 
     # Expand the scale by 1.4 per row until d_max crosses the target; the
@@ -510,9 +471,6 @@ def build_parser():
         p.add_argument("--preset",
                        help="scenario preset: elastic, mono_sine, multi_sine")
         p.add_argument("--out-dir", help="output directory (default from config)")
-        p.add_argument("--threads", type=int, default=0,
-                       help="worker threads for numerics (0 = auto, "
-                            "1 = deterministic)")
 
     for name, func in (("run-latin", cmd_run_latin),
                        ("run-newmark", cmd_run_newmark),
@@ -542,9 +500,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        _pin_threads(args.threads)
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
 

@@ -132,6 +132,7 @@ def generate_box_mesh(d1, d2, d3, nx, ny, nz):
         nid(ix, iy, iz + 1), nid(ix + 1, iy, iz + 1),
         nid(ix + 1, iy + 1, iz + 1), nid(ix, iy + 1, iz + 1)])
 
-    end = np.isclose(nodes[:, 0], 0.0) | np.isclose(nodes[:, 0], d1)
-    sel = end & np.isclose(nodes[:, 2], 0.5 * d3)
-    return Mesh(nodes, conn, np.nonzero(sel)[0])
+    # the mid-height row z = d3/2 of the end faces x = 0 and x = d1, by
+    # lattice index, so no coordinate tolerance can take in a neighbour row
+    ends, rows = np.meshgrid([0, nx], np.arange(ny + 1))
+    return Mesh(nodes, conn, nid(ends, rows, nz // 2).ravel())

@@ -315,9 +315,11 @@ def enrich(delta, system, grid, hooke, rng, zeta_stop):
 
     Runs the alternating fixed point from randomly initialized time functions
     (nodal values uniform in [-1, 1]) until |lam| stagnates below zeta_stop
-    or after _MAX_SWEEPS sweeps.  Returns (mode, info); mode is None when Delta is
-    identically zero and no enrichment is needed.  info records the
-    normalization constants, stagnation history and iteration count.
+    or after _MAX_SWEEPS sweeps.  Returns (mode, info); info records the
+    normalization constants, stagnation history and iteration count.  Delta
+    must not vanish: `run_latin` enriches only while xi, and so |Delta|^2,
+    is positive.  A zero Delta gives a zero space function, whose time
+    problem `time_lambda` rejects as degenerate (mass coefficient a = 0).
 
     Each sweep reads Delta twice.  One (2, n_t) @ Delta product gives the
     space problem its <Delta lam> and the stress function its <Delta mu>,
@@ -326,12 +328,9 @@ def enrich(delta, system, grid, hooke, rng, zeta_stop):
     time problems.
     """
     info = {"c_c": [], "zeta": [], "iterations": 0}
-    if not np.any(delta):
-        return None, info
     mesh = system.mesh
     lam = TimeFunction(grid, rng.uniform(-1.0, 1.0, (grid.n_elements, 4)))
     mu = TimeFunction(grid, rng.uniform(-1.0, 1.0, (grid.n_elements, 4)))
-    mode = None
     for sweep in range(1, _MAX_SWEEPS + 1):
         weighted = _time_weighted(
             delta, np.stack([lam.values_at_gauss(), mu.values_at_gauss()]), grid)

@@ -1,11 +1,8 @@
-"""Command-line checks: exit codes 0 (success), 2 (bad input) and 3 (not
-converged), the table writer and the import-time footprint."""
+"""Command-line checks: exit codes 0 (success), 2 (bad input or a failed
+solve) and 3 (not converged), the table writer and the manifest."""
 
 import hashlib
 import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -90,6 +87,51 @@ def test_snapshot_after_the_horizon_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_mesh_the_config_accepts_but_the_mesh_rejects_leaves_no_directory(
+        tmp_path, capsys):
+    overlay = write(tmp_path / "odd.cfg", "[mesh]\nnz = 3\n")
+    out = tmp_path / "out"
+    code = cli.main(["run-latin", "--preset", "mono_sine", "--config", overlay,
+                     "--out-dir", str(out)])
+    assert code == cli.EXIT_INPUT
+    assert "the line supports need an even nz" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_modal_rejects_a_zero_count_before_any_directory(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = cli.main(["modal", "--preset", "mono_sine", "--count", "0",
+                     "--out-dir", str(out)])
+    assert code == cli.EXIT_INPUT
+    assert "--count must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_solve_that_cannot_go_on_exits_2_naming_its_step(tmp_path, capsys):
+    # a load far beyond the beam's strength: the equilibrium loop diverges
+    overlay = write(tmp_path / "hard.cfg",
+                    "[mesh]\nnx = 4\nny = 2\nnz = 2\n"
+                    "[load]\nT = 0.5\namplitudes = 0.0414\nfrequencies = 6\n"
+                    "[solver]\nN_T = 10\n")
+    code = cli.main(["run-newmark", "--preset", "mono_sine", "--config", overlay,
+                     "--out-dir", str(tmp_path / "out")])
+    assert code == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith(
+        "error: equilibrium loop failed to converge at step 3")
+
+
+def test_the_manifest_reads_the_thread_count_from_the_environment(
+        tmp_path, monkeypatch):
+    for name in cli._THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    out = tmp_path / "out"
+    code = cli.main(["modal", "--preset", "mono_sine", "--config", tiny_overlay(tmp_path),
+                     "--count", "1", "--out-dir", str(out)])
+    assert code == cli.EXIT_OK
+    assert json.loads((out / "manifest.json").read_text())["threads"] == 3
+
+
 def test_write_table_round_trips_floats_and_prints_integers_bare(tmp_path):
     rng = np.random.default_rng(7)
     floats = rng.normal(size=(3, 50)) * 10.0 ** rng.integers(-300, 300, size=(3, 50))
@@ -101,17 +143,6 @@ def test_write_table_round_trips_floats_and_prints_integers_bare(tmp_path):
     assert [line.split(",")[0] for line in lines[1:]] == [str(k) for k in range(50)]
     back = np.loadtxt(path, delimiter=",", skiprows=1)
     assert np.array_equal(back[:, 1:].T, floats)
-
-
-def test_importing_the_cli_loads_no_numeric_library():
-    # --threads only reaches BLAS if numpy is first imported after it is set
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    probe = ("import sys, latinpgd.cli; "
-             "print(sorted({'numpy', 'scipy'} & set(sys.modules)))")
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
 
 
 def tiny_overlay(tmp_path):

@@ -55,6 +55,16 @@ class TestSupports:
         assert mesh.prescribed_dofs.size == 18
         assert mesh.free_dofs.size == 459 - 18
 
+    @pytest.mark.parametrize("d1, d3", [(8.0, 1e-9), (1e-9, 0.3)])
+    def test_line_support_of_a_tiny_box_is_one_node_row(self, d1, d3):
+        # a coordinate tolerance near the box size would take in neighbour rows
+        mesh = generate_box_mesh(d1, 0.3, d3, 16, 2, 2)
+        assert np.array_equal(mesh.prescribed_nodes,
+                              generate_box_mesh(8.0, 0.3, 0.3, 16, 2, 2).prescribed_nodes)
+        sup = mesh.nodes[mesh.prescribed_nodes]
+        assert np.all((sup[:, 0] == 0.0) | (sup[:, 0] == d1))
+        assert np.all(sup[:, 2] == 0.5 * d3)
+
     def test_line_support_needs_even_nz(self):
         with pytest.raises(ValueError):
             generate_box_mesh(8.0, 0.3, 0.3, 16, 2, 3)

@@ -515,10 +515,11 @@ class TestReductions:
 
 class TestEnrich:
     def test_zero_delta_no_enrichment(self, setup):
+        # run_latin enriches only on a positive gap; a zero one has no mode
         mesh, system, grid = setup
-        mode, info = enrich(np.zeros((mesh.n_gauss, grid.n_gauss, 6)), system,
-                            grid, HOOKE, np.random.default_rng(0), ZETA_STOP)
-        assert mode is None and info["iterations"] == 0
+        with pytest.raises(ValueError, match="degenerate mode: mass coefficient a = 0"):
+            enrich(np.zeros((mesh.n_gauss, grid.n_gauss, 6)), system,
+                   grid, HOOKE, np.random.default_rng(0), ZETA_STOP)
 
     def test_manufactured_rank_one(self, setup):
         mesh, system, grid = setup
