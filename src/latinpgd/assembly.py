@@ -206,15 +206,16 @@ class SpatialSystem:
 
         A triple with ca >= 0, cc >= 0 and ck > 0 gives a symmetric positive
         definite operator: it is factorized by banded Cholesky
-        (`_banded_cholesky`), and a factorization that meets a non-positive
-        pivot (a singular K_ff) raises RuntimeError naming the triple.  Any
-        other triple is factorized by sparse LU with a fill-reducing
-        minimum-degree ordering of A^T + A and a symmetric-mode pivot
-        preference: the operator is symmetric, so diagonal pivots keep the
-        fill of the ordering.  Pivoting stays on, because the enrichment's
-        space operator can be indefinite (<lam'' lam> < 0).  A singular
-        operator raises RuntimeError there too.  The module docstring gives
-        the measured cost of both.
+        (`_banded_cholesky`), which stops at a non-positive pivot (a
+        singular K_ff).  Any other triple is factorized by sparse LU with a
+        fill-reducing minimum-degree ordering of A^T + A and a symmetric-mode
+        pivot preference: the operator is symmetric, so diagonal pivots keep
+        the fill of the ordering.  Pivoting stays on, because the
+        enrichment's space operator can be indefinite (<lam'' lam> < 0), and
+        a singular operator stops it.  Either failure raises RuntimeError
+        "operator ca*M + cc*C + ck*K on the free DOFs: <reason>", chained to
+        the factorization's own.  The module docstring gives the measured
+        cost of both.
 
         Only the last factorization is kept: a call with the coefficient
         triple of the previous call reuses it, any other triple refactorizes.
@@ -227,12 +228,16 @@ class SpatialSystem:
         key = (float(ca), float(cc), float(ck))
         cached, solve = self._solve
         if key != cached:
-            if key[0] >= 0.0 and key[1] >= 0.0 and key[2] > 0.0:
-                solve = self._banded_cholesky(*key)
-            else:
-                solve = spla.splu(self.operator(*key).tocsc(),
-                                  permc_spec="MMD_AT_PLUS_A",
-                                  options=dict(SymmetricMode=True)).solve
+            try:
+                if key[0] >= 0.0 and key[1] >= 0.0 and key[2] > 0.0:
+                    solve = self._banded_cholesky(*key)
+                else:
+                    solve = spla.splu(self.operator(*key).tocsc(),
+                                      permc_spec="MMD_AT_PLUS_A",
+                                      options=dict(SymmetricMode=True)).solve
+            except RuntimeError as exc:
+                raise RuntimeError("operator %g*M + %g*C + %g*K on the free DOFs: %s"
+                                   % (*key, exc)) from exc
             self._solve = (key, solve)
             self.n_factorizations += 1
         return solve(np.asarray(rhs, dtype=float))
@@ -250,7 +255,8 @@ class SpatialSystem:
         would pin whatever was allocated below it, such as the history
         arrays of the march that factorized it, after they are freed (peak
         RSS of the 32x4x4 elastic benchmark run: +13 MB on the heap, +4 MB
-        mapped, against the sparse LU).
+        mapped, against the sparse LU).  A non-positive pivot raises
+        RuntimeError with its index; `solve_free` adds the triple.
         """
         if self._band_order is None:
             pattern = abs(self.Mff) + abs(self.Cff) + abs(self.Kff)
@@ -269,10 +275,8 @@ class SpatialSystem:
         band[row[lower] - col[lower], col[lower]] = A.data[lower]
         factor, info = dpbtrf(band, lower=1, overwrite_ab=1)
         if info != 0:
-            raise RuntimeError(
-                "operator %g*M + %g*C + %g*K on the free DOFs is not positive "
-                "definite: banded Cholesky stopped at pivot %d"
-                % (ca, cc, ck, info))
+            raise RuntimeError("not positive definite: banded Cholesky stopped at "
+                               "pivot %d" % info)
 
         def solve(rhs):
             return dpbtrs(factor, rhs[perm], lower=1, overwrite_b=1)[0][inv]

@@ -31,19 +31,25 @@ calibrate    sweep the load amplitude until the reference solver peaks at a
 
 Exit codes: 0 success / converged; 2 invalid input or configuration, or
 a solve that cannot go on (an equilibrium loop or damage stagger that
-fails at a named step, an operator that is not positive definite);
+fails at a named step, an operator that is not positive definite or
+is singular);
 3 solver finished without reaching its convergence threshold (partial
 outputs are still written).
 
 Each command but matpoint composes one run path with its writers.  It
-starts in `_setup`: the configuration, then the problem (`_build_problem`),
-and only then the output directory, so an input that the configuration or
-the mesh rejects leaves no directory.  It solves with `_solve_latin` and /
-or `_solve_newmark`, and `compare` measures the gap in `_compare`; these
+starts in `_setup`, which reads the configuration and builds the problem
+(`_build_problem`).  It solves with `_solve_latin` and / or
+`_solve_newmark`, and `compare` measures the gap in `_compare`; these
 write no file.  The writers (`_write_latin`, `_write_newmark`, the tables)
 then dump the results, and every command but matpoint ends in
 `_write_manifest`.  matpoint keeps no manifest: it can run with no
 configuration to hash.
+
+A command's directory appears with its first file: `_write_table` makes
+the directory of the table it writes, and every command writes a table
+before any manifest or VTK file.  A command that fails before writing
+(an input the configuration or the mesh rejects, a solve that cannot go
+on) leaves no directory.  A LATIN run without modes has no modes/.
 
 The numeric libraries take their thread count from the environment
 variables of `_THREAD_VARS` (OPENBLAS_NUM_THREADS, MKL_NUM_THREADS,
@@ -114,14 +120,12 @@ def _load_config(args):
 
 
 def _setup(args):
-    """(conf, out, problem) of a command: the configuration, the problem of
-    `_build_problem` and the output directory, in that order, so an input
-    that the configuration or the mesh rejects leaves no directory."""
+    """(conf, out, problem) of a command: the configuration, the path of its
+    output directory and the problem of `_build_problem`.  It makes no
+    directory: the first table written does (`_write_table`)."""
     conf = _load_config(args)
-    problem = _build_problem(conf)
     out = args.out_dir if args.out_dir else conf.output.directory
-    os.makedirs(out, exist_ok=True)
-    return conf, out, problem
+    return conf, out, _build_problem(conf)
 
 
 def _build_problem(conf):
@@ -154,8 +158,12 @@ def _write_table(path, header, fmt, columns):
     """Write equal-length columns under `header` to a file name or open file.
 
     `fmt` formats a row, one %-field per column ("%d,%.17g"); a single field
-    repeats over every column, space-separated.
+    repeats over every column, space-separated.  A file name's directory is
+    made first if it is missing: this is where every command's output
+    directory comes into being.
     """
+    if not hasattr(path, "write"):
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     np.savetxt(path, np.column_stack(columns), fmt=fmt, header=header, comments="")
 
 
@@ -261,16 +269,24 @@ def _solve_newmark(conf, params, system, load):
 
 
 def _compare(grid, state, res):
-    """The comparison row of a LATIN state and a reference run, by column."""
+    """The comparison row of a LATIN state and a reference run, by column.
+
+    d_gap_percent is the gap of the peak damages relative to the
+    reference's; against an undamaged reference it is 0 when LATIN does
+    not damage either, and inf when it does.
+    """
     ref_eps, ref_sig = newmark.resample_fields_to_gauss(grid, res)
     _, eps, sig = state.solution.fields()
     d_latin = float(state.damage.max())
     d_ref = float(res["d"].max())
+    if d_ref > 0.0:
+        d_gap = abs(d_latin - d_ref) / d_ref * 100.0
+    else:
+        d_gap = 0.0 if d_latin == 0.0 else np.inf
     return {"eps_percent": newmark.compare_error(ref_eps, ref_sig, eps, sig),
             "latin_modes": state.n_modes, "latin_xi": state.xi,
             "latin_converged": int(state.converged),
-            "d_latin": d_latin, "d_newmark": d_ref,
-            "d_gap_percent": abs(d_latin - d_ref) / d_ref * 100.0 if d_ref > 0 else 0.0}
+            "d_latin": d_latin, "d_newmark": d_ref, "d_gap_percent": d_gap}
 
 
 def _write_latin(conf, out, mesh, state):
@@ -280,9 +296,7 @@ def _write_latin(conf, out, mesh, state):
     _write_table(os.path.join(out, "convergence_log.csv"), ",".join(keys),
                  "%d,%d,%.17g,%.17g,%.6f", [[row[k] for row in state.log] for k in keys])
     gp = _write_damage_series(out, grid.all_gauss_times, state.damage)
-    mode_dir = os.path.join(out, "modes")
-    os.makedirs(mode_dir, exist_ok=True)
-    _dump_modes(state.solution, mode_dir)
+    _dump_modes(state.solution, os.path.join(out, "modes"))
     u, _, sig = state.solution.fields()
     _write_snapshots(conf, out, mesh, grid.all_gauss_times, u, state.damage, sig)
     return gp
@@ -345,15 +359,11 @@ def cmd_compare(args):
     # One mesh and one set of matrices; the reference gets its own system,
     # so each solver's factorizations are its own.
     conf, out, (params, system, load, grid) = _setup(args)
-    latin_dir = os.path.join(out, "latin")
-    newmark_dir = os.path.join(out, "newmark")
-    os.makedirs(latin_dir, exist_ok=True)
-    os.makedirs(newmark_dir, exist_ok=True)
     state = _solve_latin(conf, params, system, load, grid)
-    _write_latin(conf, latin_dir, system.mesh, state)
+    _write_latin(conf, os.path.join(out, "latin"), system.mesh, state)
     reference = assembly.SpatialSystem(system.mesh, system.M, system.K, system.C)
     res = _solve_newmark(conf, params, reference, load)
-    _write_newmark(conf, newmark_dir, system.mesh, res)
+    _write_newmark(conf, os.path.join(out, "newmark"), system.mesh, res)
     row = _compare(grid, state, res)
     _write_table(os.path.join(out, "comparison.csv"), ",".join(row),
                  "%.17g,%d,%.17g,%d,%.17g,%.17g,%.17g", list(row.values()))
@@ -376,10 +386,8 @@ def cmd_matpoint(args):
         raise ValueError("strain signal CSV must have two columns t,eps_x")
     times, eps_x = raw[:, 0], raw[:, 1]
     series = material.matpoint_drive(times, eps_x, params)
-    out = args.out_dir if args.out_dir else "."
-    os.makedirs(out, exist_ok=True)
-    _write_table(os.path.join(out, "matpoint.csv"), "t,eps_x,sig_x,d,dbar,Y",
-                 ",".join(["%.17g"] * 6),
+    _write_table(os.path.join(args.out_dir or ".", "matpoint.csv"),
+                 "t,eps_x,sig_x,d,dbar,Y", ",".join(["%.17g"] * 6),
                  [times, eps_x, series["sig_x"], series["d"], series["dbar"], series["Y"]])
     return EXIT_OK
 

@@ -138,9 +138,12 @@ def run_latin(system, params, load, grid, *, zeta_stop, max_modes, omega, seed,
     enrich_zeta : stagnation threshold of each enrichment's fixed point.
 
     Returns a LatinState; `state.converged` distinguishes a met threshold
-    from an exhausted budget.  A ValueError inside an iteration, a
-    non-finite xi after a mode among them, is raised again as
-    "LATIN iteration k (m modes): <message>", chained to the original.
+    from an exhausted budget.  A zeta_stop that is not positive or a
+    max_modes below 1 (NaN for either) raises ValueError before any work.
+    A ValueError or RuntimeError of the run, such as a non-finite xi after
+    a mode or an operator that cannot be factorized, is raised again in
+    its own family as "LATIN elastic start: <message>" or "LATIN
+    iteration k (m modes): <message>", chained to the original.
 
     The driver carries no constitutive state between iterations: each local
     stage maps the current global strain alone.  After the elastic start no
@@ -166,30 +169,34 @@ def run_latin(system, params, load, grid, *, zeta_stop, max_modes, omega, seed,
     * one more read of Delta gives the separated xi and CRE after the mode
       (`pgd.mode_products`).
     """
-    if zeta_stop <= 0.0:
-        raise ValueError("zeta_stop must be positive")
+    # NaN fails both tests.
+    if not zeta_stop > 0.0:
+        raise ValueError("zeta_stop must be positive, got %r" % zeta_stop)
+    if not max_modes >= 1:
+        raise ValueError("max_modes must be at least 1, got %r" % max_modes)
     rng = np.random.default_rng(seed)
     hooke = params.hooke()
     mesh = system.mesh
     t0 = time.perf_counter()
-
-    el = elastic_solution(system, params, load, grid)
-    solution = PgdSolution(grid, el["u"], el["eps"], el["sig"])
-    state = LatinState(solution, time.perf_counter() - t0)
-
-    # The running fields are updated in place, the local stage's stress and
-    # the stress gap are rewritten into these two buffers: after the elastic
-    # start no iteration allocates a space-time field.
-    _, eps, sig = solution.fields()
-    sig_hat = np.empty_like(sig)
-    delta = np.empty_like(sig)
-    norms = solution.norms(mesh)
+    state = None
 
     def log(xi, cre):
         state.log.append({"iteration": state.iteration, "modes": solution.n_modes,
                           "xi": xi, "cre": cre, "seconds": time.perf_counter() - t0})
 
     try:
+        el = elastic_solution(system, params, load, grid)
+        solution = PgdSolution(grid, el["u"], el["eps"], el["sig"])
+        state = LatinState(solution, time.perf_counter() - t0)
+
+        # The running fields are updated in place, the local stage's stress
+        # and the stress gap are rewritten into these two buffers: after the
+        # elastic start no iteration allocates a space-time field.
+        _, eps, sig = solution.fields()
+        sig_hat = np.empty_like(sig)
+        delta = np.empty_like(sig)
+        norms = solution.norms(mesh)
+
         while True:
             state.iteration += 1
             # Before any mode, sig is the elastic start's E:eps, bit for bit.
@@ -235,6 +242,8 @@ def run_latin(system, params, load, grid, *, zeta_stop, max_modes, omega, seed,
             if solution.n_modes >= max_modes:
                 state.converged = False
                 return state
-    except ValueError as exc:
-        raise ValueError("LATIN iteration %d (%d modes): %s"
-                         % (state.iteration, solution.n_modes, exc)) from exc
+    except (ValueError, RuntimeError) as exc:
+        stage = ("LATIN elastic start" if state is None else
+                 "LATIN iteration %d (%d modes)" % (state.iteration, state.n_modes))
+        family = ValueError if isinstance(exc, ValueError) else RuntimeError
+        raise family("%s: %s" % (stage, exc)) from exc

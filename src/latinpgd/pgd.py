@@ -153,7 +153,9 @@ def space_problem(lam, delta_lam, system):
     where F is the internal-force functional of the time-weighted stress gap
     delta_lam = <Delta lam> (n_gauss, 6), formed by the caller
     (`_time_weighted`).  Returns (u_bar, eps_bar) with u_bar zero on
-    prescribed DOFs.
+    prescribed DOFs.  A singular operator raises the RuntimeError of
+    `SpatialSystem.solve_free`, which names its coefficients; `run_latin`
+    adds the iteration.
     """
     grid = lam.grid
     lv = lam.values_at_gauss()
@@ -164,13 +166,8 @@ def space_problem(lam, delta_lam, system):
     cc = grid.inner(lam.values_at_gauss(1), lv)
 
     rhs = internal_force(system.mesh, delta_lam)
-    try:
-        u_free = system.solve_free(ca, cc, ck, rhs[system.free])
-    except RuntimeError as exc:
-        raise ValueError("singular space operator (<lam'' lam>=%g, <lam lam>=%g)"
-                         % (ca, ck)) from exc
     u_bar = np.zeros(system.mesh.n_dofs)
-    u_bar[system.free] = u_free
+    u_bar[system.free] = system.solve_free(ca, cc, ck, rhs[system.free])
     return u_bar, strain_at_gauss(system.mesh, u_bar)
 
 

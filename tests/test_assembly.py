@@ -281,6 +281,17 @@ class TestSpatialSystem:
         with pytest.raises(RuntimeError, match=r"0\*M \+ 0\*C \+ 1\*K"):
             sysm.solve_free(0.0, 0.0, 1.0, np.ones(sysm.n_free))
 
+    def test_singular_lu_triple_names_the_operator(self):
+        # the zero triple takes the LU path, whose singular factor says only
+        # "Factor is exactly singular"; the system names the operator
+        mesh = beam_mesh((4, 2, 2))
+        sysm = SpatialSystem(mesh, assemble_mass(mesh, 2550.0),
+                             assemble_stiffness(mesh, CONCRETE))
+        with pytest.raises(RuntimeError, match=r"^operator 0\*M \+ 0\*C \+ 0\*K on "
+                                               r"the free DOFs: ") as err:
+            sysm.solve_free(0.0, 0.0, 0.0, np.ones(sysm.n_free))
+        assert isinstance(err.value.__cause__, RuntimeError)
+
     def test_stiffness_spd_on_free_dofs(self):
         mesh = beam_mesh((4, 2, 2))
         sysm = SpatialSystem(mesh, assemble_mass(mesh, 2550.0),

@@ -118,6 +118,47 @@ def test_a_solve_that_cannot_go_on_exits_2_naming_its_step(tmp_path, capsys):
     assert code == cli.EXIT_INPUT
     assert capsys.readouterr().err.startswith(
         "error: equilibrium loop failed to converge at step 3")
+    assert not (tmp_path / "out").exists()
+
+
+def test_modal_refuses_more_modes_than_dofs_and_leaves_no_directory(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = cli.main(["modal", "--preset", "mono_sine", "--config", tiny_overlay(tmp_path),
+                     "--count", "100000", "--out-dir", str(out)])
+    assert code == cli.EXIT_INPUT
+    assert "cannot extract 100000 modes" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand, head", [
+    ("run-latin", "error: LATIN elastic start: operator "),
+    ("compare", "error: LATIN elastic start: operator "),
+    ("run-newmark", "error: operator "),
+])
+def test_a_failed_factorization_names_its_stage_and_leaves_no_directory(
+        tmp_path, capsys, monkeypatch, subcommand, head):
+    def refused(self, ca, cc, ck):
+        raise RuntimeError("not positive definite: banded Cholesky stopped at pivot 7")
+
+    monkeypatch.setattr(assembly.SpatialSystem, "_banded_cholesky", refused)
+    out = tmp_path / "out"
+    code = cli.main([subcommand, "--preset", "mono_sine",
+                     "--config", tiny_overlay(tmp_path), "--out-dir", str(out)])
+    assert code == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(head)
+    assert "on the free DOFs: not positive definite" in err
+    assert not out.exists()
+
+
+def test_a_run_without_modes_writes_no_mode_directory(tmp_path):
+    out = tmp_path / "out"
+    code = cli.main(["run-latin", "--preset", "elastic",
+                     "--config", tiny_overlay(tmp_path), "--out-dir", str(out)])
+    assert code == cli.EXIT_OK
+    assert json.loads((out / "manifest.json").read_text())["modes"] == 0
+    assert (out / "convergence_log.csv").is_file()
+    assert not (out / "modes").exists()
 
 
 def test_the_manifest_reads_the_thread_count_from_the_environment(
@@ -249,6 +290,24 @@ def test_compare_writes_one_finite_comparison_row(tmp_path, monkeypatch):
                                    "corrections": steps[:, 2].sum(),
                                    "passes": steps[:, 3].sum(),
                                    "undamaged_steps": 0}
+
+
+@pytest.mark.parametrize("d_latin, d_newmark, gap", [
+    (0.3, 0.0, np.inf), (0.0, 0.0, 0.0), (0.75, 0.5, 50.0), (0.0, 0.5, 100.0)])
+def test_damage_gap_is_zero_only_when_both_peaks_are(monkeypatch, d_latin, d_newmark,
+                                                     gap):
+    from types import SimpleNamespace
+
+    from latinpgd import newmark
+
+    monkeypatch.setattr(newmark, "resample_fields_to_gauss", lambda grid, res: (0, 0))
+    monkeypatch.setattr(newmark, "compare_error", lambda *fields: 1.0)
+    state = SimpleNamespace(solution=SimpleNamespace(fields=lambda: (0, 0, 0)),
+                            damage=np.array([[0.0, d_latin]]), n_modes=1, xi=0.1,
+                            converged=False)
+    row = cli._compare(None, state, {"d": np.array([[d_newmark, 0.0]])})
+    assert (row["d_latin"], row["d_newmark"]) == (d_latin, d_newmark)
+    assert row["d_gap_percent"] == gap
 
 
 def assert_enrichment_histories(record, modes):

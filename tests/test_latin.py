@@ -458,6 +458,53 @@ def test_run_latin_rejects_nonpositive_threshold(zeta_stop):
                   **controls(config.preset("mono_sine").solver, zeta_stop=zeta_stop))
 
 
+@pytest.mark.parametrize("override, name", [({"zeta_stop": np.nan}, "zeta_stop"),
+                                            ({"max_modes": np.nan}, "max_modes"),
+                                            ({"max_modes": 0}, "max_modes")])
+def test_run_latin_rejects_bad_controls_before_the_elastic_start(
+        monkeypatch, override, name):
+    monkeypatch.setattr(latin, "elastic_solution",
+                        lambda *args: pytest.fail("the elastic start ran"))
+    conf, mesh, params, system, load, grid = tiny_damaging_problem()
+    with pytest.raises(ValueError, match="^%s must be" % name):
+        run_latin(system, params, load, grid, **controls(conf.solver, **override))
+
+
+class TwoPartError(RuntimeError):
+    """A RuntimeError whose constructor takes two arguments."""
+
+    def __init__(self, what, where):
+        super().__init__("%s at %s" % (what, where))
+
+
+def test_run_latin_names_a_failed_stage_in_its_own_family(monkeypatch):
+    conf, mesh, params, system, load, grid = tiny_damaging_problem()
+    run = dict(controls(conf.solver, zeta_stop=1e-6, max_modes=2))
+    boom = RuntimeError("boom")
+
+    def failed_enrichment(*args, **kwargs):
+        raise boom
+
+    with monkeypatch.context() as patch:
+        patch.setattr(latin, "enrich", failed_enrichment)
+        with pytest.raises(RuntimeError,
+                           match=r"^LATIN iteration 1 \(0 modes\): boom$") as err:
+            run_latin(system, params, load, grid, **run)
+    assert type(err.value) is RuntimeError and err.value.__cause__ is boom
+
+    for failure, family in ((TwoPartError("no pivot", "row 3"), RuntimeError),
+                            (ValueError("bad load"), ValueError)):
+        def failed_start(*args, _failure=failure):
+            raise _failure
+
+        with monkeypatch.context() as patch:
+            patch.setattr(latin, "elastic_solution", failed_start)
+            with pytest.raises(family,
+                               match="^LATIN elastic start: %s$" % failure) as err:
+                run_latin(system, params, load, grid, **run)
+        assert type(err.value) is family and err.value.__cause__ is failure
+
+
 def test_a_failing_iteration_names_itself(monkeypatch, tmp_path, capsys):
     # The second mode carries a NaN strain at spatial Gauss point 3: its xi
     # is NaN, and the run stops there, naming the iteration, not at the
