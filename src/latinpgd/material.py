@@ -22,11 +22,16 @@ The constitutive state at a point is (eps, sigma, d, Y):
   gathers what a frozen state contributes once and is then applied to any
   number of strains.
 
-The nonlinear update stage evaluates the law that the Newmark march advances
-step by step, at every spatial Gauss point over the whole time axis at once:
-a pure map of the strain history.  Points are independent, so everything is
-vectorized over space.  Damage-law work is only done where damage can
-happen, with results bit-identical to evaluating it everywhere:
+The nonlinear update stage (`local_stage`) is the one driver of the law: at
+every spatial Gauss point over a stretch of the time axis at once, it maps
+the strain history from a start state to the stress, the damage and the
+end state.  What carries across a cut of the time axis is a `DamageState`:
+d, the target damage at the last sample (the delay law interpolates
+targets between samples) and the tension peak, a running maximum.  LATIN
+runs the stage from rest over the whole interval; the Newmark march runs it
+over each step [0, dt] from its committed state.  Points are independent,
+so everything is vectorized over space.  Damage-law work is only done where
+damage can happen, with results bit-identical to evaluating it everywhere:
 
 * released energy: with e_i the principal strains, Y is at most
   B = 1/2 (max(lam, 0) P^2 + 2 mu |eps|^2), P = 1/2 (tr eps + sqrt(3) |eps|),
@@ -38,13 +43,15 @@ happen, with results bit-identical to evaluating it everywhere:
   `released_energy`; the target damage is formed only where Y > Y0;
 * delay: with zero target and zero start the rate is exactly 0, so the
   update stage integrates only the spatial points whose target damage is
-  nonzero somewhere on the time axis (the active rows).  Along the time
-  axis, a row whose targets at both ends of a step are <= d keeps every bit
-  of d, and a step frozen on every row is skipped (`integrate_delay`): on
-  a damaging run most steps are frozen;
+  nonzero somewhere on the time axis or whose start carries damage or a
+  target (the active rows).  Along the time axis, a row whose targets at
+  both ends of a step are <= d keeps every bit of d, and a step frozen on
+  every row is skipped (`integrate_delay`): on a damaging run most steps
+  are frozen;
 * tension peak: the stress reads it only where d != 0, so its running
   index and trace are built on the active rows only, a chunk of rows at a
-  time;
+  time; the end state's peak, which every row carries, is taken in the
+  sweep that reads the strain;
 * stress: E:eps is exact where d = 0, so the damage correction is
   evaluated only at damaged points.
 
@@ -171,13 +178,13 @@ def static_damage(Y, params):
 def integrate_delay(times, dbar, d_init, params):
     """Integrate d_dot = (1/tau_c)(1 - exp(-a <d_bar - d>+)) along the time axis.
 
-    times : sample instants (n_t,), finite, strictly increasing, starting
-        at or after 0; the first that is not raises ValueError naming it.
-    dbar : target damage samples (..., n_t); linear interpolation in between,
-        constant extrapolation on the leading [0, times[0]] gap.  That gap
-        is empty when times[0] = 0 (the Newmark step calls with [0, dt]),
-        and an empty span leaves d as it is: d[..., 0] is then d_init.
-    d_init : initial damage at t = 0 (scalar or shape (...)).
+    times : sample instants (n_t,), finite, non-negative and strictly
+        increasing; the first that is not raises ValueError naming it.
+        times[0] is the instant of d_init (the Newmark step calls with
+        [0, dt], and `local_stage` enters its start state as the first
+        sample).
+    dbar : target damage samples (..., n_t); linear interpolation in between.
+    d_init : damage at times[0] (scalar or shape (...)); d[..., 0] is d_init.
 
     Each sample interval is one exact step (`_delay_step`).  A row whose
     targets at both ends of a step are <= d keeps every bit of d.  The
@@ -188,46 +195,34 @@ def integrate_delay(times, dbar, d_init, params):
     """
     times = np.asarray(times, dtype=float)
     dbar = np.asarray(dbar, dtype=float)
-    n_t = times.size
-    if dbar.shape[-1] != n_t:
+    if dbar.shape[-1] != times.size:
         raise ValueError("dbar last axis must match times")
-    rows = dbar.reshape(math.prod(dbar.shape[:-1]), n_t)
+    rows = dbar.reshape(math.prod(dbar.shape[:-1]), times.size)
     d = np.empty_like(rows)
-    d_init = np.asarray(d_init, dtype=float)
-    cur = (d_init if d_init.shape == dbar.shape[:-1]
-           else np.broadcast_to(d_init, dbar.shape[:-1])).flatten()
+    cur = np.broadcast_to(np.asarray(d_init, dtype=float), dbar.shape[:-1]).flatten()
+    _check_times(times, "delay-law times")
 
-    # Step k spans [times[k-1], times[k]] ([0, times[0]] for k = 0, with the
-    # target extrapolated flat); top holds its larger end target.  A first
-    # span >= 0, later spans > 0 and a finite last time make a valid axis;
-    # the negated tests catch a NaN.
-    span = times.copy()
-    span[1:] -= times[:-1]
-    if n_t and not (span[0] >= 0.0 and span[1:].min(initial=1.0) > 0.0
-                    and times[-1] < np.inf):
-        _check_times(times, "delay-law times")
-    top = rows.copy()
-    np.maximum(top[:, 1:], rows[:, :-1], out=top[:, 1:])
-
-    k = done = 0
+    # Step j spans [times[j], times[j+1]] and ends on sample j + 1; top
+    # holds its larger end target.
+    span = np.diff(times)
+    top = np.maximum(rows[:, 1:], rows[:, :-1])
+    j, done = 0, -1       # d[:, 0] is d_init, written with the frozen steps
     while True:
         # Next step that can move d; negated test, so NaN counts.
-        while k < n_t:
-            moves = ~(top[:, k:k + _WINDOW] <= cur[:, None])
+        while j < span.size:
+            moves = ~(top[:, j:j + _WINDOW] <= cur[:, None])
             if moves.any():
-                k += int(moves.any(axis=0).argmax())
+                j += int(moves.any(axis=0).argmax())
                 break
-            k += _WINDOW
-        k = min(k, n_t)
-        d[:, done:k] = cur[:, None]      # frozen steps end where they start
-        if k == n_t:
+            j += _WINDOW
+        j = min(j, span.size)
+        d[:, done + 1:j + 1] = cur[:, None]      # frozen steps end where they start
+        if j == span.size:
             return d.reshape(dbar.shape)
-        if span[k] > 0.0:
-            live = np.flatnonzero(~(top[:, k] <= cur))
-            cur[live] = _delay_step(cur[live], rows[live, max(k - 1, 0)], rows[live, k],
-                                    span[k], params)
-        d[:, k] = cur
-        done = k = k + 1
+        live = np.flatnonzero(~(top[:, j] <= cur))
+        cur[live] = _delay_step(cur[live], rows[live, j], rows[live, j + 1], span[j], params)
+        d[:, j + 1] = cur
+        done = j = j + 1
 
 
 def _check_times(times, what):
@@ -373,43 +368,116 @@ def tension_peak_history(tr):
     tr = np.asarray(tr, dtype=float)
     n_t = tr.shape[-1]
     run = np.maximum.accumulate(tr, axis=-1)
-    is_new = np.empty(tr.shape, dtype=bool)
-    is_new[..., 0] = True
+    is_new = np.ones(tr.shape, dtype=bool)
     is_new[..., 1:] = tr[..., 1:] > run[..., :-1]
     cand = np.where(is_new, np.arange(n_t), 0)
     idx = np.maximum.accumulate(cand, axis=-1)
-    return idx, np.take_along_axis(tr, idx, axis=-1)
+    return idx, run
 
 
-def local_stage(eps, times, params, hooke, out=None, elastic=None):
+def _hooke_rows(hooke, eps_rows):
+    """E:eps of strain rows (k, 6), each row with the bits of any product that holds it.
+
+    numpy multiplies two or more rows by BLAS's matrix product, whose rows
+    do not depend on how many there are, but a lone row by a vector product
+    that can differ in the last bit; the rows are multiplied with one more.
+    """
+    return hooke.apply(np.concatenate([eps_rows, eps_rows[:1]]))[:-1]
+
+
+@dataclass(frozen=True, eq=False)
+class DamageState:
+    """The damage law's state at one instant, per point: what carries across a time cut.
+
+    d : damage (n,).
+    dbar : target damage (n,); the delay law interpolates the target
+        linearly from it to the next sample.
+    eps_max : tension peak (n, 6), the strain of the largest trace so far
+        (the earliest on ties), or the zero strain while no trace has
+        exceeded 0; tr_max (n,) is its trace.  A point carries its peak
+        before it damages: the re-closure term reads it once d > 0.
+
+    `local_stage` returns the state at its last sample and takes one as its
+    start; the Newmark march holds its committed state as one.
+    """
+
+    d: np.ndarray
+    dbar: np.ndarray
+    eps_max: np.ndarray
+    tr_max: np.ndarray
+
+    @classmethod
+    def undamaged(cls, n_points):
+        """n_points at rest at t = 0: no damage, no target, a zero tension
+        peak (zero-stride views, which allocate nothing)."""
+        zero = np.broadcast_to(0.0, (n_points,))
+        return cls(zero, zero, np.broadcast_to(0.0, (n_points, 6)), zero)
+
+    def correction(self, params, hooke):
+        """The state's `DamageCorrection` kernel; None while d = 0 everywhere.
+
+        It is built on the first call and kept, so a state serves one
+        material: `local_stage` corrects its last sample with its end
+        state's kernel, and the Newmark march reuses it.
+        """
+        if "kernel" not in vars(self):
+            object.__setattr__(self, "kernel", DamageCorrection(
+                self.d, self.tr_max, lambda flat: _hooke_rows(hooke, self.eps_max[flat]),
+                params, hooke) if self.d.any() else None)
+        return self.kernel
+
+
+def local_stage(eps, times, params, hooke, out=None, elastic=None, start=None):
     """Nonlinear update stage: constitutive relations at every Gauss point.
 
     All fields live on the (spatial Gauss x temporal Gauss) grid: eps has
-    shape (n_sp, n_t, 6), the scalars (n_sp, n_t).  The stage is a pure map
-    of the strain history, with no state carried from an earlier call.  Per
-    point and instant the target damage is the quasi-static law of the
-    released energy, d_bar = static_damage(Y), the same expression as the
-    Newmark march's damage update; the delayed damage is integrated from
-    d(0) = 0 over the whole axis, and the stress combines the damaged and
-    re-closure branches using the running tension peak of the input strain.
-    Delay and tension peak are evaluated only on the rows whose target
-    damage is nonzero somewhere: d stays exactly 0 on every other row, so
-    the stress there is E:eps and never reads the peak.
+    shape (n_sp, n_t, 6), the scalars (n_sp, n_t).  The stage maps the
+    strain history from its start state and keeps nothing between calls.
+    Per point and instant the target damage is the quasi-static law of the
+    released energy, d_bar = static_damage(Y); the delayed damage is
+    integrated from the start, and the stress combines the damaged and
+    re-closure branches using the running tension peak of the strain.
+
+    times : the samples' instants (n_t,), led by the start's instant when
+        a start is given (n_t + 1,).
+    start : the `DamageState` carried across a time cut (a previous call's
+        end state, at the instant of that call's last sample), or None for
+        rest.  From rest d = 0 at t = 0 under the first sample's target,
+        held flat up to the first sample, and the tension peak is the zero
+        strain (`DamageState.undamaged`).  A start state enters the delay
+        law as its first sample, with its damage and target, and its tension
+        peak leads the running peak, which a sample replaces only by a
+        larger trace.  So a history cut at any sample and run as two calls,
+        the second from the first's end state, gives the whole call's d,
+        stress and end state bit for bit.
+
+    Delay and tension peak are evaluated only on the active rows: those
+    whose target damage is nonzero somewhere, and those whose start carries
+    damage or a target.  d stays exactly 0 on every other row, so the
+    stress there is E:eps and never reads the peak.
 
     One sweep over spatial blocks reads the strain: it writes E:eps into
     `out` (unless `elastic` holds it already), screens the block for
-    non-finite strains and bounds its released energy by |eps|^2.
+    non-finite strains, bounds its released energy by |eps|^2 and takes
+    each point's tension peak at the last sample for the end state.
     `released_energy` then runs once, on the samples whose bound can exceed
-    Y0, and the target damage is formed only where Y > Y0.  The stress is E:eps plus the damage correction at the
-    damaged points (`DamageCorrection`).  The correction's E:eps_max is read
-    off that E:eps at the running tension-peak index, before the correction
-    is added, so no tension-peak strain field is formed.  Besides d, no
-    temporary has the size of a scalar field: the targets and the delay law
-    cover the active rows, and the tension-peak index, its trace and the
-    correction a chunk of them at a time.
+    Y0, and the target damage is formed only where Y > Y0.  The stress is
+    E:eps plus the damage correction at the damaged points
+    (`DamageCorrection`).  The samples before the last are corrected a chunk
+    of active rows at a time: the correction's E:eps_max is read off that
+    E:eps at the running tension-peak index, before the correction is
+    added, or formed from the start's peak, so no tension-peak strain field
+    is formed.  The last sample is corrected by the end state's own kernel
+    (`DamageState.correction`), which the state keeps for its caller: a
+    one-sample call, a Newmark pass, builds one kernel.  Every Hooke product
+    multiplies two rows or more (`_hooke_rows`), so E:eps of a sample has
+    the same bits however the history is cut.  Besides d, no temporary has
+    the size of a scalar field: the targets and the delay law cover the
+    active rows, and the tension-peak index, its trace and the correction a
+    chunk of them at a time.
 
     out : array (n_sp, n_t, 6) to write the stress into (the driver's held
-        buffer); a new array by default.
+        buffer, or a view of a history); a new array by default.
     elastic : array that already holds E:eps, bit for bit (`run_latin`'s
         elastic start), or None.  The sweep then forms no E:eps.  When no
         sample can damage, the stress returned is `elastic` itself and
@@ -417,21 +485,32 @@ def local_stage(eps, times, params, hooke, out=None, elastic=None):
         stress and the correction added there, so the stress is bit for
         bit the one formed without it, and `elastic` is left as it is.
 
-    Returns a dict with exactly the keys its callers read: sig and d.  The
-    local strain is the input strain itself and is not echoed; the target
-    damage is `static_damage(released_energy(eps, hooke, Y0))`.
+    Returns a dict with exactly the keys its callers read: sig, d and end,
+    the `DamageState` at times[-1] that a later call takes as its start,
+    with times[-1] leading its times.
+    The local strain is the input strain itself and is not echoed; the
+    target damage is `static_damage(released_energy(eps, hooke, Y0))`.
+    Raises ValueError naming the field of a start whose shape does not
+    match the strain's points.
     """
     eps = np.asarray(eps, dtype=float)
     n_sp, n_t = eps.shape[:2]
+    from_rest = start is None
+    start = DamageState.undamaged(n_sp) if from_rest else start
+    for name in ("d", "dbar", "eps_max", "tr_max"):
+        if np.shape(getattr(start, name)) != (n_sp,) + (6,) * (name == "eps_max"):
+            raise ValueError("start state's %s has shape %s, not that of the %d points of "
+                             "the strain" % (name, np.shape(getattr(start, name)), n_sp))
     sig = np.empty_like(eps) if out is None else out
     # |eps|^2 alone bounds Y by 1/2 (3 max(lam, 0) + 2 mu) |eps|^2, a looser
     # bound than `_energy_bound`'s, which released_energy then applies to
     # the samples this one passes.
     loose = 0.5 * (3.0 * max(hooke.lam, 0.0) + 2.0 * hooke.mu) * (1.0 + _BOUND_SLACK)
     live = []
+    peak_tr, peak_eps = np.empty(n_sp), np.empty((n_sp, 6))
     for s in spatial_blocks(eps):
         block = eps[s]
-        norm2 = (block * block) @ STRAIN_CONTRACTION
+        norm2 = (block * block).reshape(-1, 6) @ STRAIN_CONTRACTION
         # One reduction screens the block; the per-point scan runs only when
         # it is not finite (an overflowing sum of finite strains passes it).
         if not np.isfinite(np.sum(norm2)):
@@ -439,49 +518,70 @@ def local_stage(eps, times, params, hooke, out=None, elastic=None):
             if bad.size:
                 raise ValueError("non-finite strain input at spatial Gauss point %d"
                                  % (s.start + bad[0]))
-        if elastic is None:
-            hooke.apply(block, out=sig[s])   # exact wherever d = 0
+        if elastic is None and n_t == 1:     # exact wherever d = 0
+            sig[s][:, 0] = _hooke_rows(hooke, block[:, 0])
+        elif elastic is None:
+            hooke.apply(block, out=sig[s])
+        tr = block[..., 0] + block[..., 1] + block[..., 2]
+        top = tr.argmax(axis=1)
+        peak_tr[s], peak_eps[s] = tr.max(axis=1), block[np.arange(top.size), top]
         norm2 *= loose
         live.append(np.flatnonzero(~(norm2 <= params.Y0)) + s.start * n_t)
+    # A sample replaces the start's tension peak only by a larger trace;
+    # from rest the peak is the zero strain until a trace exceeds 0.
+    kept = ~(peak_tr > start.tr_max)
+    np.copyto(peak_tr, start.tr_max, where=kept)
+    np.copyto(peak_eps, start.eps_max, where=kept[:, None])
     live = np.concatenate(live)
-    Y = released_energy(eps.reshape(-1, 6).take(live, axis=0), hooke, params.Y0)
+    Y = released_energy(eps[live // n_t, live % n_t], hooke, params.Y0)
     hit = Y > params.Y0
-    points = live[hit]
-    d = np.zeros((n_sp, n_t))
-    if not points.size:
-        return {"sig": sig if elastic is None else elastic, "d": d}
-    if elastic is not None:
+    hit_rows, hit_cols = np.divmod(live[hit], n_t)
+    del live
+    active = (start.d != 0.0) | (start.dbar != 0.0)
+    active[hit_rows] = True
+    active = np.flatnonzero(active)
+    d, dbar_end = np.zeros((n_sp, n_t)), np.zeros(n_sp)
+    if elastic is not None and active.size:
         np.copyto(sig, elastic)
 
-    # The active rows, in increasing order, and their target damage.
-    hit_rows = points // n_t
-    active = np.unique(hit_rows)
-    dbar = np.zeros((active.size, n_t))
-    dbar[np.searchsorted(active, hit_rows), points % n_t] = static_damage(Y[hit], params)
-    d_act = integrate_delay(times, dbar, 0.0, params)
-    d[active] = d_act
-    del dbar
+    if active.size:
+        # The active rows' target damage after a leading sample at the
+        # start: its target, or from rest the first sample's at t = 0 (a
+        # first sample at t = 0 is that instant itself).
+        lead = int(not from_rest or times[0] > 0.0)
+        axis = np.concatenate(([0.0], times)) if from_rest and lead else times
+        dbar = np.zeros((active.size, lead + n_t))
+        dbar[np.searchsorted(active, hit_rows), lead + hit_cols] = static_damage(
+            Y[hit], params)
+        if lead:
+            dbar[:, 0] = dbar[:, 1] if from_rest else start.dbar[active]
+        d[active] = integrate_delay(axis, dbar, start.d[active], params)[:, lead:]
+        dbar_end[active] = dbar[:, -1]
+        del dbar
 
-    # Tension peak and damage correction, a chunk of active rows at a time,
-    # on copies of the chunk's rows, whose shape the chunk's state shares.
+    # Tension peak and damage correction of the samples before the last, a
+    # chunk of active rows at a time, on copies of the chunk's rows, whose
+    # shape the chunk's state shares.  The start's peak leads each row as
+    # sample -1, with its E:eps_max.  The end state's kernel corrects the
+    # last sample.
     per_chunk = max(1, _CHUNK // n_t)
-    for first in range(0, active.size, per_chunk):
+    for first in range(0, active.size if n_t > 1 else 0, per_chunk):
         rows = active[first:first + per_chunk]
-        eps_rows, sig_rows = eps[rows], sig[rows]
-        idx, tr_max = tension_peak_history(
-            eps_rows[..., 0] + eps_rows[..., 1] + eps_rows[..., 2])
-        flat_sig, flat_idx = sig_rows.reshape(-1, 6), idx.reshape(-1)
-
-        def peak_stress(flat):
-            """E:eps_max: E:eps of the same point at its peak time index."""
-            source = flat - flat % n_t
-            source += flat_idx[flat]
-            return flat_sig.take(source, axis=0)
-
-        DamageCorrection(d_act[first:first + per_chunk], tr_max, peak_stress,
+        eps_rows, sig_rows = eps[rows, :-1], sig[rows, :-1]
+        idx, tr_max = tension_peak_history(np.concatenate(
+            [start.tr_max[rows, None], eps_rows[..., 0] + eps_rows[..., 1] + eps_rows[..., 2]],
+            axis=1))
+        peaks = np.concatenate([_hooke_rows(hooke, start.eps_max[rows])[:, None], sig_rows],
+                               axis=1).reshape(-1, 6)
+        at = (idx[:, 1:] + n_t * np.arange(rows.size)[:, None]).reshape(-1)
+        DamageCorrection(d[rows, :-1], tr_max[:, 1:], lambda flat: peaks.take(at[flat], axis=0),
                          params, hooke).add_to(sig_rows, eps_rows)
-        sig[rows] = sig_rows
-    return {"sig": sig, "d": d}
+        sig[rows, :-1] = sig_rows
+    end = DamageState(d[:, -1].copy(), dbar_end, peak_eps, peak_tr)
+    if (kernel := end.correction(params, hooke)) is not None:
+        kernel.add_to(sig[:, -1], eps[:, -1])
+    return {"sig": elastic if elastic is not None and not active.size else sig, "d": d,
+            "end": end}
 
 
 def matpoint_drive(times, eps_x, params):

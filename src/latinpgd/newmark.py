@@ -40,20 +40,31 @@ added, integrated over the whole mesh; at an undamaged point
 sigma = E : eps exactly, so the correction is zero there, and a pass at a
 state without damage integrates nothing at the Gauss points inside its
 loop.  The correction comes in closed form from the state's
-`material.DamageCorrection` kernel, -d s E : eps_max at a point with a
-tension history and -d E : eps at one without; the kernel gathers what
-the frozen state contributes once, when the state is built, that is once
-per stagger pass.  The committed state's kernel sets the stored stress
-(`total_stress`, E : eps plus the same correction) and serves the next
-step's first pass.  A staggered step needs the strain of each pass's
-converged displacement, for the damage update and the stored history: at
-a damaged state the pass's last residual has sampled it already and it is
-reused, at an undamaged state it is sampled once after the pass (the
-onset test below samples it for a step's first pass).  The
-damage update of every pass calls `integrate_delay` once, over the step
-[0, dt], through this module's name, so a wrapper of `newmark.integrate_delay`
-counts the stagger passes; only a pass from a state with no damage and no
-target anywhere skips it, since d stays exactly zero there.
+`material.DamageCorrection` kernel (`DamageState.correction`),
+-d s E : eps_max at a point with a tension history and -d E : eps at one
+without; the kernel gathers what the frozen state contributes once per
+stagger pass (the pass's `local_stage` call builds it to correct the
+step's sample, and the state keeps it), and the committed state's kernel
+serves the next step's first pass.
+
+The damage law is the LATIN local stage's, driven one step at a time.
+The march holds its committed damage state as one `material.DamageState`
+(d, the target damage and the tension peak per Gauss point), the state
+that carries across a cut of the time axis.  The damage update of every
+pass is one `local_stage` call on the pass's converged strain, from the
+committed state, on the step's own clock [0, dt] (times[:2], which keeps
+dt exact): the stage enters that state as its first sample, at 0, so the
+delay law runs once over exactly [0, dt] (`material.integrate_delay`,
+which a pass from a state with no damage and no target anywhere skips,
+since d stays exactly zero there).  The stage's end state is the pass's
+candidate, and its stress, E : eps plus the candidate's correction, is
+written into the step's column of the stress history, so the pass that
+settles leaves the step's stored stress.  A staggered step needs the
+strain of each pass's converged displacement, for the damage update and
+the stored history: at a damaged state the pass's last residual has
+sampled it already and it is reused, at an undamaged state it is sampled
+once after the pass (the onset test below samples it for a step's first
+pass).
 
 Every step takes one path: it opens with one first pass (the predictor,
 h, the first correction and an equilibrium pass at the committed state),
@@ -66,14 +77,13 @@ target damage at any point, a damaging march samples the strain of the
 step's converged displacement once, writes it into the strain history and
 tests it: a step whose released energy exceeds Y0 at no point is quiet and
 commits as it is, and any other step goes on to the stagger loop with that
-strain.  The stress of a run of quiet steps, E : eps, is written in one
-batch when the run ends, before a staggered step or at the end of the
-march; a run of one step takes the 2-D product of a staggered step, E : eps
-of its stored strain bit for bit.  The tension peaks of a run are raised
-from its strains in the history only when a staggered step follows, and its
-d stays at its zeros.  A staggered step writes its strain, stress and
-damage straight into its columns of the histories.  Once a step commits
-damage the march stays staggered.
+strain.  A run of quiet steps is staged in one batch when it ends, before
+a staggered step or at the end of the march: one `local_stage` call over
+its stored strains, from the committed state, writes their stress, E : eps
+since no point damages, and its end state carries the tension peaks they
+raised into the next step; their d stays at its zeros.  A staggered step
+writes its strain, stress and damage straight into its columns of the
+histories.  Once a step commits damage the march stays staggered.
 
 The displacement, velocity and acceleration histories are held step-major,
 (n_t, n_dofs), so a commit writes three contiguous rows; the march returns
@@ -111,8 +121,10 @@ distance is bit for bit the one over the whole resampled pair.
 import numpy as np
 
 from .assembly import internal_force, strain_at_gauss
-from .material import (DamageCorrection, integrate_delay, released_energy,
-                       static_damage, total_stress)
+from .material import DamageState, local_stage, released_energy
+# Not called here: perfbench/spans.py (`LAYERS`) wraps both at this lookup
+# site, and the march reaches them through `local_stage`.
+from .material import integrate_delay, total_stress  # noqa: F401
 from .timegrid import quad_resample_blocks, spatial_blocks
 
 NEWMARK_GAMMA = 0.5
@@ -175,77 +187,19 @@ class LoadCase:
         return tuple(out)
 
 
-def _advance_damage(eps_k, state, dt, params, hooke):
-    """Candidate damage state a step of length dt after `state`.
-
-    The target dbar is the instantaneous quasi-static damage of the current
-    released energy and falls when the energy falls; d follows it through
-    the exact delay step of `integrate_delay`, as in the update stage, and
-    never decreases.  It depends on the converged start-of-step state and
-    the trial end-of-step strain alone, so repeated calls inside the
-    equilibrium loop cannot ratchet the history.  While both targets and d
-    are zero everywhere, d stays exactly zero without integrating the law.
-
-    The candidate carries its damage-correction kernel (`_correction`), so
-    the kernel is built once per candidate, that is once per stagger pass.
-    """
-    dbar = static_damage(released_energy(eps_k, hooke, params.Y0), params)
-    if dbar.any() or state["dbar"].any() or state["d"].any():
-        targets = np.empty(dbar.shape + (2,))
-        targets[:, 0], targets[:, 1] = state["dbar"], dbar
-        d = integrate_delay(np.array([0.0, dt]), targets, state["d"], params)[:, 1]
-    else:
-        d = np.zeros_like(dbar)
-    tr = eps_k[:, :3].sum(axis=1)
-    grow = tr > state["tr_max"]
-    eps_max = np.where(grow[:, None], eps_k, state["eps_max"])
-    tr_max = np.where(grow, tr, state["tr_max"])
-    return {"dbar": dbar, "d": d, "eps_max": eps_max, "tr_max": tr_max,
-            "correction": _correction(eps_max, tr_max, d, params, hooke)}
-
-
-def _raise_peaks(state, eps_steps):
-    """The undamaged `state` after steps of strains eps_steps (n_gauss, n, 6).
-
-    The tension peaks rise as `_advance_damage` raises them one step at a
-    time: a point takes the strain of the earliest step of its largest
-    trace when that trace exceeds its recorded peak.
-    """
-    tr = eps_steps[..., :3].sum(axis=-1)
-    top = tr.argmax(axis=1)
-    points = np.arange(tr.shape[0])
-    peak = tr[points, top]
-    grow = peak > state["tr_max"]
-    return dict(state,
-                eps_max=np.where(grow[:, None], eps_steps[points, top],
-                                 state["eps_max"]),
-                tr_max=np.where(grow, peak, state["tr_max"]))
-
-
-def _correction(eps_max, tr_max, d, params, hooke):
-    """Damage-correction kernel of a frozen state; None while d = 0 everywhere.
-
-    The state keeps its per-point tension peak eps_max (n_gauss, 6) and its
-    trace tr_max; the kernel applies E to the peaks it needs.
-    """
-    if not d.any():
-        return None
-    return DamageCorrection(d, tr_max, lambda flat: hooke.apply(eps_max[flat]),
-                            params, hooke)
-
-
 def _free_force(system, f_p, eps, correction):
     """Elastic force f_p plus the damage correction at a frozen state.
 
     In the march f_p is the step's h (module docstring) and the equilibrium
     residual is -(K_eff (u_f - pred_u) + this); with f_p = K_ff u_f + K_fp u_p
     it is the internal force.  `correction` is the state's kernel
-    (`_correction`): when a point is damaged, B^T W (sigma - E : eps) of the
-    strain `eps` of the full displacement (n_gauss, 6) is added, integrated
-    over the whole mesh.  The kernel gives sigma - E : eps in closed form,
-    exactly zero at the undamaged points, so sigma is never formed and no
-    second E : eps is subtracted from it.  Without damage (None) f_p is
-    returned as it is and eps is not read (the march passes None).
+    (`DamageState.correction`): when a point is damaged,
+    B^T W (sigma - E : eps) of the strain `eps` of the full displacement
+    (n_gauss, 6) is added, integrated over the whole mesh.  The kernel
+    gives sigma - E : eps in closed form, exactly zero at the undamaged
+    points, so sigma is never formed and no second E : eps is subtracted
+    from it.  Without damage (None) f_p is returned as it is and eps is not
+    read (the march passes None).
     """
     if correction is None:
         return f_p
@@ -319,9 +273,7 @@ def newmark_quasi_newton(system, params, load, times, damage=True, tol=1e-4):
     u[presc] = u_p
     v[presc] = v_p
     acc[presc] = a_p
-    state = {"dbar": np.zeros(mesh.n_gauss), "d": np.zeros(mesh.n_gauss),
-             "eps_max": np.zeros((mesh.n_gauss, 6)),
-             "tr_max": np.zeros(mesh.n_gauss), "correction": None}
+    state = DamageState.undamaged(mesh.n_gauss)      # the committed damage state
 
     n_fact0 = system.n_factorizations
     full = np.zeros(mesh.n_dofs)
@@ -428,20 +380,21 @@ def newmark_quasi_newton(system, params, load, times, damage=True, tol=1e-4):
         a_rows[k, free] = a_new
         return u_new, v_new, a_new
 
-    def quiet_stress(start, stop):
-        """sigma = E : eps of the quiet steps start, ..., stop - 1."""
-        # A lone step takes the 2-D product, as a staggered step does: numpy
-        # multiplies an (n, 1, 6) stack by another kernel, which can differ
-        # in the last bit.
-        kept = slice(start, stop) if stop > start + 1 else start
-        total_stress(eps[:, kept], hooke, None, out=sig[:, kept])
+    def quiet(first, stop, state):
+        """Stage the quiet steps first, ..., stop - 1 from the committed `state`.
+
+        Their stress E : eps is written into the history, and the state with
+        their tension peaks is returned.
+        """
+        return local_stage(eps[:, first:stop], times[first - 1:stop], params, hooke,
+                           out=sig[:, first:stop], start=state)["end"]
 
     undamaged = 0      # quiet steps
     run = 1            # the first step of the current run of quiet steps
     for k in range(1, n_t):
         pred_u, pred_v, h, u_trial, spent, eps_k = first_pass(
-            k, u_f, v_f, a_f, state["correction"])
-        if state["correction"] is None and not state["dbar"].any():
+            k, u_f, v_f, a_f, state.correction(params, hooke))
+        if not state.d.any() and not state.dbar.any():
             # No damage and no target: the step is quiet unless its own
             # strain sets a target somewhere (the elastic march samples none).
             if damage:
@@ -453,41 +406,39 @@ def newmark_quasi_newton(system, params, load, times, damage=True, tol=1e-4):
                 u_f, v_f, a_f = commit(k, u_trial, pred_u, pred_v)
                 undamaged += 1
                 continue
-            if k > run:
-                quiet_stress(run, k)
-                state = _raise_peaks(state, eps[:, run:k])
-        state_new = state
+            state = quiet(run, k, state) if k > run else state
+        candidate = state
         for stagger in range(1, _MAX_STAGGER + 2):
             # The pass ends on a residual at the converged displacement; at
             # a damaged state that residual has already sampled its strain.
             if eps_k is None:
                 full[free] = u_trial
                 eps_k = strain_at_gauss(mesh, full)
-            advanced = _advance_damage(eps_k, state, dt, params, hooke)
-            settled = np.abs(advanced["d"] - state_new["d"]).max() <= _STAGGER_TOL
-            state_new = advanced
+            # The pass's damage update (module docstring); its stress is the
+            # stored stress of the pass that settles.
+            end = local_stage(eps_k[:, None], times[:2], params, hooke,
+                              out=sig[:, k:k + 1], start=state)["end"]
+            settled = np.abs(end.d - candidate.d).max() <= _STAGGER_TOL
+            candidate = end
             if settled:
                 break
             if stagger > _MAX_STAGGER:
                 raise RuntimeError(
                     "damage staggering failed to settle at step %d (t = %g)"
                     % (k, times[k]))
-            # Next equilibrium pass at frozen constitutive state `state_new`.
+            # Next equilibrium pass at the candidate's frozen state.
             u_trial, it, eps_k = equilibrium(k, u_trial, pred_u, h,
-                                             state_new["correction"])
+                                             end.correction(params, hooke))
             spent += it
         iters[k - 1] = spent
         passes[k - 1] = stagger
         u_f, v_f, a_f = commit(k, u_trial, pred_u, pred_v)
-        state = state_new
-        # Keep the stored stress consistent with the committed state (it can
-        # differ from the last pass state by up to the stagger tolerance).
+        state = candidate
         eps[:, k] = eps_k
-        sig[:, k] = total_stress(eps_k, hooke, state["correction"])
-        dmg[:, k] = state["d"]
+        dmg[:, k] = state.d
         run = k + 1
     if damage and n_t > run:
-        quiet_stress(run, n_t)
+        quiet(run, n_t, state)
 
     info = {"iterations": iters, "passes": passes, "undamaged_steps": undamaged,
             "factorizations": system.n_factorizations - n_fact0}

@@ -235,22 +235,25 @@ def test_manifest_counts_the_steps_committed_undamaged(tmp_path):
 
 
 def test_step_log_counts_every_stagger_pass(tmp_path, monkeypatch):
-    # each stagger pass of a damaging march ends in one damage update
+    # each stagger pass of a damaging march ends in one damage update, a
+    # `local_stage` call over the step; a run with no quiet step makes no
+    # other stage call
     from latinpgd import newmark
 
     calls = []
-    advance = newmark._advance_damage
+    stage = newmark.local_stage
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return advance(*args)
+        return stage(*args, **kwargs)
 
-    monkeypatch.setattr(newmark, "_advance_damage", counted)
+    monkeypatch.setattr(newmark, "local_stage", counted)
     out = tmp_path / "out"
     code = cli.main(["run-newmark", "--preset", "mono_sine",
                      "--config", tiny_overlay(tmp_path), "--out-dir", str(out)])
     assert code == cli.EXIT_OK
-    assert json.loads((out / "manifest.json").read_text())["max_damage"] > 0.0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["max_damage"] > 0.0 and manifest["undamaged_steps"] == 0
     rows = assert_step_log_corrects_every_step(out / "step_log.csv")
     assert rows[:, 3].sum() == len(calls)
     assert rows[:, 3].max() > 1             # damage made some step stagger

@@ -8,7 +8,7 @@ import pytest
 
 from scipy.linalg import eigh
 
-from latinpgd import cli, config, latin, material, newmark
+from latinpgd import cli, config, latin, material
 from latinpgd.assembly import strain_at_gauss
 from latinpgd.latin import elastic_solution, latin_error, run_latin
 from latinpgd.material import (integrate_delay, reference_concrete,
@@ -21,7 +21,7 @@ from latinpgd.pgd import PgdMode, PgdSolution, compute_delta, mode_products
 from latinpgd.timegrid import (TimeFunction, TimeGrid, quad_resample_blocks,
                                tdgm_march)
 
-from test_material import assert_bitwise, closed_form_stress
+from test_material import assert_bitwise, closed_form_stress, delay_from_rest
 from test_newmark import desk_system
 
 HOOKE = reference_concrete().hooke()
@@ -338,7 +338,7 @@ def virgin_stage(eps, times, params):
     """
     Y = released_energy(eps, params.hooke())
     dbar = np.where(Y > params.Y0, static_damage(Y, params), 0.0)
-    d = integrate_delay(times, dbar, 0.0, params)
+    d = delay_from_rest(times, dbar, params)
     idx, _ = tension_peak_history(eps[..., :3].sum(axis=-1))
     eps_max = np.take_along_axis(eps, idx[..., None], axis=-2)
     return {"sig": closed_form_stress(eps, eps_max, d), "d": d}
@@ -346,22 +346,25 @@ def virgin_stage(eps, times, params):
 
 def test_every_local_stage_is_a_pure_map_of_its_strain(monkeypatch):
     # No constitutive state passes between iterations: each local stage of
-    # a damaging run returns what a fresh call on the same strain returns,
-    # which is the update stage from a virgin state.  A stage that carried
-    # its target damage over would differ from the second call on.
+    # a damaging run starts from rest and returns what a fresh call on the
+    # same strain returns, which is the update stage from a virgin state.
+    # A stage that carried its target damage over would differ from the
+    # second call on.
     stage = latin.local_stage
     calls = []
 
-    def record(eps, times, params, hooke, out=None, elastic=None):
-        got = stage(eps, times, params, hooke, out=out, elastic=elastic)
-        calls.append((eps.copy(), times, {k: v.copy() for k, v in got.items()}))
+    def record(eps, times, params, hooke, out=None, elastic=None, start=None):
+        assert start is None
+        got = stage(eps, times, params, hooke, out=out, elastic=elastic, start=start)
+        calls.append((eps.copy(), times, {k: v if k == "end" else v.copy()
+                                          for k, v in got.items()}))
         return got
 
     monkeypatch.setattr(latin, "local_stage", record)
     _, _, params, state = run_tiny(1e-6, max_modes=2)
     assert len(calls) == 2 and state.damage.max() > 0.1
     for eps, times, got in calls:
-        assert sorted(got) == ["d", "sig"]
+        assert sorted(got) == ["d", "end", "sig"]
         assert_bitwise(got["d"], material.local_stage(eps, times, params,
                                                       params.hooke())["d"])
         want = virgin_stage(eps, times, params)
@@ -388,10 +391,10 @@ def test_local_stage_replays_the_newmark_march(n_t):
 
 
 def test_one_delay_law_call_per_stagger_pass(monkeypatch):
-    # Every staggered pass of the reference march here starts from a
-    # damaged state and advances the damage through one `integrate_delay`
-    # call over the step [0, dt]; the benchmark counts the passes off
-    # these calls.
+    # Every staggered pass of the reference march here advances the damage
+    # through one `local_stage` call from the committed state, and so
+    # through one `integrate_delay` call over the step [0, dt], at the name
+    # the stage looks up; the benchmark counts the passes off these calls.
     conf, _, params, system, load, _ = tiny_damaging_problem()
     times = conf.solver.newmark_times(conf.load.T)
     spans = []
@@ -400,7 +403,7 @@ def test_one_delay_law_call_per_stagger_pass(monkeypatch):
         spans.append(t)
         return integrate_delay(t, dbar, d_init, params)
 
-    monkeypatch.setattr(newmark, "integrate_delay", spy)
+    monkeypatch.setattr(material, "integrate_delay", spy)
     res = newmark_quasi_newton(system, params, load, times,
                                tol=conf.solver.newmark_tol)
     assert res["info"]["undamaged_steps"] == 0

@@ -96,7 +96,7 @@ def plain_delay_loop(times, dbar, d_init, params, refine=512):
     """The delay law as classic 4-stage steps on a refined axis: the oracle.
 
     Each sample span is cut into `refine` times as many substeps as tau_c/20
-    takes, with linear targets and a flat one before times[0].  At 512 its
+    takes, with linear targets, from d_init at times[0].  At 512 its
     own error is far below the 1e-6 it is held to; at 64 it reaches 2e-6
     on spans of 4 substeps of tau_c/20, at the kink of <.>+.
     """
@@ -108,7 +108,7 @@ def plain_delay_loop(times, dbar, d_init, params, refine=512):
     def rate(gap):
         return (1.0 - np.exp(-params.a * np.maximum(gap, 0.0))) / params.tau_c
 
-    prev_t = 0.0
+    prev_t = times[0]
     prev_db = dbar[..., 0]
     for k in range(times.size):
         span = times[k] - prev_t
@@ -128,6 +128,14 @@ def plain_delay_loop(times, dbar, d_init, params, refine=512):
         prev_t = times[k]
         prev_db = db1
     return d
+
+
+def delay_from_rest(times, dbar, params=P):
+    """The delay law from rest, as `local_stage` runs it: d = 0 at t = 0 under
+    the first sample's target, held flat up to the first sample (times[0] > 0)."""
+    times = np.concatenate([[0.0], times])
+    dbar = np.concatenate([dbar[..., :1], dbar], axis=-1)
+    return integrate_delay(times, dbar, 0.0, params)[..., 1:]
 
 
 def counted_steps(monkeypatch):
@@ -211,16 +219,17 @@ class TestDelayIntegration:
         assert np.allclose(d, 0.37, atol=1e-15)
 
     def test_step_initial_slope(self):
-        t = np.array([1e-4, 2e-4])
-        d = integrate_delay(t, np.ones((1, 2)), 0.0, P)
-        slope = d[0, 0] / t[0]
+        t = np.array([0.0, 1e-4, 2e-4])
+        d = integrate_delay(t, np.ones((1, 3)), 0.0, P)
+        slope = d[0, 1] / t[1]
         assert slope <= 1.0 / P.tau_c
         assert slope >= (1.0 / P.tau_c) * (1.0 - np.exp(-P.a)) * 0.99
 
     def test_constant_target_matches_closed_form(self):
         # dbar const: d = dbar - ln(1+(e^{a(dbar-d0)}-1)e^{-a t/tau})/a
         t = np.linspace(1e-3, 0.5, 400)
-        d = integrate_delay(t, np.full((1, t.size), 0.6), 0.1, P)[0]
+        d = integrate_delay(np.concatenate([[0.0], t]), np.full((1, t.size + 1), 0.6),
+                            0.1, P)[0, 1:]
         gap0 = 0.6 - 0.1
         exact = 0.6 - np.log1p((np.exp(P.a * gap0) - 1.0)
                                * np.exp(-P.a * t / P.tau_c)) / P.a
@@ -275,13 +284,13 @@ class TestDelayIntegration:
         assert np.abs(d - plain_delay_loop(t, dbar, 0.0, P)[0]).max() <= 1e-6
 
     def test_extreme_exponents_stay_finite(self):
-        # a (d_bar - d) = 1800 and a leading span of 100 tau_c: e^(a x)
+        # a (d_bar - d) = 1800 and a span of 100 tau_c: e^(a x)
         # and e^(a t/tau_c) overflow, the scaled step does not.
         steep = replace(P, a=2000.0)
         d = integrate_delay(np.array([0.0, 0.002]), np.array([[0.0, 0.9]]), 0.0, steep)
         assert d[0, 1] == pytest.approx(0.002 / P.tau_c, abs=1e-3)
-        d = integrate_delay(np.array([5.0]), np.array([[0.5]]), 0.1, P)
-        assert d[0, 0] == 0.5
+        d = integrate_delay(np.array([0.0, 5.0]), np.array([[0.5, 0.5]]), 0.1, P)
+        assert d[0, 1] == 0.5
 
     def test_nan_target_propagates(self):
         t = np.array([0.0, 0.005, 0.01])
@@ -302,9 +311,8 @@ class TestDelayIntegration:
         assert d.max() <= 0.9 + 1e-12
 
     def test_empty_leading_span_takes_no_substep(self, monkeypatch):
-        # The Newmark step calls with times = [0, dt]: the leading [0, 0]
-        # span is empty and keeps d_init bit for bit; one exact step
-        # covers [0, dt].
+        # The Newmark step calls with times = [0, dt]: d_init is d at the
+        # first sample, bit for bit, and one exact step covers [0, dt].
         calls = counted_steps(monkeypatch)
         dt = 0.002
         db0 = np.array([0.0, 0.3, 0.3, 0.7, 0.1])
@@ -530,8 +538,11 @@ class TestLocalStage:
         damaging = Y > P.Y0
         assert damaging.any() and not damaging.all()
         assert len(targets) == 1
-        assert_bitwise(targets[0], static_damage(Y, P))
-        assert np.all(targets[0][damaging] > 0.0) and not targets[0][~damaging].any()
+        # after the rest sample at t = 0, which holds the first target
+        target = targets[0][:, 1:]
+        assert_bitwise(targets[0][:, 0], target[:, 0])
+        assert_bitwise(target, static_damage(Y, P))
+        assert np.all(target[damaging] > 0.0) and not target[~damaging].any()
         assert out["d"].max() > 0.0
 
     def test_monotone_ramp_damage_below_static(self):
@@ -610,7 +621,11 @@ class TestLocalStage:
         out = local_stage(eps, t, P, HOOKE)
         active = np.flatnonzero((released_energy(eps, HOOKE) > P.Y0).any(axis=1))
         assert 0 < active.size < 9 and len(scanned) == (active.size + 1) // 2
-        assert_bitwise(np.concatenate(scanned), eps[active, :, :3].sum(axis=-1))
+        # each row's traces after its start's peak, the zero strain from
+        # rest, up to the last sample, which the end state's kernel corrects
+        scanned = np.concatenate(scanned)
+        assert not scanned[:, 0].any()
+        assert_bitwise(scanned[:, 1:], eps[active, :-1, :3].sum(axis=-1))
         assert np.array_equal(np.flatnonzero(out["d"].any(axis=1)), active)
 
     def test_matches_matpoint_drive_bitwise(self):
@@ -622,6 +637,93 @@ class TestLocalStage:
         drive = matpoint_drive(t, sig_x, P)
         assert np.array_equal(drive["sig_x"], out["sig"][0, :, 0])
         assert np.array_equal(drive["d"], out["d"][0])
+
+
+@pytest.fixture(scope="module")
+def elastic_start_history():
+    """The elastic start's strain of the tiny mono_sine fixture (4x2x2 mesh,
+    T = 0.5 s, N_T = 10) on its Gauss times: a history that damages."""
+    from latinpgd import cli, config
+    from latinpgd.latin import elastic_solution
+
+    conf = config.preset("mono_sine")
+    conf = replace(conf, mesh=replace(conf.mesh, nx=4, ny=2, nz=2),
+                   load=replace(conf.load, T=0.5),
+                   solver=replace(conf.solver, N_T=10))
+    params, system, load, grid = cli._build_problem(conf)
+    return elastic_solution(system, params, load, grid)["eps"], grid.all_gauss_times
+
+
+def uniaxial_history():
+    """A uniaxial-strain drive as `matpoint_drive` builds it: growing tension
+    and compression loops on one point."""
+    t = np.linspace(2e-3, 3.0, 600)
+    eps = np.zeros((1, t.size, 6))
+    eps[0, :, 0] = 2.5e-4 * (t / 3.0) * np.sin(2.0 * np.pi * 1.5 * t)
+    return eps, t
+
+
+def assert_same_state(got, want):
+    for name in ("d", "dbar", "eps_max", "tr_max"):
+        assert_bitwise(getattr(got, name), getattr(want, name))
+
+
+class TestCarriedState:
+    """A local stage from a carried DamageState continues the call it was cut from."""
+
+    @pytest.mark.parametrize("history", ["elastic_start", "its_most_damaged_point",
+                                         "uniaxial"])
+    def test_a_cut_history_is_the_whole_call_bit_for_bit(self, history, request):
+        if history == "uniaxial":
+            eps, t = uniaxial_history()
+        else:
+            eps, t = request.getfixturevalue("elastic_start_history")
+        if history == "its_most_damaged_point":
+            # one point with all six strain components: a lone-sample piece
+            # is a lone row of the Hooke product
+            top = local_stage(eps, t, P, HOOKE)["d"][:, -1].argmax()
+            eps = eps[top:top + 1]
+        whole = local_stage(eps, t, P, HOOKE)
+        assert whole["d"].max() > 0.1 and not whole["d"][:, 0].any()
+        n_t = t.size
+        onset = int(np.flatnonzero(whole["d"].any(axis=0))[0])
+        rng = np.random.default_rng(31)
+        # lone-sample pieces at both ends, the onset, and random samples
+        cuts = {1, n_t - 1, onset, onset + 1, *rng.integers(1, n_t, 6)}
+        for cut in sorted(cuts):
+            # the second call's times lead with the instant of its start
+            first = local_stage(eps[:, :cut], t[:cut], P, HOOKE)
+            second = local_stage(eps[:, cut:], t[cut - 1:], P, HOOKE, start=first["end"])
+            assert_bitwise(np.concatenate([first["d"], second["d"]], axis=1), whole["d"])
+            assert_bitwise(np.concatenate([first["sig"], second["sig"]], axis=1),
+                           whole["sig"])
+            assert_same_state(second["end"], whole["end"])
+
+    def test_end_state_is_the_last_sample(self, elastic_start_history):
+        eps, t = elastic_start_history
+        out = local_stage(eps, t, P, HOOKE)
+        end = out["end"]
+        assert_bitwise(end.d, out["d"][:, -1])
+        Y = released_energy(eps[:, -1], HOOKE, P.Y0)
+        assert_bitwise(end.dbar, static_damage(Y, P))
+        # the strain of the earliest largest trace, or the zero strain of
+        # rest while no trace exceeds 0
+        tr = eps[..., 0] + eps[..., 1] + eps[..., 2]
+        top = tr.argmax(axis=1)
+        points = np.arange(tr.shape[0])
+        tension = tr[points, top] > 0.0
+        assert tension.any()
+        assert_bitwise(end.tr_max, np.where(tension, tr[points, top], 0.0))
+        assert_bitwise(end.eps_max, np.where(tension[:, None], eps[points, top], 0.0))
+
+    @pytest.mark.parametrize("name", ["d", "dbar", "eps_max", "tr_max"])
+    def test_a_start_of_another_shape_names_its_field(self, name):
+        eps, t = uniaxial_history()
+        start = material.DamageState.undamaged(1)
+        wrong = material.DamageState.undamaged(2)
+        start = replace(start, **{name: getattr(wrong, name)})
+        with pytest.raises(ValueError, match="start state's %s has shape" % name):
+            local_stage(eps, np.concatenate([[0.0], t]), P, HOOKE, start=start)
 
 
 class TestMatpointDrive:
@@ -837,12 +939,12 @@ class TestScreens:
         eps = rng.normal(size=(n_sp, t.size, 6)) * 6e-5
         eps[:4] *= 0.2                           # rows that never reach Y0
         out = local_stage(eps, t, P, HOOKE)
-        assert sorted(out) == ["d", "sig"]
+        assert sorted(out) == ["d", "end", "sig"]
 
         Y = released_energy(eps, HOOKE)
         assert np.all(Y[:4] <= P.Y0)
         assert np.any(Y[4:] > P.Y0) and np.any(Y[4:] <= P.Y0)
-        d = integrate_delay(t, static_damage(Y, P), 0.0, P)
+        d = delay_from_rest(t, static_damage(Y, P))
         idx, _ = tension_peak_history(eps[..., :3].sum(axis=-1))
         eps_max = np.take_along_axis(eps, idx[..., None], axis=-2)
         want = {"d": d, "sig": closed_form_stress(eps, eps_max, d)}

@@ -5,13 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from latinpgd import cli, newmark, timegrid
+from latinpgd import cli, material, newmark, timegrid
 from latinpgd.assembly import (SpatialSystem, assemble_mass, assemble_stiffness,
                                internal_force, modal_analysis, rayleigh_coeffs,
                                strain_at_gauss)
 from latinpgd.config import MONO_SINE_AMPLITUDE, preset
 from latinpgd.latin import elastic_solution
-from latinpgd.material import (DamageCorrection, integrate_delay,
+from latinpgd.material import (DamageCorrection, DamageState, integrate_delay,
                                reference_concrete, released_energy,
                                static_damage, total_stress)
 from latinpgd.mesh import generate_box_mesh
@@ -195,7 +195,7 @@ class TestElasticLimits:
             raise AssertionError("Gauss-point work in the elastic march")
 
         for name in ("strain_at_gauss", "total_stress", "internal_force",
-                     "DamageCorrection"):
+                     "local_stage"):
             monkeypatch.setattr(newmark, name, forbidden)
         system = build_system(cube_system().mesh, damping=True)
         times = np.linspace(0.0, 0.01, 41)
@@ -322,7 +322,7 @@ class TestDamageCommitment:
         times = np.linspace(0.0, 0.01, 41)
         load = LoadCase(np.array([1e-7]), np.array([100.0]))
         ref = newmark_quasi_newton(system, PARAMS, load, times, damage=True)
-        monkeypatch.setattr(newmark, "integrate_delay", no_delay)
+        monkeypatch.setattr(material, "integrate_delay", no_delay)
         res = newmark_quasi_newton(system, PARAMS, load, times, damage=True)
         assert not res["d"].any()
         for field in ("u", "eps", "sig", "d"):
@@ -358,16 +358,16 @@ class TestDamageCommitment:
         events = []
 
         def spy(name, fn, record):
-            def wrapped(*args):
-                events.append(record(*args))
-                return fn(*args)
+            def wrapped(*args, **kwargs):
+                events.append(record(*args, **kwargs))
+                return fn(*args, **kwargs)
             monkeypatch.setattr(newmark, name, wrapped)
 
         spy("strain_at_gauss", newmark.strain_at_gauss, lambda mesh, u: "strain")
         spy("_free_force", newmark._free_force,
             lambda system, f_p, eps, correction:
             "residual" if correction is None else "damaged residual")
-        spy("_advance_damage", newmark._advance_damage, lambda *a: "pass end")
+        spy("local_stage", newmark.local_stage, lambda *a, **kw: "pass end")
         solve = system.solve_free
         solves = []
 
@@ -485,20 +485,18 @@ class TestSplitForce:
         eps_max = rng.normal(size=(mesh.n_gauss, 6)) * 1e-4
         eps_max[:, :3] = np.abs(eps_max[:, :3])      # tr(eps_max) > 0: a history
         eps_max[1] = 0.0                             # damaged, no tension history
-        return full, {"d": d, "eps_max": eps_max}
+        return full, DamageState(d, np.zeros_like(d), eps_max, eps_max[:, :3].sum(axis=-1))
 
     @staticmethod
     def correction(state):
         """The kernel the march builds for `state` (None without damage)."""
-        eps_max = state["eps_max"]
-        return newmark._correction(eps_max, eps_max[:, :3].sum(axis=-1), state["d"],
-                                   PARAMS, HOOKE)
+        return state.correction(PARAMS, HOOKE)
 
     def test_equals_integrated_total_stress(self):
         system = build_system(generate_box_mesh(2.0, 0.5, 0.5, 4, 2, 2))
         mesh, free, presc = system.mesh, system.free, system.prescribed
         full, state = self.random_state(mesh, np.random.default_rng(11))
-        damaged = state["d"].reshape(mesh.n_elements, -1).any(axis=1)
+        damaged = state.d.reshape(mesh.n_elements, -1).any(axis=1)
         assert 0 < damaged.sum() < mesh.n_elements
         correction = self.correction(state)
         assert isinstance(correction, DamageCorrection)
@@ -514,7 +512,7 @@ class TestSplitForce:
         system = build_system(generate_box_mesh(2.0, 0.5, 0.5, 4, 2, 2))
         mesh, free, presc = system.mesh, system.free, system.prescribed
         full, state = self.random_state(mesh, np.random.default_rng(12))
-        state["d"][:] = 0.0
+        state.d[:] = 0.0
         assert self.correction(state) is None
         f_p = system.Kfp @ full[presc]
         f = system.Kff @ full[free] + newmark._free_force(system, f_p, None,
@@ -532,7 +530,7 @@ class TestSplitForce:
         mesh, free = system.mesh, system.free
         rng = np.random.default_rng(13)
         full, state = self.random_state(mesh, rng)
-        assert state["d"].any()
+        assert state.d.any()
         u = full[free]
         pred_u = u + rng.normal(size=u.size) * 1e-6
         pred_v = rng.normal(size=u.size) * 1e-3
