@@ -19,8 +19,10 @@ The constitutive state at a point is (eps, sigma, d, Y):
   recovers the full stiffness in deep compression (F = 0 without a tension
   history).  It is evaluated in closed form, sigma = E:eps - d s E:eps_max
   (sigma = (1-d) E:eps without a history), by `DamageCorrection`, which
-  gathers what a frozen state contributes once and is then applied to any
-  number of strains.
+  takes a frozen state's peak strains, applies E to them once and then
+  corrects any number of strain fields, in place on their E:eps (the
+  stress) or alone (the correction the Newmark force integrates).  Hooke
+  products of the correction are formed nowhere else.
 
 The nonlinear update stage (`local_stage`) is the one driver of the law: at
 every spatial Gauss point over a stretch of the time axis at once, it maps
@@ -267,6 +269,16 @@ def _delay_step(d0, b0, b1, h, params):
     return np.maximum(d, d0)
 
 
+def _hooke_rows(hooke, eps_rows):
+    """E:eps of strain rows (k, 6), each row with the bits of any product that holds it.
+
+    numpy multiplies two or more rows by BLAS's matrix product, whose rows
+    do not depend on how many there are, but a lone row by a vector product
+    that can differ in the last bit; the rows are multiplied with one more.
+    """
+    return hooke.apply(np.concatenate([eps_rows, eps_rows[:1]]))[:-1]
+
+
 class DamageCorrection:
     """sigma - E:eps of a frozen damage state (eps_max, d), in closed form.
 
@@ -280,18 +292,19 @@ class DamageCorrection:
     damaged points split by history, -d/a_c, a_c/tr eps_max and E:eps_max
     at the points with a history, -d at the others.  Each strain field then
     costs one trace, one softplus and one scaled scatter at the damaged
-    points.
+    points, and one Hooke product at those without a history.
 
     d and tr_max (the trace of the tension peak eps_max) share the state's
-    shape (...).  peak_stress(flat) returns E:eps_max, shape (k, 6), at the
+    shape (...).  peak_strain(flat) returns eps_max, shape (k, 6), at the
     flat indices `flat` of that shape; it is called once, here, for the
-    damaged points with a history only.  So a caller never forms eps_max as
-    a field: the Newmark march applies E to its per-point peaks, and the
-    local stage reads E:eps at the running peak index off the E:eps it forms
-    anyway.
+    damaged points with a history only, and E is applied to those rows
+    here (`_hooke_rows`).  So a caller never forms eps_max as a field, nor
+    any Hooke product for the correction: the Newmark march hands over its
+    per-point peaks, and the local stage reads each sample's peak strain at
+    the running peak index.
     """
 
-    def __init__(self, d, tr_max, peak_stress, params, hooke):
+    def __init__(self, d, tr_max, peak_strain, params, hooke):
         d = np.asarray(d, dtype=float)
         tr_max = np.asarray(tr_max, dtype=float)
         if tr_max.shape != d.shape:
@@ -306,41 +319,33 @@ class DamageCorrection:
         self.no_peak = damaged[~history]    # flat indices, without one
         self.coef = -d[self.peak] / params.a_c
         self.scale = params.a_c / tr[history]
-        self.e_max = peak_stress(self.peak)
+        self.e_max = _hooke_rows(hooke, peak_strain(self.peak))
         self.neg_d = -d[self.no_peak][:, None]
 
-    def _at_peak(self, flat, s=slice(None)):
-        """-d s E:eps_max at the points self.peak[s], which have a tension history."""
-        e = flat.take(self.peak[s], axis=0)
-        tr = e[:, 0] + e[:, 1] + e[:, 2]
-        return ((self.coef[s] * np.logaddexp(0.0, self.scale[s] * tr))[:, None]
-                * self.e_max[s])
+    def field(self, eps_v, out=None):
+        """Add the correction of a strain field (shape of the state, 6) into `out`.
 
-    def field(self, eps_v):
-        """The correction of a strain field (shape of the state, 6)."""
-        eps_v = np.asarray(eps_v, dtype=float)
-        flat = eps_v.reshape(-1, 6)
-        out = np.zeros(flat.shape)
-        out[self.peak] = self._at_peak(flat)
-        if self.no_peak.size:
-            out[self.no_peak] = self.neg_d * self.hooke.apply(flat[self.no_peak])
-        return out.reshape(eps_v.shape)
+        out : an array of that shape that reshapes to (-1, 6) without a
+            copy.  Holding E:eps_v, it becomes the stress, in place.  By
+            default the correction is added into zeros and returned alone.
 
-    def add_to(self, sig, eps_v):
-        """Add the correction of eps_v in place to sig, which holds E:eps_v.
-
-        Chunk by chunk of the damaged points, so a whole damaged field
-        forms no temporary of its size.
+        Chunk by chunk of the damaged points, so a whole damaged field forms
+        no temporary of its size.  Returns `out`.
         """
-        flat_sig = sig.reshape(-1, 6)     # a view: sig is C-ordered
-        flat = np.asarray(eps_v, dtype=float).reshape(-1, 6)
+        eps_v = np.asarray(eps_v, dtype=float)
+        out = np.zeros(eps_v.shape) if out is None else out
+        flat, flat_out = eps_v.reshape(-1, 6), out.reshape(-1, 6, copy=False)
         for s in _chunks(self.peak.size):
             points = self.peak[s]
-            flat_sig[points] = flat_sig.take(points, axis=0) + self._at_peak(flat, s)
+            e = flat.take(points, axis=0)
+            tr = e[:, 0] + e[:, 1] + e[:, 2]
+            flat_out[points] = flat_out.take(points, axis=0) + (
+                (self.coef[s] * np.logaddexp(0.0, self.scale[s] * tr))[:, None] * self.e_max[s])
         for s in _chunks(self.no_peak.size):
             points = self.no_peak[s]
-            at = flat_sig.take(points, axis=0)
-            flat_sig[points] = at + self.neg_d[s] * at
+            flat_out[points] = flat_out.take(points, axis=0) + self.neg_d[s] * _hooke_rows(
+                self.hooke, flat.take(points, axis=0))
+        return out
 
 
 def total_stress(eps_v, hooke, correction, out=None):
@@ -352,9 +357,7 @@ def total_stress(eps_v, hooke, correction, out=None):
     Returns stress Voigt.
     """
     sig = hooke.apply(eps_v, out=out)
-    if correction is not None:
-        correction.add_to(sig, eps_v)
-    return sig
+    return sig if correction is None else correction.field(eps_v, out=sig)
 
 
 def tension_peak_history(tr):
@@ -373,16 +376,6 @@ def tension_peak_history(tr):
     cand = np.where(is_new, np.arange(n_t), 0)
     idx = np.maximum.accumulate(cand, axis=-1)
     return idx, run
-
-
-def _hooke_rows(hooke, eps_rows):
-    """E:eps of strain rows (k, 6), each row with the bits of any product that holds it.
-
-    numpy multiplies two or more rows by BLAS's matrix product, whose rows
-    do not depend on how many there are, but a lone row by a vector product
-    that can differ in the last bit; the rows are multiplied with one more.
-    """
-    return hooke.apply(np.concatenate([eps_rows, eps_rows[:1]]))[:-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -416,14 +409,16 @@ class DamageState:
     def correction(self, params, hooke):
         """The state's `DamageCorrection` kernel; None while d = 0 everywhere.
 
-        It is built on the first call and kept, so a state serves one
-        material: `local_stage` corrects its last sample with its end
-        state's kernel, and the Newmark march reuses it.
+        The kernel reads the state's own tension peaks eps_max at its
+        damaged points and applies E to them.  It is built on the first
+        call and kept, so a state serves one material: `local_stage`
+        corrects its last sample with its end state's kernel, and the
+        Newmark march reuses it.
         """
         if "kernel" not in vars(self):
             object.__setattr__(self, "kernel", DamageCorrection(
-                self.d, self.tr_max, lambda flat: _hooke_rows(hooke, self.eps_max[flat]),
-                params, hooke) if self.d.any() else None)
+                self.d, self.tr_max, lambda flat: self.eps_max[flat], params, hooke)
+                if self.d.any() else None)
         return self.kernel
 
 
@@ -462,16 +457,17 @@ def local_stage(eps, times, params, hooke, out=None, elastic=None, start=None):
     each point's tension peak at the last sample for the end state.
     `released_energy` then runs once, on the samples whose bound can exceed
     Y0, and the target damage is formed only where Y > Y0.  The stress is
-    E:eps plus the damage correction at the damaged points
-    (`DamageCorrection`).  The samples before the last are corrected a chunk
-    of active rows at a time: the correction's E:eps_max is read off that
-    E:eps at the running tension-peak index, before the correction is
-    added, or formed from the start's peak, so no tension-peak strain field
-    is formed.  The last sample is corrected by the end state's own kernel
+    E:eps plus the damage correction at the damaged points, added in place
+    (`DamageCorrection.field`).  The samples before the last are corrected
+    a chunk of active rows at a time: the kernel is handed the strain at
+    the running tension-peak index, or the start's peak, and applies E to
+    it itself, so no tension-peak field is formed, of strain or of
+    stress.  The last sample is corrected by the end state's own kernel
     (`DamageState.correction`), which the state keeps for its caller: a
     one-sample call, a Newmark pass, builds one kernel.  Every Hooke product
     multiplies two rows or more (`_hooke_rows`), so E:eps of a sample has
-    the same bits however the history is cut.  Besides d, no temporary has
+    the same bits however the history is cut, and the kernel's own
+    products equal the sweep's.  Besides d, no temporary has
     the size of a scalar field: the targets and the delay law cover the
     active rows, and the tension-peak index, its trace and the correction a
     chunk of them at a time.
@@ -561,9 +557,8 @@ def local_stage(eps, times, params, hooke, out=None, elastic=None, start=None):
 
     # Tension peak and damage correction of the samples before the last, a
     # chunk of active rows at a time, on copies of the chunk's rows, whose
-    # shape the chunk's state shares.  The start's peak leads each row as
-    # sample -1, with its E:eps_max.  The end state's kernel corrects the
-    # last sample.
+    # shape the chunk's state shares.  The start's peak strain leads each
+    # row as sample -1.  The end state's kernel corrects the last sample.
     per_chunk = max(1, _CHUNK // n_t)
     for first in range(0, active.size if n_t > 1 else 0, per_chunk):
         rows = active[first:first + per_chunk]
@@ -571,15 +566,14 @@ def local_stage(eps, times, params, hooke, out=None, elastic=None, start=None):
         idx, tr_max = tension_peak_history(np.concatenate(
             [start.tr_max[rows, None], eps_rows[..., 0] + eps_rows[..., 1] + eps_rows[..., 2]],
             axis=1))
-        peaks = np.concatenate([_hooke_rows(hooke, start.eps_max[rows])[:, None], sig_rows],
-                               axis=1).reshape(-1, 6)
+        peaks = np.concatenate([start.eps_max[rows, None], eps_rows], axis=1).reshape(-1, 6)
         at = (idx[:, 1:] + n_t * np.arange(rows.size)[:, None]).reshape(-1)
         DamageCorrection(d[rows, :-1], tr_max[:, 1:], lambda flat: peaks.take(at[flat], axis=0),
-                         params, hooke).add_to(sig_rows, eps_rows)
+                         params, hooke).field(eps_rows, out=sig_rows)
         sig[rows, :-1] = sig_rows
     end = DamageState(d[:, -1].copy(), dbar_end, peak_eps, peak_tr)
     if (kernel := end.correction(params, hooke)) is not None:
-        kernel.add_to(sig[:, -1], eps[:, -1])
+        kernel.field(eps[:, -1], out=sig[:, -1])
     return {"sig": elastic if elastic is not None and not active.size else sig, "d": d,
             "end": end}
 

@@ -11,6 +11,8 @@ import scipy
 from latinpgd import assembly, cli, config
 from latinpgd.material import reference_concrete, released_energy
 
+from conftest import TINY_OVERLAY
+
 
 def write(path, text):
     path.write_text(text)
@@ -187,11 +189,9 @@ def test_write_table_round_trips_floats_and_prints_integers_bare(tmp_path):
 
 
 def tiny_overlay(tmp_path):
-    """mono_sine on a 4x2x2 mesh over 0.5 s, N_T = 10, a budget of 1 mode."""
-    return write(tmp_path / "tiny.cfg",
-                 "[mesh]\nnx = 4\nny = 2\nnz = 2\n"
-                 "[load]\nT = 0.5\n"
-                 "[solver]\nN_T = 10\nmax_modes = 1\n")
+    """mono_sine on a 4x2x2 mesh over 0.5 s, N_T = 10 (`TINY_OVERLAY`), a
+    budget of 1 mode."""
+    return write(tmp_path / "tiny.cfg", TINY_OVERLAY + "max_modes = 1\n")
 
 
 def assert_step_log_corrects_every_step(path):

@@ -166,7 +166,7 @@ def test_empty_snapshot_list_is_the_empty_tuple(tmp_path):
 PRESET_SHA256 = {
     "elastic": "356a208a3dff7f57f1a9c10bcdc8c46c8a5649a609d79883e4ae576502895db0",
     "mono_sine": "51d2a965ed958a7a6f391c1f6dd1887259f4849a7670df2afab7a94c017dad4d",
-    "multi_sine": "0b4fc3470caa52967245b5e51edaa34433417f692421e87584032330776bd680",
+    "multi_sine": "eab8fe49e0aabb2018a97ddb0d1d846192a364e2aa0cee77e6f2ea90433030f8",
 }
 
 

@@ -21,6 +21,7 @@ from latinpgd.pgd import PgdMode, PgdSolution, compute_delta, mode_products
 from latinpgd.timegrid import (TimeFunction, TimeGrid, quad_resample_blocks,
                                tdgm_march)
 
+from conftest import TINY_OVERLAY, tiny_config
 from test_material import assert_bitwise, closed_form_stress, delay_from_rest
 from test_newmark import desk_system
 
@@ -160,11 +161,8 @@ def test_latin_error_rejects_vanishing_global_fields(setup, vanishing):
 
 
 def tiny_damaging_problem():
-    """mono_sine on a 4x2x2 mesh over 0.5 s with N_T = 10."""
-    conf = config.preset("mono_sine")
-    conf = replace(conf, mesh=replace(conf.mesh, nx=4, ny=2, nz=2),
-                   load=replace(conf.load, T=0.5),
-                   solver=replace(conf.solver, N_T=10))
+    """mono_sine on a 4x2x2 mesh over 0.5 s with N_T = 10 (`TINY_OVERLAY`)."""
+    conf = tiny_config()
     params, system, load, grid = cli._build_problem(conf)
     return conf, system.mesh, params, system, load, grid
 
@@ -534,8 +532,7 @@ def test_a_failing_iteration_names_itself(monkeypatch, tmp_path, capsys):
 
     modes.clear()
     overlay = tmp_path / "tiny.cfg"
-    overlay.write_text("[mesh]\nnx = 4\nny = 2\nnz = 2\n[load]\nT = 0.5\n"
-                       "[solver]\nN_T = 10\nxi_stop = 1e-6\nmax_modes = 3\n")
+    overlay.write_text(TINY_OVERLAY + "xi_stop = 1e-6\nmax_modes = 3\n")
     code = cli.main(["run-latin", "--preset", "mono_sine", "--config", str(overlay),
                      "--out-dir", str(tmp_path / "out")])
     assert code == cli.EXIT_INPUT

@@ -14,6 +14,7 @@ from latinpgd.material import (CLOSURE_TRACE_GUARD, DamageCorrection,
 from latinpgd.tensors import HookeTensor
 from latinpgd.timegrid import TimeGrid
 
+from conftest import tiny_config
 from test_tensors import STRAINS, matrix_to_voigt
 
 P = reference_concrete()
@@ -41,8 +42,8 @@ def kernel(eps_max, d):
     """The DamageCorrection of the state (eps_max, d), eps_max given as a field."""
     eps_max = np.asarray(eps_max, dtype=float)
     flat = eps_max.reshape(-1, 6)
-    return DamageCorrection(d, eps_max[..., :3].sum(axis=-1),
-                            lambda points: HOOKE.apply(flat[points]), P, HOOKE)
+    return DamageCorrection(d, eps_max[..., :3].sum(axis=-1), lambda points: flat[points],
+                            P, HOOKE)
 
 
 def crack_closure_stress(eps_v, eps_max_v):
@@ -642,15 +643,12 @@ class TestLocalStage:
 @pytest.fixture(scope="module")
 def elastic_start_history():
     """The elastic start's strain of the tiny mono_sine fixture (4x2x2 mesh,
-    T = 0.5 s, N_T = 10) on its Gauss times: a history that damages."""
-    from latinpgd import cli, config
+    T = 0.5 s, N_T = 10, `TINY_OVERLAY`) on its Gauss times: a history that
+    damages."""
+    from latinpgd import cli
     from latinpgd.latin import elastic_solution
 
-    conf = config.preset("mono_sine")
-    conf = replace(conf, mesh=replace(conf.mesh, nx=4, ny=2, nz=2),
-                   load=replace(conf.load, T=0.5),
-                   solver=replace(conf.solver, N_T=10))
-    params, system, load, grid = cli._build_problem(conf)
+    params, system, load, grid = cli._build_problem(tiny_config())
     return elastic_solution(system, params, load, grid)["eps"], grid.all_gauss_times
 
 
@@ -875,7 +873,8 @@ class TestScreens:
         # the kernel's correction field is sigma - E:eps of the same state
         correction = kernel(eps_max, d)
         with pytest.raises(ValueError, match="tr_max has shape"):
-            DamageCorrection(d, eps_max[..., :3], HOOKE.apply, P, HOOKE)
+            DamageCorrection(d, eps_max[..., :3], lambda points: eps_max.reshape(-1, 6)[points],
+                             P, HOOKE)
         np.testing.assert_allclose(
             HOOKE.apply(eps) + correction.field(eps), closed_form_stress(eps, eps_max, d),
             rtol=0.0, atol=4.0 * np.finfo(float).eps * np.abs(HOOKE.apply(eps)).max())
@@ -918,6 +917,37 @@ class TestScreens:
         damaged = d != 0.0
         assert_bitwise(field[damaged], closed_form_correction(eps, eps_max, d)[damaged])
         assert_bitwise(field[~damaged], np.zeros((np.sum(~damaged), 6)))
+
+    @pytest.mark.parametrize("lone", [False, True])
+    def test_correction_in_place_is_the_stress_plus_the_correction_alone(self, lone):
+        # The kernel's one method: on a buffer holding E:eps it forms the
+        # stress in place, with none the correction alone, and the two
+        # agree bit for bit, with total_stress and with the closed form.
+        # The state damages points with and without a tension history, or
+        # a single point without one, whose E:eps the kernel forms as a
+        # lone row.
+        rng = np.random.default_rng(9)
+        shape = (300,)
+        eps = rng.normal(size=shape + (6,)) * 1e-4
+        eps_max = rng.normal(size=shape + (6,)) * 1e-4
+        eps_max[..., :3] += 5e-5
+        eps_max[rng.random(shape) < 0.2] = 0.0
+        history = eps_max[..., :3].sum(axis=-1) > CLOSURE_TRACE_GUARD
+        d = np.where(rng.random(shape) < 0.5, rng.uniform(0.0, 1.0, shape), 0.0)
+        if lone:
+            d[:] = 0.0
+            d[np.flatnonzero(~history)[3]] = 0.4
+        correction = kernel(eps_max, d)
+        if lone:
+            assert correction.peak.size == 0 and correction.no_peak.size == 1
+        else:
+            assert correction.peak.size > 1 and correction.no_peak.size > 1
+        alone = correction.field(eps)
+        held = HOOKE.apply(eps)
+        assert correction.field(eps, out=held) is held
+        assert_bitwise(held, HOOKE.apply(eps) + alone)
+        assert_bitwise(total_stress(eps, HOOKE, correction), held)
+        assert_bitwise(held, closed_form_stress(eps, eps_max, d))
 
     def test_released_energy_of_a_strided_history_slice(self, monkeypatch):
         # A block of steps of a (points, steps, 6) history: Y equals the

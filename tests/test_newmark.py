@@ -9,7 +9,7 @@ from latinpgd import cli, material, newmark, timegrid
 from latinpgd.assembly import (SpatialSystem, assemble_mass, assemble_stiffness,
                                internal_force, modal_analysis, rayleigh_coeffs,
                                strain_at_gauss)
-from latinpgd.config import MONO_SINE_AMPLITUDE, preset
+from latinpgd.config import preset
 from latinpgd.latin import elastic_solution
 from latinpgd.material import (DamageCorrection, DamageState, integrate_delay,
                                reference_concrete, released_energy,
@@ -18,6 +18,8 @@ from latinpgd.mesh import generate_box_mesh
 from latinpgd.newmark import (LoadCase, compare_error, newmark_quasi_newton,
                               resample_fields_to_gauss)
 from latinpgd.timegrid import TimeGrid, quad_resample_blocks, spatial_blocks
+
+from conftest import tiny_config
 
 PARAMS = reference_concrete()
 HOOKE = PARAMS.hooke()
@@ -350,10 +352,7 @@ class TestDamageCommitment:
         # converging, and a step's first pass there is sampled by the onset
         # test.  Damage starts at step 1 here, so no step is quiet, and no
         # solve is spent on a step the march does not keep.
-        conf = replace(preset("mono_sine"),
-                       mesh=replace(preset("mono_sine").mesh, nx=4, ny=2, nz=2))
-        conf = replace(conf, load=replace(conf.load, T=0.5),
-                       solver=replace(conf.solver, N_T=10))
+        conf = tiny_config()
         params, system, load, _ = cli._build_problem(conf)
         events = []
 
@@ -421,25 +420,29 @@ class TestDamageCommitment:
         tr_max = np.maximum(tr[points, top], 0.0)
         eps_max = np.where((tr_max > 0.0)[:, None], eps[points, top], 0.0)
         correction = DamageCorrection(res["d"][:, onset], tr_max,
-                                      lambda flat: HOOKE.apply(eps_max[flat]),
-                                      PARAMS, HOOKE)
+                                      lambda flat: eps_max[flat], PARAMS, HOOKE)
         assert np.array_equal(res["sig"][:, onset],
                               total_stress(res["eps"][:, onset], HOOKE, correction))
 
-    def test_calibrated_run_lands_in_damage_band(self):
-        # 3 Hz support sine at the preset amplitude config.MONO_SINE_AMPLITUDE
-        # on the preset's Newmark time nodes: the largest damage on the desk
-        # mesh must sit in the 0.40-0.45 band.  The pinned value is the one
-        # `latinpgd calibrate --preset mono_sine` reports at scale 1
-        # (calibration.csv: d_max = 0.42336609776512463).
-        conf = preset("mono_sine")
+    @pytest.mark.parametrize("name, pinned", [("mono_sine", 0.423366),
+                                              ("multi_sine", 0.420903)],
+                             ids=["mono_sine", "multi_sine"])
+    def test_calibrated_run_lands_in_damage_band(self, name, pinned):
+        # The preset's support signal at its calibrated amplitudes
+        # (config.MONO_SINE_AMPLITUDE, config.MULTI_SINE_AMPLITUDE) on its
+        # Newmark time nodes: the largest damage on the desk mesh must sit
+        # in the 0.40-0.45 band.  The pinned value is the one `latinpgd
+        # calibrate --preset <name>` reports at the calibrated scale
+        # (calibration.csv: d_max = 0.42336609776512463 for mono_sine at
+        # scale 1, 0.42090280955165998 for multi_sine at 0.554847).
+        conf = preset(name)
         times = conf.solver.newmark_times(conf.load.T)
-        load = LoadCase(np.array([MONO_SINE_AMPLITUDE]),
+        load = LoadCase(np.array(conf.load.amplitudes),
                         np.array(conf.load.frequencies))
         res = newmark_quasi_newton(desk_system(), PARAMS, load, times,
                                    tol=conf.solver.newmark_tol)
         d = res["d"]
-        assert d.max() == pytest.approx(0.423366, abs=1e-4)
+        assert d.max() == pytest.approx(pinned, abs=1e-4)
         assert 0.40 <= d.max() <= 0.45
         assert res["info"]["factorizations"] == 1
         # damage is a non-decreasing, bounded history at every point
@@ -647,12 +650,10 @@ class TestResample:
 
 @pytest.fixture(scope="module")
 def tiny_reference():
-    """mono_sine on a 4x2x2 mesh over 0.5 s with N_T = 10: the damaging
-    reference run, its grid and LATIN's elastic start (eps, sig) on it."""
-    conf = replace(preset("mono_sine"),
-                   mesh=replace(preset("mono_sine").mesh, nx=4, ny=2, nz=2))
-    conf = replace(conf, load=replace(conf.load, T=0.5),
-                   solver=replace(conf.solver, N_T=10))
+    """mono_sine on a 4x2x2 mesh over 0.5 s with N_T = 10 (`TINY_OVERLAY`):
+    the damaging reference run, its grid and LATIN's elastic start
+    (eps, sig) on it."""
+    conf = tiny_config()
     params, system, load, grid = cli._build_problem(conf)
     res = newmark_quasi_newton(system, params, load,
                                conf.solver.newmark_times(conf.load.T),
