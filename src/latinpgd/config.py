@@ -16,7 +16,10 @@ opens a section and ``key = value`` lines fill it:
 Sections and keys are a closed set: anything unknown raises immediately
 with the offending line number, so typos cannot silently fall back to a
 default.  Values are typed per key (finite float, 64-bit int, boolean
-``on``/``off``, string, or a comma-separated list of finite floats).
+``on``/``off``, string, or a comma-separated list of finite floats).  Each
+section is then checked by the class it builds, which applies the rule of
+the code that consumes it (the mesher's box rule, the Hooke tensor's, the
+load case's); such an error names the file and the section.
 
 A preset is a complete, runnable configuration; a config file may either
 stand alone (every mandatory section present) or overlay a preset,
@@ -30,14 +33,19 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .material import MaterialParams, reference_concrete
-from .mesh import generate_box_mesh
+from .mesh import check_box, generate_box_mesh
 from .newmark import LoadCase
 from .timegrid import TimeGrid
 
 
 @dataclass(frozen=True)
 class MeshConfig:
-    """Box dimensions (m) and element counts of the hexahedral grid."""
+    """Box dimensions (m) and element counts of the hexahedral grid.
+
+    Checked by the mesh's own rule (`mesh.check_box`), so a section the
+    config accepts is one the mesher can mesh: an odd nz is refused when
+    the config is read.
+    """
 
     d1: float
     d2: float
@@ -47,14 +55,7 @@ class MeshConfig:
     nz: int
 
     def __post_init__(self):
-        for name in ("d1", "d2", "d3"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError("%s must be finite and positive, got %g"
-                                 % (name, getattr(self, name)))
-        for name in ("nx", "ny", "nz"):
-            if not 1 <= getattr(self, name) < math.inf:
-                raise ValueError("%s must be a finite count of at least 1, got %g"
-                                 % (name, getattr(self, name)))
+        check_box(self.d1, self.d2, self.d3, self.nx, self.ny, self.nz)
 
     def build(self):
         return generate_box_mesh(self.d1, self.d2, self.d3, self.nx, self.ny, self.nz)
@@ -254,18 +255,24 @@ def read_sections(path):
     return sections
 
 
-def _build(sections):
+def _section(path, name, values):
+    """Section `name` of the file `path` built from `values`; an error it
+    raises names the file and the section."""
+    try:
+        return _SECTION_CLASSES[name](**values)
+    except TypeError as exc:
+        raise ValueError("%s: section [%s] is incomplete: %s" % (path, name, exc)) from None
+    except ValueError as exc:
+        raise ValueError("%s: [%s]: %s" % (path, name, exc)) from None
+
+
+def _build(path, sections):
     missing = [name for name in _MANDATORY_SECTIONS if name not in sections]
     if missing:
-        raise ValueError("config is missing mandatory sections: %s"
-                         % ", ".join("[%s]" % name for name in missing))
-    parts = {}
-    for name, cls in _SECTION_CLASSES.items():
-        try:
-            parts[name] = cls(**sections.get(name, {}))
-        except TypeError as exc:
-            raise ValueError("section [%s] is incomplete: %s" % (name, exc)) from None
-    return RunConfig(**parts)
+        raise ValueError("%s: config is missing mandatory sections: %s"
+                         % (path, ", ".join("[%s]" % name for name in missing)))
+    return RunConfig(**{name: _section(path, name, sections.get(name, {}))
+                        for name in _SECTION_CLASSES})
 
 
 def _section_fields(config, name):
@@ -273,13 +280,10 @@ def _section_fields(config, name):
     return {key: getattr(part, key) for key in _SCHEMA[name]}
 
 
-def _overlay(config, sections):
+def _overlay(path, config, sections):
     # One RunConfig build, so checks across sections see the merged whole.
-    parts = {}
-    for name, body in sections.items():
-        merged = _section_fields(config, name)
-        merged.update(body)
-        parts[name] = _SECTION_CLASSES[name](**merged)
+    parts = {name: _section(path, name, {**_section_fields(config, name), **body})
+             for name, body in sections.items()}
     return replace(config, **parts)
 
 
@@ -287,12 +291,15 @@ def parse_config(path, base=None):
     """Read a config file; with `base`, overlay it on that configuration.
 
     Without a base the file must define every mandatory section; with one,
-    any subset of sections/keys overrides the base values.
+    any subset of sections/keys overrides the base values.  Each section is
+    checked by its class once read or merged, and an error raised there
+    reads ``path: [section]: message`` (a section that lacks a key:
+    ``path: section [name] is incomplete: ...``).
     """
     sections = read_sections(path)
     if base is None:
-        return _build(sections)
-    return _overlay(base, sections)
+        return _build(path, sections)
+    return _overlay(path, base, sections)
 
 
 def canonical(config):

@@ -57,10 +57,11 @@ damage can happen, with results bit-identical to evaluating it everywhere:
 * stress: E:eps is exact where d = 0, so the damage correction is
   evaluated only at damaged points.
 
-The kernels that gather a subset of points (eigenvalue solve, correction)
-work through it in chunks, so their temporaries stay small however many
-points qualify; the released-energy bound is formed a chunk of rows at a
-time for the same reason.
+The eigenvalue solve works through the points it gathers in chunks, so its
+temporaries stay small however many points qualify; the released-energy
+bound is formed a chunk of rows at a time for the same reason.  The damage
+correction gathers all the points it is given at once: the local stage
+hands it a chunk of rows at a time, or one sample per point.
 """
 
 import math
@@ -79,8 +80,9 @@ CLOSURE_TRACE_GUARD = 1e-12
 _BOUND_SLACK = 1e-10
 # Steps the delay law tests for a frozen state at a time.
 _WINDOW = 64
-# Points per chunk of the pointwise kernels that gather a subset of a field:
-# their temporaries stay this small however many points qualify.
+# Points per chunk of `released_energy` and samples per chunk of the local
+# stage's correction: their temporaries stay this small however many
+# points qualify.
 _CHUNK = 1 << 14
 
 
@@ -91,7 +93,11 @@ def _chunks(n):
 
 @dataclass(frozen=True)
 class MaterialParams:
-    """Density, elasticity and damage parameters of the concrete-like model."""
+    """Density, elasticity and damage parameters of the concrete-like model.
+
+    E and nu are checked by the Hooke tensor's rule (`HookeTensor`), which
+    names a bad value; the other constants are checked here.
+    """
 
     rho: float      # kg/m^3
     E: float        # Pa
@@ -104,12 +110,11 @@ class MaterialParams:
     xi: float = 0.0  # -, modal damping ratio
 
     def __post_init__(self):
-        for name in ("rho", "E", "Y0", "A_d", "tau_c", "a", "a_c"):
+        for name in ("rho", "Y0", "A_d", "tau_c", "a", "a_c"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError("%s must be finite and positive, got %g"
                                  % (name, getattr(self, name)))
-        if not -1.0 < self.nu < 0.5:
-            raise ValueError("Poisson ratio must lie in (-1, 0.5)")
+        self.hooke()
         if not 0.0 <= self.xi < 1.0:
             raise ValueError("damping ratio must lie in [0, 1)")
 
@@ -302,6 +307,11 @@ class DamageCorrection:
     any Hooke product for the correction: the Newmark march hands over its
     per-point peaks, and the local stage reads each sample's peak strain at
     the running peak index.
+
+    The kernel corrects all of its damaged points in one pass, so its
+    callers bound them: the local stage builds one a chunk of active rows
+    at a time (at most _CHUNK samples, or a single row), and a
+    `DamageState`'s kernel holds one sample per point.
     """
 
     def __init__(self, d, tr_max, peak_strain, params, hooke):
@@ -329,22 +339,21 @@ class DamageCorrection:
             copy.  Holding E:eps_v, it becomes the stress, in place.  By
             default the correction is added into zeros and returned alone.
 
-        Chunk by chunk of the damaged points, so a whole damaged field forms
-        no temporary of its size.  Returns `out`.
+        One gather-correct-scatter over the damaged points with a history,
+        and one over those without, when there are any.  Its temporaries
+        have a row per damaged point, as the kernel's own E:eps_max does, so
+        the callers' bound on the points bounds them.  Returns `out`.
         """
         eps_v = np.asarray(eps_v, dtype=float)
         out = np.zeros(eps_v.shape) if out is None else out
         flat, flat_out = eps_v.reshape(-1, 6), out.reshape(-1, 6, copy=False)
-        for s in _chunks(self.peak.size):
-            points = self.peak[s]
-            e = flat.take(points, axis=0)
-            tr = e[:, 0] + e[:, 1] + e[:, 2]
-            flat_out[points] = flat_out.take(points, axis=0) + (
-                (self.coef[s] * np.logaddexp(0.0, self.scale[s] * tr))[:, None] * self.e_max[s])
-        for s in _chunks(self.no_peak.size):
-            points = self.no_peak[s]
-            flat_out[points] = flat_out.take(points, axis=0) + self.neg_d[s] * _hooke_rows(
-                self.hooke, flat.take(points, axis=0))
+        e = flat.take(self.peak, axis=0)
+        tr = e[:, 0] + e[:, 1] + e[:, 2]
+        flat_out[self.peak] = flat_out.take(self.peak, axis=0) + (
+            (self.coef * np.logaddexp(0.0, self.scale * tr))[:, None] * self.e_max)
+        if self.no_peak.size:
+            flat_out[self.no_peak] = flat_out.take(self.no_peak, axis=0) + self.neg_d * (
+                _hooke_rows(self.hooke, flat.take(self.no_peak, axis=0)))
         return out
 
 
@@ -433,8 +442,10 @@ def local_stage(eps, times, params, hooke, out=None, elastic=None, start=None):
     integrated from the start, and the stress combines the damaged and
     re-closure branches using the running tension peak of the strain.
 
-    times : the samples' instants (n_t,), led by the start's instant when
-        a start is given (n_t + 1,).
+    times : the samples' instants, shape (n_t,) from rest, or (n_t + 1,)
+        led by the start's instant when a start is given.  Any other shape
+        raises ValueError naming both lengths before any work, whether or
+        not a point damages.
     start : the `DamageState` carried across a time cut (a previous call's
         end state, at the instant of that call's last sample), or None for
         rest.  From rest d = 0 at t = 0 under the first sample's target,
@@ -492,6 +503,10 @@ def local_stage(eps, times, params, hooke, out=None, elastic=None, start=None):
     eps = np.asarray(eps, dtype=float)
     n_sp, n_t = eps.shape[:2]
     from_rest = start is None
+    if np.shape(times) != (n_t + (not from_rest),):
+        raise ValueError("times has shape %s, expected (%d,) for %d strain samples%s"
+                         % (np.shape(times), n_t + (not from_rest), n_t,
+                            " from rest" if from_rest else " led by the start's instant"))
     start = DamageState.undamaged(n_sp) if from_rest else start
     for name in ("d", "dbar", "eps_max", "tr_max"):
         if np.shape(getattr(start, name)) != (n_sp,) + (6,) * (name == "eps_max"):

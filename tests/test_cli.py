@@ -89,14 +89,30 @@ def test_snapshot_after_the_horizon_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_mesh_the_config_accepts_but_the_mesh_rejects_leaves_no_directory(
-        tmp_path, capsys):
+def test_an_odd_nz_the_config_refuses_leaves_no_directory(tmp_path, capsys):
     overlay = write(tmp_path / "odd.cfg", "[mesh]\nnz = 3\n")
     out = tmp_path / "out"
     code = cli.main(["run-latin", "--preset", "mono_sine", "--config", overlay,
                      "--out-dir", str(out)])
     assert code == cli.EXIT_INPUT
     assert "the line supports need an even nz" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_run_without_preset_or_config_exits_2_before_any_directory(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = cli.main(["run-latin", "--out-dir", str(out)])
+    assert code == cli.EXIT_INPUT
+    assert "provide --preset, --config, or both" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_an_unknown_preset_exits_2_listing_the_presets(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = cli.main(["run-latin", "--preset", "foo", "--out-dir", str(out)])
+    assert code == cli.EXIT_INPUT
+    assert ("unknown preset 'foo'; available: elastic, mono_sine, multi_sine"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -398,6 +414,34 @@ def test_calibrate_that_misses_the_target_names_its_bracket(tmp_path, capsys):
     assert "final bracket (lo, d_lo) = (0.510204, 0.0000), (hi, d_hi) = (0.612245, " in err
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["target"] == 0.42 and manifest["met"] is False
+
+
+def test_calibrate_that_meets_the_target_exits_0(tmp_path, capsys):
+    # The tiny overlay peaks at d_max 0.991 at scale 1 and 0.966 at 1/1.4:
+    # the second row crosses 0.97 and lies within the tolerance of it.
+    out = tmp_path / "out"
+    code = cli.main(["calibrate", "--preset", "mono_sine",
+                     "--config", tiny_overlay(tmp_path), "--target", "0.97",
+                     "--bisections", "0", "--out-dir", str(out)])
+    assert code == cli.EXIT_OK
+    assert capsys.readouterr().out.startswith("calibrated scale 0.714286 -> amplitudes ")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["met"] is True and manifest["rows"] == 2
+    assert manifest["scale"] == 1.0 / 1.4
+
+
+def test_calibrate_whose_expansion_never_crosses_the_target_exits_3(tmp_path, capsys):
+    # The elastic load grown 1.4^11-fold still damages no point of the tiny mesh.
+    out = tmp_path / "out"
+    code = cli.main(["calibrate", "--preset", "elastic",
+                     "--config", tiny_overlay(tmp_path), "--bisections", "0",
+                     "--out-dir", str(out)])
+    assert code == cli.EXIT_NONCONVERGED
+    assert ("the %d-row expansion never crossed it" % cli._CALIBRATE_ROWS
+            in capsys.readouterr().err)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["met"] is False and manifest["rows"] == cli._CALIBRATE_ROWS
+    assert manifest["d_max"] == 0.0
 
 
 @pytest.mark.parametrize("flag, value", [("--target", "nan"), ("--target", "-0.2"),

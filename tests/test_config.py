@@ -32,6 +32,10 @@ MALFORMED = {
     "nan_horizon": ("[load]\n\nT = NaN\n", 3, "bad value for T"),
     "nan_in_a_list": ("[load]\namplitudes = 0.01, nan\n", 2,
                       "bad value for amplitudes"),
+    "line_without_equals": ("[mesh]\nd1 8.0\n", 2,
+                            "expected 'key = value' or '[section]', got 'd1 8.0'"),
+    "on_off_key_given_a_word": ("[solver]\ndamping = maybe\n", 2,
+                                "bad value for damping: expected on/off, got 'maybe'"),
 }
 
 
@@ -129,9 +133,43 @@ def test_overlay_changes_only_the_given_keys(tmp_path):
 
 
 def test_overlay_validates_the_merged_section(tmp_path):
-    with pytest.raises(ValueError, match="omega"):
-        parse_config(write(tmp_path, "[solver]\nomega = 1.5\n"),
-                     base=preset("mono_sine"))
+    path = write(tmp_path, "[solver]\nomega = 1.5\n")
+    with pytest.raises(ValueError, match="omega") as info:
+        parse_config(path, base=preset("mono_sine"))
+    assert str(info.value) == "%s: [solver]: omega must lie in (0, 1], got 1.5" % path
+
+
+@pytest.mark.parametrize("standalone", [False, True])
+def test_a_section_error_names_the_file_the_section_and_the_value(tmp_path, standalone):
+    # the Hooke tensor's rule checks nu, wherever the section is built
+    text = "[material]\nnu = 0.7\n"
+    if standalone:
+        text = canonical(preset("mono_sine")).replace("\nnu = 0.20000000000000001\n",
+                                                      "\nnu = 0.7\n")
+        assert "nu = 0.7" in text
+    path = write(tmp_path, text)
+    with pytest.raises(ValueError) as info:
+        parse_config(path, base=None if standalone else preset("mono_sine"))
+    assert str(info.value) == ("%s: [material]: Poisson ratio must lie in (-1, 0.5), got 0.7"
+                               % path)
+
+
+def test_a_standalone_section_that_lacks_a_key_is_incomplete(tmp_path):
+    text = canonical(preset("elastic")).replace("nz = 2\n", "")
+    path = write(tmp_path, text)
+    with pytest.raises(ValueError, match=r"section \[mesh\] is incomplete: .*'nz'") as info:
+        parse_config(path)
+    assert str(info.value).startswith("%s: " % path)
+
+
+def test_an_odd_nz_is_refused_when_the_config_is_read(tmp_path):
+    # the mesh's own box rule, so the config never accepts what it cannot mesh
+    path = write(tmp_path, "[mesh]\nnz = 3\n")
+    with pytest.raises(ValueError) as info:
+        parse_config(path, base=preset("mono_sine"))
+    message = str(info.value)
+    assert message.startswith("%s: [mesh]: the line supports need an even nz" % path)
+    assert message.endswith("got nz = 3")
 
 
 @pytest.mark.parametrize("name", ["elastic", "mono_sine", "multi_sine"])

@@ -714,6 +714,19 @@ class TestCarriedState:
         assert_bitwise(end.tr_max, np.where(tension, tr[points, top], 0.0))
         assert_bitwise(end.eps_max, np.where(tension[:, None], eps[points, top], 0.0))
 
+    @pytest.mark.parametrize("n_times, with_start, words", [
+        (5, False, "expected (3,) for 3 strain samples from rest"),
+        (3, True, "expected (4,) for 3 strain samples led by the start's instant")],
+        ids=["from_rest", "with_a_start"])
+    def test_a_time_axis_of_the_wrong_length_names_both_lengths(self, n_times, with_start,
+                                                                words):
+        # an undamaged history, so no row reaches the delay law's own check
+        start = material.DamageState.undamaged(2) if with_start else None
+        with pytest.raises(ValueError) as info:
+            local_stage(np.zeros((2, 3, 6)), 0.01 * np.arange(1, n_times + 1), P, HOOKE,
+                        start=start)
+        assert "times has shape (%d,), %s" % (n_times, words) in str(info.value)
+
     @pytest.mark.parametrize("name", ["d", "dbar", "eps_max", "tr_max"])
     def test_a_start_of_another_shape_names_its_field(self, name):
         eps, t = uniaxial_history()

@@ -27,7 +27,9 @@ class TestGeneration:
 
     @pytest.mark.parametrize("counts", [(0, 1, 1), (1, 0, 1), (1, 1, 0)])
     def test_zero_counts_rejected(self, counts):
-        with pytest.raises(ValueError):
+        name = "n" + "xyz"[counts.index(0)]
+        with pytest.raises(ValueError,
+                           match="element count %s must be finite and at least 1, got 0" % name):
             generate_box_mesh(1.0, 1.0, 1.0, *counts)
 
     def test_negative_dimension_rejected(self):
