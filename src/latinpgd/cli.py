@@ -28,6 +28,8 @@ calibrate    sweep the load amplitude until the reference solver peaks at a
     calibration.csv           scale,amplitudes,d_max (amplitudes ';'-separated)
     manifest.json             also the target, the rows marched, the closest
                               row and whether it met the target
+             A run that cannot go on exits 2 after writing the rows before
+             it, with failed_scale and error in the manifest.
 
 Exit codes: 0 success / converged; 2 invalid input or configuration, or
 a solve that cannot go on (an equilibrium loop or damage stagger that
@@ -109,14 +111,10 @@ def _peak_rss_mb():
 
 
 def _load_config(args):
-    base = config.preset(args.preset) if args.preset else None
-    if args.config:
-        conf = config.parse_config(args.config, base=base)
-    elif base is not None:
-        conf = base
-    else:
+    if not (args.preset or args.config):
         raise ValueError("provide --preset, --config, or both")
-    return conf
+    base = config.preset(args.preset) if args.preset else None
+    return config.parse_config(args.config, base=base) if args.config else base
 
 
 def _setup(args):
@@ -415,46 +413,59 @@ def cmd_calibrate(args):
     # The load amplitude enters only the load case: mesh, matrices and the
     # system's factorization serve every scale tried.
     conf, out, (params, system, load, _) = _setup(args)
+    rows = []
 
-    def peak_damage(scale):
+    def gap(row):
+        return abs(row[1] - target)
+
+    def write(best, extra):
+        """calibration.csv of the rows marched, and the manifest."""
+        scales, peaks = zip(*rows)
+        _write_table(os.path.join(out, "calibration.csv"), "scale,amplitudes,d_max",
+                     "%.17g," + ";".join(["%.17g"] * load.amplitudes.size) + ",%.17g",
+                     [scales, *np.outer(load.amplitudes, scales), peaks])
+        _write_manifest(out, conf, "calibrate",
+                        {"target": target, "bisections": args.bisections,
+                         "rows": len(rows), "scale": best[0],
+                         "amplitudes": (load.amplitudes * best[0]).tolist(),
+                         "d_max": best[1], **extra})
+
+    def march(scale):
+        """Append and return the row (scale, d_max) of a reference run."""
         scaled = newmark.LoadCase(load.amplitudes * scale, load.frequencies)
-        return float(_solve_newmark(conf, params, system, scaled)["d"].max())
+        try:
+            res = _solve_newmark(conf, params, system, scaled)
+        except (ValueError, RuntimeError) as exc:
+            if rows:
+                write(min(rows, key=gap),
+                      {"met": False, "failed_scale": scale, "error": str(exc)})
+            raise
+        rows.append((scale, float(res["d"].max())))
+        return rows[-1]
 
     # Expand the scale by 1.4 per row until d_max crosses the target; the
     # last two rows are the bracket (lo, d_lo), (hi, d_hi) that is bisected.
-    rows = [(1.0, peak_damage(1.0))]
-    grow = rows[0][1] < target
+    grow = march(1.0)[1] < target
     while (rows[-1][1] < target) == grow and len(rows) < _CALIBRATE_ROWS:
-        scale = rows[-1][0] * 1.4 if grow else rows[-1][0] / 1.4
-        rows.append((scale, peak_damage(scale)))
+        march(rows[-1][0] * 1.4 if grow else rows[-1][0] / 1.4)
     straddled = (rows[-1][1] < target) != grow
     lo, hi = sorted(rows[-2:])
     for _ in range(args.bisections):
-        mid = 0.5 * (lo[0] + hi[0])
-        row = (mid, peak_damage(mid))
-        rows.append(row)
+        row = march(0.5 * (lo[0] + hi[0]))
         if row[1] < target:
             lo = row
         else:
             hi = row
-    best = min(rows, key=lambda r: abs(r[1] - target))
-    scales, peaks = zip(*rows)
-    _write_table(os.path.join(out, "calibration.csv"), "scale,amplitudes,d_max",
-                 "%.17g," + ";".join(["%.17g"] * load.amplitudes.size) + ",%.17g",
-                 [scales, *np.outer(load.amplitudes, scales), peaks])
+    best = min(rows, key=gap)
     bracket = ("final bracket (lo, d_lo) = (%.6g, %.4f), (hi, d_hi) = (%.6g, %.4f)"
                % (lo + hi))
     if not straddled:
         missed = "the %d-row expansion never crossed it" % _CALIBRATE_ROWS
-    elif abs(best[1] - target) > _CALIBRATE_TOLERANCE * target:
+    elif gap(best) > _CALIBRATE_TOLERANCE * target:
         missed = "no row came within %g%% of it" % (100.0 * _CALIBRATE_TOLERANCE)
     else:
         missed = None
-    _write_manifest(out, conf, "calibrate",
-                    {"target": target, "bisections": args.bisections,
-                     "rows": len(rows), "scale": best[0],
-                     "amplitudes": (load.amplitudes * best[0]).tolist(),
-                     "d_max": best[1], "met": missed is None})
+    write(best, {"met": missed is None})
     if missed:
         print("error: calibration missed the target d_max %.4f: %s; the closest "
               "row, scale %.6g, gives d_max=%.4f; %s"

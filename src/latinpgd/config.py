@@ -13,22 +13,26 @@ opens a section and ``key = value`` lines fill it:
     frequencies = 3.0             # Hz, matching list
     T = 2.0                       # time horizon (s)
 
-Sections and keys are a closed set: anything unknown raises immediately
-with the offending line number, so typos cannot silently fall back to a
-default.  Values are typed per key (finite float, 64-bit int, boolean
-``on``/``off``, string, or a comma-separated list of finite floats).  Each
-section is then checked by the class it builds, which applies the rule of
-the code that consumes it (the mesher's box rule, the Hooke tensor's, the
-load case's); such an error names the file and the section.
+The schema is read off the dataclasses: a section is a field of
+`RunConfig`, its keys are its class's fields, typed per annotation (finite
+float, 64-bit int, boolean ``on``/``off``, string, or a comma-separated list
+of finite floats), and it is mandatory when a field has no default.
+Anything unknown raises with the offending line number, so typos cannot
+silently fall back to a default.  Each section is checked by its class,
+which applies the rule of the code that consumes it (the mesher's box
+rule, the Hooke tensor's, the load case's), and `RunConfig` checks the one
+rule across sections; such an error names the file and the sections.
 
 A preset is a complete, runnable configuration; a config file may either
 stand alone (every mandatory section present) or overlay a preset,
-overriding only the keys it names.  `canonical` serializes a configuration
-in a fixed order so that runs can be identified by a stable hash.
+overriding only the keys it names; one path builds both.  `canonical`
+serializes a configuration in a fixed order so that runs can be
+identified by a stable hash.
 """
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -102,17 +106,17 @@ class SolverConfig:
     newmark_tol: float = 1e-4
 
     def __post_init__(self):
-        if not 1 <= self.N_T < math.inf:
-            raise ValueError("N_T must be a finite count of at least 1, got %g" % self.N_T)
+        for name in ("N_T", "max_modes"):
+            count = getattr(self, name)
+            if not (1 <= count < math.inf and count == int(count)):
+                raise ValueError("%s must be a finite integer of at least 1, got %g"
+                                 % (name, count))
         for name in ("xi_stop", "zeta_stop", "newmark_tol"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError("%s must be finite and positive, got %g"
                                  % (name, getattr(self, name)))
         if not 0.0 < self.omega <= 1.0:
             raise ValueError("omega must lie in (0, 1], got %g" % self.omega)
-        if not 1 <= self.max_modes < math.inf:
-            raise ValueError("max_modes must be a finite count of at least 1, got %g"
-                             % self.max_modes)
 
     def build_grid(self, T):
         return TimeGrid(T, self.N_T)
@@ -147,12 +151,12 @@ class RunConfig:
                              % (self.load.T, ", ".join("%g" % t for t in outside)))
 
 
-# Section -> the RunConfig part it builds, in canonical order.
-_SECTION_CLASSES = {"mesh": MeshConfig, "material": MaterialParams,
-                    "load": LoadConfig, "solver": SolverConfig,
-                    "output": OutputConfig}
+# Section -> the class of the RunConfig field it builds, in canonical order.
+_SECTIONS = {field.name: field.type for field in fields(RunConfig)}
 
-_MANDATORY_SECTIONS = ("mesh", "material", "load", "solver")
+# A section is mandatory when its class has a field without a default.
+_MANDATORY = [name for name, cls in _SECTIONS.items()
+              if any(f.default is f.default_factory is MISSING for f in fields(cls))]
 
 
 # Value readers by field annotation; they document the value grammar.
@@ -180,10 +184,6 @@ def _read_bool(text):
     raise ValueError("expected on/off, got %r" % text)
 
 
-def _read_str(text):
-    return text.strip()
-
-
 def _read_float_list(text):
     items = [piece.strip() for piece in text.split(",") if piece.strip()]
     if not items:
@@ -196,7 +196,7 @@ def _read_optional_float_list(text):
     return _read_float_list(text) if text.strip() else ()
 
 
-_READERS = {float: _read_float, int: _read_int, bool: _read_bool, str: _read_str}
+_READERS = {float: _read_float, int: _read_int, bool: _read_bool, str: str.strip}
 
 
 def _reader(field):
@@ -212,7 +212,7 @@ def _reader(field):
 # Typed key registry: section -> key -> reader, in field order, which is
 # also the canonical order.
 _SCHEMA = {name: {field.name: _reader(field) for field in fields(cls)}
-           for name, cls in _SECTION_CLASSES.items()}
+           for name, cls in _SECTIONS.items()}
 
 
 def read_sections(path):
@@ -241,73 +241,59 @@ def read_sections(path):
                              % (where, line))
         if current is None:
             raise ValueError("%s: key outside of any [section]" % where)
-        key, _, value = line.partition("=")
-        key = key.strip()
+        key, value = (piece.strip() for piece in line.split("=", 1))
         schema = _SCHEMA[current]
         if key not in schema:
             raise ValueError("%s: unknown key %r in [%s]" % (where, key, current))
         if key in sections[current]:
             raise ValueError("%s: duplicate key %r in [%s]" % (where, key, current))
         try:
-            sections[current][key] = schema[key](value.strip())
+            sections[current][key] = schema[key](value)
         except ValueError as exc:
             raise ValueError("%s: bad value for %s: %s" % (where, key, exc)) from None
     return sections
 
 
-def _section(path, name, values):
-    """Section `name` of the file `path` built from `values`; an error it
-    raises names the file and the section."""
+def _built(path, where, build, values):
+    """build(**values) for the part `where` of the file `path`; an error it
+    raises names the file and the part."""
     try:
-        return _SECTION_CLASSES[name](**values)
+        return build(**values)
     except TypeError as exc:
-        raise ValueError("%s: section [%s] is incomplete: %s" % (path, name, exc)) from None
+        raise ValueError("%s: section %s is incomplete: %s" % (path, where, exc)) from None
     except ValueError as exc:
-        raise ValueError("%s: [%s]: %s" % (path, name, exc)) from None
-
-
-def _build(path, sections):
-    missing = [name for name in _MANDATORY_SECTIONS if name not in sections]
-    if missing:
-        raise ValueError("%s: config is missing mandatory sections: %s"
-                         % (path, ", ".join("[%s]" % name for name in missing)))
-    return RunConfig(**{name: _section(path, name, sections.get(name, {}))
-                        for name in _SECTION_CLASSES})
-
-
-def _section_fields(config, name):
-    part = getattr(config, name)
-    return {key: getattr(part, key) for key in _SCHEMA[name]}
-
-
-def _overlay(path, config, sections):
-    # One RunConfig build, so checks across sections see the merged whole.
-    parts = {name: _section(path, name, {**_section_fields(config, name), **body})
-             for name, body in sections.items()}
-    return replace(config, **parts)
+        raise ValueError("%s: %s: %s" % (path, where, exc)) from None
 
 
 def parse_config(path, base=None):
     """Read a config file; with `base`, overlay it on that configuration.
 
-    Without a base the file must define every mandatory section; with one,
-    any subset of sections/keys overrides the base values.  Each section is
-    checked by its class once read or merged, and an error raised there
-    reads ``path: [section]: message`` (a section that lacks a key:
-    ``path: section [name] is incomplete: ...``).
+    One path: each section built is the base's fields (none without a
+    base) overlaid by the file's keys.  Without a base every section is
+    built and the mandatory ones must be in the file; with one, only those
+    the file names.  An error reads ``path: [section]: message``, across
+    sections ``path: [load], [output]: message`` (a section that lacks a
+    key: ``path: section [name] is incomplete: ...``).
     """
     sections = read_sections(path)
-    if base is None:
-        return _build(path, sections)
-    return _overlay(path, base, sections)
+    missing = [name for name in _MANDATORY if base is None and name not in sections]
+    if missing:
+        raise ValueError("%s: config is missing mandatory sections: %s"
+                         % (path, ", ".join("[%s]" % name for name in missing)))
+    parts = {name: _built(path, "[%s]" % name, _SECTIONS[name],
+                          {**({} if base is None else asdict(getattr(base, name))),
+                           **sections.get(name, {})})
+             for name in (_SECTIONS if base is None else sections)}
+    return _built(path, "[load], [output]",
+                  RunConfig if base is None else partial(replace, base), parts)
 
 
 def canonical(config):
     """Deterministic text form of a configuration, for hashing and provenance."""
     lines = []
-    for name in _SECTION_CLASSES:
+    for name in _SECTIONS:
         lines.append("[%s]" % name)
-        for key, value in _section_fields(config, name).items():
+        for key, value in asdict(getattr(config, name)).items():
             if isinstance(value, tuple):
                 rendered = ", ".join("%.17g" % item for item in value)
             elif isinstance(value, bool):

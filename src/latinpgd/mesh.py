@@ -103,10 +103,10 @@ def check_box(d1, d2, d3, nx, ny, nz):
     """Raise ValueError unless `generate_box_mesh` can mesh this box.
 
     The sizes d1, d2, d3 must be finite and positive, the element counts
-    nx, ny, nz finite and at least 1, and nz even, so that a node row sits
-    at the mid-height z = d3/2 of the line supports.  The message names the
-    first bad key and its value.  This is the one box rule: the mesher and
-    the configuration's [mesh] section both apply it.
+    nx, ny, nz finite integers of at least 1, and nz even, so that a node
+    row sits at the mid-height z = d3/2 of the line supports.  The message
+    names the first bad key and its value.  This is the one box rule: the
+    mesher and the configuration's [mesh] section both apply it.
     """
     for name, size in (("d1", d1), ("d2", d2), ("d3", d3)):
         if not 0.0 < size < math.inf:
@@ -116,6 +116,8 @@ def check_box(d1, d2, d3, nx, ny, nz):
         if not 1 <= count < math.inf:
             raise ValueError("element count %s must be finite and at least 1, got %g"
                              % (name, count))
+        if count != int(count):
+            raise ValueError("element count %s must be an integer, got %g" % (name, count))
     if nz % 2 != 0:
         raise ValueError("the line supports need an even nz so a node row "
                          "sits at mid-height z = d3/2, got nz = %d" % nz)
@@ -128,6 +130,7 @@ def generate_box_mesh(d1, d2, d3, nx, ny, nz):
     supports, so nz must be even; `check_box` states the whole rule.
     """
     check_box(d1, d2, d3, nx, ny, nz)
+    nx, ny, nz = int(nx), int(ny), int(nz)
     xs = np.linspace(0.0, d1, nx + 1)
     ys = np.linspace(0.0, d2, ny + 1)
     zs = np.linspace(0.0, d3, nz + 1)

@@ -87,8 +87,8 @@ class TimeGrid:
     def __init__(self, T, n_elements):
         if not 0.0 < T < math.inf:
             raise ValueError("T must be finite and positive, got %g" % T)
-        if not 1 <= n_elements < math.inf:
-            raise ValueError("n_elements must be a finite count of at least 1, got %g"
+        if not (1 <= n_elements < math.inf and n_elements == int(n_elements)):
+            raise ValueError("n_elements must be a finite integer of at least 1, got %g"
                              % n_elements)
         self.T = float(T)
         self.n_elements = int(n_elements)

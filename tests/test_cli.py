@@ -430,6 +430,26 @@ def test_calibrate_that_meets_the_target_exits_0(tmp_path, capsys):
     assert manifest["scale"] == 1.0 / 1.4
 
 
+def test_calibrate_whose_march_fails_keeps_the_rows_marched(tmp_path, capsys):
+    # Each row grows the load 1.4-fold toward a target the tiny overlay
+    # cannot reach; the fourth row's reference run stops at step 14.
+    out = tmp_path / "out"
+    code = cli.main(["calibrate", "--preset", "mono_sine",
+                     "--config", tiny_overlay(tmp_path), "--target", "0.999999999999",
+                     "--out-dir", str(out)])
+    assert code == cli.EXIT_INPUT
+    error = "equilibrium loop failed to converge at step 14 (t = 0.35)"
+    assert capsys.readouterr().err.startswith("error: " + error)
+    rows = np.loadtxt(out / "calibration.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert np.array_equal(rows[:, 0], [1.0, 1.4, 1.4 * 1.4])
+    assert np.all(np.diff(rows[:, 2]) > 0.0) and rows[-1, 2] < 0.999999999999
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["met"] is False and manifest["rows"] == 3
+    assert manifest["failed_scale"] == 1.4 * 1.4 * 1.4
+    assert manifest["error"].startswith(error)
+    assert manifest["scale"] == rows[-1, 0] and manifest["d_max"] == rows[-1, 2]
+
+
 def test_calibrate_whose_expansion_never_crosses_the_target_exits_3(tmp_path, capsys):
     # The elastic load grown 1.4^11-fold still damages no point of the tiny mesh.
     out = tmp_path / "out"

@@ -78,6 +78,18 @@ def test_constructors_reject_non_finite_values(section, field, value):
         replace(part, **{field: value})
 
 
+# Counts that are not integers: the file readers refuse them, code may not.
+FRACTIONAL = [("mesh", "nx"), ("mesh", "ny"), ("mesh", "nz"),
+              ("solver", "N_T"), ("solver", "max_modes")]
+
+
+@pytest.mark.parametrize("section,field", FRACTIONAL)
+def test_constructors_reject_a_fractional_count(section, field):
+    part = getattr(preset("mono_sine"), section)
+    with pytest.raises(ValueError, match=r"%s must be .*integer.*, got 1\.5$" % field):
+        replace(part, **{field: 1.5})
+
+
 # (field, value, words the message must carry): one load rule, `LoadCase`'s,
 # which names the bad entry.
 BAD_LOAD = {
@@ -191,6 +203,39 @@ def test_snapshot_outside_the_horizon_is_rejected(tmp_path):
     conf = parse_config(write(tmp_path, "[output]\nsnapshots = 2.5\n[load]\nT = 3.0\n"),
                         base=preset("mono_sine"))
     assert conf.output.snapshots == (2.5,) and conf.load.T == 3.0
+
+
+def late_config(tmp_path, standalone):
+    """A file whose [load] T = 0.5 ends before its [output] snapshot at 3.0,
+    as an overlay on `mono_sine` or standing alone."""
+    text = "[load]\nT = 0.5\n[output]\nsnapshots = 3.0\n"
+    if standalone:
+        text = canonical(preset("mono_sine")).replace("\nT = 2\n", "\nT = 0.5\n")
+        text = text.replace("\nsnapshots = \n", "\nsnapshots = 3.0\n")
+        assert "T = 0.5" in text and "snapshots = 3.0" in text
+    return write(tmp_path, text), None if standalone else preset("mono_sine")
+
+
+CROSS_SECTION = "[load], [output]: snapshots must lie in [0, T] = [0, 0.5], got 3"
+
+
+@pytest.mark.parametrize("standalone", [False, True])
+def test_an_error_across_sections_names_the_file_and_both_sections(tmp_path, standalone):
+    path, base = late_config(tmp_path, standalone)
+    with pytest.raises(ValueError) as info:
+        parse_config(path, base=base)
+    assert str(info.value) == "%s: %s" % (path, CROSS_SECTION)
+
+
+@pytest.mark.parametrize("standalone", [False, True])
+def test_an_error_across_sections_exits_2_through_the_cli(tmp_path, capsys, standalone):
+    path, base = late_config(tmp_path, standalone)
+    out = tmp_path / "out"
+    code = cli.main(["run-latin", "--config", path, "--out-dir", str(out)]
+                    + ([] if standalone else ["--preset", "mono_sine"]))
+    assert code == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: %s: %s" % (path, CROSS_SECTION))
+    assert not out.exists()
 
 
 def test_empty_snapshot_list_is_the_empty_tuple(tmp_path):

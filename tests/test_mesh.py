@@ -32,6 +32,12 @@ class TestGeneration:
                            match="element count %s must be finite and at least 1, got 0" % name):
             generate_box_mesh(1.0, 1.0, 1.0, *counts)
 
+    def test_integral_float_counts_mesh_as_integers(self):
+        mesh = generate_box_mesh(2.0, 1.0, 0.5, 3.0, 2.0, 2.0)
+        want = generate_box_mesh(2.0, 1.0, 0.5, 3, 2, 2)
+        assert np.array_equal(mesh.nodes, want.nodes)
+        assert np.array_equal(mesh.conn, want.conn)
+
     def test_negative_dimension_rejected(self):
         with pytest.raises(ValueError):
             generate_box_mesh(-1.0, 1.0, 1.0, 1, 1, 1)

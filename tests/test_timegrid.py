@@ -25,7 +25,7 @@ class TestTimeGrid:
         assert g.all_gauss_weights.sum() == pytest.approx(2.0, rel=1e-14)
 
     @pytest.mark.parametrize("T,n", [(0.0, 4), (-1.0, 4), (1.0, 0), (np.nan, 4),
-                                     (np.inf, 4), (1.0, np.nan)])
+                                     (np.inf, 4), (1.0, np.nan), (0.5, 10.5)])
     def test_invalid_grid_rejected(self, T, n):
         with pytest.raises(ValueError):
             TimeGrid(T, n)
